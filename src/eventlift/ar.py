@@ -118,14 +118,17 @@ def fit_ar1_ols(panel: PanelSeries, t0: int) -> ARModelFit:
         raise ValidationError(f"t0 must be in [1, {panel.horizon}], got {t0}")
     prev = panel.values[:, :t0]
     curr = panel.values[:, 1 : t0 + 1]
-    denom = float(np.sum(prev * prev))
+    # one (N, t0) scratch buffer holds prev^2, then prev*curr, then the residuals
+    buf = np.multiply(prev, prev)
+    denom = float(np.sum(buf))
     if denom == 0.0:
         raise ValidationError(
             "pre-event data are identically zero; the OLS denominator is degenerate"
         )
-    phi_hat = float(np.sum(prev * curr)) / denom
-    resid = curr - phi_hat * prev
-    sigma2_hat = float(np.mean(resid * resid))
+    phi_hat = float(np.sum(np.multiply(prev, curr, out=buf))) / denom
+    np.multiply(prev, phi_hat, out=buf)
+    np.subtract(curr, buf, out=buf)
+    sigma2_hat = float(np.mean(np.multiply(buf, buf, out=buf)))
     return ARModelFit(phi_hat=phi_hat, sigma2_hat=sigma2_hat, n_pairs=prev.size)
 
 

@@ -197,6 +197,11 @@ def _cmd_estimate(args) -> int:
     panel, calendar = _load_bound(args)
     window = _occurrence(calendar, args.event, args.occurrence)
     t0_fit = args.fit_t0 if args.fit_t0 is not None else window.t0
+    if t0_fit > window.t0:
+        raise ValidationError(
+            f"--fit-t0 {t0_fit} passes the window's t0={window.t0}; "
+            "the fit would see event days"
+        )
     fit = ar.fit_ar1_ols(panel, t0_fit)
     cf = ar.forecast_counterfactual(fit, panel, window)
     est = ar.estimate_effect(panel, cf, window)
@@ -225,6 +230,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc_validate(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     out = _out_dir(args)
     spec = _spec_from(args)
     window = EventWindow(t0=args.t0, d=args.d)
@@ -577,7 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="finite_horizon",
     )
     p.add_argument("--standardize", choices=["oracle", "estimated"], default="oracle")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker threads, capped at the CPUs available"
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_mc_validate)

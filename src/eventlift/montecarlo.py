@@ -1,9 +1,10 @@
 """Replication harness validating the AR(1) estimator's sampling behavior.
 
-Each replication simulates a panel, injects the configured effect, refits
-the model, and re-estimates the effect.  The harness then compares the
-spread of the scaled errors sqrt(N) * (delta_hat - delta) against two
-closed-form references computed from the true parameters:
+Each replication simulates a panel, fits the model, forecasts the
+counterfactual and estimates the effect of the configured treatment.  The
+harness then compares the spread of the scaled errors
+sqrt(N) * (delta_hat - delta) against two closed-form references computed
+from the true parameters:
 
 * per-component variance  sigma^2 * (1 - phi^(2k)) / (1 - phi^2)  at
   window depth k, converging upward to sigma^2 / (1 - phi^2), and
@@ -12,14 +13,26 @@ closed-form references computed from the true parameters:
   forecast error.  This off-diagonal structure does not vanish with N,
   so the report flags it explicitly instead of asserting a diagonal limit.
 
+A replication never builds the treated panel.  ``MCConfig`` forces the
+fit range t0 <= window.t0, and the forecast anchors at column window.t0, so
+the fit and the counterfactual only read columns the treatment leaves
+untouched: on the clean panel they are bit for bit what they would be on the
+treated one.  The effect is added to the d window columns alone, and
+delta_hat is the cross-series mean of (observed - counterfactual) over those
+columns, in the same operation order as ``estimate_effect`` on the treated
+panel.
+
 Reproducibility contract: replication r uses the 64-bit seed
 splitmix64(master_seed, r), results are stored in slots indexed by r, and
 all reductions run in fixed replication order.  The report is therefore a
-pure function of the config, independent of thread count.
+pure function of the config, independent of thread count; capping the
+worker threads at the CPUs available changes how fast a report is made,
+never its contents.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,14 +42,14 @@ from scipy.stats import kurtosis as _kurtosis
 from scipy.stats import skew as _skew
 
 from .ar import (
+    TreatmentEffectEstimate,
     confidence_intervals,
     effect_covariance,
-    estimate_effect,
     fit_ar1_ols,
     forecast_counterfactual,
 )
 from .errors import ValidationError
-from .panel import ARProcessSpec, EventWindow, as_effect_vector, inject_treatment, simulate_ar1_panel
+from .panel import ARProcessSpec, EventWindow, as_effect_vector, simulate_ar1_panel
 
 __all__ = [
     "MCConfig",
@@ -162,23 +175,40 @@ def _replicate(config: MCConfig, r: int):
     horizon = window.t0 + window.d
     seed = mix_seed(config.master_seed, r)
     panel = simulate_ar1_panel(spec, config.n_series, horizon, seed)
-    treated = inject_treatment(panel, window, delta)
-    fit = fit_ar1_ols(treated, config.t0)
-    cf = forecast_counterfactual(fit, treated, window)
-    est = estimate_effect(treated, cf, window)
+    # fit and anchor read columns <= window.t0 only (see the module docstring)
+    fit = fit_ar1_ols(panel, config.t0)
+    cf = forecast_counterfactual(fit, panel, window)
+    observed = panel.values[:, window.t0 + 1 : window.t0 + 1 + window.d] + delta
+    if not np.all(np.isfinite(observed)):
+        raise ValidationError("treated window values must all be finite")
+    est = TreatmentEffectEstimate(
+        window=window,
+        delta_hat=(observed - cf.values).mean(axis=0),
+        n_series=config.n_series,
+    )
     cov = effect_covariance(fit, window, config.n_series, config.variance_mode)
     cis = confidence_intervals(est, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
     return est.delta_hat, fit.phi_hat, np.diag(cov), covered
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
     """Run all replications and aggregate in fixed replication order.
 
-    ``n_jobs`` > 1 runs replications on a thread pool; results land in
-    per-replication slots, so the report is bit-identical to a
-    single-threaded run.
+    ``n_jobs`` > 1 runs replications on a thread pool of at most as many
+    threads as there are CPUs available; results land in per-replication
+    slots, so the report is bit-identical to a single-threaded run.
     """
+    if n_jobs < 1:
+        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
+    workers = min(n_jobs, _available_cpus())
     R = config.replications
     d = config.window.d
     delta = np.asarray(config.delta)
@@ -199,11 +229,11 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
         est_vars[r] = ev
         covers[r] = cv
 
-    if n_jobs <= 1:
+    if workers == 1:
         for r in range(R):
             work(r)
     else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             # list() re-raises worker exceptions in submission order
             list(pool.map(work, range(R)))
 

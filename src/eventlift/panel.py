@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,8 @@ class ARProcessSpec:
     ``initial_mode`` is either ``"stationary_draw"`` (Y_0 drawn from the
     stationary law N(0, sigma^2 / (1 - phi^2))) or ``"fixed"`` (Y_0 set to
     ``initial_value`` in every series).  ``sigma == 0`` is allowed and gives
-    the deterministic noise-free recursion.
+    the deterministic noise-free recursion.  A stationary draw needs a
+    finite stationary variance sigma^2 / (1 - phi^2).
     """
 
     phi: float
@@ -58,6 +60,22 @@ class ARProcessSpec:
             )
         if not math.isfinite(self.initial_value):
             raise ValidationError("initial_value must be finite")
+        if self.initial_mode == "stationary_draw":
+            try:
+                var0 = stationary_variance(self)
+            except OverflowError:
+                var0 = math.inf
+            if not math.isfinite(var0):
+                raise ValidationError(
+                    f"stationary variance sigma**2 / (1 - phi**2) must be finite, "
+                    f"got sigma={self.sigma}, phi={self.phi}"
+                )
+
+
+@lru_cache(maxsize=8)
+def _default_series_ids(n: int) -> tuple[str, ...]:
+    """``s000, s001, ...``: unique by construction, shared by every panel of width n."""
+    return tuple(f"s{i:03d}" for i in range(n))
 
 
 @dataclass(eq=False)
@@ -67,7 +85,7 @@ class PanelSeries:
     ``values`` is an immutable float array of shape (N, T+1).  ``time_index``
     holds strictly increasing labels (integers or dates) of length T+1.
     ``series_ids`` are unique string labels, generated as ``s000, s001, ...``
-    when not supplied.
+    when not supplied; panels of the same width share one generated tuple.
     """
 
     values: np.ndarray
@@ -94,15 +112,15 @@ class PanelSeries:
         if any(a >= b for a, b in zip(self.time_index, self.time_index[1:])):
             raise ValidationError("time_index must be strictly increasing")
         if not self.series_ids:
-            self.series_ids = tuple(f"s{i:03d}" for i in range(n))
+            self.series_ids = _default_series_ids(n)
         else:
             self.series_ids = tuple(str(s) for s in self.series_ids)
-        if len(self.series_ids) != n:
-            raise ValidationError(
-                f"series_ids length {len(self.series_ids)} != number of series {n}"
-            )
-        if len(set(self.series_ids)) != n:
-            raise ValidationError("series_ids must be unique")
+            if len(self.series_ids) != n:
+                raise ValidationError(
+                    f"series_ids length {len(self.series_ids)} != number of series {n}"
+                )
+            if len(set(self.series_ids)) != n:
+                raise ValidationError("series_ids must be unique")
         vals = vals.copy()
         vals.setflags(write=False)
         self.values = vals
@@ -217,8 +235,10 @@ def simulate_ar1_panel(
 ) -> PanelSeries:
     """Simulate N independent AR(1) series over t = 0..horizon.
 
-    Draw order is fixed (initial values first, then the innovation matrix),
-    so the output is a pure function of (spec, n_series, horizon, seed).
+    Draw order is fixed (initial values first, then the (N, T) innovation
+    matrix), so the output is a pure function of (spec, n_series, horizon,
+    seed).  The recursion runs time-major, one contiguous row of N values
+    per step; ``PanelSeries`` copies the result back to row-major.
 
     Parameters
     ----------
@@ -236,16 +256,19 @@ def simulate_ar1_panel(
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
-    values = np.empty((n_series, horizon + 1), dtype=float)
+    values = np.empty((horizon + 1, n_series), dtype=float)
     if spec.initial_mode == "stationary_draw":
         sd0 = math.sqrt(stationary_variance(spec))
-        values[:, 0] = rng.standard_normal(n_series) * sd0
+        values[0] = rng.standard_normal(n_series) * sd0
     else:
-        values[:, 0] = spec.initial_value
-    eps = rng.standard_normal((n_series, horizon)) * spec.sigma
+        values[0] = spec.initial_value
+    # rows 1..T start as the innovations; step t adds phi * Y[t-1] to row t
+    np.multiply(rng.standard_normal((n_series, horizon)).T, spec.sigma, out=values[1:])
+    step = np.empty(n_series, dtype=float)
     for t in range(1, horizon + 1):
-        values[:, t] = spec.phi * values[:, t - 1] + eps[:, t - 1]
-    return PanelSeries(values)
+        np.multiply(values[t - 1], spec.phi, out=step)
+        values[t] += step
+    return PanelSeries(values.T)
 
 
 def inject_treatment(

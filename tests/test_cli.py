@@ -177,6 +177,21 @@ class TestSimulateFitEstimate:
         ET.fromstring((tmp_path / "effect_plot.svg").read_text(encoding="utf-8"))
         capsys.readouterr()
 
+    def test_estimate_fit_range_may_not_pass_the_window(self, sim_dir, tmp_path, capsys):
+        args = [
+            "estimate",
+            "--panel", str(sim_dir / "panel.csv"),
+            "--calendar", str(sim_dir / "calendar.csv"),
+            "--event", "event",
+            "--out", str(tmp_path),
+        ]
+        assert run_command([*args, "--fit-t0", "41"]) == 2
+        err = capsys.readouterr().err
+        assert "--fit-t0" in err and "t0=40" in err
+        assert not (tmp_path / "effect.csv").exists()
+        assert run_command([*args, "--fit-t0", "40"]) == 0
+        capsys.readouterr()
+
 
 class TestMonteCarloCommands:
     def run_mc(self, out, jobs):
@@ -207,6 +222,12 @@ class TestMonteCarloCommands:
         assert len(cross) == 5
         ET.fromstring((tmp_path / "mc_report.svg").read_text(encoding="utf-8"))
         capsys.readouterr()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_mc_validate_rejects_fewer_than_one_job(self, jobs, tmp_path, capsys):
+        assert self.run_mc(tmp_path, jobs=jobs) != 0
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "mc_report.csv").exists()
 
     def test_mc_validate_thread_count_invariant(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import ValidationError
+from eventlift import ValidationError, montecarlo
 
 
 def small_config(**overrides):
@@ -144,6 +146,138 @@ class TestRunReplications:
         )
         with pytest.raises(ValidationError, match="replication 0:"):
             el.run_replications(cfg)
+
+    def test_overflowing_innovations_fail_as_a_validation_error(self):
+        cfg = small_config(
+            spec=el.ARProcessSpec(phi=0.5, sigma=1e308, initial_mode="fixed"),
+            n_series=50,
+            replications=2,
+        )
+        with np.errstate(all="ignore"), pytest.raises(
+            ValidationError, match="replication 0:.*finite"
+        ):
+            el.run_replications(cfg)
+
+    def test_overflowing_treated_window_rejected(self, monkeypatch):
+        # the window column sits near the float maximum; adding delta overflows
+        values = np.ones((4, 53))
+        values[:, 51] = 1.5e308
+        monkeypatch.setattr(
+            montecarlo, "simulate_ar1_panel", lambda *args: el.PanelSeries(values)
+        )
+        cfg = small_config(
+            n_series=4, window=el.EventWindow(t0=50, d=2), delta=(1e308, 0.0),
+            replications=1,
+        )
+        with np.errstate(all="ignore"), pytest.raises(
+            ValidationError, match="replication 0:.*finite"
+        ):
+            el.run_replications(cfg)
+
+
+class RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs serially."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_rejects_fewer_than_one_job(self, n_jobs):
+        with pytest.raises(ValidationError, match="n_jobs"):
+            el.run_replications(small_config(replications=2), n_jobs=n_jobs)
+
+    @pytest.mark.parametrize(
+        "cpus, n_jobs, expected", [(3, 8, [3]), (3, 2, [2]), (1, 4, []), (4, 1, [])]
+    )
+    def test_threads_capped_at_available_cpus(
+        self, monkeypatch, cpus, n_jobs, expected
+    ):
+        monkeypatch.setattr(RecordingExecutor, "created", [])
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        cfg = small_config(n_series=60, replications=3)
+        report = el.run_replications(cfg, n_jobs=n_jobs)
+        assert RecordingExecutor.created == expected
+        assert report.replications == 3
+
+
+def composed_replication(config, r):
+    """Reference: one replication through the public panel and ar functions."""
+    window = config.window
+    delta = np.asarray(config.delta)
+    panel = el.simulate_ar1_panel(
+        config.spec, config.n_series, window.t0 + window.d, el.mix_seed(config.master_seed, r)
+    )
+    treated = el.inject_treatment(panel, window, delta)
+    fit = el.fit_ar1_ols(treated, config.t0)
+    cf = el.forecast_counterfactual(fit, treated, window)
+    est = el.estimate_effect(treated, cf, window)
+    cov = el.effect_covariance(fit, window, config.n_series, config.variance_mode)
+    cis = el.confidence_intervals(est, cov, config.ci_level)
+    covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
+    return est.delta_hat, fit.phi_hat, np.diag(cov), covered
+
+
+def outcome(fn, *args):
+    try:
+        dh, ph, var, covered = fn(*args)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return dh.tobytes(), ph, var.tobytes(), covered.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    phi=st.floats(min_value=-0.95, max_value=0.95),
+    sigma=st.floats(min_value=0.0, max_value=3.0),
+    initial_mode=st.sampled_from(["stationary_draw", "fixed"]),
+    initial_value=st.floats(min_value=-5.0, max_value=5.0),
+    n=st.integers(min_value=1, max_value=60),
+    window_t0=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    r=st.integers(min_value=0, max_value=5),
+    variance_mode=st.sampled_from(["finite_horizon", "asymptotic_diagonal"]),
+)
+def test_replicate_equals_public_composition(
+    data, phi, sigma, initial_mode, initial_value, n, window_t0, d, seed, r, variance_mode
+):
+    t0 = data.draw(st.integers(min_value=1, max_value=window_t0))
+    delta = data.draw(
+        st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=d, max_size=d)
+    )
+    config = el.MCConfig(
+        spec=el.ARProcessSpec(
+            phi=phi, sigma=sigma, initial_mode=initial_mode, initial_value=initial_value
+        ),
+        n_series=n,
+        t0=t0,
+        window=el.EventWindow(t0=window_t0, d=d),
+        delta=tuple(delta),
+        replications=r + 1,
+        master_seed=seed,
+        ci_level=data.draw(st.floats(min_value=0.5, max_value=0.99)),
+        variance_mode=variance_mode,
+    )
+    # tiny panels can fit a huge phi_hat whose forecast overflows; both sides must agree
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(montecarlo._replicate, config, r) == outcome(
+            composed_replication, config, r
+        )
 
 
 class TestCheckNormality:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,17 @@ class TestARProcessSpec:
         spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
         assert el.stationary_variance(spec) == pytest.approx(4.0 / 3.0)
 
+    @pytest.mark.parametrize(
+        "phi, sigma", [(0.5, 1e308), (0.5, 1e155), (1.0 - 1e-16, 1e150)]
+    )
+    def test_overflowing_stationary_variance_rejected(self, phi, sigma):
+        with pytest.raises(ValidationError, match=r"(?=.*sigma)(?=.*phi)"):
+            el.ARProcessSpec(phi=phi, sigma=sigma)
+
+    def test_fixed_start_does_not_need_a_stationary_variance(self):
+        spec = el.ARProcessSpec(phi=0.5, sigma=1e308, initial_mode="fixed")
+        assert spec.sigma == 1e308
+
 
 class TestPanelSeries:
     def test_values_read_only(self):
@@ -45,6 +58,21 @@ class TestPanelSeries:
         assert panel.time_index == (0, 1, 2)
         assert panel.n_series == 2
         assert panel.horizon == 2
+
+    def test_default_ids_built_once_per_width(self):
+        a = el.PanelSeries(np.zeros((1200, 2)))
+        b = el.PanelSeries(np.ones((1200, 2)))
+        assert a.series_ids is b.series_ids
+        assert a.series_ids[999:1001] == ("s999", "s1000")
+        assert len(set(a.series_ids)) == 1200
+
+    def test_supplied_ids_still_checked(self):
+        with pytest.raises(ValidationError, match="unique"):
+            el.PanelSeries(np.zeros((2, 3)), series_ids=("a", "a"))
+        with pytest.raises(ValidationError, match="length"):
+            el.PanelSeries(np.zeros((2, 3)), series_ids=("a",))
+        panel = el.PanelSeries(np.zeros((2, 3)), series_ids=(7, 8))
+        assert panel.series_ids == ("7", "8")
 
     def test_equality(self):
         a = el.PanelSeries(np.arange(6.0).reshape(2, 3))
@@ -154,6 +182,49 @@ class TestSimulate:
             el.simulate_ar1_panel(spec, n_series=0, horizon=5, seed=0)
         with pytest.raises(ValidationError):
             el.simulate_ar1_panel(spec, n_series=1, horizon=0, seed=0)
+
+    def test_output_is_row_major(self):
+        spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
+        panel = el.simulate_ar1_panel(spec, n_series=5, horizon=7, seed=1)
+        assert panel.values.flags.c_contiguous
+        assert not panel.values.flags.writeable
+
+
+def columnwise_ar1_panel(spec, n_series, horizon, seed):
+    """Reference: the series-major recursion, one strided column per step."""
+    rng = np.random.default_rng(seed)
+    values = np.empty((n_series, horizon + 1), dtype=float)
+    if spec.initial_mode == "stationary_draw":
+        values[:, 0] = rng.standard_normal(n_series) * math.sqrt(el.stationary_variance(spec))
+    else:
+        values[:, 0] = spec.initial_value
+    eps = rng.standard_normal((n_series, horizon)) * spec.sigma
+    for t in range(1, horizon + 1):
+        values[:, t] = spec.phi * values[:, t - 1] + eps[:, t - 1]
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=st.floats(min_value=-0.99, max_value=0.99),
+    sigma=st.floats(min_value=0.0, max_value=5.0),
+    initial_mode=st.sampled_from(["stationary_draw", "fixed"]),
+    initial_value=st.floats(min_value=-10.0, max_value=10.0),
+    n=st.integers(min_value=1, max_value=40),
+    horizon=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_simulate_matches_columnwise_recursion(
+    phi, sigma, initial_mode, initial_value, n, horizon, seed
+):
+    spec = el.ARProcessSpec(
+        phi=phi, sigma=sigma, initial_mode=initial_mode, initial_value=initial_value
+    )
+    panel = el.simulate_ar1_panel(spec, n, horizon, seed)
+    expected = columnwise_ar1_panel(spec, n, horizon, seed)
+    assert panel.values.tobytes() == expected.tobytes()
+    assert panel.time_index == tuple(range(horizon + 1))
+    assert panel.series_ids == tuple(f"s{i:03d}" for i in range(n))
 
 
 class TestInjectTreatment:
