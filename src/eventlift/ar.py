@@ -17,7 +17,6 @@ depth k, which grows toward the limit value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,9 +31,9 @@ __all__ = [
     "fit_ar1_ols",
     "forecast_counterfactual",
     "estimate_effect",
+    "ar1_error_covariance",
     "effect_covariance",
     "confidence_intervals",
-    "average_effects",
 ]
 
 
@@ -141,9 +140,8 @@ def forecast_counterfactual(
     phi_hat times the previous one, so values[i, k] = phi_hat^(k+1) * Y[i, t0].
     """
     window.check_fits(panel.horizon)
-    anchor = panel.values[:, window.t0].copy()
     values = np.empty((panel.n_series, window.d), dtype=float)
-    col = anchor
+    col = panel.values[:, window.t0]
     for k in range(window.d):
         col = fit.phi_hat * col
         values[:, k] = col
@@ -169,6 +167,21 @@ def estimate_effect(
     )
 
 
+def ar1_error_covariance(phi: float, sigma2: float, d: int) -> np.ndarray:
+    """Covariance of the recursive forecast errors at window depths 1..d.
+
+    Entry (k, l), 0-based, is sigma2 * phi^|k-l| * sum_{j=0..min(k,l)} phi^(2j),
+    from the moving-average expansion of the forecast error.  The diagonal is
+    the finite-horizon variance; the off-diagonals do not vanish.
+    """
+    partial = np.cumsum(phi ** (2.0 * np.arange(d)))
+    # lag powers by Python ** on purpose: np.power rounds some lags differently
+    lag_powers = np.array([phi**j for j in range(d)])
+    k = np.arange(d)
+    lags = np.abs(np.subtract.outer(k, k))
+    return sigma2 * lag_powers[lags] * partial[np.minimum.outer(k, k)]
+
+
 def effect_covariance(
     fit: ARModelFit, window: EventWindow, n_series: int, mode: str = "finite_horizon"
 ) -> np.ndarray:
@@ -177,8 +190,9 @@ def effect_covariance(
     ``asymptotic_diagonal`` puts sigma2_hat / ((1 - phi_hat^2) * N) on every
     diagonal entry.  ``finite_horizon`` uses the depth-dependent variance
     sigma2_hat * sum_{j=0..k} phi_hat^(2j) / N at window step k, which is
-    smaller at shallow depths and converges upward to the asymptotic value.
-    Off-diagonals are zero in both modes.
+    smaller at shallow depths and converges upward to the asymptotic value;
+    it is the diagonal of ``ar1_error_covariance``.  Off-diagonals are zero
+    in both modes.
     """
     if n_series < 1:
         raise ValidationError(f"n_series must be >= 1, got {n_series}")
@@ -190,8 +204,8 @@ def effect_covariance(
         var = fit.sigma2_hat / ((1.0 - fit.phi_hat**2) * n_series)
         diag = np.full(window.d, var)
     elif mode == "finite_horizon":
-        powers = fit.phi_hat ** (2.0 * np.arange(window.d))
-        diag = fit.sigma2_hat * np.cumsum(powers) / n_series
+        cov = ar1_error_covariance(fit.phi_hat, fit.sigma2_hat, window.d)
+        diag = np.diag(cov) / n_series
     else:
         raise ValidationError(
             f"mode must be 'asymptotic_diagonal' or 'finite_horizon', got {mode!r}"
@@ -219,21 +233,3 @@ def confidence_intervals(
     return [
         (float(m - h), float(m + h)) for m, h in zip(estimate.delta_hat, half)
     ]
-
-
-def average_effects(
-    estimates: Sequence[TreatmentEffectEstimate],
-) -> TreatmentEffectEstimate:
-    """Pool per-series estimates over a shared window, weighting by n_series."""
-    if not estimates:
-        raise ValidationError("need at least one estimate to average")
-    window = estimates[0].window
-    for est in estimates[1:]:
-        if est.window != window:
-            raise ValidationError("all estimates must share the same window")
-    weights = np.array([est.n_series for est in estimates], dtype=float)
-    stacked = np.stack([est.delta_hat for est in estimates])
-    delta = (stacked * weights[:, None]).sum(axis=0) / weights.sum()
-    return TreatmentEffectEstimate(
-        window=window, delta_hat=delta, n_series=int(weights.sum())
-    )

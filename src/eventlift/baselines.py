@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import fit_ar1_ols
+from .ar import fit_ar1_ols, forecast_counterfactual
 from .errors import ValidationError
 from .forecaster import (
     AdaptiveLossConfig,
@@ -74,13 +74,11 @@ def direct_forecast(
     elif predictor == "ar1":
         if t0 < 1:
             raise ValidationError("ar1 predictor needs at least one pre-window pair")
-        prefix = PanelSeries(x[None, : t0 + 1])
-        fit = fit_ar1_ols(prefix, t0)
-        preds = np.empty(H)
-        val = x[t0]
-        for k in range(H):
-            val = fit.phi_hat * val
-            preds[k] = val
+        # H zero columns pad the history past t0: the fit reads columns <= t0
+        # and the recursion starts from column t0, so neither sees the window
+        panel = PanelSeries(np.pad(x[: t0 + 1], (0, H))[None, :])
+        fit = fit_ar1_ols(panel, t0)
+        preds = forecast_counterfactual(fit, panel, EventWindow(t0=t0, d=H)).values[0]
     else:
         raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
 

@@ -179,12 +179,9 @@ def _cmd_fit_ar(args) -> int:
     panel = dataio.load_panel_csv(args.panel)
     fit = ar.fit_ar1_ols(panel, args.t0)
     path = out / "ar_fit.csv"
-    import csv as _csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi_hat", "sigma2_hat", "n_pairs"])
-        writer.writerow([repr(fit.phi_hat), repr(fit.sigma2_hat), fit.n_pairs])
+    reports.write_rows(
+        path, ["phi_hat", "sigma2_hat", "n_pairs"], [[fit.phi_hat, fit.sigma2_hat, fit.n_pairs]]
+    )
     print(
         f"fit phi_hat={fit.phi_hat:.6f} sigma2_hat={fit.sigma2_hat:.6f} "
         f"on {fit.n_pairs} pairs; wrote {path}"
@@ -295,13 +292,7 @@ def _cmd_train(args) -> int:
     model = forecaster.train(samples, _arch(args), _loss_cfg(args), _train_cfg(args))
     model_path = out / f"model_{args.series}.json"
     forecaster.save_model(model, model_path)
-    import csv as _csv
-
-    with open(out / "training_log.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(model.loss_history):
-            writer.writerow([epoch, repr(loss)])
+    reports.write_rows(out / "training_log.csv", ["epoch", "loss"], enumerate(model.loss_history))
     print(
         f"trained on {len(samples)} windows; final epoch loss "
         f"{model.loss_history[-1]:.6f}; wrote {model_path}"
@@ -356,13 +347,9 @@ def _cmd_baseline_df(args) -> int:
     )
     est = forecaster.extract_effect(control, series, window)
     reports.write_effect_csv(out / "df_effect.csv", est)
-    import csv as _csv
-
-    with open(out / "df_control.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t in control.support:
-            writer.writerow([int(t), repr(float(control.values[t]))])
+    reports.write_rows(
+        out / "df_control.csv", ["t", "value"], ((t, control.values[t]) for t in control.support)
+    )
     summary = ", ".join(f"{v:.4f}" for v in est.delta_hat)
     print(
         f"direct-forecast ({args.predictor}) effect for {args.event} on "
@@ -379,33 +366,22 @@ def _cmd_baseline_sd(args) -> int:
     window = _occurrence(calendar, args.event, args.occurrence)
     periods = list(_ints(args.periods))
     decomposition, control = baselines.seasonal_decompose(series, periods, window)
-    import csv as _csv
-
-    with open(out / "sd_control.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "control", "total"])
-        for t in window.indices:
-            writer.writerow(
-                [
-                    t,
-                    repr(float(control.values[t])),
-                    repr(float(decomposition.fitted_total[t])),
-                ]
-            )
+    total = decomposition.fitted_total
+    reports.write_rows(
+        out / "sd_control.csv",
+        ["t", "control", "total"],
+        ((t, control.values[t], total[t]) for t in window.indices),
+    )
     ordered = sorted(periods)
-    with open(out / "decomposition.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["t", "trend"]
-            + [f"seasonal_{p}" for p in ordered]
-            + ["remainder"]
-        )
-        for t in range(len(series)):
-            writer.writerow(
-                [t, repr(float(decomposition.trend[t]))]
-                + [repr(float(decomposition.seasonal_components[p][t])) for p in ordered]
-                + [repr(float(decomposition.remainder[t]))]
-            )
+    seasonal = [decomposition.seasonal_components[p] for p in ordered]
+    reports.write_rows(
+        out / "decomposition.csv",
+        ["t", "trend", *(f"seasonal_{p}" for p in ordered), "remainder"],
+        (
+            (t, decomposition.trend[t], *(c[t] for c in seasonal), decomposition.remainder[t])
+            for t in range(len(series))
+        ),
+    )
     est = forecaster.extract_effect(control, series, window)
     summary = ", ".join(f"{v:.4f}" for v in est.delta_hat)
     print(
@@ -420,13 +396,7 @@ def _cmd_impact(args) -> int:
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     occurrences = calendar.occurrences(args.event)
-    if len(occurrences) < 2:
-        raise ValidationError(
-            f"event {args.event!r} needs >= 2 occurrences (training years + target)"
-        )
-    target = occurrences[-1]
-    training_years = occurrences[:-1]
-
+    impact.split_occurrences(args.event, occurrences)  # fail before any model work
     if args.method == "model":
         if args.model is None:
             raise ValidationError("--method model needs --model")
@@ -440,33 +410,20 @@ def _cmd_impact(args) -> int:
             return forecaster.extract_effect(synthetic, series, window)
 
     else:
+        single = PanelSeries(series[None, :])
 
         def estimate(window):
-            fit = ar.fit_ar1_ols(PanelSeries(series[None, :]), window.t0)
-            cf = ar.forecast_counterfactual(fit, PanelSeries(series[None, :]), window)
-            return ar.estimate_effect(PanelSeries(series[None, :]), cf, window)
+            fit = ar.fit_ar1_ols(single, window.t0)
+            cf = ar.forecast_counterfactual(fit, single, window)
+            return ar.estimate_effect(single, cf, window)
 
-    per_year = {}
-    for year, window in enumerate(training_years):
-        est = estimate(window)
-        scale = impact.year_scale(
-            series, window, mode=args.scale_mode, time_index=panel.time_index
-        )
-        per_year[year] = (est, scale)
-    model_ratio = impact.model_from_estimates(args.event, per_year)
-    target_scale = impact.year_scale(
-        series, target, mode=args.scale_mode, time_index=panel.time_index
+    model_ratio, target_scale, predicted = impact.impact_for_series(
+        args.event, series, occurrences, estimate, args.scale_mode, panel.time_index
     )
-    predicted = impact.predict_effect(model_ratio, target_scale)
-
     reports.write_impact_csv(out / "impact.csv", [model_ratio])
-    import csv as _csv
-
-    with open(out / "prediction.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "predicted_effect"])
-        for k, value in enumerate(predicted):
-            writer.writerow([k + 1, repr(float(value))])
+    reports.write_rows(
+        out / "prediction.csv", ["k", "predicted_effect"], enumerate(predicted, start=1)
+    )
     summary = ", ".join(f"{v:.4f}" for v in predicted)
     print(
         f"predicted {args.event} effect for the target year (scale "
@@ -499,23 +456,15 @@ def _cmd_evaluate(args) -> int:
         )
         labeled.append(model)
     reports.write_impact_csv(out / "impact.csv", labeled)
-    import csv as _csv
-
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["department", "event", "k", "predicted_effect", "control", "observed"])
-        for r in report.results:
-            for k in range(len(r.predicted_effect)):
-                writer.writerow(
-                    [
-                        r.series_id,
-                        r.event,
-                        k + 1,
-                        repr(float(r.predicted_effect[k])),
-                        repr(float(r.control_ours[k])),
-                        repr(float(r.observed[k])),
-                    ]
-                )
+    reports.write_rows(
+        out / "predictions.csv",
+        ["department", "event", "k", "predicted_effect", "control", "observed"],
+        (
+            (r.series_id, r.event, k + 1, r.predicted_effect[k], r.control_ours[k], r.observed[k])
+            for r in report.results
+            for k in range(len(r.predicted_effect))
+        ),
+    )
     means = report.mean_mape()
     print(
         f"mean MAPE over {len(report.results)} (series, event) pairs: "

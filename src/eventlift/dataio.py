@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -68,6 +69,8 @@ def load_panel_csv(path) -> PanelSeries:
                 raise ValidationError(
                     f"{path}:{line_no}: non-numeric value {raw_value!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}:{line_no}: non-finite value {raw_value!r}")
             bucket = per_series.setdefault(sid, {})
             if day in bucket:
                 raise ValidationError(
@@ -106,7 +109,14 @@ def load_panel_csv(path) -> PanelSeries:
 
 
 def write_panel_csv(path, panel: PanelSeries) -> None:
-    """Emit a panel in long format; values use exact round-trip formatting."""
+    """Emit a panel in long format; values use exact round-trip formatting.
+
+    The time index must hold ``datetime.date`` labels, the only kind
+    ``load_panel_csv`` reads back.
+    """
+    for label in panel.time_index:
+        if type(label) is not datetime.date:
+            raise ValidationError(f"{path}: time index label {label!r} is not a datetime.date")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PANEL_HEADER)

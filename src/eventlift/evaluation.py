@@ -19,7 +19,7 @@ Each method's MAPE against the observed window fills one Table-style row
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,13 +35,7 @@ from .forecaster import (
     insample_forecast,
     train,
 )
-from .impact import (
-    ImpactRatioModel,
-    evaluate_mape,
-    model_from_estimates,
-    predict_effect,
-    year_scale,
-)
+from .impact import ImpactRatioModel, evaluate_mape, impact_for_series, split_occurrences
 from .montecarlo import mix_seed
 from .panel import EventCalendar, PanelSeries
 
@@ -81,9 +75,6 @@ class EvaluationReport:
             "ours": float(np.mean([r.mape_ours for r in self.results])),
         }
 
-    def impact_models(self) -> list[ImpactRatioModel]:
-        return [r.impact_model for r in self.results]
-
 
 def evaluate_panel(
     panel: PanelSeries,
@@ -109,40 +100,25 @@ def evaluate_panel(
     periods = periods or [7, 365]
     names = event_names if event_names is not None else sorted(calendar.events)
     for name in names:
-        if len(calendar.occurrences(name)) < 2:
-            raise ValidationError(
-                f"event {name!r} needs >= 2 occurrences (training years + target)"
-            )
+        split_occurrences(name, calendar.occurrences(name))
 
     report = EvaluationReport()
     for i, sid in enumerate(panel.series_ids):
         series = panel.series(i)
         samples = build_rolling_windows(series, fw_config, calendar)
-        series_cfg = TrainConfig(
-            epochs=train_cfg.epochs,
-            batch_size=train_cfg.batch_size,
-            learning_rate=train_cfg.learning_rate,
-            final_learning_rate=train_cfg.final_learning_rate,
-            seed=mix_seed(train_cfg.seed, i) % (2**32),
-        )
+        series_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, i) % (2**32))
         model = train(samples, arch, loss_cfg, series_cfg)
         control = insample_forecast(model, series, fw_config)
+
+        def estimate(window):
+            return extract_effect(control, series, window)
 
         for name in names:
             occurrences = calendar.occurrences(name)
             target = occurrences[-1]
-            training_years = occurrences[:-1]
-
-            per_year = {}
-            for year, w in enumerate(training_years):
-                est = extract_effect(control, series, w)
-                scale = year_scale(series, w, mode=scale_mode, time_index=panel.time_index)
-                per_year[year] = (est, scale)
-            impact_model = model_from_estimates(name, per_year)
-            target_scale = year_scale(
-                series, target, mode=scale_mode, time_index=panel.time_index
+            impact_model, _, predicted = impact_for_series(
+                name, series, occurrences, estimate, scale_mode, panel.time_index
             )
-            predicted = predict_effect(impact_model, target_scale)
 
             idx = np.array(list(target.indices))
             observed = series[idx]
@@ -154,13 +130,7 @@ def evaluate_panel(
                 )
             mape_ours = evaluate_mape(control_window + predicted, observed)
 
-            df_cfg = TrainConfig(
-                epochs=train_cfg.epochs,
-                batch_size=train_cfg.batch_size,
-                learning_rate=train_cfg.learning_rate,
-                final_learning_rate=train_cfg.final_learning_rate,
-                seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32),
-            )
+            df_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
             df = direct_forecast(series, target, fw_config, arch, df_cfg)
             mape_df = evaluate_mape(df.values[idx], observed)
 

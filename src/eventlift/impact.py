@@ -23,6 +23,8 @@ __all__ = [
     "model_from_estimates",
     "predict_effect",
     "year_scale",
+    "split_occurrences",
+    "impact_for_series",
     "evaluate_mape",
 ]
 
@@ -153,6 +155,34 @@ def year_scale(
     raise ValidationError(
         f"mode must be 'pre_event_month' or 'calendar_month', got {mode!r}"
     )
+
+
+def split_occurrences(event: str, occurrences) -> tuple[list, EventWindow]:
+    """Training years (every occurrence but the last) and the target (the last)."""
+    if len(occurrences) < 2:
+        raise ValidationError(
+            f"event {event!r} needs >= 2 occurrences (training years + target)"
+        )
+    return occurrences[:-1], occurrences[-1]
+
+
+def impact_for_series(event: str, series, occurrences, estimate, scale_mode, time_index):
+    """Ratio model of one series' event and its predicted target-year effect.
+
+    ``estimate(window)`` gives a training year's effect, which is divided by
+    that year's ``year_scale``; the cross-year ratio rescaled by the target
+    year's scale is the prediction.  Returns (model, target scale, predicted
+    per-day effect).
+    """
+    training_years, target = split_occurrences(event, occurrences)
+    per_year = {}
+    for year, window in enumerate(training_years):
+        est = estimate(window)
+        scale = year_scale(series, window, mode=scale_mode, time_index=time_index)
+        per_year[year] = (est, scale)
+    model = model_from_estimates(event, per_year)
+    target_scale = year_scale(series, target, mode=scale_mode, time_index=time_index)
+    return model, target_scale, predict_effect(model, target_scale)
 
 
 def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray) -> float:

@@ -3,8 +3,8 @@
 Each replication simulates a panel, fits the model, forecasts the
 counterfactual and estimates the effect of the configured treatment.  The
 harness then compares the spread of the scaled errors
-sqrt(N) * (delta_hat - delta) against two closed-form references computed
-from the true parameters:
+sqrt(N) * (delta_hat - delta) against two closed-form references, both
+from ``ar.ar1_error_covariance`` at the true parameters:
 
 * per-component variance  sigma^2 * (1 - phi^(2k)) / (1 - phi^2)  at
   window depth k, converging upward to sigma^2 / (1 - phi^2), and
@@ -43,6 +43,7 @@ from scipy.stats import skew as _skew
 
 from .ar import (
     TreatmentEffectEstimate,
+    ar1_error_covariance,
     confidence_intervals,
     effect_covariance,
     fit_ar1_ols,
@@ -151,23 +152,6 @@ class MonteCarloReport:
     standardized_errors: np.ndarray | None = None
 
 
-def finite_horizon_variances(phi: float, sigma: float, d: int) -> np.ndarray:
-    """Variance of the scaled error at depths 1..d: sigma^2 * sum phi^(2j)."""
-    powers = phi ** (2.0 * np.arange(d))
-    return sigma**2 * np.cumsum(powers)
-
-
-def crosscov_oracle(phi: float, sigma: float, d: int) -> np.ndarray:
-    """Moving-average cross-covariance of the scaled errors between depths."""
-    partial = np.concatenate([[0.0], np.cumsum(phi ** (2.0 * np.arange(d)))])
-    out = np.empty((d, d), dtype=float)
-    for k in range(d):
-        for l in range(d):
-            m = min(k, l) + 1
-            out[k, l] = sigma**2 * phi ** abs(k - l) * partial[m]
-    return out
-
-
 def _replicate(config: MCConfig, r: int):
     spec = config.spec
     window = config.window
@@ -238,7 +222,8 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
             list(pool.map(work, range(R)))
 
     scaled = np.sqrt(config.n_series) * (delta_hats - delta[None, :])
-    var_finite = finite_horizon_variances(config.spec.phi, config.spec.sigma, d)
+    oracle = ar1_error_covariance(config.spec.phi, config.spec.sigma**2, d)
+    var_finite = np.diag(oracle)
     var_asym = (
         config.spec.sigma**2 / (1.0 - config.spec.phi**2)
         if abs(config.spec.phi) < 1.0
@@ -270,7 +255,6 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
         cross = np.cov(scaled, rowvar=False, ddof=1).reshape(d, d)
     else:
         cross = np.zeros((d, d))
-    oracle = crosscov_oracle(config.spec.phi, config.spec.sigma, d)
 
     notes: list[str] = []
     if d > 1:

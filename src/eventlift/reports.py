@@ -1,19 +1,33 @@
 """Report emission: CSV tables with fixed headers and standalone SVG plots.
 
 Everything written here is a pure function of its inputs with fixed float
-formatting, so repeated runs produce byte-identical files.  Plots are plain
-SVG assembled by hand; no rendering library is involved and the output
-parses as well-formed XML.
+formatting, so repeated runs produce byte-identical files.  Every output
+table goes through ``write_rows``; the input formats ``simulate`` writes stay
+in ``dataio`` (panel.csv: series_id,date,value; calendar.csv:
+event,start_date,end_date).  Plots are plain SVG assembled by hand; no
+rendering library is involved and the output parses as well-formed XML.
 
-CSV schemas:
+CSV schemas (k is the 1-based window day, t a 0-based time index):
 
-* effect estimates:   k,delta_hat,lower,upper          (k is the 1-based window day)
+* effect estimates:   k,delta_hat,lower,upper     (effect.csv, df_effect.csv)
 * MC per-component:   component,mean_bias,empirical_var,theoretical_var_finite,
                       theoretical_var_asymptotic,ci_coverage,skewness,excess_kurtosis
-* MC cross-covariance: k,l,empirical,reference          (scaled errors, 1-based)
+* MC cross-covariance: k,l,empirical,reference     (scaled errors, 1-based)
 * rate check:         n_small,n_large,sd_small,sd_large,ratio,expected_ratio
 * impact ratios:      event,year,k,ratio,scale
 * MAPE comparison:    department,event,SD,DF,ours
+
+and the tables the CLI passes to ``write_rows`` directly:
+
+* AR fit:             phi_hat,sigma2_hat,n_pairs   (ar_fit.csv)
+* training log:       epoch,loss                   (training_log.csv, epoch from 0)
+* forecast control:   t,value                      (df_control.csv, supported t only)
+* SD control:         t,control,total              (sd_control.csv, window days)
+* decomposition:      t,trend,seasonal_<p>...,remainder   (decomposition.csv,
+                      one seasonal column per period, ascending)
+* prediction:         k,predicted_effect           (prediction.csv)
+* evaluation:         department,event,k,predicted_effect,control,observed
+                      (predictions.csv)
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from .impact import ImpactRatioModel
 from .montecarlo import MonteCarloReport, RateReport
 
 __all__ = [
+    "write_rows",
     "write_effect_csv",
     "write_mc_report_csv",
     "write_crosscov_csv",
@@ -41,68 +56,70 @@ __all__ = [
 ]
 
 
-def _fmt(value: float) -> str:
-    """Fixed formatting for report values: shortest exact round-trip."""
-    return repr(float(value))
+def _cell(value):
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
+def write_rows(path, header, rows) -> None:
+    """Write one CSV table: UTF-8, "\\n" line ends, the header row first.
+
+    Float cells are written as ``repr(float(x))``, the shortest exact
+    round-trip; other cells as given.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_effect_csv(path, estimate: TreatmentEffectEstimate, cis=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "delta_hat", "lower", "upper"])
-        for k, value in enumerate(estimate.delta_hat):
-            if cis is not None:
-                lo, hi = cis[k]
-                writer.writerow([k + 1, _fmt(value), _fmt(lo), _fmt(hi)])
-            else:
-                writer.writerow([k + 1, _fmt(value), "", ""])
+    rows = []
+    for k, value in enumerate(estimate.delta_hat):
+        lo, hi = ("", "") if cis is None else map(float, cis[k])
+        rows.append([k + 1, value, lo, hi])
+    write_rows(path, ["k", "delta_hat", "lower", "upper"], rows)
 
 
 def write_mc_report_csv(path, report: MonteCarloReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+    write_rows(
+        path,
+        [
+            "component",
+            "mean_bias",
+            "empirical_var",
+            "theoretical_var_finite",
+            "theoretical_var_asymptotic",
+            "ci_coverage",
+            "skewness",
+            "excess_kurtosis",
+        ],
+        (
             [
-                "component",
-                "mean_bias",
-                "empirical_var",
-                "theoretical_var_finite",
-                "theoretical_var_asymptotic",
-                "ci_coverage",
-                "skewness",
-                "excess_kurtosis",
+                k + 1,
+                comp.mean_bias,
+                comp.empirical_var_scaled,
+                comp.theoretical_var_finite,
+                comp.theoretical_var_asymptotic,
+                comp.ci_coverage,
+                comp.skewness,
+                comp.excess_kurtosis,
             ]
-        )
-        for k, comp in enumerate(report.per_component):
-            writer.writerow(
-                [
-                    k + 1,
-                    _fmt(comp.mean_bias),
-                    _fmt(comp.empirical_var_scaled),
-                    _fmt(comp.theoretical_var_finite),
-                    _fmt(comp.theoretical_var_asymptotic),
-                    _fmt(comp.ci_coverage),
-                    _fmt(comp.skewness),
-                    _fmt(comp.excess_kurtosis),
-                ]
-            )
+            for k, comp in enumerate(report.per_component)
+        ),
+    )
 
 
 def write_crosscov_csv(path, report: MonteCarloReport) -> None:
     d = report.cross_cov_scaled.shape[0]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "l", "empirical", "reference"])
-        for k in range(d):
-            for l in range(d):
-                writer.writerow(
-                    [
-                        k + 1,
-                        l + 1,
-                        _fmt(report.cross_cov_scaled[k, l]),
-                        _fmt(report.cross_cov_oracle[k, l]),
-                    ]
-                )
+    write_rows(
+        path,
+        ["k", "l", "empirical", "reference"],
+        (
+            [k + 1, l + 1, report.cross_cov_scaled[k, l], report.cross_cov_oracle[k, l]]
+            for k in range(d)
+            for l in range(d)
+        ),
+    )
 
 
 def write_notes(path, notes: list[str]) -> None:
@@ -112,44 +129,32 @@ def write_notes(path, notes: list[str]) -> None:
 
 
 def write_rate_csv(path, report: RateReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["n_small", "n_large", "sd_small", "sd_large", "ratio", "expected_ratio"]
-        )
-        for pair in report.pairs:
-            writer.writerow(
-                [
-                    pair.n_small,
-                    pair.n_large,
-                    _fmt(pair.sd_small),
-                    _fmt(pair.sd_large),
-                    _fmt(pair.ratio),
-                    _fmt(pair.expected_ratio),
-                ]
-            )
+    write_rows(
+        path,
+        ["n_small", "n_large", "sd_small", "sd_large", "ratio", "expected_ratio"],
+        (
+            [p.n_small, p.n_large, p.sd_small, p.sd_large, p.ratio, p.expected_ratio]
+            for p in report.pairs
+        ),
+    )
 
 
 def write_impact_csv(path, models: list[ImpactRatioModel]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["event", "year", "k", "ratio", "scale"])
-        for model in models:
-            for year in sorted(model.per_year):
-                ratio, scale = model.per_year[year]
-                for k, value in enumerate(ratio):
-                    writer.writerow(
-                        [model.event_name, year, k + 1, _fmt(value), _fmt(scale)]
-                    )
+    rows = []
+    for model in models:
+        for year in sorted(model.per_year):
+            ratio, scale = model.per_year[year]
+            rows.extend([model.event_name, year, k + 1, v, scale] for k, v in enumerate(ratio))
+    write_rows(path, ["event", "year", "k", "ratio", "scale"], rows)
 
 
 def write_mape_csv(path, rows: list[tuple]) -> None:
     """Rows are (department, event, sd_mape, df_mape, ours_mape)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["department", "event", "SD", "DF", "ours"])
-        for department, event, sd, df, ours in rows:
-            writer.writerow([department, event, _fmt(sd), _fmt(df), _fmt(ours)])
+    write_rows(
+        path,
+        ["department", "event", "SD", "DF", "ours"],
+        ([dep, event, float(sd), float(df), float(ours)] for dep, event, sd, df, ours in rows),
+    )
 
 
 # ---------------------------------------------------------------------------

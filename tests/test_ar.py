@@ -197,34 +197,6 @@ class TestConfidenceIntervals:
             el.confidence_intervals(est, np.eye(3))
 
 
-class TestAverageEffects:
-    def test_weighted_by_series_count(self):
-        window = el.EventWindow(t0=5, d=1)
-        a = el.TreatmentEffectEstimate(
-            window=window, delta_hat=np.array([1.0]), n_series=1
-        )
-        b = el.TreatmentEffectEstimate(
-            window=window, delta_hat=np.array([4.0]), n_series=3
-        )
-        pooled = el.average_effects([a, b])
-        assert pooled.delta_hat[0] == pytest.approx(3.25)
-        assert pooled.n_series == 4
-
-    def test_window_mismatch_rejected(self):
-        a = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=1), delta_hat=np.array([1.0]), n_series=1
-        )
-        b = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=6, d=1), delta_hat=np.array([1.0]), n_series=1
-        )
-        with pytest.raises(ValidationError):
-            el.average_effects([a, b])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            el.average_effects([])
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     phi=st.floats(min_value=-1.5, max_value=1.5, allow_nan=False, width=32),

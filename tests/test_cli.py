@@ -1,4 +1,5 @@
 import datetime
+import inspect
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -384,6 +385,22 @@ class TestImpactAndEvaluate:
         assert code == 2
         assert "occurrences" in capsys.readouterr().err
 
+    def test_impact_model_method_needs_two_occurrences_first(self, sim_dir, tmp_path, capsys):
+        # the occurrence check runs before --model is looked at or any model work
+        code = run_command(
+            [
+                "impact",
+                "--panel", str(sim_dir / "panel.csv"),
+                "--calendar", str(sim_dir / "calendar.csv"),
+                "--event", "event",
+                "--series", "s000",
+                "--method", "model",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "occurrences" in capsys.readouterr().err
+
     def evaluate_args(self, tiny_files, out, seed="4"):
         return [
             "evaluate",
@@ -436,3 +453,12 @@ class TestImpactAndEvaluate:
         )
         assert code == 2
         assert "unknown event" in capsys.readouterr().err
+
+
+def test_cli_holds_no_csv_code():
+    """File formats live in reports and dataio; the CLI only hands them rows."""
+    import eventlift.cli
+
+    source = inspect.getsource(eventlift.cli)
+    assert "import csv" not in source
+    assert "csv.writer" not in source

@@ -49,6 +49,13 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match=r":3:.*'oops'"):
             el.load_panel_csv(write(tmp_path / "p.csv", broken))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, raw):
+        broken = PANEL_SMALL.replace("a,2013-01-02,2.0", f"a,2013-01-02,{raw}")
+        path = write(tmp_path / "p.csv", broken)
+        with pytest.raises(ValidationError, match=rf"p\.csv:3: non-finite value '{raw}'"):
+            el.load_panel_csv(path)
+
     def test_range_mismatch(self, tmp_path):
         broken = PANEL_SMALL + "b,2013-01-04,7.0\n"
         with pytest.raises(ValidationError, match="ranges differ"):
@@ -112,6 +119,13 @@ class TestPanelRoundTrip:
         loaded = el.load_panel_csv(path)
         assert loaded == panel
         assert np.array_equal(loaded.values, panel.values)
+
+    def test_integer_index_refused_before_writing(self, tmp_path):
+        # load_panel_csv reads dates only, so the writer refuses any other label
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValidationError, match=r"p\.csv.*label 0 "):
+            el.write_panel_csv(path, el.PanelSeries(np.ones((2, 5))))
+        assert not path.exists()
 
 
 CALENDAR_SMALL = """event,start_date,end_date

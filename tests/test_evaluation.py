@@ -95,6 +95,23 @@ class TestEvaluatePanel:
         with pytest.raises(ValidationError, match="2 occurrences"):
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
 
+    def test_single_occurrence_event_rejected_before_training(self, monkeypatch):
+        from eventlift import evaluation
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        panel, _ = tiny_setup()
+        calendar = el.EventCalendar(
+            {
+                "promo": [el.EventWindow(t0=59, d=3), el.EventWindow(t0=159, d=3)],
+                "once": [el.EventWindow(t0=100, d=3)],
+            }
+        )
+        with pytest.raises(ValidationError, match="'once' needs >= 2 occurrences"):
+            el.evaluate_panel(panel, calendar, **tiny_kwargs())
+
     def test_event_name_filter(self):
         panel, calendar = tiny_setup()
         report = el.evaluate_panel(

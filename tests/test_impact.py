@@ -135,6 +135,39 @@ class TestPredictEffect:
         np.testing.assert_allclose(model.averaged_ratio, [0.1, 0.2])
 
 
+class TestImpactForSeries:
+    def test_hand_values(self):
+        # flat level 10 before the first event and 20 before the target,
+        # so the training year's effect 2.0 becomes ratio 0.2 and predicts 4.0
+        series = np.full(120, 10.0)
+        series[60:] = 20.0
+        windows = [el.EventWindow(t0=50, d=2), el.EventWindow(t0=110, d=2)]
+        seen = []
+
+        def estimate(window):
+            seen.append(window)
+            return np.array([2.0, 1.0])
+
+        model, target_scale, predicted = el.impact.impact_for_series(
+            "x", series, windows, estimate, "pre_event_month", None
+        )
+        assert seen == windows[:1]
+        assert model.event_name == "x"
+        assert list(model.per_year) == [0]
+        assert target_scale == 20.0
+        np.testing.assert_allclose(predicted, [4.0, 2.0])
+
+    def test_needs_two_occurrences(self):
+        def estimate(window):
+            raise AssertionError("no year may be estimated")
+
+        with pytest.raises(ValidationError, match="'x' needs >= 2 occurrences"):
+            el.impact.impact_for_series(
+                "x", np.ones(120), [el.EventWindow(t0=50, d=2)], estimate,
+                "pre_event_month", None,
+            )
+
+
 class TestYearScale:
     def test_constant_series_both_modes(self):
         x = np.full(400, 50.0)

@@ -63,33 +63,35 @@ class TestMCConfig:
 class TestOracles:
     def test_finite_horizon_variances_hand_values(self):
         # phi = 0.5, sigma = 1: partial sums of 4^-j are 1, 1.25, 1.3125
-        vars_ = el.finite_horizon_variances(0.5, 1.0, 3)
+        vars_ = np.diag(el.ar1_error_covariance(0.5, 1.0, 3))
         assert vars_.tolist() == [1.0, 1.25, 1.3125]
 
     def test_variances_scale_with_sigma_squared(self):
         np.testing.assert_allclose(
-            el.finite_horizon_variances(0.5, 2.0, 3),
-            4.0 * el.finite_horizon_variances(0.5, 1.0, 3),
+            el.ar1_error_covariance(0.5, 4.0, 3),
+            4.0 * el.ar1_error_covariance(0.5, 1.0, 3),
         )
 
     def test_crosscov_diagonal_matches_variances(self):
-        cov = el.crosscov_oracle(0.7, 1.3, 5)
+        # the diagonal is the closed form sigma^2 * (1 - phi^(2k)) / (1 - phi^2)
+        cov = el.ar1_error_covariance(0.7, 1.3**2, 5)
+        depth = np.arange(1, 6)
         np.testing.assert_allclose(
-            np.diag(cov), el.finite_horizon_variances(0.7, 1.3, 5)
+            np.diag(cov), 1.3**2 * (1.0 - 0.7 ** (2 * depth)) / (1.0 - 0.7**2)
         )
 
     def test_crosscov_hand_value(self):
         # lag-1 covariance at the shallowest pair is sigma^2 * phi
-        cov = el.crosscov_oracle(0.5, 1.0, 3)
+        cov = el.ar1_error_covariance(0.5, 1.0, 3)
         assert cov[0, 1] == 0.5
         assert cov[1, 0] == 0.5
 
     def test_crosscov_symmetric(self):
-        cov = el.crosscov_oracle(0.8, 1.0, 6)
+        cov = el.ar1_error_covariance(0.8, 1.0, 6)
         np.testing.assert_array_equal(cov, cov.T)
 
     def test_crosscov_off_diagonal_does_not_vanish(self):
-        cov = el.crosscov_oracle(0.5, 1.0, 3)
+        cov = el.ar1_error_covariance(0.5, 1.0, 3)
         assert abs(cov[0, 1]) > 0.1
 
 

@@ -34,6 +34,13 @@ def small_report():
     return el.run_replications(cfg)
 
 
+class TestWriteRows:
+    def test_floats_round_trip_other_cells_as_given(self, tmp_path):
+        path = tmp_path / "t.csv"
+        reports.write_rows(path, ["t", "name", "value"], [(3, "a,b", np.float64(0.1) * 3)])
+        assert path.read_bytes() == b't,name,value\n3,"a,b",0.30000000000000004\n'
+
+
 class TestEffectCsv:
     def test_schema_with_intervals(self, tmp_path):
         est = estimate_d3()
@@ -85,7 +92,7 @@ class TestMonteCarloCsv:
         assert rows[0] == ["k", "l", "empirical", "reference"]
         assert len(rows) == 1 + 4
         ref01 = next(r for r in rows[1:] if r[0] == "1" and r[1] == "2")
-        assert float(ref01[3]) == el.crosscov_oracle(0.5, 1.0, 2)[0, 1]
+        assert float(ref01[3]) == el.ar1_error_covariance(0.5, 1.0, 2)[0, 1]
 
     def test_notes_file(self, tmp_path):
         report = small_report()
