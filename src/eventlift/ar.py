@@ -188,11 +188,11 @@ def effect_covariance(
     """Covariance of the effect estimate under the fitted AR(1) model.
 
     ``asymptotic_diagonal`` puts sigma2_hat / ((1 - phi_hat^2) * N) on every
-    diagonal entry.  ``finite_horizon`` uses the depth-dependent variance
+    diagonal entry and zeros elsewhere.  ``finite_horizon`` returns
+    ``ar1_error_covariance`` / N: its diagonal is the depth-dependent variance
     sigma2_hat * sum_{j=0..k} phi_hat^(2j) / N at window step k, which is
-    smaller at shallow depths and converges upward to the asymptotic value;
-    it is the diagonal of ``ar1_error_covariance``.  Off-diagonals are zero
-    in both modes.
+    smaller at shallow depths and converges upward to the asymptotic value,
+    and its off-diagonals carry the cross-step covariance of the errors.
     """
     if n_series < 1:
         raise ValidationError(f"n_series must be >= 1, got {n_series}")
@@ -202,15 +202,12 @@ def effect_covariance(
                 f"asymptotic variance undefined for nonstationary fit |phi_hat|={abs(fit.phi_hat)} >= 1"
             )
         var = fit.sigma2_hat / ((1.0 - fit.phi_hat**2) * n_series)
-        diag = np.full(window.d, var)
-    elif mode == "finite_horizon":
-        cov = ar1_error_covariance(fit.phi_hat, fit.sigma2_hat, window.d)
-        diag = np.diag(cov) / n_series
-    else:
-        raise ValidationError(
-            f"mode must be 'asymptotic_diagonal' or 'finite_horizon', got {mode!r}"
-        )
-    return np.diag(diag)
+        return np.diag(np.full(window.d, var))
+    if mode == "finite_horizon":
+        return ar1_error_covariance(fit.phi_hat, fit.sigma2_hat, window.d) / n_series
+    raise ValidationError(
+        f"mode must be 'asymptotic_diagonal' or 'finite_horizon', got {mode!r}"
+    )
 
 
 def confidence_intervals(

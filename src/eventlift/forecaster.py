@@ -1,10 +1,11 @@
 """Forecaster pipeline: rolling windows, weighted loss, a small net, and
 in-sample synthetic-control extraction.
 
-The idea: train a forecaster on the full series with forecast errors inside
+The idea: train a forecaster on the rolling windows of the full series (one
+``RollingWindows`` of row-aligned arrays) with forecast errors inside
 rare-event windows down-weighted, so the model learns the routine signal
-(trend, seasonality) but not the event spikes.  Re-forecasting the training
-range in-sample then yields a synthetic control; the observed-minus-control
+(trend, seasonality) but not the event spikes.  Re-forecasting the same
+windows in-sample then yields a synthetic control; the observed-minus-control
 gap on an event window is the effect estimate.
 
 The forecaster itself is a small fully connected net implemented directly on
@@ -16,10 +17,11 @@ seeded shuffle.  Everything is deterministic given the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TrainingDivergedError, ValidationError
 from .panel import EventCalendar, EventWindow
@@ -27,7 +29,7 @@ from .ar import TreatmentEffectEstimate
 
 __all__ = [
     "RollingWindowConfig",
-    "TrainingSample",
+    "RollingWindows",
     "AdaptiveLossConfig",
     "ForecasterArch",
     "TrainConfig",
@@ -57,34 +59,37 @@ class RollingWindowConfig:
     stride: int = 1
 
     def __post_init__(self):
-        if self.lookback < 1:
-            raise ValidationError(f"lookback must be >= 1, got {self.lookback}")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
+        for name in ("lookback", "horizon", "stride"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass
-class TrainingSample:
-    """One window: ``input`` covers ``lookback`` steps ending right before
-    ``label_start``; ``label`` covers the following ``horizon`` steps.
-    ``rare_mask[k]`` is true when label step ``label_start + k`` falls inside
-    any event window."""
+@dataclass(frozen=True)
+class RollingWindows:
+    """Row-aligned windows of one series: ``inputs`` (n, lookback), the
+    ``labels`` (n, horizon) that follow them, and ``rare_mask`` (n, horizon),
+    true where a label step falls inside an event window.  Indexing with
+    rows returns those rows as another ``RollingWindows``."""
 
-    input: np.ndarray
-    label: np.ndarray
-    label_start: int
+    inputs: np.ndarray
+    labels: np.ndarray
     rare_mask: np.ndarray
 
     def __post_init__(self):
-        self.input = np.asarray(self.input, dtype=float)
-        self.label = np.asarray(self.label, dtype=float)
-        self.rare_mask = np.asarray(self.rare_mask, dtype=bool)
-        if self.input.ndim != 1 or self.label.ndim != 1:
-            raise ValidationError("sample input and label must be 1-D")
-        if self.rare_mask.shape != self.label.shape:
-            raise ValidationError("rare_mask length must match label length")
+        for name, dtype in (("inputs", float), ("labels", float), ("rare_mask", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        X, Y, mask = self.inputs, self.labels, self.rare_mask
+        if not (X.ndim == Y.ndim == 2 and mask.shape == Y.shape and 1 <= len(X) == len(Y)):
+            raise ValidationError(
+                "windows need >= 1 row of 2-D inputs, labels and rare_mask that agree, "
+                f"got shapes {X.shape}, {Y.shape}, {mask.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, rows) -> RollingWindows:
+        return RollingWindows(self.inputs[rows], self.labels[rows], self.rare_mask[rows])
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,8 @@ class AdaptiveLossConfig:
     ``rare_weight`` < ``nonrare_weight`` makes the model under-fit events so
     their signal stays in the residuals.  ``distance`` picks the per-step
     error (absolute or squared).  ``adaptation`` is either ``fixed`` or
-    ``residual_inverse``, which rescales each sample's rare weight by the
-    inverse of its current rare-window residual once per epoch (renormalized
+    ``residual_inverse``, which rescales each window's rare weight by the
+    inverse of its current rare-step residual once per epoch (renormalized
     so the mean rare weight stays at ``rare_weight``).
     """
 
@@ -265,41 +270,42 @@ def _backward(theta, layer_sizes, activation, acts, pres, dpred):
     return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
 
 
+def _window_starts(series, config: RollingWindowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a series; return it and the starts i * stride of every window
+    that fits lookback + horizon steps."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError("rolling windows need a single 1-D series")
+    M, H = config.lookback, config.horizon
+    if len(x) < M + H:
+        raise ValidationError(f"series length {len(x)} < lookback + horizon = {M + H}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
+    return x, np.arange(0, len(x) - M - H + 1, config.stride)
+
+
 def build_rolling_windows(
     series: np.ndarray,
     config: RollingWindowConfig,
     calendar: EventCalendar | None = None,
-) -> list[TrainingSample]:
+) -> RollingWindows:
     """Slice one series into overlapping (input, label) windows.
 
-    Sample i covers input indices [i*s, i*s+M) and label indices
+    Row i covers input indices [i*s, i*s+M) and label indices
     [i*s+M, i*s+M+H); i runs to ((len-M-H) // s).  Rare masks are set from
-    the calendar (no calendar means all-false masks).
+    the calendar (no calendar means all-false masks; indices past the series
+    end are ignored).  The rows are copies, not views of ``series``.
     """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("build_rolling_windows expects a single 1-D series")
-    M, H, s = config.lookback, config.horizon, config.stride
-    if len(x) < M + H:
-        raise ValidationError(
-            f"series length {len(x)} < lookback + horizon = {M + H}"
-        )
-    event_idx = calendar.window_indices() if calendar is not None else frozenset()
-    samples = []
-    for start in range(0, len(x) - M - H + 1, s):
-        label_start = start + M
-        mask = np.array(
-            [(label_start + k) in event_idx for k in range(H)], dtype=bool
-        )
-        samples.append(
-            TrainingSample(
-                input=x[start : start + M].copy(),
-                label=x[label_start : label_start + H].copy(),
-                label_start=label_start,
-                rare_mask=mask,
-            )
-        )
-    return samples
+    x, starts = _window_starts(series, config)
+    M, H = config.lookback, config.horizon
+    events = calendar.window_indices() if calendar is not None else ()
+    event_day = np.isin(np.arange(len(x)), list(events))
+    return RollingWindows(
+        inputs=sliding_window_view(x, M)[starts],
+        labels=sliding_window_view(x[M:], H)[starts],
+        rare_mask=sliding_window_view(event_day[M:], H)[starts],
+    )
 
 
 def _eta_and_grad(diff: np.ndarray, distance: str):
@@ -314,10 +320,10 @@ def adaptive_loss(
     mask: np.ndarray,
     cfg: AdaptiveLossConfig,
 ) -> tuple[float, np.ndarray]:
-    """Weighted per-window loss for one sample.
+    """Weighted loss for one window.
 
     Returns (rare_weight * sum of rare-step errors + nonrare_weight * sum of
-    the rest, unweighted per-step errors).  Averaging over a batch of samples
+    the rest, unweighted per-step errors).  Averaging over a batch of windows
     is the caller's job.
     """
     p = np.asarray(pred, dtype=float)
@@ -330,20 +336,6 @@ def adaptive_loss(
     eta, _ = _eta_and_grad(p - y, cfg.distance)
     loss = cfg.rare_weight * eta[m].sum() + cfg.nonrare_weight * eta[~m].sum()
     return float(loss), eta
-
-
-def _stack_samples(samples: Sequence[TrainingSample]):
-    if not samples:
-        raise ValidationError("need at least one training sample")
-    M = samples[0].input.size
-    H = samples[0].label.size
-    for s in samples:
-        if s.input.size != M or s.label.size != H:
-            raise ValidationError("all samples must share input and label widths")
-    X = np.stack([s.input for s in samples])
-    Y = np.stack([s.label for s in samples])
-    mask = np.stack([s.rare_mask for s in samples])
-    return X, Y, mask
 
 
 def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
@@ -364,7 +356,7 @@ def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
 def _rare_weights(
     theta, layer_sizes, activation, X, Y, mask, cfg: AdaptiveLossConfig
 ) -> np.ndarray:
-    """Per-sample rare weights for the residual_inverse adaptation mode."""
+    """Per-window rare weights for the residual_inverse adaptation mode."""
     B = X.shape[0]
     base = np.full(B, cfg.rare_weight)
     if cfg.adaptation != "residual_inverse":
@@ -382,7 +374,7 @@ def _rare_weights(
 
 
 def train(
-    samples: Sequence[TrainingSample],
+    windows: RollingWindows,
     arch: ForecasterArch,
     loss_cfg: AdaptiveLossConfig,
     train_cfg: TrainConfig,
@@ -391,13 +383,13 @@ def train(
 
     Inputs and labels are normalized by the robust per-series (shift, scale)
     before training; the pair is recorded on the model for exact
-    denormalization.  Identical samples, configs, and seed give bit-identical
+    denormalization.  Identical windows, configs, and seed give bit-identical
     parameters.  A non-finite loss aborts with the offending epoch.
     """
-    X_raw, Y_raw, mask = _stack_samples(samples)
-    shift, scale = _normalization(X_raw, Y_raw)
-    X = (X_raw - shift) / scale
-    Y = (Y_raw - shift) / scale
+    mask = windows.rare_mask
+    shift, scale = _normalization(windows.inputs, windows.labels)
+    X = (windows.inputs - shift) / scale
+    Y = (windows.labels - shift) / scale
     layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
 
     rng = np.random.default_rng(train_cfg.seed)
@@ -448,20 +440,19 @@ def train(
 
 def training_loss(
     model: TrainedForecaster,
-    samples: Sequence[TrainingSample],
+    windows: RollingWindows,
     loss_cfg: AdaptiveLossConfig,
 ) -> float:
-    """Batch-mean adaptive loss of a model on samples, in normalized units.
+    """Batch-mean adaptive loss of a model on windows, in normalized units.
 
     Uses fixed weights (the adaptation mode, if any, applies only inside the
     training loop).
     """
-    X_raw, Y_raw, mask = _stack_samples(samples)
-    X = (X_raw - model.shift) / model.scale
-    Y = (Y_raw - model.shift) / model.scale
+    X = (windows.inputs - model.shift) / model.scale
+    Y = (windows.labels - model.shift) / model.scale
     acts, _ = _forward(model.theta, model.layer_sizes, model.activation, X)
     eta, _ = _eta_and_grad(acts[-1] - Y, loss_cfg.distance)
-    wv = np.where(mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
+    wv = np.where(windows.rare_mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
     return float((wv * eta).sum(axis=1).mean())
 
 
@@ -513,30 +504,22 @@ def insample_forecast(
         )
     if aggregate not in ("mean", "median"):
         raise ValidationError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("insample_forecast expects a single 1-D series")
-    M, H, s = config.lookback, config.horizon, config.stride
-    if len(x) < M + H:
-        raise ValidationError(f"series length {len(x)} < lookback + horizon = {M + H}")
-    starts = range(0, len(x) - M - H + 1, s)
-    inputs = np.stack([x[i : i + M] for i in starts])
-    preds = model.predict(inputs)
-    counts = np.zeros(len(x), dtype=int)
-    for i in starts:
-        counts[i + M : i + M + H] += 1
+    x, starts = _window_starts(series, config)
+    M, H = config.lookback, config.horizon
+    preds = model.predict(sliding_window_view(x, M)[starts])
+    target = starts[:, None] + M + np.arange(H)
+    counts = np.bincount(target.ravel(), minlength=len(x))
     values = np.full(len(x), np.nan)
     on = counts >= 1
     if aggregate == "mean":
+        # np.add.at adds in row order, so every sum matches a per-row loop bit for bit
         sums = np.zeros(len(x))
-        for row, i in enumerate(starts):
-            sums[i + M : i + M + H] += preds[row]
+        np.add.at(sums, target, preds)
         values[on] = sums[on] / counts[on]
     else:
-        stacked = np.full((len(inputs), len(x)), np.nan)
-        for row, i in enumerate(starts):
-            stacked[row, i + M : i + M + H] = preds[row]
-        values[on] = np.nanmedian(stacked[:, on], axis=0)
+        by_offset = np.full((len(x), H), np.nan)
+        by_offset[target, np.arange(H)] = preds
+        values[on] = np.nanmedian(by_offset[on], axis=1)
     return SyntheticControlSeries(values=values, counts=counts)
 
 
@@ -564,11 +547,12 @@ def extract_effect(
 
 def gradient_check(
     model: TrainedForecaster,
-    sample: TrainingSample,
+    windows: RollingWindows,
     loss_cfg: AdaptiveLossConfig,
     epsilon: float = 1e-6,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients
+    of the adaptive loss summed over the windows' rows.
 
     Each parameter is perturbed by +/- epsilon.  Perturbations that flip a
     relu preactivation sign or an absolute-error residual sign straddle a
@@ -577,10 +561,9 @@ def gradient_check(
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    X = ((np.asarray(sample.input, dtype=float) - model.shift) / model.scale)[None, :]
-    Y = ((np.asarray(sample.label, dtype=float) - model.shift) / model.scale)[None, :]
-    mask = np.asarray(sample.rare_mask, dtype=bool)[None, :]
-    wv = np.where(mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
+    X = (windows.inputs - model.shift) / model.scale
+    Y = (windows.labels - model.shift) / model.scale
+    wv = np.where(windows.rare_mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
     sizes = model.layer_sizes
     act = model.activation
 

@@ -188,11 +188,10 @@ def test_criterion_8_gradient_correctness(capsys):
             shift=0.0,
             scale=1.0,
         )
-        sample = el.TrainingSample(
-            input=rng.normal(0.0, 1.0, size=lookback),
-            label=rng.normal(0.0, 1.0, size=horizon),
-            label_start=lookback,
-            rare_mask=rng.random(horizon) < 0.3,
+        sample = el.RollingWindows(
+            inputs=rng.normal(0.0, 1.0, size=lookback)[None, :],
+            labels=rng.normal(0.0, 1.0, size=horizon)[None, :],
+            rare_mask=(rng.random(horizon) < 0.3)[None, :],
         )
         cfg = el.AdaptiveLossConfig(
             rare_weight=0.1, nonrare_weight=1.0, distance=distance

@@ -124,7 +124,16 @@ class TestEffectCovariance:
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)
         cov = el.effect_covariance(fit, el.EventWindow(t0=5, d=3), n_series=1)
         assert np.diag(cov).tolist() == [1.0, 1.25, 1.3125]
-        assert cov[0, 1] == 0.0
+        assert cov[0, 1] == 0.5
+
+    @pytest.mark.parametrize(
+        "phi, sigma2, d, n",
+        [(0.5, 1.0, 3, 1), (0.52, 0.9, 3, 500), (-0.8, 2.5, 7, 13), (1.0, 1.0, 4, 2)],
+    )
+    def test_finite_horizon_is_full_error_covariance_over_n(self, phi, sigma2, d, n):
+        fit = el.ARModelFit(phi_hat=phi, sigma2_hat=sigma2, n_pairs=100)
+        cov = el.effect_covariance(fit, el.EventWindow(t0=5, d=d), n_series=n)
+        assert np.array_equal(cov, el.ar1_error_covariance(phi, sigma2, d) / n)
 
     def test_asymptotic_diagonal(self):
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,42 +45,59 @@ class TestRollingWindows:
     def test_window_count_and_indices(self):
         x = np.arange(10.0)
         cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=1)
-        samples = el.build_rolling_windows(x, cfg)
-        assert len(samples) == 5
-        assert samples[0].input.tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert samples[0].label.tolist() == [4.0, 5.0]
-        assert samples[0].label_start == 4
-        assert samples[-1].label.tolist() == [8.0, 9.0]
+        windows = el.build_rolling_windows(x, cfg)
+        assert len(windows) == 5
+        assert windows.inputs[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert windows.labels[0].tolist() == [4.0, 5.0]
+        assert windows.labels[0, 0] == 4
+        assert windows.labels[-1].tolist() == [8.0, 9.0]
 
     def test_stride_consuming_series_gives_one_sample(self):
         x = np.arange(10.0)
         cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=5)
-        samples = el.build_rolling_windows(x, cfg)
-        assert len(samples) == 1
+        windows = el.build_rolling_windows(x, cfg)
+        assert len(windows) == 1
 
     def test_rare_mask_from_calendar(self):
         x = np.arange(12.0)
         cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=1)
         calendar = el.EventCalendar({"e": [el.EventWindow(t0=3, d=2)]})
-        samples = el.build_rolling_windows(x, cfg, calendar)
+        windows = el.build_rolling_windows(x, cfg, calendar)
         # event occupies indices 4 and 5
-        assert samples[0].rare_mask.tolist() == [True, True]
-        assert samples[2].rare_mask.tolist() == [False, False]
+        assert windows.rare_mask[0].tolist() == [True, True]
+        assert windows.rare_mask[2].tolist() == [False, False]
 
     def test_rare_mask_partial_overlap(self):
         x = np.arange(12.0)
         cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=1)
         calendar = el.EventCalendar({"e": [el.EventWindow(t0=4, d=2)]})
-        samples = el.build_rolling_windows(x, cfg, calendar)
-        # event occupies indices 5 and 6; sample 0 labels indices 4 and 5
-        assert samples[0].rare_mask.tolist() == [False, True]
+        windows = el.build_rolling_windows(x, cfg, calendar)
+        # event occupies indices 5 and 6; window 0 labels indices 4 and 5
+        assert windows.rare_mask[0].tolist() == [False, True]
 
     def test_no_calendar_means_all_false(self):
         x = np.arange(10.0)
-        samples = el.build_rolling_windows(
+        windows = el.build_rolling_windows(
             x, el.RollingWindowConfig(lookback=4, horizon=2)
         )
-        assert not any(s.rare_mask.any() for s in samples)
+        assert not windows.rare_mask.any()
+
+    def test_row_selection_keeps_the_layout(self):
+        windows = el.build_rolling_windows(
+            np.arange(20.0), el.RollingWindowConfig(lookback=4, horizon=2)
+        )
+        head = windows[:3]
+        assert isinstance(head, el.RollingWindows) and len(head) == 3
+        assert np.array_equal(head.inputs, windows.inputs[:3])
+        assert windows[np.array([0, 2])].labels[:, 0].tolist() == [4.0, 6.0]
+
+    @pytest.mark.parametrize(
+        "inputs, labels, mask",
+        [((3,), (3, 2), (3, 2)), ((3, 4), (2, 2), (2, 2)), ((3, 4), (3, 2), (3, 3))],
+    )
+    def test_misaligned_arrays_rejected(self, inputs, labels, mask):
+        with pytest.raises(ValidationError):
+            el.RollingWindows(np.zeros(inputs), np.zeros(labels), np.zeros(mask, dtype=bool))
 
     def test_short_series_rejected(self):
         with pytest.raises(ValidationError):
@@ -99,17 +118,112 @@ def test_rolling_window_index_arithmetic(length, lookback, horizon, stride):
         return
     x = np.arange(float(length))
     cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
-    samples = el.build_rolling_windows(x, cfg)
-    assert len(samples) == (length - lookback - horizon) // stride + 1
-    for i, s in enumerate(samples):
-        assert s.label_start == i * stride + lookback
-        assert s.input[0] == i * stride
-        assert s.label[0] == s.label_start
+    windows = el.build_rolling_windows(x, cfg)
+    assert len(windows) == (length - lookback - horizon) // stride + 1
+    label_starts = windows.labels[:, 0]
+    for i in range(len(windows)):
+        assert label_starts[i] == i * stride + lookback
+        assert windows.inputs[i, 0] == i * stride
     if stride == 1:
         covered = set()
-        for s in samples:
-            covered.update(range(s.label_start, s.label_start + horizon))
+        for label_start in label_starts.astype(int):
+            covered.update(range(label_start, label_start + horizon))
         assert covered == set(range(lookback, length))
+
+
+def reference_windows(x, cfg, calendar):
+    """Per-window construction that ``build_rolling_windows`` replaced: one
+    row per start, a calendar set lookup per label step, then stacking."""
+    M, H = cfg.lookback, cfg.horizon
+    event_idx = calendar.window_indices()
+    inputs, labels, masks = [], [], []
+    for start in range(0, len(x) - M - H + 1, cfg.stride):
+        label_start = start + M
+        inputs.append(x[start:label_start].copy())
+        labels.append(x[label_start : label_start + H].copy())
+        masks.append(np.array([(label_start + k) in event_idx for k in range(H)]))
+    return np.stack(inputs), np.stack(labels), np.stack(masks)
+
+
+def reference_insample(model, x, cfg, aggregate):
+    """Per-window loops and the dense (windows x T) median matrix that
+    ``insample_forecast`` replaced; returns (values, counts)."""
+    M, H = cfg.lookback, cfg.horizon
+    starts = range(0, len(x) - M - H + 1, cfg.stride)
+    preds = model.predict(np.stack([x[i : i + M] for i in starts]))
+    counts = np.zeros(len(x), dtype=int)
+    for i in starts:
+        counts[i + M : i + M + H] += 1
+    values = np.full(len(x), np.nan)
+    on = counts >= 1
+    if aggregate == "mean":
+        sums = np.zeros(len(x))
+        for row, i in enumerate(starts):
+            sums[i + M : i + M + H] += preds[row]
+        values[on] = sums[on] / counts[on]
+    else:
+        stacked = np.full((len(preds), len(x)), np.nan)
+        for row, i in enumerate(starts):
+            stacked[row, i + M : i + M + H] = preds[row]
+        values[on] = np.nanmedian(stacked[:, on], axis=0)
+    return values, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.integers(min_value=2, max_value=90),
+    lookback=st.integers(min_value=1, max_value=20),
+    horizon=st.integers(min_value=1, max_value=12),
+    stride=st.integers(min_value=1, max_value=5),
+    event_t0s=st.lists(st.integers(min_value=1, max_value=100), max_size=4),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_windows_and_insample_match_per_window_reference(
+    length, lookback, horizon, stride, event_t0s, seed
+):
+    if length < lookback + horizon:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.normal(10.0, 3.0, size=length)
+    # one event per window, so windows may overlap or pass the series end
+    calendar = el.EventCalendar(
+        {f"e{j}": [el.EventWindow(t0=t0, d=3)] for j, t0 in enumerate(event_t0s)}
+    )
+    cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
+    windows = el.build_rolling_windows(x, cfg, calendar)
+    for got, want in zip(
+        (windows.inputs, windows.labels, windows.rare_mask),
+        reference_windows(x, cfg, calendar),
+    ):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, x)
+
+    layer_sizes = (lookback, 4, horizon)
+    model = el.TrainedForecaster(
+        layer_sizes=layer_sizes,
+        theta=rng.normal(0.0, 0.5, size=el.parameter_count(layer_sizes)),
+        activation="tanh",
+        shift=10.0,
+        scale=3.0,
+    )
+    for aggregate in ("mean", "median"):
+        ctrl = el.insample_forecast(model, x, cfg, aggregate=aggregate)
+        values, counts = reference_insample(model, x, cfg, aggregate)
+        assert ctrl.values.tobytes() == values.tobytes()
+        assert ctrl.counts.tobytes() == counts.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_series_names_the_first_bad_index(bad):
+    x = np.arange(20.0)
+    x[13] = bad
+    x[17] = bad
+    cfg = el.RollingWindowConfig(lookback=4, horizon=2)
+    with pytest.raises(ValidationError, match=r"index 13 "):
+        el.build_rolling_windows(x, cfg)
+    with pytest.raises(ValidationError, match=r"index 13 "):
+        el.insample_forecast(constant_model([1.0, 2.0], lookback=4), x, cfg)
 
 
 class TestAdaptiveLoss:
@@ -208,7 +322,7 @@ class TestTrain:
             el.AdaptiveLossConfig(),
             el.TrainConfig(epochs=200, batch_size=16, learning_rate=0.01, seed=0),
         )
-        preds = model.predict(np.stack([s.input for s in samples]))
+        preds = model.predict(samples.inputs)
         assert np.all(np.abs(preds - 5.0) / 5.0 < 0.01)
 
     def test_training_is_deterministic(self):
@@ -290,11 +404,10 @@ class TestTrain:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
-            el.train(
-                [],
-                el.ForecasterArch(),
-                el.AdaptiveLossConfig(),
-                el.TrainConfig(),
+            el.RollingWindows(
+                inputs=np.zeros((0, 4)),
+                labels=np.zeros((0, 2)),
+                rare_mask=np.zeros((0, 2), dtype=bool),
             )
 
     def test_residual_inverse_adaptation_trains(self):
@@ -319,33 +432,16 @@ class TestTrainingLossInvariance:
         masked = el.build_rolling_windows(x, cfg, calendar)
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
         base = el.training_loss(model, masked, loss_cfg)
-        perturbed = []
-        for s in masked:
-            label = s.label.copy()
-            label[s.rare_mask] += 1e6
-            perturbed.append(
-                el.TrainingSample(
-                    input=s.input,
-                    label=label,
-                    label_start=s.label_start,
-                    rare_mask=s.rare_mask,
-                )
-            )
+        labels = masked.labels.copy()
+        labels[masked.rare_mask] += 1e6
+        perturbed = replace(masked, labels=labels)
         assert el.training_loss(model, perturbed, loss_cfg) == base
 
     def test_nonrare_labels_do_move_the_loss(self):
         model, samples, x, cfg = quick_train()
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
         base = el.training_loss(model, samples, loss_cfg)
-        bumped = [
-            el.TrainingSample(
-                input=s.input,
-                label=s.label + 1.0,
-                label_start=s.label_start,
-                rare_mask=s.rare_mask,
-            )
-            for s in samples
-        ]
+        bumped = replace(samples, labels=samples.labels + 1.0)
         assert el.training_loss(model, bumped, loss_cfg) != base
 
 
@@ -451,11 +547,10 @@ class TestGradientCheck:
             shift=0.0,
             scale=1.0,
         )
-        sample = el.TrainingSample(
-            input=rng.normal(size=6),
-            label=rng.normal(size=3),
-            label_start=6,
-            rare_mask=np.array([True, False, False]),
+        sample = el.RollingWindows(
+            inputs=rng.normal(size=6)[None, :],
+            labels=rng.normal(size=3)[None, :],
+            rare_mask=np.array([[True, False, False]]),
         )
         cfg = el.AdaptiveLossConfig(
             rare_weight=0.3, nonrare_weight=1.0, distance="squared"
@@ -472,22 +567,20 @@ class TestGradientCheck:
             shift=0.0,
             scale=1.0,
         )
-        sample = el.TrainingSample(
-            input=rng.normal(size=5),
-            label=rng.normal(size=2),
-            label_start=5,
-            rare_mask=np.array([False, True]),
+        sample = el.RollingWindows(
+            inputs=rng.normal(size=5)[None, :],
+            labels=rng.normal(size=2)[None, :],
+            rare_mask=np.array([[False, True]]),
         )
         cfg = el.AdaptiveLossConfig(rare_weight=0.5, nonrare_weight=1.0)
         assert el.gradient_check(model, sample, cfg) < 1e-4
 
     def test_zero_gradient_at_perfect_fit(self):
         model = constant_model([2.0, 3.0], lookback=2)
-        sample = el.TrainingSample(
-            input=np.zeros(2),
-            label=np.array([2.0, 3.0]),
-            label_start=2,
-            rare_mask=np.array([False, False]),
+        sample = el.RollingWindows(
+            inputs=np.zeros((1, 2)),
+            labels=np.array([[2.0, 3.0]]),
+            rare_mask=np.array([[False, False]]),
         )
         cfg = el.AdaptiveLossConfig(
             rare_weight=1.0, nonrare_weight=1.0, distance="squared"
@@ -496,11 +589,10 @@ class TestGradientCheck:
 
     def test_epsilon_must_be_positive(self):
         model = constant_model([1.0])
-        sample = el.TrainingSample(
-            input=np.zeros(1),
-            label=np.zeros(1),
-            label_start=1,
-            rare_mask=np.array([False]),
+        sample = el.RollingWindows(
+            inputs=np.zeros((1, 1)),
+            labels=np.zeros((1, 1)),
+            rare_mask=np.array([[False]]),
         )
         with pytest.raises(ValidationError):
             el.gradient_check(model, sample, el.AdaptiveLossConfig(), epsilon=0.0)
@@ -523,7 +615,7 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         el.save_model(model, path)
         loaded = el.load_model(path)
-        X = np.stack([s.input for s in samples])
+        X = samples.inputs
         assert np.array_equal(loaded.predict(X), model.predict(X))
 
     def test_version_mismatch_rejected(self, tmp_path):
