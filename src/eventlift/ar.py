@@ -26,7 +26,6 @@ from .panel import EventWindow, PanelSeries
 
 __all__ = [
     "ARModelFit",
-    "CounterfactualPanel",
     "TreatmentEffectEstimate",
     "fit_ar1_ols",
     "forecast_counterfactual",
@@ -55,32 +54,17 @@ class ARModelFit:
 
 
 @dataclass
-class CounterfactualPanel:
-    """Recursive no-event forecasts for each series over an event window.
-
-    ``values[i, k]`` holds the forecast for series i at time t0+1+k; column
-    k+1 equals phi_hat times column k by construction.
-    """
-
-    values: np.ndarray
-    window: EventWindow
-    phi_hat: float
-
-
-@dataclass
 class TreatmentEffectEstimate:
     """Per-period effect estimates over a window.
 
-    ``covariance`` is the variance of the estimate itself (already scaled
-    by 1/N); it is None until filled by the covariance path.  The neural
-    extraction path leaves it None permanently.
+    ``delta_hat[k]`` is the effect at window step k, averaged over
+    ``n_series`` series.  The AR path gets its covariance from
+    ``effect_covariance``; the neural extraction path has none.
     """
 
     window: EventWindow
     delta_hat: np.ndarray
     n_series: int
-    covariance: np.ndarray | None = None
-    variance_mode: str | None = None
 
     def __post_init__(self):
         self.delta_hat = np.asarray(self.delta_hat, dtype=float)
@@ -88,16 +72,6 @@ class TreatmentEffectEstimate:
             raise ValidationError(
                 f"delta_hat length {self.delta_hat.size} != window size {self.window.d}"
             )
-        if self.covariance is not None:
-            cov = np.asarray(self.covariance, dtype=float)
-            d = self.window.d
-            if cov.shape != (d, d):
-                raise ValidationError(f"covariance must be {d}x{d}, got {cov.shape}")
-            if not np.allclose(cov, cov.T):
-                raise ValidationError("covariance must be symmetric")
-            if np.any(np.diag(cov) < 0):
-                raise ValidationError("covariance diagonal must be >= 0")
-            self.covariance = cov
 
 
 def fit_ar1_ols(panel: PanelSeries, t0: int) -> ARModelFit:
@@ -133,37 +107,43 @@ def fit_ar1_ols(panel: PanelSeries, t0: int) -> ARModelFit:
 
 def forecast_counterfactual(
     fit: ARModelFit, panel: PanelSeries, window: EventWindow
-) -> CounterfactualPanel:
+) -> np.ndarray:
     """Iterate the fitted recursion through the window from the t0 anchor.
 
-    Starting from the observed column at t0, each forecast column is
-    phi_hat times the previous one, so values[i, k] = phi_hat^(k+1) * Y[i, t0].
+    Returns the (N, d) forecasts values[i, k] = phi_hat^(k+1) * Y[i, t0], each
+    column phi_hat times the previous one.  Only the anchor column t0 is read.
     """
-    window.check_fits(panel.horizon)
+    if window.t0 > panel.horizon:
+        raise ValidationError(f"window t0={window.t0} must be in [1, {panel.horizon}]")
     values = np.empty((panel.n_series, window.d), dtype=float)
     col = panel.values[:, window.t0]
-    for k in range(window.d):
-        col = fit.phi_hat * col
-        values[:, k] = col
-    return CounterfactualPanel(values=values, window=window, phi_hat=fit.phi_hat)
+    with np.errstate(over="ignore"):
+        for k in range(window.d):
+            col = fit.phi_hat * col
+            values[:, k] = col
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(
+            f"counterfactual forecast overflows at phi_hat={fit.phi_hat}, d={window.d}"
+        )
+    return values
 
 
 def estimate_effect(
-    panel: PanelSeries, cf: CounterfactualPanel, window: EventWindow
+    observed: np.ndarray, counterfactual: np.ndarray, window: EventWindow
 ) -> TreatmentEffectEstimate:
-    """Cross-series mean of observed minus counterfactual at each window step."""
-    if cf.window != window:
-        raise ValidationError(f"counterfactual window {cf.window} != requested {window}")
-    window.check_fits(panel.horizon)
-    if cf.values.shape != (panel.n_series, window.d):
+    """Cross-series mean of observed minus counterfactual at each window step.
+
+    ``observed`` is the (N, d) window block ``values[:, window.columns]`` of
+    the treated panel and ``counterfactual`` the (N, d) forecasts for it.
+    """
+    if observed.shape[1:] != (window.d,) or counterfactual.shape != observed.shape:
         raise ValidationError(
-            f"counterfactual shape {cf.values.shape} does not match panel "
-            f"({panel.n_series} series, window size {window.d})"
+            f"observed block {observed.shape} and counterfactual {counterfactual.shape} "
+            f"must both be (N, {window.d}) for the window size"
         )
-    observed = panel.values[:, window.t0 + 1 : window.t0 + 1 + window.d]
-    delta_hat = (observed - cf.values).mean(axis=0)
+    delta_hat = (observed - counterfactual).mean(axis=0)
     return TreatmentEffectEstimate(
-        window=window, delta_hat=delta_hat, n_series=panel.n_series
+        window=window, delta_hat=delta_hat, n_series=observed.shape[0]
     )
 
 
@@ -174,12 +154,19 @@ def ar1_error_covariance(phi: float, sigma2: float, d: int) -> np.ndarray:
     from the moving-average expansion of the forecast error.  The diagonal is
     the finite-horizon variance; the off-diagonals do not vanish.
     """
-    partial = np.cumsum(phi ** (2.0 * np.arange(d)))
-    # lag powers by Python ** on purpose: np.power rounds some lags differently
-    lag_powers = np.array([phi**j for j in range(d)])
     k = np.arange(d)
     lags = np.abs(np.subtract.outer(k, k))
-    return sigma2 * lag_powers[lags] * partial[np.minimum.outer(k, k)]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # lag powers by Python ** on purpose: np.power rounds some lags differently
+            lag_powers = np.array([phi**j for j in range(d)])
+            partial = np.cumsum(phi ** (2.0 * k))
+            cov = sigma2 * lag_powers[lags] * partial[np.minimum.outer(k, k)]
+    except OverflowError:
+        cov = np.array(np.inf)
+    if not np.all(np.isfinite(cov)):
+        raise ValidationError(f"AR(1) error covariance overflows at phi={phi}, d={d}")
+    return cov
 
 
 def effect_covariance(

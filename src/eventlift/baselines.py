@@ -72,13 +72,9 @@ def direct_forecast(
         model = train(samples, arch, uniform, train_cfg)
         preds = model.predict(x[t0 + 1 - M : t0 + 1])
     elif predictor == "ar1":
-        if t0 < 1:
-            raise ValidationError("ar1 predictor needs at least one pre-window pair")
-        # H zero columns pad the history past t0: the fit reads columns <= t0
-        # and the recursion starts from column t0, so neither sees the window
-        panel = PanelSeries(np.pad(x[: t0 + 1], (0, H))[None, :])
-        fit = fit_ar1_ols(panel, t0)
-        preds = forecast_counterfactual(fit, panel, EventWindow(t0=t0, d=H)).values[0]
+        history = PanelSeries(x[None, : t0 + 1])
+        fit = fit_ar1_ols(history, t0)
+        preds = forecast_counterfactual(fit, history, EventWindow(t0=t0, d=H))[0]
     else:
         raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
 

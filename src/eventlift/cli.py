@@ -201,7 +201,7 @@ def _cmd_estimate(args) -> int:
         )
     fit = ar.fit_ar1_ols(panel, t0_fit)
     cf = ar.forecast_counterfactual(fit, panel, window)
-    est = ar.estimate_effect(panel, cf, window)
+    est = ar.estimate_effect(panel.values[:, window.columns], cf, window)
     cov = ar.effect_covariance(fit, window, panel.n_series, args.variance_mode)
     cis = ar.confidence_intervals(est, cov, args.level)
     reports.write_effect_csv(out / "effect.csv", est, cis)
@@ -210,7 +210,7 @@ def _cmd_estimate(args) -> int:
     stop = window.t0 + window.d + 1
     observed_mean = panel.values.mean(axis=0)[context:stop]
     cf_mean = np.full(stop - context, np.nan)
-    cf_mean[window.t0 + 1 - context :] = cf.values.mean(axis=0)
+    cf_mean[window.t0 + 1 - context :] = cf.mean(axis=0)
     reports.svg_line_plot(
         out / "effect_plot.svg",
         {"observed mean": observed_mean, "counterfactual mean": cf_mean},
@@ -415,7 +415,7 @@ def _cmd_impact(args) -> int:
         def estimate(window):
             fit = ar.fit_ar1_ols(single, window.t0)
             cf = ar.forecast_counterfactual(fit, single, window)
-            return ar.estimate_effect(single, cf, window)
+            return ar.estimate_effect(single.values[:, window.columns], cf, window)
 
     model_ratio, target_scale, predicted = impact.impact_for_series(
         args.event, series, occurrences, estimate, args.scale_mode, panel.time_index

@@ -530,7 +530,7 @@ def extract_effect(
 ) -> TreatmentEffectEstimate:
     """Observed minus synthetic control on the event window, one series.
 
-    Covariance stays unset: the net has no closed-form sampling variance.
+    There is no covariance: the net has no closed-form sampling variance.
     Cross-series pooling is done by averaging the per-series estimates.
     """
     x = np.asarray(series, dtype=float)
@@ -621,17 +621,27 @@ def save_model(model: TrainedForecaster, path) -> None:
 
 
 def load_model(path) -> TrainedForecaster:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
+    """Read a model written by ``save_model``; a bad file fails naming its path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"model file not found: {path}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a model JSON file ({exc})") from exc
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(
-            f"unsupported model format version {version!r} (expected {MODEL_FORMAT_VERSION})"
+            f"{path}: unsupported model format version {version!r} "
+            f"(expected {MODEL_FORMAT_VERSION})"
         )
-    return TrainedForecaster(
-        layer_sizes=tuple(payload["layer_sizes"]),
-        theta=np.array(payload["theta"], dtype=float),
-        activation=payload["activation"],
-        shift=float(payload["shift"]),
-        scale=float(payload["scale"]),
-    )
+    try:
+        return TrainedForecaster(
+            layer_sizes=tuple(payload["layer_sizes"]),
+            theta=np.array(payload["theta"], dtype=float),
+            activation=payload["activation"],
+            shift=float(payload["shift"]),
+            scale=float(payload["scale"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad model entry ({exc!r})") from exc

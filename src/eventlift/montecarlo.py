@@ -17,10 +17,9 @@ A replication never builds the treated panel.  ``MCConfig`` forces the
 fit range t0 <= window.t0, and the forecast anchors at column window.t0, so
 the fit and the counterfactual only read columns the treatment leaves
 untouched: on the clean panel they are bit for bit what they would be on the
-treated one.  The effect is added to the d window columns alone, and
-delta_hat is the cross-series mean of (observed - counterfactual) over those
-columns, in the same operation order as ``estimate_effect`` on the treated
-panel.
+treated one.  The effect is added to the d window columns alone, and the
+replication hands that block to ``estimate_effect``, the same call the CLI
+makes on a treated panel.
 
 Reproducibility contract: replication r uses the 64-bit seed
 splitmix64(master_seed, r), results are stored in slots indexed by r, and
@@ -42,15 +41,16 @@ from scipy.stats import kurtosis as _kurtosis
 from scipy.stats import skew as _skew
 
 from .ar import (
-    TreatmentEffectEstimate,
     ar1_error_covariance,
     confidence_intervals,
     effect_covariance,
+    estimate_effect,
     fit_ar1_ols,
     forecast_counterfactual,
 )
 from .errors import ValidationError
 from .panel import ARProcessSpec, EventWindow, as_effect_vector, simulate_ar1_panel
+from .panel import stationary_variance
 
 __all__ = [
     "MCConfig",
@@ -117,7 +117,7 @@ class MCConfig:
         if self.variance_mode not in ("finite_horizon", "asymptotic_diagonal"):
             raise ValidationError(f"unknown variance_mode {self.variance_mode!r}")
         if self.standardize not in ("oracle", "estimated"):
-            raise ValidationError(f"standardize must be 'oracle' or 'estimated'")
+            raise ValidationError(f"unknown standardize {self.standardize!r}")
         object.__setattr__(
             self, "delta", tuple(as_effect_vector(self.delta, self.window.d).tolist())
         )
@@ -153,23 +153,17 @@ class MonteCarloReport:
 
 
 def _replicate(config: MCConfig, r: int):
-    spec = config.spec
     window = config.window
     delta = np.asarray(config.delta)
-    horizon = window.t0 + window.d
     seed = mix_seed(config.master_seed, r)
-    panel = simulate_ar1_panel(spec, config.n_series, horizon, seed)
+    panel = simulate_ar1_panel(config.spec, config.n_series, window.t0 + window.d, seed)
     # fit and anchor read columns <= window.t0 only (see the module docstring)
     fit = fit_ar1_ols(panel, config.t0)
     cf = forecast_counterfactual(fit, panel, window)
-    observed = panel.values[:, window.t0 + 1 : window.t0 + 1 + window.d] + delta
+    observed = panel.values[:, window.columns] + delta
     if not np.all(np.isfinite(observed)):
         raise ValidationError("treated window values must all be finite")
-    est = TreatmentEffectEstimate(
-        window=window,
-        delta_hat=(observed - cf.values).mean(axis=0),
-        n_series=config.n_series,
-    )
+    est = estimate_effect(observed, cf, window)
     cov = effect_covariance(fit, window, config.n_series, config.variance_mode)
     cis = confidence_intervals(est, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
@@ -224,17 +218,12 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
     scaled = np.sqrt(config.n_series) * (delta_hats - delta[None, :])
     oracle = ar1_error_covariance(config.spec.phi, config.spec.sigma**2, d)
     var_finite = np.diag(oracle)
-    var_asym = (
-        config.spec.sigma**2 / (1.0 - config.spec.phi**2)
-        if abs(config.spec.phi) < 1.0
-        else float("inf")
-    )
+    var_asym = stationary_variance(config.spec)
     if config.standardize == "oracle":
-        denom = np.sqrt(var_finite)[None, :]
-        z = np.divide(scaled, denom, out=np.zeros_like(scaled), where=denom > 0)
+        se = np.sqrt(var_finite)[None, :]
     else:
         se = np.sqrt(config.n_series * est_vars)
-        z = np.divide(scaled, se, out=np.zeros_like(scaled), where=se > 0)
+    z = np.divide(scaled, se, out=np.zeros_like(scaled), where=se > 0)
 
     per_component = []
     ddof = 1 if R > 1 else 0

@@ -168,6 +168,11 @@ class EventWindow:
     def indices(self) -> range:
         return range(self.t0 + 1, self.t0 + self.d + 1)
 
+    @property
+    def columns(self) -> slice:
+        """The window block's columns in a (series, time) array."""
+        return slice(self.t0 + 1, self.t0 + self.d + 1)
+
     def check_fits(self, horizon: int) -> None:
         """Validate t0 + d <= T for a panel with last index ``horizon``."""
         if self.t0 + self.d > horizon:
@@ -282,5 +287,5 @@ def inject_treatment(
     window.check_fits(panel.horizon)
     vec = as_effect_vector(delta, window.d)
     out = panel.values.copy()
-    out[:, window.t0 + 1 : window.t0 + 1 + window.d] += vec[None, :]
+    out[:, window.columns] += vec[None, :]
     return PanelSeries(out, panel.time_index, panel.series_ids)

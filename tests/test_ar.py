@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,19 +75,19 @@ class TestForecastCounterfactual:
         fit = el.fit_ar1_ols(panel, t0=3)
         window = el.EventWindow(t0=3, d=3)
         cf = el.forecast_counterfactual(fit, panel, window)
-        assert np.array_equal(cf.values, panel.values[:, 4:7])
+        assert np.array_equal(cf, panel.values[:, 4:7])
 
     def test_anchor_and_geometry(self):
         panel = el.PanelSeries(np.array([[1.0, 2.0, 6.0, 0.0, 0.0]]))
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=2)
         cf = el.forecast_counterfactual(fit, panel, el.EventWindow(t0=2, d=2))
-        assert cf.values[0].tolist() == [3.0, 1.5]
+        assert cf[0].tolist() == [3.0, 1.5]
 
     def test_window_checked_against_horizon(self):
         panel = el.PanelSeries(np.ones((1, 5)))
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=2)
         with pytest.raises(ValidationError):
-            el.forecast_counterfactual(fit, panel, el.EventWindow(t0=3, d=2))
+            el.forecast_counterfactual(fit, panel, el.EventWindow(t0=5, d=2))
 
 
 class TestEstimateEffect:
@@ -93,7 +96,7 @@ class TestEstimateEffect:
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=2)
         window = el.EventWindow(t0=1, d=1)
         cf = el.forecast_counterfactual(fit, panel, window)
-        est = el.estimate_effect(panel, cf, window)
+        est = el.estimate_effect(panel.values[:, window.columns], cf, window)
         # forecasts are 1.0 and 2.0, observed 5.0 and 6.0
         assert est.delta_hat.tolist() == [4.0]
         assert est.n_series == 2
@@ -102,8 +105,9 @@ class TestEstimateEffect:
         panel = el.PanelSeries(np.ones((1, 8)))
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=2)
         cf = el.forecast_counterfactual(fit, panel, el.EventWindow(t0=2, d=2))
+        wider = el.EventWindow(t0=2, d=3)
         with pytest.raises(ValidationError):
-            el.estimate_effect(panel, cf, el.EventWindow(t0=3, d=2))
+            el.estimate_effect(panel.values[:, wider.columns], cf, wider)
 
     def test_recovers_injected_effect_without_noise(self):
         spec = el.ARProcessSpec(
@@ -115,8 +119,31 @@ class TestEstimateEffect:
         treated = el.inject_treatment(clean, window, delta)
         fit = el.fit_ar1_ols(treated, t0=8)
         cf = el.forecast_counterfactual(fit, treated, window)
-        est = el.estimate_effect(treated, cf, window)
+        est = el.estimate_effect(treated.values[:, window.columns], cf, window)
         np.testing.assert_allclose(est.delta_hat, delta, atol=1e-9)
+
+
+class TestExplosiveFits:
+    """A huge phi_hat fails as a ValidationError, with no warning printed."""
+
+    @pytest.mark.parametrize(
+        "phi, sigma2, d",
+        [(1e141, 1.0, 4), (1e100, 0.0, 3), (1e150, 1e10, 2)],
+        ids=["power-overflows", "nan-from-zero-variance", "product-overflows"],
+    )
+    def test_error_covariance_names_phi_and_d(self, phi, sigma2, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(f"phi={phi!r}, d={d}")):
+                el.ar1_error_covariance(phi, sigma2, d)
+
+    def test_forecast_names_phi_hat(self):
+        panel = el.PanelSeries(np.array([[1.0, 2.0, 0.0, 0.0]]))
+        fit = el.ARModelFit(phi_hat=1e200, sigma2_hat=0.0, n_pairs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"phi_hat=1e\+200, d=2"):
+                el.forecast_counterfactual(fit, panel, el.EventWindow(t0=1, d=2))
 
 
 class TestEffectCovariance:
@@ -219,9 +246,9 @@ def test_counterfactual_recursion_is_geometric(phi, anchor, d):
     panel = el.PanelSeries(values)
     fit = el.ARModelFit(phi_hat=float(phi), sigma2_hat=1.0, n_pairs=1)
     cf = el.forecast_counterfactual(fit, panel, el.EventWindow(t0=2, d=d))
-    assert cf.values[0, 0] == float(phi) * anchor
+    assert cf[0, 0] == float(phi) * anchor
     for k in range(d - 1):
-        assert cf.values[0, k + 1] == float(phi) * cf.values[0, k]
+        assert cf[0, k + 1] == float(phi) * cf[0, k]
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,7 +21,7 @@ class TestDirectForecastAR1:
         )
         fit = el.fit_ar1_ols(panel, t0=50)
         cf = el.forecast_counterfactual(fit, panel, window)
-        assert np.array_equal(ctrl.values[list(window.indices)], cf.values[0])
+        assert np.array_equal(ctrl.values[list(window.indices)], cf[0])
 
     def test_never_reads_past_t0(self):
         spec = el.ARProcessSpec(phi=0.6, sigma=1.0)

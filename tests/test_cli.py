@@ -194,6 +194,30 @@ class TestSimulateFitEstimate:
         capsys.readouterr()
 
 
+    def test_estimate_rejects_an_explosive_fit(self, tmp_path, capsys):
+        # a near-zero first value fits phi_hat ~ 1e100 from the one pre-event pair;
+        # the window variance overflows instead of writing nan intervals
+        start = datetime.date(2020, 1, 1)
+        dates = tuple(start + datetime.timedelta(days=i) for i in range(6))
+        values = np.array([[1e-100, 1.0, 1.0, 1.0, 1.0, 1.0]])
+        dataio.write_panel_csv(tmp_path / "panel.csv", el.PanelSeries(values, dates))
+        dataio.write_calendar_csv(
+            tmp_path / "calendar.csv", [dataio.CalendarEntry("event", dates[2], dates[4])]
+        )
+        code = run_command(
+            [
+                "estimate",
+                "--panel", str(tmp_path / "panel.csv"),
+                "--calendar", str(tmp_path / "calendar.csv"),
+                "--event", "event",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "d=3" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "effect.csv").exists()
+
+
 class TestMonteCarloCommands:
     def run_mc(self, out, jobs):
         return run_command(

@@ -516,7 +516,6 @@ class TestExtractEffect:
         x[3] = 6.1
         est = el.extract_effect(ctrl, x, el.EventWindow(t0=2, d=1))
         assert est.delta_hat[0] == pytest.approx(2.0)
-        assert est.covariance is None
         assert est.n_series == 1
 
     def test_perfect_reconstruction_gives_zero(self):
@@ -629,6 +628,30 @@ class TestModelSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="format version"):
             el.load_model(path)
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "model file not found"),
+            ("{not json", "not a model JSON file"),
+            ('{"format_version": 1, "theta": [1.0]}', r"KeyError\('layer_sizes'\)"),
+            (
+                '{"format_version": 1, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
+                '"activation": "relu", "shift": "abc", "scale": 1.0}',
+                "could not convert string to float",
+            ),
+            ('{"format_version": 999}', "unsupported model format version 999"),
+        ],
+        ids=["missing-file", "malformed-json", "missing-key", "bad-entry", "version"],
+    )
+    def test_bad_file_fails_naming_the_path(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=message) as info:
+            el.load_model(path)
+        assert str(path) in str(info.value)
 
 
 class TestTrainedForecaster:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +54,7 @@ class TestMCConfig:
             small_config(delta=(1.0, 2.0))
 
     def test_bad_standardize(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="standardize 'exact'"):
             small_config(standardize="exact")
 
     def test_bad_variance_mode(self):
@@ -226,7 +228,7 @@ def composed_replication(config, r):
     treated = el.inject_treatment(panel, window, delta)
     fit = el.fit_ar1_ols(treated, config.t0)
     cf = el.forecast_counterfactual(fit, treated, window)
-    est = el.estimate_effect(treated, cf, window)
+    est = el.estimate_effect(treated.values[:, window.columns], cf, window)
     cov = el.effect_covariance(fit, window, config.n_series, config.variance_mode)
     cis = el.confidence_intervals(est, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
@@ -280,6 +282,30 @@ def test_replicate_equals_public_composition(
         assert outcome(montecarlo._replicate, config, r) == outcome(
             composed_replication, config, r
         )
+
+
+def test_explosive_fit_fails_alike_in_replicate_and_composition():
+    # a fixed start of 1.7e-141 makes the one-pair fit return phi_hat ~ 1e141,
+    # whose forecast overflows within the 4-day window
+    config = el.MCConfig(
+        spec=el.ARProcessSpec(
+            phi=0.0, sigma=1.0, initial_mode="fixed", initial_value=1.7304431642557775e-141
+        ),
+        n_series=1,
+        t0=1,
+        window=el.EventWindow(t0=1, d=4),
+        delta=(0.0, 0.0, 0.0, 0.0),
+        replications=1,
+        master_seed=0,
+        ci_level=0.5,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = outcome(composed_replication, config, 0)
+        assert expected[0] == "error" and "phi_hat=" in expected[1]
+        assert outcome(montecarlo._replicate, config, 0) == expected
+        with pytest.raises(ValidationError, match="replication 0: .*phi_hat="):
+            el.run_replications(config)
 
 
 class TestCheckNormality:
