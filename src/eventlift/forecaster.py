@@ -10,13 +10,16 @@ gap on an event window is the effect estimate.
 
 The forecaster itself is a small fully connected net implemented directly on
 numpy arrays: parameters live in one flat vector, gradients come from manual
-backpropagation, and training is plain mini-batch gradient descent with a
-seeded shuffle.  Everything is deterministic given the seed.
+backpropagation, and training is mini-batch gradient descent with a seeded
+shuffle: each epoch gathers one permuted copy of the windows, each batch is a
+slice of it, and each step writes into buffers allocated once and updates the
+parameters in place.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,14 +168,15 @@ def parameter_count(layer_sizes: Sequence[int]) -> int:
     return sum((fi + 1) * fo for fi, fo in _layer_shapes(layer_sizes))
 
 
-def _unpack(theta: np.ndarray, layer_sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat parameter vector into (weights, bias) views per layer."""
+def _unpack(flat: np.ndarray, layer_sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat parameter (or gradient) vector into (weights, bias) views
+    per layer; writing into a view writes into ``flat``."""
     out = []
     pos = 0
     for fi, fo in _layer_shapes(layer_sizes):
-        W = theta[pos : pos + fi * fo].reshape(fi, fo)
+        W = flat[pos : pos + fi * fo].reshape(fi, fo)
         pos += fi * fo
-        b = theta[pos : pos + fo]
+        b = flat[pos : pos + fo]
         pos += fo
         out.append((W, b))
     return out
@@ -229,45 +233,46 @@ class TrainedForecaster:
                 f"input width {x.shape[1]} != model lookback {self.lookback}"
             )
         z = (x - self.shift) / self.scale
-        acts, _ = _forward(self.theta, self.layer_sizes, self.activation, z)
+        acts = _forward(_unpack(self.theta, self.layer_sizes), self.activation, z)
         pred = acts[-1] * self.scale + self.shift
         return pred[0] if single else pred
 
 
-def _forward(theta, layer_sizes, activation, X):
-    """Return (activations, preactivations); the final layer is linear."""
-    layers = _unpack(theta, layer_sizes)
+def _forward(layers, activation, X, bufs=None):
+    """Activations [X, hidden..., prediction] of the unpacked ``layers`` (the
+    last one linear), written into the leading rows of ``bufs`` when given."""
     acts = [X]
-    pres = []
-    a = X
     for li, (W, b) in enumerate(layers):
-        z = a @ W + b
-        pres.append(z)
+        z = np.matmul(acts[-1], W, out=None if bufs is None else bufs[li][: len(X)])
+        z += b
         if li < len(layers) - 1:
-            a = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
-        else:
-            a = z
-        acts.append(a)
-    return acts, pres
-
-
-def _backward(theta, layer_sizes, activation, acts, pres, dpred):
-    """Flat gradient of the loss given d(loss)/d(prediction)."""
-    layers = _unpack(theta, layer_sizes)
-    n_layers = len(layers)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore
-    delta = dpred
-    for li in reversed(range(n_layers)):
-        if li < n_layers - 1:
             if activation == "relu":
-                delta = delta * (pres[li] > 0)
+                np.maximum(z, 0.0, out=z)
             else:
-                delta = delta * (1.0 - acts[li + 1] ** 2)
-        W, _ = layers[li]
-        grads[li] = (acts[li].T @ delta, delta.sum(axis=0))
-        if li > 0:
-            delta = delta @ W.T
-    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+                np.tanh(z, out=z)
+        acts.append(z)
+    return acts
+
+
+def _backward(layers, activation, acts, dpred, grads, bufs=None):
+    """Write the loss gradient, given d(loss)/d(prediction) ``dpred`` (which is
+    overwritten), into the (weights, bias) views ``grads``; hidden-layer deltas
+    go into the leading rows of ``bufs`` when given."""
+    delta = dpred
+    for li in reversed(range(len(layers))):
+        gW, gb = grads[li]
+        np.matmul(acts[li].T, delta, out=gW)
+        delta.sum(axis=0, out=gb)
+        if li == 0:
+            break
+        out = None if bufs is None else bufs[li - 1][: len(delta)]
+        delta = np.matmul(delta, layers[li][0].T, out=out)
+        h = acts[li]
+        if activation == "relu":
+            # max(z, 0) > 0 exactly where z > 0
+            delta *= h > 0
+        else:
+            delta *= 1.0 - h**2
 
 
 def _window_starts(series, config: RollingWindowConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -308,10 +313,14 @@ def build_rolling_windows(
     )
 
 
-def _eta_and_grad(diff: np.ndarray, distance: str):
+def _weighted_error(diff: np.ndarray, wv, distance: str):
+    """Per-step weighted error ``wv * eta`` of the residuals ``diff`` and its
+    derivative ``wv * d(eta)/d(diff)``; callers do their own reductions."""
     if distance == "absolute":
-        return np.abs(diff), np.sign(diff)
-    return diff**2, 2.0 * diff
+        eta, deta = np.abs(diff), np.sign(diff)
+    else:
+        eta, deta = diff**2, 2.0 * diff
+    return wv * eta, wv * deta
 
 
 def adaptive_loss(
@@ -324,7 +333,9 @@ def adaptive_loss(
 
     Returns (rare_weight * sum of rare-step errors + nonrare_weight * sum of
     the rest, unweighted per-step errors).  Averaging over a batch of windows
-    is the caller's job.
+    is the caller's job.  The loss is written as two masked sums, not as the
+    row sum of weighted errors the training loop uses, so that its
+    decomposition into rare and non-rare parts holds exactly.
     """
     p = np.asarray(pred, dtype=float)
     y = np.asarray(label, dtype=float)
@@ -333,7 +344,7 @@ def adaptive_loss(
         raise ValidationError(
             f"pred/label/mask must be equal-length vectors, got {p.shape}, {y.shape}, {m.shape}"
         )
-    eta, _ = _eta_and_grad(p - y, cfg.distance)
+    eta, _ = _weighted_error(p - y, 1.0, cfg.distance)
     loss = cfg.rare_weight * eta[m].sum() + cfg.nonrare_weight * eta[~m].sum()
     return float(loss), eta
 
@@ -353,17 +364,15 @@ def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     return shift, scale
 
 
-def _rare_weights(
-    theta, layer_sizes, activation, X, Y, mask, cfg: AdaptiveLossConfig
-) -> np.ndarray:
+def _rare_weights(layers, activation, X, Y, mask, cfg: AdaptiveLossConfig) -> np.ndarray:
     """Per-window rare weights for the residual_inverse adaptation mode."""
     B = X.shape[0]
     base = np.full(B, cfg.rare_weight)
     if cfg.adaptation != "residual_inverse":
         return base
-    acts, _ = _forward(theta, layer_sizes, activation, X)
-    eta, _ = _eta_and_grad(acts[-1] - Y, cfg.distance)
-    rare_resid = (eta * mask).sum(axis=1)
+    acts = _forward(layers, activation, X)
+    rare_eta, _ = _weighted_error(acts[-1] - Y, mask, cfg.distance)
+    rare_resid = rare_eta.sum(axis=1)
     has_rare = mask.any(axis=1)
     if not has_rare.any():
         return base
@@ -401,29 +410,37 @@ def train(
     theta = np.concatenate(parts)
 
     B = X.shape[0]
+    bs = train_cfg.batch_size
+    layers = _unpack(theta, layer_sizes)
+    grad = np.empty_like(theta)
+    grads = _unpack(grad, layer_sizes)
+    act_bufs = [np.empty((min(bs, B), fo)) for _, fo in _layer_shapes(layer_sizes)]
+    delta_bufs = [np.empty_like(buf) for buf in act_bufs[:-1]]
     lr0 = train_cfg.learning_rate
     lr1 = train_cfg.final_learning_rate if train_cfg.final_learning_rate is not None else lr0
     history = []
     for epoch in range(train_cfg.epochs):
         frac = epoch / max(train_cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
-        w1 = _rare_weights(theta, layer_sizes, arch.activation, X, Y, mask, loss_cfg)
+        w1 = _rare_weights(layers, arch.activation, X, Y, mask, loss_cfg)
         perm = rng.permutation(B)
+        # one gather per epoch: batch rows are contiguous slices of these copies
+        Xp, Yp = X[perm], Y[perm]
+        Wp = np.where(mask, w1[:, None], loss_cfg.nonrare_weight)[perm]
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, B, train_cfg.batch_size):
-            idx = perm[start : start + train_cfg.batch_size]
-            acts, pres = _forward(theta, layer_sizes, arch.activation, X[idx])
-            diff = acts[-1] - Y[idx]
-            eta, deta = _eta_and_grad(diff, loss_cfg.distance)
-            wv = np.where(mask[idx], w1[idx][:, None], loss_cfg.nonrare_weight)
-            batch_loss = float((wv * eta).sum(axis=1).mean())
-            if not np.isfinite(batch_loss):
+        for start in range(0, B, bs):
+            rows = slice(start, start + bs)
+            acts = _forward(layers, arch.activation, Xp[rows], act_bufs)
+            n = len(acts[0])
+            weighted, dpred = _weighted_error(acts[-1] - Yp[rows], Wp[rows], loss_cfg.distance)
+            batch_loss = float(weighted.sum(axis=1).sum()) / n
+            if not math.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss)
-            grad = _backward(
-                theta, layer_sizes, arch.activation, acts, pres, wv * deta / len(idx)
-            )
-            theta = theta - lr * grad
+            dpred /= n
+            _backward(layers, arch.activation, acts, dpred, grads, delta_bufs)
+            grad *= lr
+            theta -= grad
             epoch_loss += batch_loss
             n_batches += 1
         history.append(epoch_loss / n_batches)
@@ -450,10 +467,10 @@ def training_loss(
     """
     X = (windows.inputs - model.shift) / model.scale
     Y = (windows.labels - model.shift) / model.scale
-    acts, _ = _forward(model.theta, model.layer_sizes, model.activation, X)
-    eta, _ = _eta_and_grad(acts[-1] - Y, loss_cfg.distance)
+    acts = _forward(_unpack(model.theta, model.layer_sizes), model.activation, X)
     wv = np.where(windows.rare_mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
-    return float((wv * eta).sum(axis=1).mean())
+    weighted, _ = _weighted_error(acts[-1] - Y, wv, loss_cfg.distance)
+    return float(weighted.sum(axis=1).mean())
 
 
 @dataclass
@@ -496,6 +513,8 @@ def insample_forecast(
 
     Each supported index t gets the mean (or median) of all horizon
     predictions that land on it, denormalized back to the series scale.
+    When the strided starts miss the last possible start, one more window
+    ending at the series end is added, so the tail is always supported.
     """
     if config.lookback != model.lookback or config.horizon != model.horizon:
         raise ValidationError(
@@ -506,6 +525,8 @@ def insample_forecast(
         raise ValidationError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     x, starts = _window_starts(series, config)
     M, H = config.lookback, config.horizon
+    if starts[-1] != len(x) - M - H:
+        starts = np.append(starts, len(x) - M - H)
     preds = model.predict(sliding_window_view(x, M)[starts])
     target = starts[:, None] + M + np.arange(H)
     counts = np.bincount(target.ravel(), minlength=len(x))
@@ -568,18 +589,18 @@ def gradient_check(
     act = model.activation
 
     def evaluate(theta):
-        acts, pres = _forward(theta, sizes, act, X)
+        acts = _forward(_unpack(theta, sizes), act, X)
         diff = acts[-1] - Y
-        eta, deta = _eta_and_grad(diff, loss_cfg.distance)
-        loss = float((wv * eta).sum())
-        return loss, diff, pres, acts, deta
+        weighted, dpred = _weighted_error(diff, wv, loss_cfg.distance)
+        return float(weighted.sum()), diff, acts, dpred
 
     theta0 = model.theta.astype(float).copy()
-    _, _, pres0, acts0, deta0 = evaluate(theta0)
-    analytic = _backward(theta0, sizes, act, acts0, pres0, wv * deta0)
+    _, _, acts0, dpred0 = evaluate(theta0)
+    analytic = np.empty_like(theta0)
+    _backward(_unpack(theta0, sizes), act, acts0, dpred0, _unpack(analytic, sizes))
 
-    def signature(diff, pres):
-        hidden = [p > 0 for p in pres[:-1]] if act == "relu" else []
+    def signature(diff, acts):
+        hidden = [h > 0 for h in acts[1:-1]] if act == "relu" else []
         resid = [np.sign(diff)] if loss_cfg.distance == "absolute" else []
         return hidden, resid
 
@@ -589,10 +610,10 @@ def gradient_check(
         tp[j] += epsilon
         tm = theta0.copy()
         tm[j] -= epsilon
-        lp, dp, pp, _, _ = evaluate(tp)
-        lm, dm, pm, _, _ = evaluate(tm)
-        hp, rp = signature(dp, pp)
-        hm, rm = signature(dm, pm)
+        lp, dp, ap, _ = evaluate(tp)
+        lm, dm, am, _ = evaluate(tm)
+        hp, rp = signature(dp, ap)
+        hm, rm = signature(dm, am)
         if any(not np.array_equal(a, b) for a, b in zip(hp, hm)):
             continue
         if any(not np.array_equal(a, b) for a, b in zip(rp, rm)):

@@ -332,6 +332,25 @@ class TestForecasterCommands:
         assert (tmp_path / "effect.csv").exists()
         capsys.readouterr()
 
+    def test_extract_stride_covers_the_series_tail(self, sim_dir, trained_dir, tmp_path, capsys):
+        # T=44, M=10, H=5: strided starts 0, 3, ..., 27 stop short of the last start 29
+        code = run_command(
+            [
+                "extract",
+                "--panel", str(sim_dir / "panel.csv"),
+                "--calendar", str(sim_dir / "calendar.csv"),
+                "--event", "event",
+                "--series", "s000",
+                "--model", str(trained_dir / "model_s000.json"),
+                "--stride", "3",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        rows = read_csv_rows(tmp_path / "effect.csv")
+        assert len(rows) == 1 + 3
+        capsys.readouterr()
+
     def test_baseline_df_ar1_predictor(self, sim_dir, tmp_path, capsys):
         code = run_command(
             [

@@ -147,9 +147,12 @@ def reference_windows(x, cfg, calendar):
 
 def reference_insample(model, x, cfg, aggregate):
     """Per-window loops and the dense (windows x T) median matrix that
-    ``insample_forecast`` replaced; returns (values, counts)."""
+    ``insample_forecast`` replaced, plus one window ending at the series
+    end when the stride misses it; returns (values, counts)."""
     M, H = cfg.lookback, cfg.horizon
-    starts = range(0, len(x) - M - H + 1, cfg.stride)
+    starts = list(range(0, len(x) - M - H + 1, cfg.stride))
+    if starts[-1] != len(x) - M - H:
+        starts.append(len(x) - M - H)
     preds = model.predict(np.stack([x[i : i + M] for i in starts]))
     counts = np.zeros(len(x), dtype=int)
     for i in starts:
@@ -400,7 +403,16 @@ class TestTrain:
                 ),
                 el.TrainConfig(epochs=50, batch_size=16, learning_rate=1e12, seed=0),
             )
-        assert info.value.epoch >= 0
+        with pytest.raises(TrainingDivergedError) as ref, np.errstate(all="ignore"):
+            reference_train(
+                samples,
+                el.ForecasterArch(hidden_sizes=(16,), activation="relu"),
+                el.AdaptiveLossConfig(
+                    rare_weight=1.0, nonrare_weight=1.0, distance="squared"
+                ),
+                el.TrainConfig(epochs=50, batch_size=16, learning_rate=1e12, seed=0),
+            )
+        assert info.value.epoch == ref.value.epoch
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
@@ -423,6 +435,169 @@ class TestTrain:
             el.TrainConfig(epochs=40, batch_size=16, learning_rate=0.01, seed=1),
         )
         assert np.all(np.isfinite(model.theta))
+
+
+def _ref_layers(theta, layer_sizes):
+    out, pos = [], 0
+    for fi, fo in zip(layer_sizes[:-1], layer_sizes[1:]):
+        W = theta[pos : pos + fi * fo].reshape(fi, fo)
+        pos += fi * fo
+        out.append((W, theta[pos : pos + fo]))
+        pos += fo
+    return out
+
+
+def _ref_forward(theta, layer_sizes, activation, X):
+    layers = _ref_layers(theta, layer_sizes)
+    acts, pres, a = [X], [], X
+    for li, (W, b) in enumerate(layers):
+        z = a @ W + b
+        pres.append(z)
+        if li < len(layers) - 1:
+            a = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+        else:
+            a = z
+        acts.append(a)
+    return acts, pres
+
+
+def _ref_backward(theta, layer_sizes, activation, acts, pres, dpred):
+    layers = _ref_layers(theta, layer_sizes)
+    n_layers = len(layers)
+    grads = [None] * n_layers
+    delta = dpred
+    for li in reversed(range(n_layers)):
+        if li < n_layers - 1:
+            if activation == "relu":
+                delta = delta * (pres[li] > 0)
+            else:
+                delta = delta * (1.0 - acts[li + 1] ** 2)
+        W, _ = layers[li]
+        grads[li] = (acts[li].T @ delta, delta.sum(axis=0))
+        if li > 0:
+            delta = delta @ W.T
+    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+
+
+def _ref_eta_and_grad(diff, distance):
+    if distance == "absolute":
+        return np.abs(diff), np.sign(diff)
+    return diff**2, 2.0 * diff
+
+
+def _ref_rare_weights(theta, layer_sizes, activation, X, Y, mask, cfg):
+    B = X.shape[0]
+    base = np.full(B, cfg.rare_weight)
+    if cfg.adaptation != "residual_inverse":
+        return base
+    acts, _ = _ref_forward(theta, layer_sizes, activation, X)
+    eta, _ = _ref_eta_and_grad(acts[-1] - Y, cfg.distance)
+    rare_resid = (eta * mask).sum(axis=1)
+    has_rare = mask.any(axis=1)
+    if not has_rare.any():
+        return base
+    raw = 1.0 / (cfg.adaptation_floor + rare_resid)
+    out = base.copy()
+    out[has_rare] = cfg.rare_weight * raw[has_rare] / raw[has_rare].mean()
+    return out
+
+
+def reference_train(windows, arch, loss_cfg, train_cfg):
+    """The allocating training loop that ``train`` replaced: per-step row
+    gathers, fresh activations and gradients, and a new theta per step.
+    Returns (theta, loss_history)."""
+    mask = windows.rare_mask
+    shift, scale = el.forecaster._normalization(windows.inputs, windows.labels)
+    X = (windows.inputs - shift) / scale
+    Y = (windows.labels - shift) / scale
+    layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
+
+    rng = np.random.default_rng(train_cfg.seed)
+    parts = []
+    for fi, fo in zip(layer_sizes[:-1], layer_sizes[1:]):
+        bound = 1.0 / np.sqrt(fi)
+        parts.append(rng.uniform(-bound, bound, size=fi * fo))
+        parts.append(rng.uniform(-bound, bound, size=fo))
+    theta = np.concatenate(parts)
+
+    B = X.shape[0]
+    lr0 = train_cfg.learning_rate
+    lr1 = train_cfg.final_learning_rate if train_cfg.final_learning_rate is not None else lr0
+    history = []
+    for epoch in range(train_cfg.epochs):
+        frac = epoch / max(train_cfg.epochs - 1, 1)
+        lr = lr0 + (lr1 - lr0) * frac
+        w1 = _ref_rare_weights(theta, layer_sizes, arch.activation, X, Y, mask, loss_cfg)
+        perm = rng.permutation(B)
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, B, train_cfg.batch_size):
+            idx = perm[start : start + train_cfg.batch_size]
+            acts, pres = _ref_forward(theta, layer_sizes, arch.activation, X[idx])
+            diff = acts[-1] - Y[idx]
+            eta, deta = _ref_eta_and_grad(diff, loss_cfg.distance)
+            wv = np.where(mask[idx], w1[idx][:, None], loss_cfg.nonrare_weight)
+            batch_loss = float((wv * eta).sum(axis=1).mean())
+            if not np.isfinite(batch_loss):
+                raise TrainingDivergedError(epoch, batch_loss)
+            grad = _ref_backward(
+                theta, layer_sizes, arch.activation, acts, pres, wv * deta / len(idx)
+            )
+            theta = theta - lr * grad
+            epoch_loss += batch_loss
+            n_batches += 1
+        history.append(epoch_loss / n_batches)
+    return theta, tuple(history)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    length=st.integers(min_value=12, max_value=70),
+    lookback=st.integers(min_value=1, max_value=8),
+    horizon=st.integers(min_value=1, max_value=5),
+    event_t0s=st.lists(st.integers(min_value=1, max_value=70), max_size=3),
+    hidden=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+    activation=st.sampled_from(["relu", "tanh"]),
+    distance=st.sampled_from(["absolute", "squared"]),
+    adaptation=st.sampled_from(["fixed", "residual_inverse"]),
+    epochs=st.integers(min_value=1, max_value=4),
+    batching=st.sampled_from(["divides", "remainder", "exceeds"]),
+    pick=st.integers(min_value=0, max_value=6),
+)
+def test_train_matches_the_allocating_reference_bit_for_bit(
+    seed, length, lookback, horizon, event_t0s, hidden, activation, distance,
+    adaptation, epochs, batching, pick,
+):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(10.0, 3.0, size=length)
+    calendar = el.EventCalendar(
+        {f"e{j}": [el.EventWindow(t0=t0, d=2)] for j, t0 in enumerate(event_t0s)}
+    )
+    windows = el.build_rolling_windows(
+        x, el.RollingWindowConfig(lookback=lookback, horizon=horizon), calendar
+    )
+    B = len(windows)
+    sizes = {
+        "divides": [k for k in range(1, B + 1) if B % k == 0],
+        "remainder": [k for k in range(2, B) if B % k],
+        "exceeds": [B + 1, B + 7],
+    }[batching]
+    if not sizes:  # B <= 2: every batch size up to B divides it
+        return
+    batch_size = sizes[pick % len(sizes)]
+    arch = el.ForecasterArch(hidden_sizes=tuple(hidden), activation=activation)
+    loss_cfg = el.AdaptiveLossConfig(
+        rare_weight=0.3, distance=distance, adaptation=adaptation
+    )
+    train_cfg = el.TrainConfig(
+        epochs=epochs, batch_size=batch_size, learning_rate=0.05,
+        final_learning_rate=0.01, seed=seed,
+    )
+    model = el.train(windows, arch, loss_cfg, train_cfg)
+    theta, history = reference_train(windows, arch, loss_cfg, train_cfg)
+    assert model.theta.tobytes() == theta.tobytes()
+    assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
 
 
 class TestTrainingLossInvariance:
