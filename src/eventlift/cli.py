@@ -125,6 +125,26 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init-value", type=float, default=0.0)
 
 
+def _add_inputs(
+    p: argparse.ArgumentParser,
+    *,
+    calendar: bool = True,
+    event: bool = False,
+    series: bool = False,
+    occurrence: int | None = None,
+) -> None:
+    """The input flags that lead a command, in help order; ``occurrence`` is its default."""
+    p.add_argument("--panel", required=True)
+    if calendar:
+        p.add_argument("--calendar", required=True)
+    if event:
+        p.add_argument("--event", required=True)
+    if series:
+        p.add_argument("--series", required=True)
+    if occurrence is not None:
+        p.add_argument("--occurrence", type=int, default=occurrence)
+
+
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lookback", type=int, default=90)
     p.add_argument("--horizon", type=int, default=30)
@@ -499,16 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("fit-ar", help="fit the autoregressive model on pre-event data")
-    p.add_argument("--panel", required=True)
+    _add_inputs(p, calendar=False)
     p.add_argument("--t0", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_fit_ar)
 
     p = sub.add_parser("estimate", help="recursive-counterfactual effect estimate with CIs")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--event", required=True)
-    p.add_argument("--occurrence", type=int, default=0)
+    _add_inputs(p, event=True, occurrence=0)
     p.add_argument("--fit-t0", type=int, default=None, help="override the fit range")
     p.add_argument(
         "--variance-mode",
@@ -550,19 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rate_check)
 
     p = sub.add_parser("train", help="train the adaptively weighted forecaster")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--series", required=True)
+    _add_inputs(p, series=True)
     _add_training_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("extract", help="in-sample synthetic control and effect")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--event", required=True)
-    p.add_argument("--series", required=True)
+    _add_inputs(p, event=True, series=True)
     p.add_argument("--model", required=True)
     p.add_argument("--occurrence", type=int, default=-1)
     p.add_argument("--stride", type=int, default=1)
@@ -571,11 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("baseline-df", help="direct out-of-sample forecast baseline")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--event", required=True)
-    p.add_argument("--series", required=True)
-    p.add_argument("--occurrence", type=int, default=-1)
+    _add_inputs(p, event=True, series=True, occurrence=-1)
     p.add_argument("--predictor", choices=["mlp", "ar1"], default="mlp")
     _add_training_flags(p)
     p.add_argument("--seed", type=int, required=True)
@@ -583,20 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_baseline_df)
 
     p = sub.add_parser("baseline-sd", help="seasonal-decomposition baseline")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--event", required=True)
-    p.add_argument("--series", required=True)
-    p.add_argument("--occurrence", type=int, default=-1)
+    _add_inputs(p, event=True, series=True, occurrence=-1)
     p.add_argument("--periods", default="7,365")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_baseline_sd)
 
     p = sub.add_parser("impact", help="impact ratios and next-occurrence prediction")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
-    p.add_argument("--event", required=True)
-    p.add_argument("--series", required=True)
+    _add_inputs(p, event=True, series=True)
     p.add_argument("--method", choices=["ar", "model"], default="ar")
     p.add_argument("--model", default=None, help="model file for --method model")
     p.add_argument("--stride", type=int, default=1)
@@ -609,8 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_impact)
 
     p = sub.add_parser("evaluate", help="compare ours vs DF vs SD on every series")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--calendar", required=True)
+    _add_inputs(p)
     p.add_argument("--events", default=None, help="comma-separated subset of events")
     _add_training_flags(p)
     p.add_argument("--periods", default="7,365")

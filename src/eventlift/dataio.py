@@ -3,15 +3,34 @@
 Panel files are long format (`series_id,date,value`), one row per series per
 day; every series must cover the same gap-free daily range.  Calendar files
 (`event,start_date,end_date`) carry date-level occurrences that are bound to
-a concrete panel's time index on demand.
+a concrete panel's time index on demand.  Both loaders accept a UTF-8
+byte-order mark, as spreadsheet exports write; the writers emit plain UTF-8.
+
+``load_panel_csv`` makes one pass over ``csv.reader`` and keeps three numbers
+per row: the series' first-seen index, the date's ordinal (each distinct date
+string is parsed once) and the float value.  It then counts rows per cell of
+a dense (series, day) grid over the file's date span; when every cell holds
+exactly one row the values land with one scatter.  Otherwise the fault is
+reported as a row-by-row read would meet it: a line fault (column count, bad
+date, non-numeric or non-finite value, or a duplicate (series, date)) on the
+earliest line wins; then an empty file; then the first series, in first-seen
+order, whose date range differs from the first series'; then the first
+series, in sorted order, with missing dates (up to five shown).
+``write_panel_csv`` formats each date once and writes each series' rows with
+one call.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime
+import io
 import math
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .panel import EventCalendar, EventWindow, PanelSeries
@@ -42,11 +61,12 @@ def load_panel_csv(path) -> PanelSeries:
     Rows may arrive in any order.  Every series must cover the identical
     daily date range with no gaps; violations name the series and date.
     """
-    import numpy as np
-
-    per_series: dict[str, dict[datetime.date, float]] = {}
+    sid_index: dict[str, int] = {}
+    ordinals: dict[str, int] = {}
+    rows, days, values = array("i"), array("i"), array("d")
+    blanks: list[int] = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError as exc:
         raise ValidationError(f"panel file not found: {path}") from exc
     with fh:
@@ -56,56 +76,99 @@ def load_panel_csv(path) -> PanelSeries:
             raise ValidationError(
                 f"{path}: expected header {','.join(PANEL_HEADER)!r}, got {header}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-            sid, raw_date, raw_value = row
-            day = _parse_date(raw_date, line_no, path)
-            try:
-                value = float(raw_value)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{line_no}: non-numeric value {raw_value!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise ValidationError(f"{path}:{line_no}: non-finite value {raw_value!r}")
-            bucket = per_series.setdefault(sid, {})
-            if day in bucket:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate entry for series {sid!r} on {day}"
-                )
-            bucket[day] = value
+        try:
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    blanks.append(len(values))
+                    continue
+                if len(row) != 3:
+                    raise ValidationError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
+                sid, raw_date, raw_value = row
+                day = ordinals.get(raw_date)
+                if day is None:
+                    day = ordinals[raw_date] = _parse_date(raw_date, line_no, path).toordinal()
+                try:
+                    value = float(raw_value)
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{line_no}: non-numeric value {raw_value!r}"
+                    ) from exc
+                if not math.isfinite(value):
+                    raise ValidationError(f"{path}:{line_no}: non-finite value {raw_value!r}")
+                i = sid_index.get(sid)
+                if i is None:
+                    i = sid_index[sid] = len(sid_index)
+                rows.append(i)
+                days.append(day)
+                values.append(value)
+        except (csv.Error, ValueError):
+            # a duplicate on an earlier line is the fault a row-by-row read meets first
+            _raise_first_duplicate(path, list(sid_index), rows, days, blanks)
+            raise
 
-    if not per_series:
+    if not values:
         raise ValidationError(f"{path}: no data rows")
+    names = list(sid_index)
+    ids = sorted(names)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[sid_index[sid] for sid in ids]] = np.arange(len(ids))
+    ords = np.asarray(days)
+    start, end = int(ords.min()), int(ords.max())
+    width = end - start + 1
+    cell = rank[np.asarray(rows)] * width + (ords - start)
+    counts = np.bincount(cell, minlength=len(ids) * width)
+    if not (counts == 1).all():
+        _raise_first_duplicate(path, names, rows, days, blanks)
+        _raise_coverage_fault(path, names, rows, days, counts.reshape(len(ids), width))
+    grid = np.empty(counts.size)
+    grid[cell] = np.asarray(values)
+    time_index = tuple(datetime.date.fromordinal(day) for day in range(start, end + 1))
+    return PanelSeries(
+        values=grid.reshape(len(ids), width), time_index=time_index, series_ids=tuple(ids)
+    )
 
-    ranges = {sid: (min(days), max(days)) for sid, days in per_series.items()}
-    first = next(iter(ranges.values()))
-    mismatched = {sid: rng for sid, rng in ranges.items() if rng != first}
-    if mismatched:
-        sid, rng = next(iter(mismatched.items()))
-        raise ValidationError(
-            f"{path}: series date ranges differ: {sid!r} covers {rng[0]}..{rng[1]}, "
-            f"another series covers {first[0]}..{first[1]}"
-        )
-    start, end = first
-    expected = [
-        start + datetime.timedelta(days=i) for i in range((end - start).days + 1)
+
+def _raise_first_duplicate(path, names, rows, days, blanks) -> None:
+    """Raise for the first row whose (series, date) an earlier row holds, if any."""
+    key = (np.asarray(rows, dtype=np.int64) << 32) | np.asarray(days, dtype=np.int64)
+    first = np.zeros(key.size, dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    if first.all():
+        return
+    i = int(np.argmin(first))
+    line_no = i + 2 + bisect.bisect_right(blanks, i)
+    day = datetime.date.fromordinal(days[i])
+    raise ValidationError(
+        f"{path}:{line_no}: duplicate entry for series {names[rows[i]]!r} on {day}"
+    )
+
+
+def _raise_coverage_fault(path, names, rows, days, counts) -> None:
+    """Raise for the first series whose range differs, else the first with a gap.
+
+    ``counts`` holds the rows per (sorted series, day) cell; no cell exceeds 1.
+    """
+    series, ords = np.asarray(rows), np.asarray(days)
+    lo = np.full(len(names), ords.max())
+    hi = np.full(len(names), ords.min())
+    np.minimum.at(lo, series, ords)
+    np.maximum.at(hi, series, ords)
+    span = [
+        (datetime.date.fromordinal(a), datetime.date.fromordinal(b))
+        for a, b in zip(lo.tolist(), hi.tolist())
     ]
-    for sid in sorted(per_series):
-        missing = [d for d in expected if d not in per_series[sid]]
-        if missing:
-            shown = ", ".join(str(d) for d in missing[:5])
-            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+    for sid, rng in zip(names, span):
+        if rng != span[0]:
             raise ValidationError(
-                f"{path}: series {sid!r} is missing dates: {shown}{more}"
+                f"{path}: series date ranges differ: {sid!r} covers {rng[0]}..{rng[1]}, "
+                f"another series covers {span[0][0]}..{span[0][1]}"
             )
-
-    ids = sorted(per_series)
-    values = np.array([[per_series[sid][d] for d in expected] for sid in ids])
-    return PanelSeries(values=values, time_index=tuple(expected), series_ids=tuple(ids))
+    r = int(np.flatnonzero((counts == 0).any(axis=1))[0])
+    missing = np.flatnonzero(counts[r] == 0)
+    shown = ", ".join(str(span[0][0] + datetime.timedelta(days=k)) for k in missing[:5].tolist())
+    more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+    sid = sorted(names)[r]
+    raise ValidationError(f"{path}: series {sid!r} is missing dates: {shown}{more}")
 
 
 def write_panel_csv(path, panel: PanelSeries) -> None:
@@ -117,13 +180,21 @@ def write_panel_csv(path, panel: PanelSeries) -> None:
     for label in panel.time_index:
         if type(label) is not datetime.date:
             raise ValidationError(f"{path}: time index label {label!r} is not a datetime.date")
+    dates = [str(label) for label in panel.time_index]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_HEADER)
-        for i, sid in enumerate(panel.series_ids):
-            row = panel.values[i]
-            for t, label in enumerate(panel.time_index):
-                writer.writerow([sid, str(label), repr(float(row[t]))])
+        csv.writer(fh, lineterminator="\n").writerow(PANEL_HEADER)
+        for sid, row in zip(panel.series_ids, panel.values):
+            prefix = _row_prefix(sid)
+            fh.write("".join(
+                f"{prefix}{day},{value!r}\n" for day, value in zip(dates, row.tolist())
+            ))
+
+
+def _row_prefix(sid: str) -> str:
+    """``sid`` as csv.writer quotes it at the start of a row, with the comma after it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([sid, ""])
+    return buf.getvalue()[:-1]
 
 
 @dataclass(frozen=True)
@@ -139,7 +210,7 @@ def load_calendar(path) -> list[CalendarEntry]:
     """Read event occurrences; rejects reversed or overlapping ranges."""
     entries: list[CalendarEntry] = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError as exc:
         raise ValidationError(f"calendar file not found: {path}") from exc
     with fh:

@@ -1,8 +1,14 @@
+import csv
 import datetime
+import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eventlift as el
 from eventlift import ValidationError
@@ -79,6 +85,16 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="not found"):
             el.load_panel_csv(tmp_path / "absent.csv")
 
+    def test_utf8_bom_is_accepted(self, tmp_path):
+        # spreadsheet exports often start with a byte-order mark
+        path = tmp_path / "p.csv"
+        path.write_text(PANEL_SMALL, encoding="utf-8-sig")
+        panel = el.load_panel_csv(path)
+        assert panel.series_ids == ("a", "b")
+        out = tmp_path / "out.csv"
+        el.write_panel_csv(out, panel)
+        assert out.read_bytes() == PANEL_SMALL.encode("utf-8")
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no data rows"):
             el.load_panel_csv(write(tmp_path / "p.csv", "series_id,date,value\n"))
@@ -128,6 +144,197 @@ class TestPanelRoundTrip:
         assert not path.exists()
 
 
+def reference_write_panel_csv(path, panel):
+    """The row-at-a-time writer that ``write_panel_csv`` replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["series_id", "date", "value"])
+        for i, sid in enumerate(panel.series_ids):
+            row = panel.values[i]
+            for t, label in enumerate(panel.time_index):
+                writer.writerow([sid, str(label), repr(float(row[t]))])
+
+
+def reference_load_panel_csv(path):
+    """The dict-of-dicts loader that ``load_panel_csv`` replaced: one parsed
+    date per row, every check made row by row in file order."""
+    per_series = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["series_id", "date", "value"]:
+            raise ValidationError(f"{path}: expected header 'series_id,date,value', got {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValidationError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
+            sid, raw_date, raw_value = row
+            try:
+                day = datetime.date.fromisoformat(raw_date)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: bad date {raw_date!r}: {exc}") from exc
+            try:
+                value = float(raw_value)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{line_no}: non-numeric value {raw_value!r}"
+                ) from exc
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}:{line_no}: non-finite value {raw_value!r}")
+            bucket = per_series.setdefault(sid, {})
+            if day in bucket:
+                raise ValidationError(
+                    f"{path}:{line_no}: duplicate entry for series {sid!r} on {day}"
+                )
+            bucket[day] = value
+    if not per_series:
+        raise ValidationError(f"{path}: no data rows")
+    ranges = {sid: (min(days), max(days)) for sid, days in per_series.items()}
+    first = next(iter(ranges.values()))
+    mismatched = {sid: rng for sid, rng in ranges.items() if rng != first}
+    if mismatched:
+        sid, rng = next(iter(mismatched.items()))
+        raise ValidationError(
+            f"{path}: series date ranges differ: {sid!r} covers {rng[0]}..{rng[1]}, "
+            f"another series covers {first[0]}..{first[1]}"
+        )
+    start, end = first
+    expected = [start + datetime.timedelta(days=i) for i in range((end - start).days + 1)]
+    for sid in sorted(per_series):
+        missing = [d for d in expected if d not in per_series[sid]]
+        if missing:
+            shown = ", ".join(str(d) for d in missing[:5])
+            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+            raise ValidationError(f"{path}: series {sid!r} is missing dates: {shown}{more}")
+    ids = sorted(per_series)
+    values = np.array([[per_series[sid][d] for d in expected] for sid in ids])
+    return el.PanelSeries(values=values, time_index=tuple(expected), series_ids=tuple(ids))
+
+
+AWKWARD_IDS = ["", ",", '"', "\n", " lead", "\u00e9t\u00e9", "a,b", 'q"x', "s000", "s001"]
+AWKWARD_FLOATS = [0.1 + 0.2, -0.0, 5e-324, 1e308, np.pi]
+id_text = st.sampled_from(AWKWARD_IDS) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=4
+)
+finite = st.sampled_from(AWKWARD_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+first_day = st.dates(min_value=datetime.date(1990, 1, 1), max_value=datetime.date(2030, 1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ids=st.lists(id_text, min_size=1, max_size=4, unique=True),
+    start=first_day,
+    n_days=st.integers(min_value=2, max_value=6),
+    data=st.data(),
+)
+def test_writer_matches_row_at_a_time_reference_bytes(ids, start, n_days, data):
+    values = data.draw(st.lists(finite, min_size=len(ids) * n_days, max_size=len(ids) * n_days))
+    dates = tuple(start + datetime.timedelta(days=i) for i in range(n_days))
+    panel = el.PanelSeries(np.reshape(values, (len(ids), n_days)), dates, tuple(ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        el.write_panel_csv(ours, panel)
+        reference_write_panel_csv(ref, panel)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+FAULTS = ["duplicate", "gap", "range", "bad_date", "non_numeric", "non_finite",
+          "columns", "empty"]
+
+
+def inject(fault, rows, start, n_days, data):
+    """Apply one fault to a list of csv records in place."""
+    if fault == "empty":
+        rows.clear()
+        return
+    if not rows:
+        return
+    j = data.draw(st.integers(0, len(rows) - 1))
+    row = list(rows[j])
+    if fault == "duplicate":
+        if len(row) == 3 and data.draw(st.booleans()):
+            # the compact ISO form names the same day with another string
+            row[1] = row[1].replace("-", "")
+        rows.insert(data.draw(st.integers(0, len(rows))), row[:2] + ["7.5"])
+    elif fault == "gap":
+        del rows[j]
+    elif fault == "range":
+        edge = start + datetime.timedelta(days=data.draw(st.sampled_from([-1, n_days])))
+        rows.insert(data.draw(st.integers(0, len(rows))), [row[0], edge.isoformat(), "1.0"])
+    elif fault == "bad_date":
+        rows[j] = [row[0], data.draw(st.sampled_from(["NotADate", "2013-02-30"])), *row[2:]]
+    elif fault == "non_numeric":
+        rows[j] = row[:2] + ["oops"]
+    elif fault == "non_finite":
+        rows[j] = row[:2] + [data.draw(st.sampled_from(["nan", "inf", "-inf"]))]
+    else:
+        rows[j] = row + ["x"] if data.draw(st.booleans()) else row[:2]
+
+
+def outcome(load, path):
+    try:
+        panel = load(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return panel.values.tobytes(), panel.time_index, panel.series_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.lists(st.sampled_from(AWKWARD_IDS), min_size=1, max_size=3, unique=True),
+    start=first_day,
+    n_days=st.integers(min_value=2, max_value=5),
+    faults=st.sampled_from([0, 1, 2]).flatmap(
+        lambda n: st.lists(st.sampled_from(FAULTS), min_size=n, max_size=n)
+    ),
+    data=st.data(),
+)
+def test_loader_matches_row_by_row_reference(ids, start, n_days, faults, data):
+    rows = [
+        [sid, (start + datetime.timedelta(days=t)).isoformat(), repr(data.draw(finite))]
+        for sid in ids
+        for t in range(n_days)
+    ]
+    rows = data.draw(st.permutations(rows))
+    for fault in faults:
+        inject(fault, rows, start, n_days, data)
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.insert(data.draw(st.integers(0, len(rows))), [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=data.draw(st.sampled_from(["\n", "\r\n"])))
+            writer.writerow(["series_id", "date", "value"])
+            writer.writerows(rows)
+        assert outcome(el.load_panel_csv, path) == outcome(reference_load_panel_csv, path)
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # a duplicate is a line fault: the earlier of the two lines wins
+        ("a,2013-01-01,1.0\na,2013-01-01,2.0\na,2013-01-02,oops\n", r":3: duplicate"),
+        ("a,2013-01-01,oops\na,2013-01-02,1.0\na,2013-01-02,2.0\n", r":2: non-numeric"),
+        ("a,2013-01-01,1.0\n\n\na,2013-01-01,2.0\nb,2013-01-05,1.0\n", r":5: duplicate"),
+        # then ranges in first-seen order, then gaps in sorted order
+        ("b,2013-01-01,1.0\nb,2013-01-03,1.0\na,2013-01-02,1.0\na,2013-01-03,1.0\n",
+         r"ranges differ: 'a' covers 2013-01-02\.\.2013-01-03, another series covers 2013"),
+        ("b,2013-01-01,1.0\nb,2013-01-03,1.0\na,2013-01-01,1.0\na,2013-01-03,1.0\n",
+         r"series 'a' is missing dates: 2013-01-02$"),
+        ("a,2013-01-01,1.0\na,2013-01-09,1.0\n",
+         r"missing dates: 2013-01-02, .*, 2013-01-06 \(\+2 more\)$"),
+    ],
+)
+def test_fault_precedence_matches_reference(tmp_path, body, expected):
+    path = write(tmp_path / "p.csv", "series_id,date,value\n" + body)
+    with pytest.raises(ValidationError, match=expected) as ours:
+        el.load_panel_csv(path)
+    with pytest.raises(ValidationError) as ref:
+        reference_load_panel_csv(path)
+    assert str(ours.value) == str(ref.value)
+
+
 CALENDAR_SMALL = """event,start_date,end_date
 christmas,2013-12-24,2013-12-26
 christmas,2014-12-24,2014-12-26
@@ -168,6 +375,12 @@ class TestLoadCalendar:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             el.load_calendar(tmp_path / "absent.csv")
+
+    def test_utf8_bom_is_accepted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(CALENDAR_SMALL, encoding="utf-8-sig")
+        plain = write(tmp_path / "plain.csv", CALENDAR_SMALL)
+        assert el.load_calendar(path) == el.load_calendar(plain)
 
     def test_round_trip(self, tmp_path):
         entries = el.load_calendar(write(tmp_path / "c.csv", CALENDAR_SMALL))
