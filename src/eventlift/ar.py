@@ -26,7 +26,6 @@ from .panel import EventWindow, PanelSeries
 
 __all__ = [
     "ARModelFit",
-    "TreatmentEffectEstimate",
     "fit_ar1_ols",
     "forecast_counterfactual",
     "estimate_effect",
@@ -51,27 +50,6 @@ class ARModelFit:
             raise ValidationError("phi_hat must be finite")
         if not np.isfinite(self.sigma2_hat) or self.sigma2_hat < 0.0:
             raise ValidationError(f"sigma2_hat must be >= 0, got {self.sigma2_hat}")
-
-
-@dataclass
-class TreatmentEffectEstimate:
-    """Per-period effect estimates over a window.
-
-    ``delta_hat[k]`` is the effect at window step k, averaged over
-    ``n_series`` series.  The AR path gets its covariance from
-    ``effect_covariance``; the neural extraction path has none.
-    """
-
-    window: EventWindow
-    delta_hat: np.ndarray
-    n_series: int
-
-    def __post_init__(self):
-        self.delta_hat = np.asarray(self.delta_hat, dtype=float)
-        if self.delta_hat.shape != (self.window.d,):
-            raise ValidationError(
-                f"delta_hat length {self.delta_hat.size} != window size {self.window.d}"
-            )
 
 
 def fit_ar1_ols(panel: PanelSeries, t0: int) -> ARModelFit:
@@ -130,21 +108,19 @@ def forecast_counterfactual(
 
 def estimate_effect(
     observed: np.ndarray, counterfactual: np.ndarray, window: EventWindow
-) -> TreatmentEffectEstimate:
+) -> np.ndarray:
     """Cross-series mean of observed minus counterfactual at each window step.
 
     ``observed`` is the (N, d) window block ``values[:, window.columns]`` of
     the treated panel and ``counterfactual`` the (N, d) forecasts for it.
+    Returns the (d,) per-day effect delta_hat.
     """
     if observed.shape[1:] != (window.d,) or counterfactual.shape != observed.shape:
         raise ValidationError(
             f"observed block {observed.shape} and counterfactual {counterfactual.shape} "
             f"must both be (N, {window.d}) for the window size"
         )
-    delta_hat = (observed - counterfactual).mean(axis=0)
-    return TreatmentEffectEstimate(
-        window=window, delta_hat=delta_hat, n_series=observed.shape[0]
-    )
+    return (observed - counterfactual).mean(axis=0)
 
 
 def ar1_error_covariance(phi: float, sigma2: float, d: int) -> np.ndarray:
@@ -198,15 +174,18 @@ def effect_covariance(
 
 
 def confidence_intervals(
-    estimate: TreatmentEffectEstimate,
+    delta_hat: np.ndarray,
     covariance: np.ndarray,
     level: float = 0.95,
 ) -> list[tuple[float, float]]:
-    """Symmetric Gaussian intervals delta_hat[k] +/- z * sqrt(cov[k,k])."""
+    """Symmetric Gaussian intervals delta_hat[k] +/- z * sqrt(cov[k,k]).
+
+    ``delta_hat`` is the (d,) effect and ``covariance`` its (d, d) covariance.
+    """
     if not (0.0 < level < 1.0):
         raise ValidationError(f"level must be in (0, 1), got {level}")
     cov = np.asarray(covariance, dtype=float)
-    d = estimate.window.d
+    d = len(delta_hat)
     if cov.shape != (d, d):
         raise ValidationError(f"covariance must be {d}x{d}, got {cov.shape}")
     variances = np.diag(cov)
@@ -214,6 +193,4 @@ def confidence_intervals(
         raise ValidationError("covariance diagonal must be >= 0")
     z = float(ndtri((1.0 + level) / 2.0))
     half = z * np.sqrt(variances)
-    return [
-        (float(m - h), float(m + h)) for m, h in zip(estimate.delta_hat, half)
-    ]
+    return [(float(m - h), float(m + h)) for m, h in zip(delta_hat, half)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import sys
 from pathlib import Path
 
@@ -41,6 +42,15 @@ def _ints(raw: str) -> tuple[int, ...]:
         return tuple(int(v) for v in raw.split(",") if v != "")
     except ValueError as exc:
         raise ValidationError(f"bad integer list {raw!r}: {exc}") from exc
+
+
+def _summary(values) -> str:
+    return ", ".join(f"{v:.4f}" for v in values)
+
+
+def _plot_start(window: EventWindow) -> int:
+    """First index of a plot: the window plus some pre-event context."""
+    return max(0, window.t0 - 5 * window.d - 10)
 
 
 def _out_dir(args) -> Path:
@@ -175,8 +185,7 @@ def _cmd_simulate(args) -> int:
     horizon = args.t0 + args.d + args.extra_days
     panel = simulate_ar1_panel(spec, args.n, horizon, args.seed)
     treated = inject_treatment(panel, window, delta)
-    start = datetime.date.fromisoformat(args.start_date)
-    dates = tuple(start + datetime.timedelta(days=i) for i in range(horizon + 1))
+    dates = tuple(args.start_date + datetime.timedelta(days=i) for i in range(horizon + 1))
     dated = PanelSeries(
         values=treated.values, time_index=dates, series_ids=treated.series_ids
     )
@@ -221,12 +230,12 @@ def _cmd_estimate(args) -> int:
         )
     fit = ar.fit_ar1_ols(panel, t0_fit)
     cf = ar.forecast_counterfactual(fit, panel, window)
-    est = ar.estimate_effect(panel.values[:, window.columns], cf, window)
+    delta_hat = ar.estimate_effect(panel.values[:, window.columns], cf, window)
     cov = ar.effect_covariance(fit, window, panel.n_series, args.variance_mode)
-    cis = ar.confidence_intervals(est, cov, args.level)
-    reports.write_effect_csv(out / "effect.csv", est, cis)
+    cis = ar.confidence_intervals(delta_hat, cov, args.level)
+    reports.write_effect_csv(out / "effect.csv", delta_hat, cis)
 
-    context = max(0, window.t0 - 5 * window.d - 10)
+    context = _plot_start(window)
     stop = window.t0 + window.d + 1
     observed_mean = panel.values.mean(axis=0)[context:stop]
     cf_mean = np.full(stop - context, np.nan)
@@ -238,9 +247,8 @@ def _cmd_estimate(args) -> int:
         shaded=(window.t0 + 1, window.t0 + window.d),
         title=f"{args.event}: observed vs counterfactual",
     )
-    summary = ", ".join(f"{v:.4f}" for v in est.delta_hat)
     print(
-        f"effect on {args.event} (t0={window.t0}, d={window.d}): [{summary}]; "
+        f"effect on {args.event} (t0={window.t0}, d={window.d}): [{_summary(delta_hat)}]; "
         f"wrote {out / 'effect.csv'} and {out / 'effect_plot.svg'}"
     )
     return 0
@@ -330,9 +338,9 @@ def _cmd_extract(args) -> int:
     )
     window = _occurrence(calendar, args.event, args.occurrence)
     synthetic = forecaster.insample_forecast(model, series, config, aggregate=args.aggregate)
-    est = forecaster.extract_effect(synthetic, series, window)
-    reports.write_effect_csv(out / "effect.csv", est)
-    context = max(0, window.t0 - 5 * window.d - 10)
+    delta_hat = forecaster.extract_effect(synthetic, series, window)
+    reports.write_effect_csv(out / "effect.csv", delta_hat)
+    context = _plot_start(window)
     stop = min(len(series), window.t0 + window.d + 1 + window.d)
     reports.svg_line_plot(
         out / "synthetic_plot.svg",
@@ -344,9 +352,8 @@ def _cmd_extract(args) -> int:
         shaded=(window.t0 + 1, window.t0 + window.d),
         title=f"{args.series}: observed vs synthetic control ({args.event})",
     )
-    summary = ", ".join(f"{v:.4f}" for v in est.delta_hat)
     print(
-        f"extracted effect for {args.event} on {args.series}: [{summary}]; "
+        f"extracted effect for {args.event} on {args.series}: [{_summary(delta_hat)}]; "
         f"wrote {out / 'effect.csv'} and {out / 'synthetic_plot.svg'}"
     )
     return 0
@@ -365,15 +372,14 @@ def _cmd_baseline_df(args) -> int:
         train_cfg=_train_cfg(args),
         predictor=args.predictor,
     )
-    est = forecaster.extract_effect(control, series, window)
-    reports.write_effect_csv(out / "df_effect.csv", est)
+    delta_hat = forecaster.extract_effect(control, series, window)
+    reports.write_effect_csv(out / "df_effect.csv", delta_hat)
     reports.write_rows(
         out / "df_control.csv", ["t", "value"], ((t, control.values[t]) for t in control.support)
     )
-    summary = ", ".join(f"{v:.4f}" for v in est.delta_hat)
     print(
         f"direct-forecast ({args.predictor}) effect for {args.event} on "
-        f"{args.series}: [{summary}]; wrote {out / 'df_effect.csv'} and "
+        f"{args.series}: [{_summary(delta_hat)}]; wrote {out / 'df_effect.csv'} and "
         f"{out / 'df_control.csv'}"
     )
     return 0
@@ -402,11 +408,11 @@ def _cmd_baseline_sd(args) -> int:
             for t in range(len(series))
         ),
     )
-    est = forecaster.extract_effect(control, series, window)
-    summary = ", ".join(f"{v:.4f}" for v in est.delta_hat)
+    delta_hat = forecaster.extract_effect(control, series, window)
     print(
         f"seasonal-decomposition effect for {args.event} on {args.series}: "
-        f"[{summary}]; wrote {out / 'sd_control.csv'} and {out / 'decomposition.csv'}"
+        f"[{_summary(delta_hat)}]; wrote {out / 'sd_control.csv'} and "
+        f"{out / 'decomposition.csv'}"
     )
     return 0
 
@@ -440,14 +446,13 @@ def _cmd_impact(args) -> int:
     model_ratio, target_scale, predicted = impact.impact_for_series(
         args.event, series, occurrences, estimate, args.scale_mode, panel.time_index
     )
-    reports.write_impact_csv(out / "impact.csv", [model_ratio])
+    reports.write_impact_csv(out / "impact.csv", [(args.event, model_ratio)])
     reports.write_rows(
         out / "prediction.csv", ["k", "predicted_effect"], enumerate(predicted, start=1)
     )
-    summary = ", ".join(f"{v:.4f}" for v in predicted)
     print(
         f"predicted {args.event} effect for the target year (scale "
-        f"{target_scale:.4f}): [{summary}]; wrote {out / 'impact.csv'} and "
+        f"{target_scale:.4f}): [{_summary(predicted)}]; wrote {out / 'impact.csv'} and "
         f"{out / 'prediction.csv'}"
     )
     return 0
@@ -469,13 +474,10 @@ def _cmd_evaluate(args) -> int:
         scale_mode=args.scale_mode,
     )
     reports.write_mape_csv(out / "mape.csv", report.mape_rows())
-    labeled = []
-    for r in report.results:
-        model = impact.ImpactRatioModel(
-            event_name=f"{r.series_id}/{r.event}", per_year=dict(r.impact_model.per_year)
-        )
-        labeled.append(model)
-    reports.write_impact_csv(out / "impact.csv", labeled)
+    reports.write_impact_csv(
+        out / "impact.csv",
+        [(f"{r.series_id}/{r.event}", r.impact_model) for r in report.results],
+    )
     reports.write_rows(
         out / "predictions.csv",
         ["department", "event", "k", "predicted_effect", "control", "observed"],
@@ -498,7 +500,9 @@ def _cmd_evaluate(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="eventlift",
         description="Estimate effects of recurring rare events in panel time series.",
@@ -512,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="event window length")
     p.add_argument("--delta", required=True, help="per-day effects, e.g. 2,-1,0.5")
     p.add_argument("--extra-days", type=int, default=0, help="days to simulate past the window")
-    p.add_argument("--start-date", default="2013-01-01")
+    p.add_argument("--start-date", type=datetime.date.fromisoformat, default="2013-01-01")
     p.add_argument("--event-name", default="event")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

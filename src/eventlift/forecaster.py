@@ -28,7 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TrainingDivergedError, ValidationError
 from .panel import EventCalendar, EventWindow
-from .ar import TreatmentEffectEstimate
 
 __all__ = [
     "RollingWindowConfig",
@@ -548,11 +547,12 @@ def extract_effect(
     synthetic: SyntheticControlSeries,
     series: np.ndarray,
     window: EventWindow,
-) -> TreatmentEffectEstimate:
+) -> np.ndarray:
     """Observed minus synthetic control on the event window, one series.
 
-    There is no covariance: the net has no closed-form sampling variance.
-    Cross-series pooling is done by averaging the per-series estimates.
+    Returns the (d,) per-day effect.  There is no covariance: the net has no
+    closed-form sampling variance.  Cross-series pooling is done by
+    averaging the per-series effects.
     """
     x = np.asarray(series, dtype=float)
     window.check_fits(len(x) - 1)
@@ -562,8 +562,7 @@ def extract_effect(
         raise ValidationError(
             f"synthetic control does not cover window indices {missing}"
         )
-    delta = x[idx] - synthetic.values[idx]
-    return TreatmentEffectEstimate(window=window, delta_hat=delta, n_series=1)
+    return x[idx] - synthetic.values[idx]
 
 
 def gradient_check(

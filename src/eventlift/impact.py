@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ar import TreatmentEffectEstimate
 from .errors import ValidationError
 from .panel import EventWindow
 
@@ -34,37 +33,28 @@ SCALE_DAYS = 30
 RUNUP_BUFFER = 7
 
 
-def impact_ratio(estimate, scale: float) -> np.ndarray:
+def impact_ratio(delta: np.ndarray, scale: float) -> np.ndarray:
     """Per-day effect divided by the year's scale."""
     if scale <= 0:
         raise ValidationError(f"scale must be > 0, got {scale}")
-    delta = (
-        estimate.delta_hat
-        if isinstance(estimate, TreatmentEffectEstimate)
-        else np.asarray(estimate, dtype=float)
-    )
-    return delta / scale
+    return np.asarray(delta, dtype=float) / scale
 
 
 @dataclass
 class ImpactRatioModel:
-    """Per-year (ratio vector, scale) pairs plus their cross-year average.
+    """Per-year (ratio vector, scale) pairs plus their cross-year mean.
 
-    ``averaged_ratio`` is computed over years in sorted key order, so it is
-    independent of insertion order.  ``method`` picks the elementwise mean
-    (default) or the median, which shrugs off one outlier year.
+    ``per_year`` maps a year key to its (per-day ratio, scale) pair;
+    ``averaged_ratio`` is the elementwise mean ratio over years in sorted key
+    order, so it is independent of insertion order.
     """
 
-    event_name: str
     per_year: dict
-    method: str = "mean"
     averaged_ratio: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.per_year:
             raise ValidationError("impact model needs at least one training year")
-        if self.method not in ("mean", "median"):
-            raise ValidationError(f"method must be 'mean' or 'median', got {self.method!r}")
         normalized = {}
         d = None
         for year in sorted(self.per_year):
@@ -83,21 +73,16 @@ class ImpactRatioModel:
             normalized[year] = (ratio, float(scale))
         self.per_year = normalized
         stacked = np.stack([normalized[y][0] for y in sorted(normalized)])
-        if self.method == "mean":
-            self.averaged_ratio = stacked.mean(axis=0)
-        else:
-            self.averaged_ratio = np.median(stacked, axis=0)
+        self.averaged_ratio = stacked.mean(axis=0)
 
 
-def model_from_estimates(
-    event_name: str, estimates_by_year: dict, method: str = "mean"
-) -> ImpactRatioModel:
-    """Build a ratio model from {year: (effect estimate, scale)} pairs."""
+def model_from_estimates(estimates_by_year: dict) -> ImpactRatioModel:
+    """Build a ratio model from {year: (per-day effect, scale)} pairs."""
     per_year = {
-        year: (impact_ratio(est, scale), scale)
-        for year, (est, scale) in estimates_by_year.items()
+        year: (impact_ratio(delta, scale), scale)
+        for year, (delta, scale) in estimates_by_year.items()
     }
-    return ImpactRatioModel(event_name=event_name, per_year=per_year, method=method)
+    return ImpactRatioModel(per_year=per_year)
 
 
 def predict_effect(model: ImpactRatioModel, target_scale: float) -> np.ndarray:
@@ -132,8 +117,8 @@ def year_scale(
                 f"no pre-event days available for scale (t0={window.t0} leaves "
                 f"nothing before the {RUNUP_BUFFER}-day run-up)"
             )
-        return float(x[lo : hi + 1].mean())
-    if mode == "calendar_month":
+        scale, days = float(x[lo : hi + 1].mean()), range(lo, hi + 1)
+    elif mode == "calendar_month":
         if time_index is None:
             raise ValidationError("calendar_month mode needs a time_index")
         if len(time_index) != len(x):
@@ -151,10 +136,17 @@ def year_scale(
             raise ValidationError(
                 f"no non-event days in {start.year}-{start.month:02d} to compute a scale"
             )
-        return float(x[candidates].mean())
-    raise ValidationError(
-        f"mode must be 'pre_event_month' or 'calendar_month', got {mode!r}"
-    )
+        scale, days = float(x[candidates].mean()), candidates
+    else:
+        raise ValidationError(
+            f"mode must be 'pre_event_month' or 'calendar_month', got {mode!r}"
+        )
+    if scale <= 0:
+        raise ValidationError(
+            f"{mode} scale of the occurrence at t0={window.t0} is {scale}, the mean of "
+            f"{len(days)} days in {days[0]}..{days[-1]}; impact ratios need a positive level"
+        )
+    return scale
 
 
 def split_occurrences(event: str, occurrences) -> tuple[list, EventWindow]:
@@ -180,7 +172,7 @@ def impact_for_series(event: str, series, occurrences, estimate, scale_mode, tim
         est = estimate(window)
         scale = year_scale(series, window, mode=scale_mode, time_index=time_index)
         per_year[year] = (est, scale)
-    model = model_from_estimates(event, per_year)
+    model = model_from_estimates(per_year)
     target_scale = year_scale(series, target, mode=scale_mode, time_index=time_index)
     return model, target_scale, predict_effect(model, target_scale)
 

@@ -56,11 +56,8 @@ __all__ = [
     "MCConfig",
     "ComponentStats",
     "MonteCarloReport",
-    "NormalityThresholds",
-    "NormalityCheck",
     "RateReport",
     "run_replications",
-    "check_normality",
     "rate_check_phi",
     "mix_seed",
 ]
@@ -87,7 +84,8 @@ class MCConfig:
 
     ``t0`` is the number of pre-event pairs used by the OLS fit; it must
     not exceed ``window.t0`` (fits never see event data).  ``standardize``
-    picks how the normality diagnostics scale each replication's error:
+    picks how the standardized errors (skewness, excess kurtosis and the
+    histogram) scale each replication's error:
     ``"oracle"`` uses the true (phi, sigma), ``"estimated"`` uses the
     replication's own fit.
     """
@@ -163,11 +161,11 @@ def _replicate(config: MCConfig, r: int):
     observed = panel.values[:, window.columns] + delta
     if not np.all(np.isfinite(observed)):
         raise ValidationError("treated window values must all be finite")
-    est = estimate_effect(observed, cf, window)
+    delta_hat = estimate_effect(observed, cf, window)
     cov = effect_covariance(fit, window, config.n_series, config.variance_mode)
-    cis = confidence_intervals(est, cov, config.ci_level)
+    cis = confidence_intervals(delta_hat, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
-    return est.delta_hat, fit.phi_hat, np.diag(cov), covered
+    return delta_hat, fit.phi_hat, np.diag(cov), covered
 
 
 def _available_cpus() -> int:
@@ -271,71 +269,6 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
         notes=notes,
         standardized_errors=z,
     )
-
-
-@dataclass(frozen=True)
-class NormalityThresholds:
-    skewness: float = 0.15
-    excess_kurtosis: float = 0.3
-    coverage_tol: float = 0.015
-    bias_sigmas: float = 3.0
-
-
-@dataclass
-class NormalityCheck:
-    per_component: list[dict]
-    passed: bool
-    messages: list[str]
-
-
-def check_normality(
-    report: MonteCarloReport, thresholds: NormalityThresholds | None = None
-) -> NormalityCheck:
-    """Flag per-component departures from the Gaussian sampling description.
-
-    Checks mean bias against 3 * sd / sqrt(R), skewness and excess kurtosis
-    of the standardized errors against fixed thresholds, and CI coverage
-    against the nominal level within ``coverage_tol``.
-    """
-    if report.replications < 500:
-        raise ValidationError(
-            f"normality diagnostics need >= 500 replications, got {report.replications}"
-        )
-    th = thresholds or NormalityThresholds()
-    rows: list[dict] = []
-    messages: list[str] = []
-    for k, comp in enumerate(report.per_component):
-        sd = float(np.sqrt(comp.empirical_var_scaled))
-        bias_limit = th.bias_sigmas * sd / np.sqrt(report.replications)
-        bias_ok = abs(comp.mean_bias) <= bias_limit
-        skew_ok = abs(comp.skewness) <= th.skewness
-        kurt_ok = abs(comp.excess_kurtosis) <= th.excess_kurtosis
-        coverage_ok = abs(comp.ci_coverage - report.ci_level) <= th.coverage_tol
-        rows.append(
-            {
-                "component": k,
-                "bias_ok": bias_ok,
-                "skew_ok": skew_ok,
-                "kurtosis_ok": kurt_ok,
-                "coverage_ok": coverage_ok,
-            }
-        )
-        if not bias_ok:
-            messages.append(
-                f"component {k}: |mean bias| {abs(comp.mean_bias):.4g} exceeds {bias_limit:.4g}"
-            )
-        if not skew_ok:
-            messages.append(f"component {k}: skewness {comp.skewness:.4g}")
-        if not kurt_ok:
-            messages.append(f"component {k}: excess kurtosis {comp.excess_kurtosis:.4g}")
-        if not coverage_ok:
-            direction = "over" if comp.ci_coverage > report.ci_level else "under"
-            messages.append(
-                f"component {k}: {direction}-coverage {comp.ci_coverage:.4f} "
-                f"vs nominal {report.ci_level:.4f}"
-            )
-    passed = all(all(v for key, v in row.items() if key != "component") for row in rows)
-    return NormalityCheck(per_component=rows, passed=passed, messages=messages)
 
 
 @dataclass

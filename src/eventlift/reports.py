@@ -38,7 +38,6 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .ar import TreatmentEffectEstimate
 from .impact import ImpactRatioModel
 from .montecarlo import MonteCarloReport, RateReport
 
@@ -72,9 +71,10 @@ def write_rows(path, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def write_effect_csv(path, estimate: TreatmentEffectEstimate, cis=None) -> None:
+def write_effect_csv(path, delta_hat, cis=None) -> None:
+    """One row per window day: the (d,) effect and, when given, its intervals."""
     rows = []
-    for k, value in enumerate(estimate.delta_hat):
+    for k, value in enumerate(delta_hat):
         lo, hi = ("", "") if cis is None else map(float, cis[k])
         rows.append([k + 1, value, lo, hi])
     write_rows(path, ["k", "delta_hat", "lower", "upper"], rows)
@@ -139,12 +139,13 @@ def write_rate_csv(path, report: RateReport) -> None:
     )
 
 
-def write_impact_csv(path, models: list[ImpactRatioModel]) -> None:
+def write_impact_csv(path, labeled: list[tuple[str, ImpactRatioModel]]) -> None:
+    """Rows of each (label, model) pair, the label in the ``event`` column."""
     rows = []
-    for model in models:
+    for label, model in labeled:
         for year in sorted(model.per_year):
             ratio, scale = model.per_year[year]
-            rows.extend([model.event_name, year, k + 1, v, scale] for k, v in enumerate(ratio))
+            rows.extend([label, year, k + 1, v, scale] for k, v in enumerate(ratio))
     write_rows(path, ["event", "year", "k", "ratio", "scale"], rows)
 
 

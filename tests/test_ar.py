@@ -98,8 +98,7 @@ class TestEstimateEffect:
         cf = el.forecast_counterfactual(fit, panel, window)
         est = el.estimate_effect(panel.values[:, window.columns], cf, window)
         # forecasts are 1.0 and 2.0, observed 5.0 and 6.0
-        assert est.delta_hat.tolist() == [4.0]
-        assert est.n_series == 2
+        assert est.tolist() == [4.0]
 
     def test_window_mismatch_rejected(self):
         panel = el.PanelSeries(np.ones((1, 8)))
@@ -120,7 +119,7 @@ class TestEstimateEffect:
         fit = el.fit_ar1_ols(treated, t0=8)
         cf = el.forecast_counterfactual(fit, treated, window)
         est = el.estimate_effect(treated.values[:, window.columns], cf, window)
-        np.testing.assert_allclose(est.delta_hat, delta, atol=1e-9)
+        np.testing.assert_allclose(est, delta, atol=1e-9)
 
 
 class TestExplosiveFits:
@@ -201,34 +200,24 @@ class TestEffectCovariance:
 
 class TestConfidenceIntervals:
     def test_hand_checked_width(self):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=1), delta_hat=np.array([2.0]), n_series=1
-        )
+        est = np.array([2.0])
         cis = el.confidence_intervals(est, np.array([[4.0]]), level=0.95)
         lo, hi = cis[0]
         assert lo == pytest.approx(2.0 - 1.959964 * 2.0, abs=1e-4)
         assert hi == pytest.approx(2.0 + 1.959964 * 2.0, abs=1e-4)
 
     def test_level_interpolates(self):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=1), delta_hat=np.array([0.0]), n_series=1
-        )
+        est = np.array([0.0])
         lo68, hi68 = el.confidence_intervals(est, np.eye(1), level=0.6827)[0]
         assert hi68 == pytest.approx(1.0, abs=1e-3)
 
     def test_bad_level_rejected(self):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=1), delta_hat=np.array([0.0]), n_series=1
-        )
+        est = np.array([0.0])
         with pytest.raises(ValidationError):
             el.confidence_intervals(est, np.eye(1), level=1.0)
 
     def test_shape_mismatch_rejected(self):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=2),
-            delta_hat=np.array([0.0, 0.0]),
-            n_series=1,
-        )
+        est = np.array([0.0, 0.0])
         with pytest.raises(ValidationError):
             el.confidence_intervals(est, np.eye(3))
 

@@ -115,6 +115,25 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_start_date_is_a_flag_error(self, tmp_path, capsys):
+        code = run_command(
+            [
+                "simulate",
+                "--phi", "0.5",
+                "--sigma", "1.0",
+                "--n", "5",
+                "--t0", "10",
+                "--d", "2",
+                "--delta", "1,1",
+                "--start-date", "2013-13-01",
+                "--seed", "1",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        assert "--start-date" in capsys.readouterr().err
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_runtime_failure_returns_1(self, sim_dir, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_command(
@@ -444,6 +463,38 @@ class TestImpactAndEvaluate:
         assert code == 2
         assert "occurrences" in capsys.readouterr().err
 
+    def test_impact_names_a_nonpositive_pre_event_level(self, tmp_path, capsys):
+        t = np.arange(230)
+        level = -20.0 + 0.5 * np.sin(2 * np.pi * t / 7.0)
+        level[60:63] += 4.0
+        level[160:163] += 4.0
+        start = datetime.date(2013, 1, 1)
+        dates = tuple(start + datetime.timedelta(days=i) for i in range(len(t)))
+        dataio.write_panel_csv(
+            tmp_path / "panel.csv", el.PanelSeries(level[None, :], time_index=dates)
+        )
+        dataio.write_calendar_csv(
+            tmp_path / "calendar.csv",
+            [
+                dataio.CalendarEntry("promo", dates[60], dates[62]),
+                dataio.CalendarEntry("promo", dates[160], dates[162]),
+            ],
+        )
+        code = run_command(
+            [
+                "impact",
+                "--panel", str(tmp_path / "panel.csv"),
+                "--calendar", str(tmp_path / "calendar.csv"),
+                "--event", "promo",
+                "--series", "s000",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pre_event_month scale of the occurrence at t0=59" in err
+        assert "30 days in 23..52" in err
+
     def evaluate_args(self, tiny_files, out, seed="4"):
         return [
             "evaluate",
@@ -496,6 +547,12 @@ class TestImpactAndEvaluate:
         )
         assert code == 2
         assert "unknown event" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    from eventlift.cli import build_parser
+
+    assert build_parser() is build_parser()
 
 
 def test_cli_holds_no_csv_code():

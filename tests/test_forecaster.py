@@ -388,7 +388,7 @@ class TestTrain:
         )
         ctrl = el.insample_forecast(model, x, cfg)
         est = el.extract_effect(ctrl, x, window)
-        assert 2.4 <= est.delta_hat[0] <= 3.6
+        assert 2.4 <= est[0] <= 3.6
 
     def test_divergence_names_the_epoch(self):
         x = np.linspace(0.0, 100.0, 40)
@@ -690,15 +690,14 @@ class TestExtractEffect:
         x = np.zeros(6)
         x[3] = 6.1
         est = el.extract_effect(ctrl, x, el.EventWindow(t0=2, d=1))
-        assert est.delta_hat[0] == pytest.approx(2.0)
-        assert est.n_series == 1
+        assert est[0] == pytest.approx(2.0)
 
     def test_perfect_reconstruction_gives_zero(self):
         x = np.arange(8.0)
         counts = np.ones(8, dtype=int)
         ctrl = el.SyntheticControlSeries(values=x.copy(), counts=counts)
         est = el.extract_effect(ctrl, x, el.EventWindow(t0=3, d=2))
-        assert est.delta_hat.tolist() == [0.0, 0.0]
+        assert est.tolist() == [0.0, 0.0]
 
     def test_uncovered_window_lists_missing_indices(self):
         values = np.full(8, np.nan)

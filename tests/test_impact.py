@@ -17,14 +17,6 @@ class TestImpactRatio:
     def test_zero_effect(self):
         assert el.impact_ratio(np.zeros(3), 17.0).tolist() == [0.0, 0.0, 0.0]
 
-    def test_accepts_effect_estimate(self):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=2),
-            delta_hat=np.array([10.0, 20.0]),
-            n_series=1,
-        )
-        assert el.impact_ratio(est, 100.0).tolist() == [0.1, 0.2]
-
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValidationError):
             el.impact_ratio(np.ones(2), 0.0)
@@ -55,84 +47,49 @@ def test_ratio_round_trips_through_power_of_two_scales(data, d, exponent):
 class TestImpactRatioModel:
     def test_averaged_ratio_is_cross_year_mean(self):
         model = el.ImpactRatioModel(
-            event_name="x",
             per_year={2013: (np.array([0.1, 0.3]), 50.0), 2014: (np.array([0.3, 0.5]), 60.0)},
         )
         np.testing.assert_allclose(model.averaged_ratio, [0.2, 0.4])
 
     def test_insertion_order_does_not_matter(self):
         years = {y: (np.array([0.1 * (i + 1)]), 10.0) for i, y in enumerate([2013, 2014, 2015])}
-        forward = el.ImpactRatioModel(event_name="x", per_year=dict(sorted(years.items())))
-        backward = el.ImpactRatioModel(
-            event_name="x", per_year=dict(sorted(years.items(), reverse=True))
-        )
+        forward = el.ImpactRatioModel(per_year=dict(sorted(years.items())))
+        backward = el.ImpactRatioModel(per_year=dict(sorted(years.items(), reverse=True)))
         assert np.array_equal(forward.averaged_ratio, backward.averaged_ratio)
-
-    def test_median_method_resists_an_outlier_year(self):
-        per_year = {
-            2013: (np.array([0.1]), 10.0),
-            2014: (np.array([0.12]), 10.0),
-            2015: (np.array([5.0]), 10.0),
-        }
-        mean_model = el.ImpactRatioModel(event_name="x", per_year=dict(per_year))
-        median_model = el.ImpactRatioModel(
-            event_name="x", per_year=dict(per_year), method="median"
-        )
-        assert mean_model.averaged_ratio[0] > 1.0
-        assert median_model.averaged_ratio[0] == pytest.approx(0.12)
 
     def test_validations(self):
         with pytest.raises(ValidationError):
-            el.ImpactRatioModel(event_name="x", per_year={})
+            el.ImpactRatioModel(per_year={})
         with pytest.raises(ValidationError):
             el.ImpactRatioModel(
-                event_name="x",
                 per_year={2013: (np.array([0.1]), 10.0), 2014: (np.array([0.1, 0.2]), 10.0)},
             )
         with pytest.raises(ValidationError):
-            el.ImpactRatioModel(event_name="x", per_year={2013: (np.array([0.1]), 0.0)})
-        with pytest.raises(ValidationError):
-            el.ImpactRatioModel(
-                event_name="x", per_year={2013: (np.array([0.1]), 10.0)}, method="mode"
-            )
+            el.ImpactRatioModel(per_year={2013: (np.array([0.1]), 0.0)})
 
 
 class TestPredictEffect:
     def test_hand_values(self):
-        model = el.ImpactRatioModel(
-            event_name="x", per_year={2013: (np.array([0.1, 0.2]), 50.0)}
-        )
+        model = el.ImpactRatioModel(per_year={2013: (np.array([0.1, 0.2]), 50.0)})
         np.testing.assert_allclose(el.predict_effect(model, 200.0), [20.0, 40.0])
 
     def test_two_year_mean(self):
         model = el.ImpactRatioModel(
-            event_name="x",
             per_year={2013: (np.array([0.1]), 10.0), 2014: (np.array([0.3]), 10.0)},
         )
         assert el.predict_effect(model, 100.0)[0] == pytest.approx(20.0)
 
     def test_nonpositive_target_scale_rejected(self):
-        model = el.ImpactRatioModel(
-            event_name="x", per_year={2013: (np.array([0.1]), 10.0)}
-        )
+        model = el.ImpactRatioModel(per_year={2013: (np.array([0.1]), 10.0)})
         with pytest.raises(ValidationError):
             el.predict_effect(model, 0.0)
 
     def test_scale_consistency_round_trip(self):
         delta = np.array([3.7, -1.2, 0.05])
         scale = 87.3
-        model = el.model_from_estimates("x", {2013: (delta, scale)})
+        model = el.model_from_estimates({2013: (delta, scale)})
         recovered = el.predict_effect(model, scale)
         np.testing.assert_allclose(recovered, delta, rtol=1e-12)
-
-    def test_model_from_estimates_accepts_estimates(self):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=5, d=2),
-            delta_hat=np.array([10.0, 20.0]),
-            n_series=1,
-        )
-        model = el.model_from_estimates("x", {2013: (est, 100.0)}, method="median")
-        np.testing.assert_allclose(model.averaged_ratio, [0.1, 0.2])
 
 
 class TestImpactForSeries:
@@ -152,7 +109,6 @@ class TestImpactForSeries:
             "x", series, windows, estimate, "pre_event_month", None
         )
         assert seen == windows[:1]
-        assert model.event_name == "x"
         assert list(model.per_year) == [0]
         assert target_scale == 20.0
         np.testing.assert_allclose(predicted, [4.0, 2.0])
@@ -229,6 +185,19 @@ class TestYearScale:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             el.year_scale(np.full(200, 1.0), el.EventWindow(t0=100, d=3), mode="annual")
+
+    def test_nonpositive_scale_names_mode_t0_and_days(self):
+        dates = [datetime.date(2013, 1, 1) + datetime.timedelta(days=i) for i in range(400)]
+        window = el.EventWindow(t0=357, d=3)
+        with pytest.raises(
+            ValidationError, match=r"pre_event_month .* t0=357 .* 30 days in 321\.\.350"
+        ):
+            el.year_scale(np.zeros(400), window)
+        with pytest.raises(
+            ValidationError,
+            match=r"calendar_month .* t0=357 .* 28 days in 334\.\.364",
+        ):
+            el.year_scale(np.full(400, -5.0), window, mode="calendar_month", time_index=dates)
 
 
 class TestEvaluateMape:

@@ -232,7 +232,7 @@ def composed_replication(config, r):
     cov = el.effect_covariance(fit, window, config.n_series, config.variance_mode)
     cis = el.confidence_intervals(est, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
-    return est.delta_hat, fit.phi_hat, np.diag(cov), covered
+    return est, fit.phi_hat, np.diag(cov), covered
 
 
 def outcome(fn, *args):
@@ -306,38 +306,6 @@ def test_explosive_fit_fails_alike_in_replicate_and_composition():
         assert outcome(montecarlo._replicate, config, 0) == expected
         with pytest.raises(ValidationError, match="replication 0: .*phi_hat="):
             el.run_replications(config)
-
-
-class TestCheckNormality:
-    def test_needs_enough_replications(self):
-        report = el.run_replications(small_config())
-        with pytest.raises(ValidationError):
-            el.check_normality(report)
-
-    def test_passes_when_model_is_well_specified(self):
-        cfg = small_config(
-            n_series=500, t0=60, window=el.EventWindow(t0=60, d=2),
-            delta=(1.0, -0.5), replications=1500, master_seed=314,
-        )
-        check = el.check_normality(el.run_replications(cfg, n_jobs=4))
-        assert check.passed, check.messages
-
-    def test_flags_overcoverage_of_too_wide_intervals(self):
-        # at phi = 0.9 the asymptotic variance is ~5x the one-step variance,
-        # so shallow-depth intervals are far too wide
-        cfg = small_config(
-            spec=el.ARProcessSpec(phi=0.9, sigma=1.0),
-            n_series=300,
-            t0=60,
-            window=el.EventWindow(t0=60, d=2),
-            delta=(1.0, 1.0),
-            replications=600,
-            variance_mode="asymptotic_diagonal",
-            master_seed=11,
-        )
-        check = el.check_normality(el.run_replications(cfg, n_jobs=4))
-        assert not check.passed
-        assert any("coverage" in msg for msg in check.messages)
 
 
 class TestRateCheck:

@@ -16,6 +16,6 @@ def library_block() -> str:
 def test_library_block_runs():
     namespace: dict = {}
     exec(compile(library_block(), str(README), "exec"), namespace)
-    np.testing.assert_allclose(namespace["est"].delta_hat, [2.0, -1.0, 0.5], atol=0.5)
+    np.testing.assert_allclose(namespace["est"], [2.0, -1.0, 0.5], atol=0.5)
     assert len(namespace["cis"]) == 3
-    assert namespace["effect"].delta_hat.shape == (3,)
+    assert namespace["effect"].shape == (3,)

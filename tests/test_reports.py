@@ -14,11 +14,7 @@ def read_rows(path):
 
 
 def estimate_d3():
-    return el.TreatmentEffectEstimate(
-        window=el.EventWindow(t0=10, d=3),
-        delta_hat=np.array([2.0, -1.0, 0.5]),
-        n_series=100,
-    )
+    return np.array([2.0, -1.0, 0.5])
 
 
 def small_report():
@@ -62,11 +58,7 @@ class TestEffectCsv:
         assert rows[1][2:] == ["", ""]
 
     def test_values_round_trip_exactly(self, tmp_path):
-        est = el.TreatmentEffectEstimate(
-            window=el.EventWindow(t0=10, d=2),
-            delta_hat=np.array([0.1 + 0.2, np.pi]),
-            n_series=1,
-        )
+        est = np.array([0.1 + 0.2, np.pi])
         path = tmp_path / "effect.csv"
         reports.write_effect_csv(path, est)
         rows = read_rows(path)
@@ -118,15 +110,15 @@ class TestRateCsv:
 class TestImpactCsv:
     def test_schema(self, tmp_path):
         model = el.ImpactRatioModel(
-            event_name="holiday",
             per_year={2014: (np.array([0.1, 0.2]), 50.0), 2013: (np.array([0.3, 0.4]), 40.0)},
         )
         path = tmp_path / "impact.csv"
-        reports.write_impact_csv(path, [model])
+        reports.write_impact_csv(path, [("holiday", model)])
         rows = read_rows(path)
         assert rows[0] == ["event", "year", "k", "ratio", "scale"]
         assert len(rows) == 1 + 4
         assert [r[1] for r in rows[1:]] == ["2013", "2013", "2014", "2014"]
+        assert rows[1][0] == "holiday"
         assert rows[1][2] == "1"
         assert float(rows[1][3]) == 0.3
 
