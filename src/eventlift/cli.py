@@ -44,6 +44,17 @@ def _ints(raw: str) -> tuple[int, ...]:
         raise ValidationError(f"bad integer list {raw!r}: {exc}") from exc
 
 
+def _level(raw: str) -> float:
+    """argparse type of --level: a float strictly inside (0, 1)."""
+    try:
+        level = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {raw}")
+    return level
+
+
 def _summary(values) -> str:
     return ", ".join(f"{v:.4f}" for v in values)
 
@@ -536,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["finite_horizon", "asymptotic_diagonal"],
         default="finite_horizon",
     )
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_level, default=0.95)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_estimate)
 
@@ -547,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_level, default=0.95)
     p.add_argument(
         "--variance-mode",
         choices=["finite_horizon", "asymptotic_diagonal"],

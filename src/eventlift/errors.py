@@ -16,3 +16,7 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
         self.loss = loss
         super().__init__(f"training diverged at epoch {epoch}: loss={loss!r}")
+
+    def __reduce__(self):
+        # rebuild from (epoch, loss), so the error crosses process boundaries
+        return type(self), (self.epoch, self.loss)

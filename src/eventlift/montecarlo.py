@@ -27,18 +27,25 @@ all reductions run in fixed replication order.  The report is therefore a
 pure function of the config, independent of thread count; capping the
 worker threads at the CPUs available changes how fast a report is made,
 never its contents.
+
+The per-depth skewness and excess kurtosis of the standardized errors are
+the biased sample moments m3 / m2^1.5 and m4 / m2^2 - 3, with m_k the mean
+k-th power of the deviations from the sample mean.  ``_skew_kurtosis``
+computes them operation for operation as ``scipy.stats.skew`` and
+``scipy.stats.kurtosis`` do, so the bits match, and gives NaN for a column
+too close to constant.  Unlike scipy it emits no "precision loss"
+``RuntimeWarning`` for nearly identical values.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import kurtosis as _kurtosis
-from scipy.stats import skew as _skew
 
 from .ar import (
     ar1_error_covariance,
@@ -168,6 +175,24 @@ def _replicate(config: MCConfig, r: int):
     return delta_hat, fit.phi_hat, np.diag(cov), covered
 
 
+def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
+    """Biased sample skewness and excess kurtosis of the 1-D array ``z``.
+
+    The moments are computed as scipy.stats.skew/kurtosis compute them, so
+    the bits match: m2 = mean(a^2), m3 = mean(a^2 * a), m4 = mean((a^2)^2)
+    with a = z - mean(z).  Both are NaN when m2 <= (eps * mean)^2.
+    """
+    mean = z.mean()
+    a = z - mean
+    m2 = np.mean(a**2)
+    m3 = np.mean(a**2 * a)
+    m4 = np.mean((a**2) ** 2)
+    with np.errstate(all="ignore"):  # an underflowing m2 gives 0 / 0: NaN, silently
+        if m2 <= (np.finfo(float).eps * mean) ** 2:
+            return math.nan, math.nan
+        return m3 / m2**1.5, m4 / m2**2.0 - 3
+
+
 def _available_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -226,6 +251,7 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
     per_component = []
     ddof = 1 if R > 1 else 0
     for k in range(d):
+        skew, kurt = _skew_kurtosis(z[:, k])
         per_component.append(
             ComponentStats(
                 mean_bias=float(scaled[:, k].mean()),
@@ -233,8 +259,8 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
                 theoretical_var_finite=float(var_finite[k]),
                 theoretical_var_asymptotic=float(var_asym),
                 ci_coverage=float(covers[:, k].mean()),
-                skewness=float(_skew(z[:, k])) if R > 2 else 0.0,
-                excess_kurtosis=float(_kurtosis(z[:, k])) if R > 3 else 0.0,
+                skewness=float(skew) if R > 2 else 0.0,
+                excess_kurtosis=float(kurt) if R > 3 else 0.0,
             )
         )
 

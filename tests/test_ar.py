@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import eventlift as el
 from eventlift import ValidationError
+from eventlift.ar import _normal_quantile
 
 
 class TestFitAR1:
@@ -220,6 +222,32 @@ class TestConfidenceIntervals:
         est = np.array([0.0, 0.0])
         with pytest.raises(ValidationError):
             el.confidence_intervals(est, np.eye(3))
+
+    def test_width_uses_the_pinned_quantile(self):
+        (lo, hi), = el.confidence_intervals(np.array([0.0]), np.eye(1), level=0.95)
+        assert (lo, hi) == (-1.959963984540054, 1.959963984540054)
+
+
+class TestNormalQuantile:
+    def test_pinned_values(self):
+        # scipy.special.ndtri's bits; statistics.NormalDist gives ...0536 at 0.975
+        assert _normal_quantile(0.975) == 1.959963984540054
+        assert _normal_quantile(0.5) == 0.0
+        assert _normal_quantile(0.0) == -math.inf
+        assert _normal_quantile(1.0) == math.inf
+        assert math.isnan(_normal_quantile(1.5))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.floats(min_value=-323.0, max_value=0.0).map(lambda e: 10.0**e),
+            st.floats(min_value=-16.0, max_value=0.0).map(lambda e: 1.0 - 10.0**e),
+        ).filter(lambda p: 0.0 < p < 1.0)
+    )
+    def test_matches_scipy_ndtri_bit_for_bit(self, p):
+        special = pytest.importorskip("scipy.special")
+        assert _normal_quantile(p) == float(special.ndtri(p))
 
 
 @settings(max_examples=200, deadline=None)

@@ -134,6 +134,22 @@ class TestExitCodes:
         assert "--start-date" in capsys.readouterr().err
         assert not (tmp_path / "panel.csv").exists()
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("command", ["estimate", "mc-validate"])
+    def test_bad_level_is_a_flag_error(self, command, level, tmp_path, capsys):
+        # the inputs do not exist: the flag must fail before anything is read
+        out = tmp_path / "out"
+        if command == "estimate":
+            argv = ["estimate", "--panel", str(tmp_path / "none.csv"),
+                    "--calendar", str(tmp_path / "none.csv"), "--event", "e"]
+        else:
+            argv = ["mc-validate", "--phi", "0.5", "--sigma", "1", "--n", "50",
+                    "--t0", "10", "--d", "1", "--delta", "1", "--reps", "3", "--seed", "1"]
+        code = run_command([*argv, "--level", level, "--out", str(out)])
+        assert code == 2
+        assert "argument --level:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_returns_1(self, sim_dir, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_command(

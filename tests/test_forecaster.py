@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -389,6 +390,12 @@ class TestTrain:
         ctrl = el.insample_forecast(model, x, cfg)
         est = el.extract_effect(ctrl, x, window)
         assert 2.4 <= est[0] <= 3.6
+
+    def test_divergence_error_pickles(self):
+        err = pickle.loads(pickle.dumps(TrainingDivergedError(3, float("nan"))))
+        assert type(err) is TrainingDivergedError
+        assert err.epoch == 3 and np.isnan(err.loss)
+        assert str(err) == "training diverged at epoch 3: loss=nan"
 
     def test_divergence_names_the_epoch(self):
         x = np.linspace(0.0, 100.0, 40)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import eventlift as el
 from eventlift import ValidationError, montecarlo
@@ -177,6 +178,47 @@ class TestRunReplications:
             ValidationError, match="replication 0:.*finite"
         ):
             el.run_replications(cfg)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestSkewKurtosis:
+    def test_constant_columns_give_nan_without_a_warning(self):
+        z = np.zeros((30, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for column in (z[:, 1], np.full(10, 3.3), np.array([1.0, 1.0, 1.0 + 2**-52])):
+                skew, kurt = montecarlo._skew_kurtosis(column)
+                assert np.isnan(skew) and np.isnan(kurt)
+
+    def test_hand_values(self):
+        # deviations (-1, -1, 2): m2 = 2, m3 = 2, m4 = 6
+        skew, kurt = montecarlo._skew_kurtosis(np.array([0.0, 0.0, 3.0]))
+        assert skew == pytest.approx(2.0 / 2.0**1.5)
+        assert kurt == pytest.approx(6.0 / 4.0 - 3.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(min_value=3, max_value=300), st.just(2)),
+            elements=st.floats(min_value=-1e6, max_value=1e6),
+        ),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.sampled_from([1.0, 1e-12, 1e-15]),
+    )
+    def test_matches_scipy_bit_for_bit(self, values, shift, scale):
+        stats = pytest.importorskip("scipy.stats")
+        # columns of an (R, 2) array, as run_replications passes them
+        z = shift + scale * values
+        for column in (z[:, 0], z[:, 1]):
+            skew, kurt = montecarlo._skew_kurtosis(column)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert same_bits(skew, float(stats.skew(column)))
+                assert same_bits(kurt, float(stats.kurtosis(column)))
 
 
 class RecordingExecutor:
