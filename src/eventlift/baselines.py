@@ -3,6 +3,7 @@ decomposition.
 
 Both produce a synthetic control on an event window without the adaptive
 in-sample machinery, giving the comparison points for the main pipeline.
+A control is a (T,) array along the series, NaN where no forecast lands.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .forecaster import (
     AdaptiveLossConfig,
     ForecasterArch,
     RollingWindowConfig,
-    SyntheticControlSeries,
     TrainConfig,
     build_rolling_windows,
     train,
@@ -39,7 +39,7 @@ def direct_forecast(
     arch: ForecasterArch | None = None,
     train_cfg: TrainConfig | None = None,
     predictor: str = "mlp",
-) -> SyntheticControlSeries:
+) -> np.ndarray:
     """Train on data up to the window start only, then forecast into it.
 
     The model sees nothing after t0, so no event down-weighting is needed
@@ -48,7 +48,9 @@ def direct_forecast(
     ``"ar1"`` fits the autoregressive model and iterates it forward, which
     matches the recursive counterfactual exactly on the same data.
 
-    Support covers indices t0+1 .. min(t0+H, end of series).
+    Returns the (T,) control: the forecasts on indices t0+1 ..
+    min(t0+H, end of series), NaN everywhere else.  A non-finite forecast
+    is rejected.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -78,12 +80,12 @@ def direct_forecast(
     else:
         raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
 
-    values = np.full(len(x), np.nan)
-    counts = np.zeros(len(x), dtype=int)
+    control = np.full(len(x), np.nan)
     stop = min(t0 + 1 + H, len(x))
-    values[t0 + 1 : stop] = preds[: stop - (t0 + 1)]
-    counts[t0 + 1 : stop] = 1
-    return SyntheticControlSeries(values=values, counts=counts)
+    control[t0 + 1 : stop] = preds[: stop - (t0 + 1)]
+    if not np.isfinite(control[t0 + 1 : stop]).all():
+        raise ValidationError(f"{predictor} forecast after t0={t0} is not finite")
+    return control
 
 
 def centered_moving_average(x: np.ndarray, period: int) -> np.ndarray:
@@ -124,11 +126,8 @@ class DecompositionResult:
     remainder: np.ndarray
 
     def seasonal_sum(self, exclude: int | None = None) -> np.ndarray:
-        total = np.zeros_like(self.trend)
-        for period, comp in self.seasonal_components.items():
-            if period != exclude:
-                total = total + comp
-        return total
+        comps = (c for p, c in self.seasonal_components.items() if p != exclude)
+        return sum(comps, np.zeros_like(self.trend))
 
     @property
     def fitted_total(self) -> np.ndarray:
@@ -140,7 +139,7 @@ def seasonal_decompose(
     series: np.ndarray,
     periods: list[int],
     window: EventWindow,
-) -> tuple[DecompositionResult, SyntheticControlSeries]:
+) -> tuple[DecompositionResult, np.ndarray]:
     """Iterated classical decomposition and the control it implies.
 
     For each period in ascending order: estimate a trend by centered moving
@@ -152,12 +151,17 @@ def seasonal_decompose(
 
     The longest period's seasonal absorbs annually recurring events, so the
     synthetic control on the window is trend plus all shorter-period
-    seasonals, with the longest excluded.  The full fit including it
-    (``fitted_total``) is the decomposition's estimate of observed values.
+    seasonals, with the longest excluded; it is returned as a (T,) array,
+    NaN outside the window.  The full fit including it (``fitted_total``) is
+    the decomposition's estimate of observed values.  A non-finite series
+    value is rejected.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValidationError("seasonal_decompose expects a single 1-D series")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
     ordered = sorted(int(p) for p in periods)
     if len(ordered) != len(set(ordered)):
         raise ValidationError(f"periods must be distinct, got {periods}")
@@ -193,9 +197,6 @@ def seasonal_decompose(
     )
 
     idx = np.array(list(window.indices))
-    control = trend[idx] + result.seasonal_sum(exclude=ordered[-1])[idx]
-    values = np.full(len(x), np.nan)
-    counts = np.zeros(len(x), dtype=int)
-    values[idx] = control
-    counts[idx] = 1
-    return result, SyntheticControlSeries(values=values, counts=counts)
+    control = np.full(len(x), np.nan)
+    control[idx] = trend[idx] + result.seasonal_sum(exclude=ordered[-1])[idx]
+    return result, control

@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Each subcommand validates its flags into typed configs, dispatches to the
-owning module, writes its artifacts under --out, and prints a one-line
-summary.  Exit codes: 0 success, 2 validation problem (bad flags, bad input
-files), 1 runtime failure.  All randomness is controlled by --seed, so a
-repeated command writes byte-identical files.
+owning module, makes --out only once its results are ready, writes its
+artifacts there, and prints a one-line summary.  Exit codes: 0 success, 2
+validation problem (bad flags, bad input files), 1 runtime failure.  All
+randomness is controlled by --seed, so a repeated command writes
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -189,7 +190,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
     spec = _spec_from(args)
     window = EventWindow(t0=args.t0, d=args.d)
     delta = _floats(args.delta)
@@ -200,6 +200,7 @@ def _cmd_simulate(args) -> int:
     dated = PanelSeries(
         values=treated.values, time_index=dates, series_ids=treated.series_ids
     )
+    out = _out_dir(args)
     dataio.write_panel_csv(out / "panel.csv", dated)
     entry = dataio.CalendarEntry(
         event=args.event_name,
@@ -215,10 +216,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit_ar(args) -> int:
-    out = _out_dir(args)
     panel = dataio.load_panel_csv(args.panel)
     fit = ar.fit_ar1_ols(panel, args.t0)
-    path = out / "ar_fit.csv"
+    path = _out_dir(args) / "ar_fit.csv"
     reports.write_rows(
         path, ["phi_hat", "sigma2_hat", "n_pairs"], [[fit.phi_hat, fit.sigma2_hat, fit.n_pairs]]
     )
@@ -230,7 +230,6 @@ def _cmd_fit_ar(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     window = _occurrence(calendar, args.event, args.occurrence)
     t0_fit = args.fit_t0 if args.fit_t0 is not None else window.t0
@@ -244,6 +243,7 @@ def _cmd_estimate(args) -> int:
     delta_hat = ar.estimate_effect(panel.values[:, window.columns], cf, window)
     cov = ar.effect_covariance(fit, window, panel.n_series, args.variance_mode)
     cis = ar.confidence_intervals(delta_hat, cov, args.level)
+    out = _out_dir(args)
     reports.write_effect_csv(out / "effect.csv", delta_hat, cis)
 
     context = _plot_start(window)
@@ -268,7 +268,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_mc_validate(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
-    out = _out_dir(args)
     spec = _spec_from(args)
     window = EventWindow(t0=args.t0, d=args.d)
     config = montecarlo.MCConfig(
@@ -284,6 +283,7 @@ def _cmd_mc_validate(args) -> int:
         standardize=args.standardize,
     )
     report = montecarlo.run_replications(config, n_jobs=args.jobs)
+    out = _out_dir(args)
     reports.write_mc_report_csv(out / "mc_report.csv", report)
     reports.write_crosscov_csv(out / "mc_crosscov.csv", report)
     reports.write_notes(out / "mc_notes.txt", report.notes)
@@ -307,11 +307,11 @@ def _cmd_mc_validate(args) -> int:
 
 
 def _cmd_rate_check(args) -> int:
-    out = _out_dir(args)
     spec = _spec_from(args)
     report = montecarlo.rate_check_phi(
         spec, args.t0, _ints(args.grid), args.reps, args.seed
     )
+    out = _out_dir(args)
     reports.write_rate_csv(out / "rate_report.csv", report)
     for pair in report.pairs:
         print(
@@ -323,12 +323,12 @@ def _cmd_rate_check(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     config = _fw_config(args)
     samples = forecaster.build_rolling_windows(series, config, calendar)
     model = forecaster.train(samples, _arch(args), _loss_cfg(args), _train_cfg(args))
+    out = _out_dir(args)
     model_path = out / f"model_{args.series}.json"
     forecaster.save_model(model, model_path)
     reports.write_rows(out / "training_log.csv", ["epoch", "loss"], enumerate(model.loss_history))
@@ -340,7 +340,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     model = forecaster.load_model(args.model)
@@ -348,8 +347,9 @@ def _cmd_extract(args) -> int:
         lookback=model.lookback, horizon=model.horizon, stride=args.stride
     )
     window = _occurrence(calendar, args.event, args.occurrence)
-    synthetic = forecaster.insample_forecast(model, series, config, aggregate=args.aggregate)
-    delta_hat = forecaster.extract_effect(synthetic, series, window)
+    control = forecaster.insample_forecast(model, series, config, aggregate=args.aggregate)
+    delta_hat = forecaster.extract_effect(control, series, window)
+    out = _out_dir(args)
     reports.write_effect_csv(out / "effect.csv", delta_hat)
     context = _plot_start(window)
     stop = min(len(series), window.t0 + window.d + 1 + window.d)
@@ -357,7 +357,7 @@ def _cmd_extract(args) -> int:
         out / "synthetic_plot.svg",
         {
             "observed": series[context:stop],
-            "synthetic control": synthetic.values[context:stop],
+            "synthetic control": control[context:stop],
         },
         x=np.arange(context, stop),
         shaded=(window.t0 + 1, window.t0 + window.d),
@@ -371,7 +371,6 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_baseline_df(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     window = _occurrence(calendar, args.event, args.occurrence)
@@ -384,10 +383,10 @@ def _cmd_baseline_df(args) -> int:
         predictor=args.predictor,
     )
     delta_hat = forecaster.extract_effect(control, series, window)
+    out = _out_dir(args)
     reports.write_effect_csv(out / "df_effect.csv", delta_hat)
-    reports.write_rows(
-        out / "df_control.csv", ["t", "value"], ((t, control.values[t]) for t in control.support)
-    )
+    t = np.flatnonzero(~np.isnan(control))  # the forecast days
+    reports.write_rows(out / "df_control.csv", ["t", "value"], zip(t, control[t]))
     print(
         f"direct-forecast ({args.predictor}) effect for {args.event} on "
         f"{args.series}: [{_summary(delta_hat)}]; wrote {out / 'df_effect.csv'} and "
@@ -397,17 +396,18 @@ def _cmd_baseline_df(args) -> int:
 
 
 def _cmd_baseline_sd(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     window = _occurrence(calendar, args.event, args.occurrence)
     periods = list(_ints(args.periods))
     decomposition, control = baselines.seasonal_decompose(series, periods, window)
+    delta_hat = forecaster.extract_effect(control, series, window)
     total = decomposition.fitted_total
+    out = _out_dir(args)
     reports.write_rows(
         out / "sd_control.csv",
         ["t", "control", "total"],
-        ((t, control.values[t], total[t]) for t in window.indices),
+        ((t, control[t], total[t]) for t in window.indices),
     )
     ordered = sorted(periods)
     seasonal = [decomposition.seasonal_components[p] for p in ordered]
@@ -419,7 +419,6 @@ def _cmd_baseline_sd(args) -> int:
             for t in range(len(series))
         ),
     )
-    delta_hat = forecaster.extract_effect(control, series, window)
     print(
         f"seasonal-decomposition effect for {args.event} on {args.series}: "
         f"[{_summary(delta_hat)}]; wrote {out / 'sd_control.csv'} and "
@@ -429,7 +428,6 @@ def _cmd_baseline_sd(args) -> int:
 
 
 def _cmd_impact(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     occurrences = calendar.occurrences(args.event)
@@ -441,10 +439,10 @@ def _cmd_impact(args) -> int:
         config = forecaster.RollingWindowConfig(
             lookback=model.lookback, horizon=model.horizon, stride=args.stride
         )
-        synthetic = forecaster.insample_forecast(model, series, config)
+        control = forecaster.insample_forecast(model, series, config)
 
         def estimate(window):
-            return forecaster.extract_effect(synthetic, series, window)
+            return forecaster.extract_effect(control, series, window)
 
     else:
         single = PanelSeries(series[None, :])
@@ -454,10 +452,11 @@ def _cmd_impact(args) -> int:
             cf = ar.forecast_counterfactual(fit, single, window)
             return ar.estimate_effect(single.values[:, window.columns], cf, window)
 
-    model_ratio, target_scale, predicted = impact.impact_for_series(
+    ratios, scales, target_scale, predicted = impact.impact_for_series(
         args.event, series, occurrences, estimate, args.scale_mode, panel.time_index
     )
-    reports.write_impact_csv(out / "impact.csv", [(args.event, model_ratio)])
+    out = _out_dir(args)
+    reports.write_impact_csv(out / "impact.csv", [(args.event, ratios, scales)])
     reports.write_rows(
         out / "prediction.csv", ["k", "predicted_effect"], enumerate(predicted, start=1)
     )
@@ -470,7 +469,6 @@ def _cmd_impact(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     panel, calendar = _load_bound(args)
     names = args.events.split(",") if args.events else None
     report = evaluation.evaluate_panel(
@@ -484,10 +482,11 @@ def _cmd_evaluate(args) -> int:
         periods=list(_ints(args.periods)),
         scale_mode=args.scale_mode,
     )
+    out = _out_dir(args)
     reports.write_mape_csv(out / "mape.csv", report.mape_rows())
     reports.write_impact_csv(
         out / "impact.csv",
-        [(f"{r.series_id}/{r.event}", r.impact_model) for r in report.results],
+        [(f"{r.series_id}/{r.event}", r.ratios, r.scales) for r in report.results],
     )
     reports.write_rows(
         out / "predictions.csv",

@@ -35,7 +35,7 @@ from .forecaster import (
     insample_forecast,
     train,
 )
-from .impact import ImpactRatioModel, evaluate_mape, impact_for_series, split_occurrences
+from .impact import evaluate_mape, impact_for_series, split_occurrences
 from .montecarlo import mix_seed
 from .panel import EventCalendar, PanelSeries
 
@@ -53,7 +53,8 @@ class SeriesEventResult:
     observed: np.ndarray
     control_ours: np.ndarray
     target_window: object
-    impact_model: ImpactRatioModel
+    ratios: np.ndarray
+    scales: np.ndarray
 
 
 @dataclass
@@ -116,23 +117,23 @@ def evaluate_panel(
         for name in names:
             occurrences = calendar.occurrences(name)
             target = occurrences[-1]
-            impact_model, _, predicted = impact_for_series(
+            ratios, scales, _, predicted = impact_for_series(
                 name, series, occurrences, estimate, scale_mode, panel.time_index
             )
 
             idx = np.array(list(target.indices))
             observed = series[idx]
-            control_window = control.values[idx]
-            missing = control.missing(idx)
-            if missing:
+            control_window = control[idx]
+            if np.isnan(control_window).any():
                 raise ValidationError(
-                    f"series {sid!r}: in-sample control does not cover indices {missing}"
+                    f"series {sid!r}: in-sample control does not cover target window "
+                    f"indices {idx[np.isnan(control_window)].tolist()}"
                 )
             mape_ours = evaluate_mape(control_window + predicted, observed)
 
             df_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
             df = direct_forecast(series, target, fw_config, arch, df_cfg)
-            mape_df = evaluate_mape(df.values[idx], observed)
+            mape_df = evaluate_mape(df[idx], observed)
 
             decomposition, _ = seasonal_decompose(series, periods, target)
             mape_sd = evaluate_mape(decomposition.fitted_total[idx], observed)
@@ -148,7 +149,8 @@ def evaluate_panel(
                     observed=observed,
                     control_ours=control_window,
                     target_window=target,
-                    impact_model=impact_model,
+                    ratios=ratios,
+                    scales=scales,
                 )
             )
     return report

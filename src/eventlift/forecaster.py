@@ -36,7 +36,6 @@ __all__ = [
     "ForecasterArch",
     "TrainConfig",
     "TrainedForecaster",
-    "SyntheticControlSeries",
     "build_rolling_windows",
     "adaptive_loss",
     "train",
@@ -49,6 +48,10 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+
+# residual_inverse adaptation: 1 / (ADAPTATION_FLOOR + rare residual) keeps a
+# window whose rare steps are already fit exactly at a finite weight
+ADAPTATION_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,6 @@ class AdaptiveLossConfig:
     nonrare_weight: float = 1.0
     distance: str = "absolute"
     adaptation: str = "fixed"
-    adaptation_floor: float = 1e-3
 
     def __post_init__(self):
         if self.rare_weight < 0 or self.nonrare_weight < 0:
@@ -123,8 +125,6 @@ class AdaptiveLossConfig:
             raise ValidationError(
                 f"adaptation must be 'fixed' or 'residual_inverse', got {self.adaptation!r}"
             )
-        if self.adaptation_floor <= 0:
-            raise ValidationError("adaptation_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,7 @@ def _rare_weights(layers, activation, X, Y, mask, cfg: AdaptiveLossConfig) -> np
     has_rare = mask.any(axis=1)
     if not has_rare.any():
         return base
-    raw = 1.0 / (cfg.adaptation_floor + rare_resid)
+    raw = 1.0 / (ADAPTATION_FLOOR + rare_resid)
     out = base.copy()
     out[has_rare] = cfg.rare_weight * raw[has_rare] / raw[has_rare].mean()
     return out
@@ -472,48 +472,21 @@ def training_loss(
     return float(weighted.sum(axis=1).mean())
 
 
-@dataclass
-class SyntheticControlSeries:
-    """Aggregated in-sample forecasts along one series.
-
-    ``values[t]`` is the mean of every horizon prediction covering index t
-    (NaN where no window covers it); ``counts[t]`` is how many predictions
-    were averaged.  The support is exactly the indices with counts >= 1;
-    the first ``lookback`` indices are never supported.
-    """
-
-    values: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=int)
-        if self.values.shape != self.counts.shape or self.values.ndim != 1:
-            raise ValidationError("values and counts must be equal-length vectors")
-        on = self.counts >= 1
-        if not np.all(np.isfinite(self.values[on])):
-            raise ValidationError("values must be finite on the supported indices")
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.counts >= 1)
-
-    def missing(self, indices) -> list[int]:
-        return [int(t) for t in indices if t < 0 or t >= len(self.counts) or self.counts[t] < 1]
-
-
 def insample_forecast(
     model: TrainedForecaster,
     series: np.ndarray,
     config: RollingWindowConfig,
     aggregate: str = "mean",
-) -> SyntheticControlSeries:
+) -> np.ndarray:
     """Re-forecast every rolling window and combine overlapping predictions.
 
-    Each supported index t gets the mean (or median) of all horizon
-    predictions that land on it, denormalized back to the series scale.
-    When the strided starts miss the last possible start, one more window
-    ending at the series end is added, so the tail is always supported.
+    Returns the (T,) synthetic control: each index t that some horizon
+    prediction lands on gets the mean (or median) of those predictions,
+    denormalized back to the series scale, and every other index is NaN.
+    The first ``lookback`` indices are always NaN.  When the strided starts
+    miss the last possible start, one more window ending at the series end
+    is added, so the tail is always covered.  A non-finite forecast is
+    rejected.
     """
     if config.lookback != model.lookback or config.horizon != model.horizon:
         raise ValidationError(
@@ -540,29 +513,38 @@ def insample_forecast(
         by_offset = np.full((len(x), H), np.nan)
         by_offset[target, np.arange(H)] = preds
         values[on] = np.nanmedian(by_offset[on], axis=1)
-    return SyntheticControlSeries(values=values, counts=counts)
+    bad = np.flatnonzero(on & ~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(
+            f"in-sample forecast at index {bad[0]} is not finite ({values[bad[0]]})"
+        )
+    return values
 
 
 def extract_effect(
-    synthetic: SyntheticControlSeries,
+    control: np.ndarray,
     series: np.ndarray,
     window: EventWindow,
 ) -> np.ndarray:
-    """Observed minus synthetic control on the event window, one series.
+    """Observed minus the (T,) control on the event window, one series.
 
-    Returns the (d,) per-day effect.  There is no covariance: the net has no
-    closed-form sampling variance.  Cross-series pooling is done by
+    Returns the (d,) per-day effect; a window day where the control is NaN
+    (no forecast lands there) is rejected.  There is no covariance: the net
+    has no closed-form sampling variance.  Cross-series pooling is done by
     averaging the per-series effects.
     """
     x = np.asarray(series, dtype=float)
+    control = np.asarray(control, dtype=float)
+    if control.shape != x.shape:
+        raise ValidationError(f"control shape {control.shape} != series shape {x.shape}")
     window.check_fits(len(x) - 1)
-    idx = list(window.indices)
-    missing = synthetic.missing(idx)
-    if missing:
+    idx = np.array(list(window.indices))
+    missing = idx[np.isnan(control[idx])]
+    if missing.size:
         raise ValidationError(
-            f"synthetic control does not cover window indices {missing}"
+            f"synthetic control does not cover window indices {missing.tolist()}"
         )
-    return x[idx] - synthetic.values[idx]
+    return x[idx] - control[idx]
 
 
 def gradient_check(

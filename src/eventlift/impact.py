@@ -9,7 +9,6 @@ ratio, rescaled by the target year's own level, predicts the target effect.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from .errors import ValidationError
 from .panel import EventWindow
 
 __all__ = [
-    "ImpactRatioModel",
-    "impact_ratio",
     "model_from_estimates",
     "predict_effect",
     "year_scale",
@@ -33,63 +30,30 @@ SCALE_DAYS = 30
 RUNUP_BUFFER = 7
 
 
-def impact_ratio(delta: np.ndarray, scale: float) -> np.ndarray:
-    """Per-day effect divided by the year's scale."""
-    if scale <= 0:
-        raise ValidationError(f"scale must be > 0, got {scale}")
-    return np.asarray(delta, dtype=float) / scale
+def model_from_estimates(effects, scales) -> np.ndarray:
+    """(K, d) impact ratios: row k is training year k's (d,) per-day effect
+    divided by that year's scale."""
+    effects = [np.asarray(e, dtype=float) for e in effects]
+    if not effects:
+        raise ValidationError("impact model needs at least one training year")
+    if len(scales) != len(effects):
+        raise ValidationError(f"{len(effects)} yearly effects but {len(scales)} scales")
+    for year, (effect, scale) in enumerate(zip(effects, scales)):
+        if effect.ndim != 1 or effect.shape != effects[0].shape:
+            raise ValidationError(
+                f"year {year}: effect shape {effect.shape}; every year needs a vector "
+                f"as long as year 0's ({effects[0].size})"
+            )
+        if scale <= 0:
+            raise ValidationError(f"year {year}: scale must be > 0, got {scale}")
+    return np.stack(effects) / np.asarray(scales, dtype=float)[:, None]
 
 
-@dataclass
-class ImpactRatioModel:
-    """Per-year (ratio vector, scale) pairs plus their cross-year mean.
-
-    ``per_year`` maps a year key to its (per-day ratio, scale) pair;
-    ``averaged_ratio`` is the elementwise mean ratio over years in sorted key
-    order, so it is independent of insertion order.
-    """
-
-    per_year: dict
-    averaged_ratio: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.per_year:
-            raise ValidationError("impact model needs at least one training year")
-        normalized = {}
-        d = None
-        for year in sorted(self.per_year):
-            ratio, scale = self.per_year[year]
-            ratio = np.asarray(ratio, dtype=float)
-            if ratio.ndim != 1:
-                raise ValidationError(f"year {year}: ratio must be a vector")
-            if d is None:
-                d = ratio.size
-            elif ratio.size != d:
-                raise ValidationError(
-                    f"year {year}: ratio length {ratio.size} != {d} of earlier years"
-                )
-            if scale <= 0:
-                raise ValidationError(f"year {year}: scale must be > 0, got {scale}")
-            normalized[year] = (ratio, float(scale))
-        self.per_year = normalized
-        stacked = np.stack([normalized[y][0] for y in sorted(normalized)])
-        self.averaged_ratio = stacked.mean(axis=0)
-
-
-def model_from_estimates(estimates_by_year: dict) -> ImpactRatioModel:
-    """Build a ratio model from {year: (per-day effect, scale)} pairs."""
-    per_year = {
-        year: (impact_ratio(delta, scale), scale)
-        for year, (delta, scale) in estimates_by_year.items()
-    }
-    return ImpactRatioModel(per_year=per_year)
-
-
-def predict_effect(model: ImpactRatioModel, target_scale: float) -> np.ndarray:
-    """Averaged ratio rescaled by the target year's pre-event level."""
+def predict_effect(ratios: np.ndarray, target_scale: float) -> np.ndarray:
+    """Cross-year mean ratio rescaled by the target year's pre-event level."""
     if target_scale <= 0:
         raise ValidationError(f"target_scale must be > 0, got {target_scale}")
-    return model.averaged_ratio * target_scale
+    return np.mean(ratios, axis=0) * target_scale
 
 
 def year_scale(
@@ -150,31 +114,39 @@ def year_scale(
 
 
 def split_occurrences(event: str, occurrences) -> tuple[list, EventWindow]:
-    """Training years (every occurrence but the last) and the target (the last)."""
+    """Training years (every occurrence but the last) and the target (the last).
+
+    Every occurrence must last the same number of days: a ratio averaged over
+    the training years predicts one effect per day of the target.
+    """
     if len(occurrences) < 2:
         raise ValidationError(
             f"event {event!r} needs >= 2 occurrences (training years + target)"
+        )
+    lengths = [w.d for w in occurrences]
+    if len(set(lengths)) > 1:
+        raise ValidationError(
+            f"event {event!r} occurrences last {lengths} days; impact ratios "
+            "need every occurrence to be equally long"
         )
     return occurrences[:-1], occurrences[-1]
 
 
 def impact_for_series(event: str, series, occurrences, estimate, scale_mode, time_index):
-    """Ratio model of one series' event and its predicted target-year effect.
+    """Impact ratios of one series' event and its predicted target-year effect.
 
     ``estimate(window)`` gives a training year's effect, which is divided by
-    that year's ``year_scale``; the cross-year ratio rescaled by the target
-    year's scale is the prediction.  Returns (model, target scale, predicted
-    per-day effect).
+    that year's ``year_scale``; the cross-year mean ratio rescaled by the
+    target year's scale is the prediction.  Every scale is computed before
+    the first estimate.  Returns the (K, d) ratios, the (K,) training-year
+    scales, the target scale and the (d,) predicted per-day effect.
     """
-    training_years, target = split_occurrences(event, occurrences)
-    per_year = {}
-    for year, window in enumerate(training_years):
-        est = estimate(window)
-        scale = year_scale(series, window, mode=scale_mode, time_index=time_index)
-        per_year[year] = (est, scale)
-    model = model_from_estimates(per_year)
-    target_scale = year_scale(series, target, mode=scale_mode, time_index=time_index)
-    return model, target_scale, predict_effect(model, target_scale)
+    training_years, _ = split_occurrences(event, occurrences)
+    *scales, target_scale = [
+        year_scale(series, w, mode=scale_mode, time_index=time_index) for w in occurrences
+    ]
+    ratios = model_from_estimates([estimate(w) for w in training_years], scales)
+    return ratios, np.array(scales), target_scale, predict_effect(ratios, target_scale)
 
 
 def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray) -> float:

@@ -14,7 +14,7 @@ CSV schemas (k is the 1-based window day, t a 0-based time index):
                       theoretical_var_asymptotic,ci_coverage,skewness,excess_kurtosis
 * MC cross-covariance: k,l,empirical,reference     (scaled errors, 1-based)
 * rate check:         n_small,n_large,sd_small,sd_large,ratio,expected_ratio
-* impact ratios:      event,year,k,ratio,scale
+* impact ratios:      event,year,k,ratio,scale     (year: 0-based training-year index)
 * MAPE comparison:    department,event,SD,DF,ours
 
 and the tables the CLI passes to ``write_rows`` directly:
@@ -38,7 +38,6 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .impact import ImpactRatioModel
 from .montecarlo import MonteCarloReport, RateReport
 
 __all__ = [
@@ -139,12 +138,12 @@ def write_rate_csv(path, report: RateReport) -> None:
     )
 
 
-def write_impact_csv(path, labeled: list[tuple[str, ImpactRatioModel]]) -> None:
-    """Rows of each (label, model) pair, the label in the ``event`` column."""
+def write_impact_csv(path, labeled: list[tuple]) -> None:
+    """Rows of each (label, (K, d) ratios, (K,) scales) triple: the label in
+    the ``event`` column, the 0-based training-year row index in ``year``."""
     rows = []
-    for label, model in labeled:
-        for year in sorted(model.per_year):
-            ratio, scale = model.per_year[year]
+    for label, ratios, scales in labeled:
+        for year, (ratio, scale) in enumerate(zip(ratios, scales)):
             rows.extend([label, year, k + 1, v, scale] for k, v in enumerate(ratio))
     write_rows(path, ["event", "year", "k", "ratio", "scale"], rows)
 
@@ -168,6 +167,7 @@ _MARGIN_RIGHT = 20
 _MARGIN_TOP = 30
 _MARGIN_BOTTOM = 40
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_HIST_BINS = 40
 
 
 def _coord(v: float) -> str:
@@ -286,22 +286,15 @@ def svg_line_plot(
         fh.write(canvas.finish())
 
 
-def svg_histogram(
-    path,
-    values: np.ndarray,
-    bins: int = 40,
-    overlay_normal: bool = True,
-    title: str = "",
-) -> None:
-    """Density histogram with an optional standard-normal overlay."""
+def svg_histogram(path, values: np.ndarray, title: str = "") -> None:
+    """Density histogram of the finite values in 40 bins, with the standard
+    normal density drawn over it."""
     vals = np.asarray(values, dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         raise ValueError("need at least one finite value to plot")
-    counts, edges = np.histogram(vals, bins=bins, density=True)
-    y_hi = float(counts.max())
-    if overlay_normal:
-        y_hi = max(y_hi, 1.0 / math.sqrt(2 * math.pi))
+    counts, edges = np.histogram(vals, bins=_HIST_BINS, density=True)
+    y_hi = max(float(counts.max()), 1.0 / math.sqrt(2 * math.pi))
     sx, sy, bounds = _scales(float(edges[0]), float(edges[-1]), 0.0, y_hi)
 
     canvas = _Canvas(title)
@@ -316,14 +309,11 @@ def svg_histogram(
             f'width="{_coord(x_right - x_left)}" height="{_coord(base - top)}" '
             f'fill="#1f77b4" fill-opacity="0.6" stroke="#1f77b4" stroke-width="0.5"/>'
         )
-    if overlay_normal:
-        grid = np.linspace(edges[0], edges[-1], 200)
-        pdf = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
-        points = " ".join(
-            f"{_coord(sx(xv))},{_coord(sy(yv))}" for xv, yv in zip(grid, pdf)
-        )
-        canvas.add(
-            f'<polyline points="{points}" fill="none" stroke="#d62728" stroke-width="1.5"/>'
-        )
+    grid = np.linspace(edges[0], edges[-1], 200)
+    pdf = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
+    points = " ".join(f"{_coord(sx(xv))},{_coord(sy(yv))}" for xv, yv in zip(grid, pdf))
+    canvas.add(
+        f'<polyline points="{points}" fill="none" stroke="#d62728" stroke-width="1.5"/>'
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(canvas.finish())

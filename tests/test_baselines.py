@@ -21,7 +21,7 @@ class TestDirectForecastAR1:
         )
         fit = el.fit_ar1_ols(panel, t0=50)
         cf = el.forecast_counterfactual(fit, panel, window)
-        assert np.array_equal(ctrl.values[list(window.indices)], cf[0])
+        assert np.array_equal(ctrl[list(window.indices)], cf[0])
 
     def test_never_reads_past_t0(self):
         spec = el.ARProcessSpec(phi=0.6, sigma=1.0)
@@ -32,7 +32,9 @@ class TestDirectForecastAR1:
         cfg = el.RollingWindowConfig(lookback=10, horizon=4)
         clean = el.direct_forecast(x, window, cfg, predictor="ar1")
         dirty = el.direct_forecast(corrupted, window, cfg, predictor="ar1")
-        assert np.array_equal(clean.values[clean.support], dirty.values[dirty.support])
+        assert np.array_equal(
+            clean[np.flatnonzero(~np.isnan(clean))], dirty[np.flatnonzero(~np.isnan(dirty))]
+        )
 
 
 class TestDirectForecastMLP:
@@ -58,7 +60,7 @@ class TestDirectForecastMLP:
             arch=el.ForecasterArch(hidden_sizes=(16,), activation="relu"),
             train_cfg=el.TrainConfig(epochs=200, batch_size=16, learning_rate=0.01, seed=0),
         )
-        preds = ctrl.values[list(window.indices)]
+        preds = ctrl[list(window.indices)]
         assert np.all(np.abs(preds - 7.0) / 7.0 < 0.01)
 
     def test_tracks_sinusoid_peak_where_mean_cannot(self):
@@ -69,7 +71,7 @@ class TestDirectForecastMLP:
             x, window, el.RollingWindowConfig(lookback=40, horizon=10), **self.fw()
         )
         peak = x[165]
-        assert abs(ctrl.values[165] - peak) / peak < 0.10
+        assert abs(ctrl[165] - peak) / peak < 0.10
         mean_only = x[:165].mean()
         assert abs(mean_only - peak) / peak > 0.10
 
@@ -82,7 +84,9 @@ class TestDirectForecastMLP:
         cfg = el.RollingWindowConfig(lookback=40, horizon=10)
         clean = el.direct_forecast(x, window, cfg, **self.fw())
         dirty = el.direct_forecast(corrupted, window, cfg, **self.fw())
-        assert np.array_equal(clean.values[clean.support], dirty.values[dirty.support])
+        assert np.array_equal(
+            clean[np.flatnonzero(~np.isnan(clean))], dirty[np.flatnonzero(~np.isnan(dirty))]
+        )
 
     def test_support_is_the_forecast_range(self):
         x = np.full(80, 7.0)
@@ -94,7 +98,7 @@ class TestDirectForecastMLP:
             arch=el.ForecasterArch(hidden_sizes=(4,), activation="relu"),
             train_cfg=el.TrainConfig(epochs=5, batch_size=16, learning_rate=0.01, seed=0),
         )
-        assert ctrl.support.tolist() == [61, 62, 63, 64, 65]
+        assert np.flatnonzero(~np.isnan(ctrl)).tolist() == [61, 62, 63, 64, 65]
 
     def test_support_truncated_at_series_end(self):
         x = np.full(64, 7.0)
@@ -106,7 +110,7 @@ class TestDirectForecastMLP:
             arch=el.ForecasterArch(hidden_sizes=(4,), activation="relu"),
             train_cfg=el.TrainConfig(epochs=5, batch_size=16, learning_rate=0.01, seed=0),
         )
-        assert ctrl.support.tolist() == [61, 62, 63]
+        assert np.flatnonzero(~np.isnan(ctrl)).tolist() == [61, 62, 63]
 
     def test_window_deeper_than_horizon_rejected(self):
         x = np.zeros(80)
@@ -179,7 +183,7 @@ class TestSeasonalDecompose:
         np.testing.assert_allclose(result.trend, 42.0, atol=1e-9)
         np.testing.assert_allclose(result.seasonal_components[7], 0.0, atol=1e-9)
         np.testing.assert_allclose(result.remainder, 0.0, atol=1e-9)
-        np.testing.assert_allclose(ctrl.values[ctrl.support], 42.0, atol=1e-9)
+        np.testing.assert_allclose(ctrl[np.flatnonzero(~np.isnan(ctrl))], 42.0, atol=1e-9)
 
     def test_annual_spike_lands_in_longest_seasonal(self):
         years, spike_day, d = 4, 100, 5
@@ -191,7 +195,7 @@ class TestSeasonalDecompose:
         annual = result.seasonal_components[365]
         idx = list(window.indices)
         assert np.all(annual[idx] > 8.5)
-        assert np.all(np.abs(ctrl.values[idx] - 100.0) / 100.0 < 0.15)
+        assert np.all(np.abs(ctrl[idx] - 100.0) / 100.0 < 0.15)
 
     def test_control_excludes_only_longest_period(self):
         rng = np.random.default_rng(0)
@@ -200,7 +204,7 @@ class TestSeasonalDecompose:
         result, ctrl = el.seasonal_decompose(x, [5, 20], window)
         idx = list(window.indices)
         expected = result.trend[idx] + result.seasonal_components[5][idx]
-        np.testing.assert_allclose(ctrl.values[idx], expected, atol=1e-12)
+        np.testing.assert_allclose(ctrl[idx], expected, atol=1e-12)
 
     def test_seasonal_components_sum_to_zero_per_period(self):
         rng = np.random.default_rng(1)
@@ -227,6 +231,13 @@ class TestSeasonalDecompose:
             el.seasonal_decompose(x, [20], window)
         with pytest.raises(ValidationError):
             el.seasonal_decompose(x, [7], el.EventWindow(t0=28, d=5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        x = np.zeros(30)
+        x[4] = bad
+        with pytest.raises(ValidationError, match=r"index 4 is not finite"):
+            el.seasonal_decompose(x, [7], el.EventWindow(t0=20, d=2))
 
 
 @settings(max_examples=200, deadline=None)

@@ -150,6 +150,27 @@ class TestExitCodes:
         assert "argument --level:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--panel", "{sim}/panel.csv", "--calendar", "{sim}/calendar.csv",
+             "--event", "nope"],
+            ["fit-ar", "--panel", "/nope.csv", "--t0", "10"],
+            ["simulate", "--phi", "1.5", "--sigma", "1", "--n", "5", "--t0", "10", "--d", "2",
+             "--delta", "1,1", "--seed", "1"],
+            ["mc-validate", "--phi", "0.5", "--sigma", "1", "--n", "50", "--t0", "10",
+             "--d", "2", "--delta", "1", "--reps", "3", "--seed", "1"],
+        ],
+        ids=["estimate-unknown-event", "fit-ar-missing-panel", "simulate-explosive-phi",
+             "mc-validate-short-delta"],
+    )
+    def test_bad_input_leaves_no_out_dir(self, argv, sim_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_command([a.format(sim=sim_dir) for a in argv] + ["--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_failure_returns_1(self, sim_dir, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_command(
@@ -510,6 +531,37 @@ class TestImpactAndEvaluate:
         err = capsys.readouterr().err
         assert "pre_event_month scale of the occurrence at t0=59" in err
         assert "30 days in 23..52" in err
+
+    @pytest.mark.parametrize("command", ["impact", "evaluate"])
+    def test_unequal_occurrence_lengths_are_rejected(self, command, tmp_path, capsys):
+        # a 3-year panel whose holiday lasts 5, 5 and then 4 days
+        t = np.arange(3 * 365)
+        level = 100.0 + 5.0 * np.sin(2 * np.pi * t / 7.0)
+        start = datetime.date(2013, 1, 1)
+        dates = tuple(start + datetime.timedelta(days=i) for i in range(len(t)))
+        dataio.write_panel_csv(
+            tmp_path / "panel.csv", el.PanelSeries(level[None, :], time_index=dates)
+        )
+        dataio.write_calendar_csv(
+            tmp_path / "calendar.csv",
+            [
+                dataio.CalendarEntry("holiday", dates[350], dates[354]),
+                dataio.CalendarEntry("holiday", dates[715], dates[719]),
+                dataio.CalendarEntry("holiday", dates[1080], dates[1083]),
+            ],
+        )
+        inputs = ["--panel", str(tmp_path / "panel.csv"),
+                  "--calendar", str(tmp_path / "calendar.csv")]
+        if command == "impact":
+            argv = ["impact", *inputs, "--event", "holiday", "--series", "s000"]
+        else:
+            argv = ["evaluate", *inputs, "--lookback", "10", "--horizon", "5",
+                    "--hidden", "8", "--epochs", "3", "--periods", "7,100", "--seed", "1"]
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'holiday'" in err and "[5, 5, 4]" in err
+        assert not out.exists()
 
     def evaluate_args(self, tiny_files, out, seed="4"):
         return [

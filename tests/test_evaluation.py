@@ -68,9 +68,9 @@ class TestEvaluatePanel:
     def test_impact_model_built_from_training_years_only(self):
         panel, calendar = tiny_setup()
         report = el.evaluate_panel(panel, calendar, **tiny_kwargs())
-        model = report.results[0].impact_model
-        assert len(model.per_year) == 1
-        assert model.averaged_ratio.shape == (3,)
+        result = report.results[0]
+        assert result.ratios.shape == (1, 3)
+        assert result.scales.shape == (1,)
 
     def test_deterministic_end_to_end(self):
         panel, calendar = tiny_setup()

@@ -11,17 +11,22 @@ from eventlift import ValidationError
 
 class TestImpactRatio:
     def test_hand_values(self):
-        ratio = el.impact_ratio(np.array([10.0, 20.0]), 100.0)
-        assert ratio.tolist() == [0.1, 0.2]
+        ratios = el.model_from_estimates([np.array([10.0, 20.0])], [100.0])
+        assert ratios.tolist() == [[0.1, 0.2]]
 
     def test_zero_effect(self):
-        assert el.impact_ratio(np.zeros(3), 17.0).tolist() == [0.0, 0.0, 0.0]
+        assert el.model_from_estimates([np.zeros(3)], [17.0]).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValidationError):
-            el.impact_ratio(np.ones(2), 0.0)
+            el.model_from_estimates([np.ones(2)], [0.0])
         with pytest.raises(ValidationError):
-            el.impact_ratio(np.ones(2), -3.0)
+            el.model_from_estimates([np.ones(2)], [-3.0])
+
+
+finite_effects = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(
+    lambda v: v == 0.0 or abs(v) > 1e-200
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -36,59 +41,70 @@ def test_ratio_round_trips_through_power_of_two_scales(data, d, exponent):
     Holds for zeros and normal-range magnitudes; subnormal quotients would
     lose mantissa bits, so the draw keeps clear of that range.
     """
-    finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(
-        lambda v: v == 0.0 or abs(v) > 1e-200
-    )
-    delta = np.array(data.draw(st.lists(finite, min_size=d, max_size=d)))
+    delta = np.array(data.draw(st.lists(finite_effects, min_size=d, max_size=d)))
     scale = 2.0**exponent
-    assert np.array_equal(el.impact_ratio(delta, scale) * scale, delta)
+    ratios = el.model_from_estimates([delta], [scale])
+    assert ratios.shape == (1, d)
+    assert np.array_equal(ratios[0] * scale, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    years=st.integers(min_value=1, max_value=5),
+    d=st.integers(min_value=1, max_value=6),
+    target_scale=st.floats(min_value=1e-3, max_value=1e6),
+)
+def test_prediction_is_the_mean_of_per_year_ratios(data, years, d, target_scale):
+    effects = [
+        np.array(data.draw(st.lists(finite_effects, min_size=d, max_size=d)))
+        for _ in range(years)
+    ]
+    scales = data.draw(
+        st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=years, max_size=years)
+    )
+    got = el.predict_effect(el.model_from_estimates(effects, scales), target_scale)
+    want = np.stack([e / s for e, s in zip(effects, scales)]).mean(axis=0) * target_scale
+    assert got.tobytes() == want.tobytes()
 
 
 class TestImpactRatioModel:
     def test_averaged_ratio_is_cross_year_mean(self):
-        model = el.ImpactRatioModel(
-            per_year={2013: (np.array([0.1, 0.3]), 50.0), 2014: (np.array([0.3, 0.5]), 60.0)},
+        ratios = el.model_from_estimates(
+            [np.array([5.0, 15.0]), np.array([18.0, 30.0])], [50.0, 60.0]
         )
-        np.testing.assert_allclose(model.averaged_ratio, [0.2, 0.4])
-
-    def test_insertion_order_does_not_matter(self):
-        years = {y: (np.array([0.1 * (i + 1)]), 10.0) for i, y in enumerate([2013, 2014, 2015])}
-        forward = el.ImpactRatioModel(per_year=dict(sorted(years.items())))
-        backward = el.ImpactRatioModel(per_year=dict(sorted(years.items(), reverse=True)))
-        assert np.array_equal(forward.averaged_ratio, backward.averaged_ratio)
+        np.testing.assert_allclose(ratios.mean(axis=0), [0.2, 0.4])
 
     def test_validations(self):
-        with pytest.raises(ValidationError):
-            el.ImpactRatioModel(per_year={})
-        with pytest.raises(ValidationError):
-            el.ImpactRatioModel(
-                per_year={2013: (np.array([0.1]), 10.0), 2014: (np.array([0.1, 0.2]), 10.0)},
-            )
-        with pytest.raises(ValidationError):
-            el.ImpactRatioModel(per_year={2013: (np.array([0.1]), 0.0)})
+        with pytest.raises(ValidationError, match="at least one training year"):
+            el.model_from_estimates([], [])
+        with pytest.raises(ValidationError, match="year 1"):
+            el.model_from_estimates([np.array([0.1]), np.array([0.1, 0.2])], [10.0, 10.0])
+        with pytest.raises(ValidationError, match="year 0"):
+            el.model_from_estimates([np.array([0.1])], [0.0])
+        with pytest.raises(ValidationError, match="2 scales"):
+            el.model_from_estimates([np.array([0.1])], [10.0, 10.0])
 
 
 class TestPredictEffect:
     def test_hand_values(self):
-        model = el.ImpactRatioModel(per_year={2013: (np.array([0.1, 0.2]), 50.0)})
-        np.testing.assert_allclose(el.predict_effect(model, 200.0), [20.0, 40.0])
+        ratios = el.model_from_estimates([np.array([5.0, 10.0])], [50.0])
+        np.testing.assert_allclose(el.predict_effect(ratios, 200.0), [20.0, 40.0])
 
     def test_two_year_mean(self):
-        model = el.ImpactRatioModel(
-            per_year={2013: (np.array([0.1]), 10.0), 2014: (np.array([0.3]), 10.0)},
-        )
-        assert el.predict_effect(model, 100.0)[0] == pytest.approx(20.0)
+        ratios = el.model_from_estimates([np.array([1.0]), np.array([3.0])], [10.0, 10.0])
+        assert el.predict_effect(ratios, 100.0)[0] == pytest.approx(20.0)
 
     def test_nonpositive_target_scale_rejected(self):
-        model = el.ImpactRatioModel(per_year={2013: (np.array([0.1]), 10.0)})
+        ratios = el.model_from_estimates([np.array([1.0])], [10.0])
         with pytest.raises(ValidationError):
-            el.predict_effect(model, 0.0)
+            el.predict_effect(ratios, 0.0)
 
     def test_scale_consistency_round_trip(self):
         delta = np.array([3.7, -1.2, 0.05])
         scale = 87.3
-        model = el.model_from_estimates({2013: (delta, scale)})
-        recovered = el.predict_effect(model, scale)
+        ratios = el.model_from_estimates([delta], [scale])
+        recovered = el.predict_effect(ratios, scale)
         np.testing.assert_allclose(recovered, delta, rtol=1e-12)
 
 
@@ -105,11 +121,12 @@ class TestImpactForSeries:
             seen.append(window)
             return np.array([2.0, 1.0])
 
-        model, target_scale, predicted = el.impact.impact_for_series(
+        ratios, scales, target_scale, predicted = el.impact.impact_for_series(
             "x", series, windows, estimate, "pre_event_month", None
         )
         assert seen == windows[:1]
-        assert list(model.per_year) == [0]
+        assert ratios.tolist() == [[0.2, 0.1]]
+        assert scales.tolist() == [10.0]
         assert target_scale == 20.0
         np.testing.assert_allclose(predicted, [4.0, 2.0])
 
@@ -122,6 +139,18 @@ class TestImpactForSeries:
                 "x", np.ones(120), [el.EventWindow(t0=50, d=2)], estimate,
                 "pre_event_month", None,
             )
+
+
+class TestSplitOccurrences:
+    def test_training_years_and_target(self):
+        windows = [el.EventWindow(t0=50, d=2), el.EventWindow(t0=110, d=2)]
+        assert el.impact.split_occurrences("x", windows) == (windows[:1], windows[1])
+
+    def test_unequal_lengths_name_the_event_and_lengths(self):
+        windows = [el.EventWindow(t0=50, d=5), el.EventWindow(t0=110, d=5),
+                   el.EventWindow(t0=170, d=4)]
+        with pytest.raises(ValidationError, match=r"'x'.*\[5, 5, 4\]"):
+            el.impact.split_occurrences("x", windows)
 
 
 class TestYearScale:

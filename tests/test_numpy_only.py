@@ -44,6 +44,16 @@ codes = [
     run_command(["mc-validate", *spec, "--n", "60", "--t0", "30", "--reps", "20",
                  "--jobs", "2", "--seed", "3", "--out", out + "/mc"]),
 ]
+on_sim = ["--panel", out + "/sim/panel.csv", "--calendar", out + "/sim/calendar.csv",
+          "--series", "s000"]
+codes += [
+    run_command(["train", *on_sim, "--lookback", "10", "--horizon", "5", "--hidden", "8",
+                 "--epochs", "5", "--seed", "1", "--out", out + "/model"]),
+    run_command(["extract", *on_sim, "--event", "event",
+                 "--model", out + "/model/model_s000.json", "--out", out + "/effect"]),
+    run_command(["baseline-sd", *on_sim, "--event", "event", "--periods", "7",
+                 "--out", out + "/sd"]),
+]
 print(codes)
 """
 
@@ -51,6 +61,8 @@ print(codes)
 def test_commands_run_with_scipy_blocked(tmp_path):
     proc = run_python(BLOCKED, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0]", proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", proc.stderr
     assert (tmp_path / "est" / "effect.csv").is_file()
     assert (tmp_path / "mc" / "mc_report.csv").is_file()
+    assert (tmp_path / "effect" / "effect.csv").is_file()
+    assert (tmp_path / "sd" / "sd_control.csv").is_file()

@@ -109,15 +109,13 @@ class TestRateCsv:
 
 class TestImpactCsv:
     def test_schema(self, tmp_path):
-        model = el.ImpactRatioModel(
-            per_year={2014: (np.array([0.1, 0.2]), 50.0), 2013: (np.array([0.3, 0.4]), 40.0)},
-        )
+        ratios = np.array([[0.3, 0.4], [0.1, 0.2]])
         path = tmp_path / "impact.csv"
-        reports.write_impact_csv(path, [("holiday", model)])
+        reports.write_impact_csv(path, [("holiday", ratios, np.array([40.0, 50.0]))])
         rows = read_rows(path)
         assert rows[0] == ["event", "year", "k", "ratio", "scale"]
         assert len(rows) == 1 + 4
-        assert [r[1] for r in rows[1:]] == ["2013", "2013", "2014", "2014"]
+        assert [r[1] for r in rows[1:]] == ["0", "0", "1", "1"]
         assert rows[1][0] == "holiday"
         assert rows[1][2] == "1"
         assert float(rows[1][3]) == 0.3
