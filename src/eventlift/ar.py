@@ -8,10 +8,11 @@ consecutive pre-event pair across series,
 and the innovation variance by the mean squared residual over the same
 pairs.  Counterfactuals are forecast recursively from the last pre-event
 observation, and per-period effects are observed-minus-counterfactual
-cross-series means.  Uncertainty comes in two flavors: the large-N
-limit variance sigma^2 / (1 - phi^2) per component, and the exact
-finite-horizon variance sigma^2 * (1 - phi^(2k)) / (1 - phi^2) at window
-depth k, which grows toward the limit value.
+cross-series means; on one series, ``recursive_control`` gives the control.
+Uncertainty comes in two flavors: the large-N limit variance sigma^2 /
+(1 - phi^2) per component, and the exact finite-horizon variance sigma^2 *
+(1 - phi^(2k)) / (1 - phi^2) at window depth k, which grows toward the
+limit value.
 
 The intervals' normal quantile comes from ``_normal_quantile``, a port of
 ``ndtri`` from Moshier's Cephes Mathematical Library (1989), the routine
@@ -33,6 +34,7 @@ __all__ = [
     "ARModelFit",
     "fit_ar1_ols",
     "forecast_counterfactual",
+    "recursive_control",
     "estimate_effect",
     "ar1_error_covariance",
     "effect_covariance",
@@ -109,6 +111,25 @@ def forecast_counterfactual(
             f"counterfactual forecast overflows at phi_hat={fit.phi_hat}, d={window.d}"
         )
     return values
+
+
+def recursive_control(series: np.ndarray, windows) -> np.ndarray:
+    """The (T,) AR(1) control of one series: its recursive forecast on each window.
+
+    Each window gets its own fit on the series up to that window's t0, and
+    the forecast iterated from the t0 anchor.  A window that runs past the
+    series end is cut there; every index outside the windows is NaN.  No
+    value after a window's t0 enters its forecast.
+    """
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError("recursive_control expects a single 1-D series")
+    control = np.full(len(x), np.nan)
+    for w in windows:
+        history = PanelSeries(x[None, : w.t0 + 1])
+        fit = fit_ar1_ols(history, w.t0)
+        control[w.columns] = forecast_counterfactual(fit, history, w)[0, : len(x) - w.t0 - 1]
+    return control
 
 
 def estimate_effect(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import fit_ar1_ols, forecast_counterfactual
+from .ar import recursive_control
 from .errors import ValidationError
 from .forecaster import (
     AdaptiveLossConfig,
@@ -22,7 +22,7 @@ from .forecaster import (
     build_rolling_windows,
     train,
 )
-from .panel import EventWindow, PanelSeries
+from .panel import EventWindow
 
 __all__ = [
     "DecompositionResult",
@@ -44,9 +44,9 @@ def direct_forecast(
 
     The model sees nothing after t0, so no event down-weighting is needed
     (the target event lies wholly outside training).  ``predictor`` picks
-    the forecaster: ``"mlp"`` trains the net with uniform weights,
-    ``"ar1"`` fits the autoregressive model and iterates it forward, which
-    matches the recursive counterfactual exactly on the same data.
+    the forecaster: ``"mlp"`` trains the net with uniform weights, and
+    ``"ar1"`` is ``ar.recursive_control`` on one H-day window from t0, the
+    same control ``impact --method ar`` uses.
 
     Returns the (T,) control: the forecasts on indices t0+1 ..
     min(t0+H, end of series), NaN everywhere else.  A non-finite forecast
@@ -61,30 +61,26 @@ def direct_forecast(
         raise ValidationError(
             f"window size d={window.d} exceeds forecast horizon H={H}"
         )
-    if predictor == "mlp":
-        if t0 < M + H:
-            raise ValidationError(
-                f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
-            )
-        history = x[: t0 + 1]
-        samples = build_rolling_windows(history, config, calendar=None)
-        arch = arch or ForecasterArch()
-        train_cfg = train_cfg or TrainConfig()
-        uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
-        model = train(samples, arch, uniform, train_cfg)
-        preds = model.predict(x[t0 + 1 - M : t0 + 1])
-    elif predictor == "ar1":
-        history = PanelSeries(x[None, : t0 + 1])
-        fit = fit_ar1_ols(history, t0)
-        preds = forecast_counterfactual(fit, history, EventWindow(t0=t0, d=H))[0]
-    else:
+    if predictor == "ar1":
+        return recursive_control(x, [EventWindow(t0, H)])
+    if predictor != "mlp":
         raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
+    if t0 < M + H:
+        raise ValidationError(
+            f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
+        )
+    samples = build_rolling_windows(x[: t0 + 1], config, calendar=None)
+    arch = arch or ForecasterArch()
+    train_cfg = train_cfg or TrainConfig()
+    uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
+    model = train(samples, arch, uniform, train_cfg)
+    preds = model.predict(x[t0 + 1 - M : t0 + 1])
 
     control = np.full(len(x), np.nan)
     stop = min(t0 + 1 + H, len(x))
     control[t0 + 1 : stop] = preds[: stop - (t0 + 1)]
     if not np.isfinite(control[t0 + 1 : stop]).all():
-        raise ValidationError(f"{predictor} forecast after t0={t0} is not finite")
+        raise ValidationError(f"mlp forecast after t0={t0} is not finite")
     return control
 
 
@@ -196,7 +192,7 @@ def seasonal_decompose(
         trend=trend, seasonal_components=seasonals, remainder=remainder
     )
 
-    idx = np.array(list(window.indices))
+    days = window.columns
     control = np.full(len(x), np.nan)
-    control[idx] = trend[idx] + result.seasonal_sum(exclude=ordered[-1])[idx]
+    control[days] = trend[days] + result.seasonal_sum(exclude=ordered[-1])[days]
     return result, control

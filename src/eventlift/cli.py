@@ -233,10 +233,10 @@ def _cmd_estimate(args) -> int:
     panel, calendar = _load_bound(args)
     window = _occurrence(calendar, args.event, args.occurrence)
     t0_fit = args.fit_t0 if args.fit_t0 is not None else window.t0
-    if t0_fit > window.t0:
+    if not 1 <= t0_fit <= window.t0:
         raise ValidationError(
-            f"--fit-t0 {t0_fit} passes the window's t0={window.t0}; "
-            "the fit would see event days"
+            f"--fit-t0 {t0_fit} is outside [1, {window.t0}]: the fit needs one pair "
+            f"and may not pass the window's t0={window.t0}, or it would see event days"
         )
     fit = ar.fit_ar1_ols(panel, t0_fit)
     cf = ar.forecast_counterfactual(fit, panel, window)
@@ -343,11 +343,8 @@ def _cmd_extract(args) -> int:
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     model = forecaster.load_model(args.model)
-    config = forecaster.RollingWindowConfig(
-        lookback=model.lookback, horizon=model.horizon, stride=args.stride
-    )
     window = _occurrence(calendar, args.event, args.occurrence)
-    control = forecaster.insample_forecast(model, series, config, aggregate=args.aggregate)
+    control = forecaster.insample_forecast(model, series, args.stride, aggregate=args.aggregate)
     delta_hat = forecaster.extract_effect(control, series, window)
     out = _out_dir(args)
     reports.write_effect_csv(out / "effect.csv", delta_hat)
@@ -431,29 +428,16 @@ def _cmd_impact(args) -> int:
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     occurrences = calendar.occurrences(args.event)
-    impact.split_occurrences(args.event, occurrences)  # fail before any model work
+    training_years, _ = impact.split_occurrences(args.event, occurrences)  # before any fit
     if args.method == "model":
         if args.model is None:
             raise ValidationError("--method model needs --model")
         model = forecaster.load_model(args.model)
-        config = forecaster.RollingWindowConfig(
-            lookback=model.lookback, horizon=model.horizon, stride=args.stride
-        )
-        control = forecaster.insample_forecast(model, series, config)
-
-        def estimate(window):
-            return forecaster.extract_effect(control, series, window)
-
+        control = forecaster.insample_forecast(model, series, args.stride)
     else:
-        single = PanelSeries(series[None, :])
-
-        def estimate(window):
-            fit = ar.fit_ar1_ols(single, window.t0)
-            cf = ar.forecast_counterfactual(fit, single, window)
-            return ar.estimate_effect(single.values[:, window.columns], cf, window)
-
+        control = ar.recursive_control(series, training_years)
     ratios, scales, target_scale, predicted = impact.impact_for_series(
-        args.event, series, occurrences, estimate, args.scale_mode, panel.time_index
+        args.event, series, occurrences, control, args.scale_mode, panel.time_index
     )
     out = _out_dir(args)
     reports.write_impact_csv(out / "impact.csv", [(args.event, ratios, scales)])

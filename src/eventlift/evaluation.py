@@ -4,8 +4,9 @@ For each series (department) and each recurring event, the last occurrence
 is the prediction target and all earlier ones are training years:
 
 * ours: train the adaptively weighted forecaster once per series on the full
-  history, take the in-sample synthetic control, turn the training years'
-  observed-minus-control gaps into impact ratios, and predict the target
+  history, take the in-sample synthetic control (windows ``stride`` apart),
+  hand it to ``impact_for_series``, which turns the training years'
+  observed-minus-control gaps into impact ratios and predicts the target
   effect as (mean ratio) x (target year's pre-event scale).  The predicted
   total is control + predicted effect.
 * DF: train a uniform-weight forecaster on data up to the target window only
@@ -31,7 +32,6 @@ from .forecaster import (
     RollingWindowConfig,
     TrainConfig,
     build_rolling_windows,
-    extract_effect,
     insample_forecast,
     train,
 )
@@ -109,34 +109,27 @@ def evaluate_panel(
         samples = build_rolling_windows(series, fw_config, calendar)
         series_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, i) % (2**32))
         model = train(samples, arch, loss_cfg, series_cfg)
-        control = insample_forecast(model, series, fw_config)
-
-        def estimate(window):
-            return extract_effect(control, series, window)
+        control = insample_forecast(model, series, fw_config.stride)
 
         for name in names:
             occurrences = calendar.occurrences(name)
             target = occurrences[-1]
             ratios, scales, _, predicted = impact_for_series(
-                name, series, occurrences, estimate, scale_mode, panel.time_index
+                name, series, occurrences, control, scale_mode, panel.time_index
             )
 
-            idx = np.array(list(target.indices))
-            observed = series[idx]
-            control_window = control[idx]
-            if np.isnan(control_window).any():
-                raise ValidationError(
-                    f"series {sid!r}: in-sample control does not cover target window "
-                    f"indices {idx[np.isnan(control_window)].tolist()}"
-                )
+            # covered: the control has every day from the first training year on
+            days = target.columns
+            observed = series[days]
+            control_window = control[days]
             mape_ours = evaluate_mape(control_window + predicted, observed)
 
             df_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
             df = direct_forecast(series, target, fw_config, arch, df_cfg)
-            mape_df = evaluate_mape(df[idx], observed)
+            mape_df = evaluate_mape(df[days], observed)
 
             decomposition, _ = seasonal_decompose(series, periods, target)
-            mape_sd = evaluate_mape(decomposition.fitted_total[idx], observed)
+            mape_sd = evaluate_mape(decomposition.fitted_total[days], observed)
 
             report.results.append(
                 SeriesEventResult(

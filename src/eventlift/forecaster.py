@@ -475,28 +475,26 @@ def training_loss(
 def insample_forecast(
     model: TrainedForecaster,
     series: np.ndarray,
-    config: RollingWindowConfig,
+    stride: int = 1,
     aggregate: str = "mean",
 ) -> np.ndarray:
     """Re-forecast every rolling window and combine overlapping predictions.
 
-    Returns the (T,) synthetic control: each index t that some horizon
-    prediction lands on gets the mean (or median) of those predictions,
-    denormalized back to the series scale, and every other index is NaN.
-    The first ``lookback`` indices are always NaN.  When the strided starts
-    miss the last possible start, one more window ending at the series end
-    is added, so the tail is always covered.  A non-finite forecast is
-    rejected.
+    Windows of the model's lookback and horizon start ``stride`` apart; a
+    stride past the horizon would leave days with no forecast and is
+    rejected.  Returns the (T,) synthetic control: each index t gets the
+    mean (or median) of the predictions landing on it, denormalized back to
+    the series scale.  Only the first ``lookback`` indices are NaN: when the
+    strided starts miss the last possible start, one more window ending at
+    the series end is added.  A non-finite forecast is rejected.
     """
-    if config.lookback != model.lookback or config.horizon != model.horizon:
-        raise ValidationError(
-            f"config (M={config.lookback}, H={config.horizon}) does not match "
-            f"model (M={model.lookback}, H={model.horizon})"
-        )
+    M, H = model.lookback, model.horizon
+    config = RollingWindowConfig(lookback=M, horizon=H, stride=stride)
+    if stride > H:
+        raise ValidationError(f"stride {stride} exceeds the model horizon {H}: days go unforecast")
     if aggregate not in ("mean", "median"):
         raise ValidationError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     x, starts = _window_starts(series, config)
-    M, H = config.lookback, config.horizon
     if starts[-1] != len(x) - M - H:
         starts = np.append(starts, len(x) - M - H)
     preds = model.predict(sliding_window_view(x, M)[starts])
@@ -538,13 +536,12 @@ def extract_effect(
     if control.shape != x.shape:
         raise ValidationError(f"control shape {control.shape} != series shape {x.shape}")
     window.check_fits(len(x) - 1)
-    idx = np.array(list(window.indices))
-    missing = idx[np.isnan(control[idx])]
-    if missing.size:
-        raise ValidationError(
-            f"synthetic control does not cover window indices {missing.tolist()}"
-        )
-    return x[idx] - control[idx]
+    days = window.columns
+    gaps = np.isnan(control[days])
+    if gaps.any():
+        missing = [t for t, gap in zip(window.indices, gaps) if gap]
+        raise ValidationError(f"synthetic control does not cover window indices {missing}")
+    return x[days] - control[days]
 
 
 def gradient_check(

@@ -4,6 +4,7 @@ Effect sizes grow with the series' overall level, so a raw average across
 years mixes scales.  Dividing each year's estimated effect by that year's
 pre-event level gives a dimensionless impact ratio; the cross-year mean
 ratio, rescaled by the target year's own level, predicts the target effect.
+A year's effect is the series minus a (T,) control from either estimator.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import datetime
 import numpy as np
 
 from .errors import ValidationError
+from .forecaster import extract_effect
 from .panel import EventWindow
 
 __all__ = [
@@ -132,20 +134,23 @@ def split_occurrences(event: str, occurrences) -> tuple[list, EventWindow]:
     return occurrences[:-1], occurrences[-1]
 
 
-def impact_for_series(event: str, series, occurrences, estimate, scale_mode, time_index):
+def impact_for_series(event: str, series, occurrences, control, scale_mode, time_index):
     """Impact ratios of one series' event and its predicted target-year effect.
 
-    ``estimate(window)`` gives a training year's effect, which is divided by
-    that year's ``year_scale``; the cross-year mean ratio rescaled by the
-    target year's scale is the prediction.  Every scale is computed before
-    the first estimate.  Returns the (K, d) ratios, the (K,) training-year
-    scales, the target scale and the (d,) predicted per-day effect.
+    A training year's effect is ``extract_effect`` of the (T,) ``control``
+    on its window, divided by that year's ``year_scale``; the cross-year
+    mean ratio rescaled by the target year's scale is the prediction.  The
+    control need not cover the target window.  Every scale is computed
+    before the first effect.  Returns the (K, d) ratios, the (K,)
+    training-year scales, the target scale and the (d,) predicted per-day
+    effect.
     """
     training_years, _ = split_occurrences(event, occurrences)
     *scales, target_scale = [
         year_scale(series, w, mode=scale_mode, time_index=time_index) for w in occurrences
     ]
-    ratios = model_from_estimates([estimate(w) for w in training_years], scales)
+    effects = [extract_effect(control, series, w) for w in training_years]
+    ratios = model_from_estimates(effects, scales)
     return ratios, np.array(scales), target_scale, predict_effect(ratios, target_scale)
 
 

@@ -124,6 +124,70 @@ class TestEstimateEffect:
         np.testing.assert_allclose(est, delta, atol=1e-9)
 
 
+def closure_effect(x, window):
+    """The single-series AR effect as written before ``recursive_control``:
+    a fit on the full series, the window forecast, then ``estimate_effect``."""
+    single = el.PanelSeries(x[None, :])
+    fit = el.fit_ar1_ols(single, window.t0)
+    cf = el.forecast_counterfactual(fit, single, window)
+    return el.estimate_effect(single.values[:, window.columns], cf, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    length=st.integers(min_value=3, max_value=80),
+    spans=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=1, max_value=6)),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_recursive_control_matches_the_full_series_closure(length, spans, seed):
+    x = np.random.default_rng(seed).normal(5.0, 2.0, size=length)
+    windows, start = [], 1
+    for gap, d in spans:  # non-overlapping windows inside the series
+        t0 = start + gap
+        if t0 + d > length - 1:
+            break
+        windows.append(el.EventWindow(t0=t0, d=d))
+        start = t0 + d
+    control = el.recursive_control(x, windows)
+    covered = np.zeros(length, dtype=bool)
+    for w in windows:
+        covered[w.columns] = True
+        assert el.extract_effect(control, x, w).tobytes() == closure_effect(x, w).tobytes()
+    assert np.isnan(control[~covered]).all()
+
+
+class TestRecursiveControl:
+    def test_reads_nothing_past_the_last_t0(self):
+        x = np.random.default_rng(3).normal(5.0, 2.0, size=60)
+        windows = [el.EventWindow(t0=20, d=3), el.EventWindow(t0=40, d=3)]
+        control = el.recursive_control(x, windows)
+        y = x.copy()
+        y[41:] = np.nan
+        assert el.recursive_control(y, windows).tobytes() == control.tobytes()
+
+    def test_window_past_the_series_end_is_cut(self):
+        x = np.random.default_rng(4).normal(5.0, 2.0, size=30)
+        window = el.EventWindow(t0=27, d=5)
+        control = el.recursive_control(x, [window])
+        history = el.PanelSeries(x[None, :28])
+        full = el.forecast_counterfactual(el.fit_ar1_ols(history, 27), history, window)[0]
+        assert np.isnan(control[:28]).all()
+        assert control[28:].tobytes() == full[:2].tobytes()
+        assert np.isnan(el.recursive_control(x, [el.EventWindow(t0=29, d=2)])).all()
+
+    def test_t0_past_the_series_end_rejected(self):
+        with pytest.raises(ValidationError, match=r"t0 must be in \[1, 9\], got 10"):
+            el.recursive_control(np.arange(1.0, 11.0), [el.EventWindow(t0=10, d=1)])
+
+    def test_needs_one_series(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            el.recursive_control(np.ones((2, 10)), [el.EventWindow(t0=5, d=1)])
+
+
 class TestExplosiveFits:
     """A huge phi_hat fails as a ValidationError, with no warning printed."""
 

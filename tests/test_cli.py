@@ -242,10 +242,11 @@ class TestSimulateFitEstimate:
             "--event", "event",
             "--out", str(tmp_path),
         ]
-        assert run_command([*args, "--fit-t0", "41"]) == 2
-        err = capsys.readouterr().err
-        assert "--fit-t0" in err and "t0=40" in err
-        assert not (tmp_path / "effect.csv").exists()
+        for fit_t0 in ("41", "0", "-3"):
+            assert run_command([*args, "--fit-t0", fit_t0]) == 2
+            err = capsys.readouterr().err
+            assert f"--fit-t0 {fit_t0} " in err and "t0=40" in err
+            assert not (tmp_path / "effect.csv").exists()
         assert run_command([*args, "--fit-t0", "40"]) == 0
         capsys.readouterr()
 
@@ -407,6 +408,35 @@ class TestForecasterCommands:
         assert len(rows) == 1 + 3
         capsys.readouterr()
 
+    def test_extract_stride_past_the_horizon_names_the_stride(
+        self, trained_dir, tmp_path, capsys
+    ):
+        # a 54-day panel: with H=5 and stride 7 the windows leave gaps (day 43)
+        sim = tmp_path / "sim"
+        assert run_command(
+            ["simulate", "--phi", "0.5", "--sigma", "1.0", "--n", "3", "--t0", "40",
+             "--d", "3", "--delta", "2,-1,0.5", "--extra-days", "10", "--seed", "5",
+             "--out", str(sim)]
+        ) == 0
+        out = tmp_path / "out"
+        code = run_command(
+            [
+                "extract",
+                "--panel", str(sim / "panel.csv"),
+                "--calendar", str(sim / "calendar.csv"),
+                "--event", "event",
+                "--series", "s000",
+                "--model", str(trained_dir / "model_s000.json"),
+                "--aggregate", "median",
+                "--stride", "7",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stride 7" in err and "horizon 5" in err
+        assert not out.exists()
+
     def test_baseline_df_ar1_predictor(self, sim_dir, tmp_path, capsys):
         code = run_command(
             [
@@ -468,6 +498,40 @@ class TestImpactAndEvaluate:
         pred = read_csv_rows(tmp_path / "prediction.csv")
         assert pred[0] == ["k", "predicted_effect"]
         assert [r[0] for r in pred[1:]] == ["1", "2", "3"]
+        capsys.readouterr()
+
+    def test_impact_model_method(self, tiny_files, tmp_path, capsys):
+        inputs = ["--panel", str(tiny_files / "panel.csv"),
+                  "--calendar", str(tiny_files / "calendar.csv"), "--series", "s000"]
+        model_dir = tmp_path / "model"
+        assert run_command(
+            ["train", *inputs, "--lookback", "10", "--horizon", "5", "--hidden", "8",
+             "--epochs", "5", "--seed", "1", "--out", str(model_dir)]
+        ) == 0
+        model_path = model_dir / "model_s000.json"
+        out = tmp_path / "out"
+        code = run_command(
+            ["impact", *inputs, "--event", "promo", "--method", "model",
+             "--model", str(model_path), "--stride", "2", "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        # the library composition the command stands for
+        panel = dataio.load_panel_csv(tiny_files / "panel.csv")
+        calendar = dataio.bind_calendar(
+            dataio.load_calendar(tiny_files / "calendar.csv"), panel
+        )
+        series = panel.series(0)
+        control = el.insample_forecast(el.load_model(model_path), series, 2)
+        first, target = calendar.occurrences("promo")
+        ratios = el.model_from_estimates(
+            [el.extract_effect(control, series, first)], [el.year_scale(series, first)]
+        )
+        predicted = el.predict_effect(ratios, el.year_scale(series, target))
+        pred = read_csv_rows(out / "prediction.csv")
+        assert pred[0] == ["k", "predicted_effect"]
+        assert [float(r[1]) for r in pred[1:]] == predicted.tolist()
+        rows = read_csv_rows(out / "impact.csv")
+        assert [float(r[3]) for r in rows[1:]] == ratios[0].tolist()
         capsys.readouterr()
 
     def test_impact_needs_two_occurrences(self, sim_dir, tmp_path, capsys):

@@ -212,7 +212,12 @@ def test_windows_and_insample_match_per_window_reference(
         scale=3.0,
     )
     for aggregate in ("mean", "median"):
-        ctrl = el.insample_forecast(model, x, cfg, aggregate=aggregate)
+        if stride > horizon:
+            # in-sample windows that far apart would leave days with no forecast
+            with pytest.raises(ValidationError, match=rf"stride {stride} .*horizon {horizon}"):
+                el.insample_forecast(model, x, stride, aggregate=aggregate)
+            continue
+        ctrl = el.insample_forecast(model, x, stride, aggregate=aggregate)
         values, _ = reference_insample(model, x, cfg, aggregate)
         assert ctrl.tobytes() == values.tobytes()
 
@@ -226,7 +231,7 @@ def test_non_finite_series_names_the_first_bad_index(bad):
     with pytest.raises(ValidationError, match=r"index 13 "):
         el.build_rolling_windows(x, cfg)
     with pytest.raises(ValidationError, match=r"index 13 "):
-        el.insample_forecast(constant_model([1.0, 2.0], lookback=4), x, cfg)
+        el.insample_forecast(constant_model([1.0, 2.0], lookback=4), x)
 
 
 class TestAdaptiveLoss:
@@ -359,7 +364,7 @@ class TestTrain:
                 seed=3,
             ),
         )
-        ctrl = el.insample_forecast(model, x, cfg)
+        ctrl = el.insample_forecast(model, x)
         sup = np.flatnonzero(~np.isnan(ctrl))
         mape = 100.0 * np.mean(np.abs(x[sup] - ctrl[sup]) / np.abs(x[sup]))
         assert mape < 5.0
@@ -386,7 +391,7 @@ class TestTrain:
                 seed=3,
             ),
         )
-        ctrl = el.insample_forecast(model, x, cfg)
+        ctrl = el.insample_forecast(model, x)
         est = el.extract_effect(ctrl, x, window)
         assert 2.4 <= est[0] <= 3.6
 
@@ -631,39 +636,34 @@ class TestInsampleForecast:
     def test_overlap_mean(self):
         model = constant_model([4.0, 4.2])
         x = np.zeros(4)
-        cfg = el.RollingWindowConfig(lookback=1, horizon=2, stride=1)
-        ctrl = el.insample_forecast(model, x, cfg)
+        ctrl = el.insample_forecast(model, x)
         assert ctrl[2] == pytest.approx(4.1)
 
     def test_single_cover_counts_one(self):
         model = constant_model([4.0, 4.2])
         x = np.zeros(4)
-        cfg = el.RollingWindowConfig(lookback=1, horizon=2, stride=1)
-        ctrl = el.insample_forecast(model, x, cfg)
+        ctrl = el.insample_forecast(model, x)
         assert ctrl[1] == pytest.approx(4.0)
         assert ctrl[3] == pytest.approx(4.2)
 
     def test_lookback_prefix_unsupported(self):
         model = constant_model([1.0], lookback=3)
         x = np.zeros(8)
-        cfg = el.RollingWindowConfig(lookback=3, horizon=1, stride=1)
-        ctrl = el.insample_forecast(model, x, cfg)
+        ctrl = el.insample_forecast(model, x)
         assert np.isnan(ctrl[:3]).all()
 
     def test_unit_horizon_never_overlaps(self):
         model = constant_model([1.0], lookback=2)
         x = np.zeros(10)
-        cfg = el.RollingWindowConfig(lookback=2, horizon=1, stride=1)
-        ctrl = el.insample_forecast(model, x, cfg)
+        ctrl = el.insample_forecast(model, x)
         assert np.isnan(ctrl[:2]).all()
         assert ctrl[2:].tolist() == [1.0] * 8
 
     def test_median_aggregation(self):
         model = constant_model([1.0, 2.0, 6.0])
         x = np.zeros(10)
-        cfg = el.RollingWindowConfig(lookback=1, horizon=3, stride=1)
-        mean_ctrl = el.insample_forecast(model, x, cfg)
-        med_ctrl = el.insample_forecast(model, x, cfg, aggregate="median")
+        mean_ctrl = el.insample_forecast(model, x)
+        med_ctrl = el.insample_forecast(model, x, aggregate="median")
         # interior indices see {1, 2, 6}: mean 3, median 2
         assert mean_ctrl[4] == pytest.approx(3.0)
         assert med_ctrl[4] == pytest.approx(2.0)
@@ -671,17 +671,15 @@ class TestInsampleForecast:
     def test_unknown_aggregate_rejected(self):
         model = constant_model([1.0])
         with pytest.raises(ValidationError):
-            el.insample_forecast(
-                model, np.zeros(5), el.RollingWindowConfig(lookback=1, horizon=1),
-                aggregate="mode",
-            )
+            el.insample_forecast(model, np.zeros(5), aggregate="mode")
 
-    def test_config_mismatch_rejected(self):
+    def test_stride_past_the_horizon_rejected(self):
         model = constant_model([1.0, 2.0])
-        with pytest.raises(ValidationError):
-            el.insample_forecast(
-                model, np.zeros(10), el.RollingWindowConfig(lookback=1, horizon=3)
-            )
+        assert not np.isnan(el.insample_forecast(model, np.zeros(10), 2)[1:]).any()
+        with pytest.raises(ValidationError, match=r"stride 3 exceeds the model horizon 2"):
+            el.insample_forecast(model, np.zeros(10), 3)
+        with pytest.raises(ValidationError, match=r"stride must be >= 1, got 0"):
+            el.insample_forecast(model, np.zeros(10), 0)
 
     def test_non_finite_forecast_rejected(self):
         # finite weights whose products overflow to inf in the forward pass
@@ -693,10 +691,9 @@ class TestInsampleForecast:
             shift=0.0,
             scale=1.0,
         )
-        cfg = el.RollingWindowConfig(lookback=2, horizon=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match=r"index 2 is not finite"):
-                el.insample_forecast(model, np.ones(6), cfg)
+                el.insample_forecast(model, np.ones(6))
 
 
 class TestExtractEffect:

@@ -115,28 +115,22 @@ class TestImpactForSeries:
         series = np.full(120, 10.0)
         series[60:] = 20.0
         windows = [el.EventWindow(t0=50, d=2), el.EventWindow(t0=110, d=2)]
-        seen = []
-
-        def estimate(window):
-            seen.append(window)
-            return np.array([2.0, 1.0])
+        # the control covers the training year only: the target is never estimated
+        control = np.full(120, np.nan)
+        control[51:53] = [8.0, 9.0]
 
         ratios, scales, target_scale, predicted = el.impact.impact_for_series(
-            "x", series, windows, estimate, "pre_event_month", None
+            "x", series, windows, control, "pre_event_month", None
         )
-        assert seen == windows[:1]
         assert ratios.tolist() == [[0.2, 0.1]]
         assert scales.tolist() == [10.0]
         assert target_scale == 20.0
         np.testing.assert_allclose(predicted, [4.0, 2.0])
 
     def test_needs_two_occurrences(self):
-        def estimate(window):
-            raise AssertionError("no year may be estimated")
-
         with pytest.raises(ValidationError, match="'x' needs >= 2 occurrences"):
             el.impact.impact_for_series(
-                "x", np.ones(120), [el.EventWindow(t0=50, d=2)], estimate,
+                "x", np.ones(120), [el.EventWindow(t0=50, d=2)], np.full(120, np.nan),
                 "pre_event_month", None,
             )
 

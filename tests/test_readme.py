@@ -19,3 +19,4 @@ def test_library_block_runs():
     np.testing.assert_allclose(namespace["est"], [2.0, -1.0, 0.5], atol=0.5)
     assert len(namespace["cis"]) == 3
     assert namespace["effect"].shape == (3,)
+    assert namespace["ar_effect"].shape == (3,)
