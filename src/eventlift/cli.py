@@ -425,6 +425,10 @@ def _cmd_baseline_sd(args) -> int:
 
 
 def _cmd_impact(args) -> int:
+    model_flags = [flag for flag, value in (("--model", args.model), ("--stride", args.stride))
+                   if value is not None]
+    if args.method == "ar" and model_flags:
+        raise ValidationError(f"--method ar does not use {' or '.join(model_flags)}")
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
     occurrences = calendar.occurrences(args.event)
@@ -433,7 +437,8 @@ def _cmd_impact(args) -> int:
         if args.model is None:
             raise ValidationError("--method model needs --model")
         model = forecaster.load_model(args.model)
-        control = forecaster.insample_forecast(model, series, args.stride)
+        stride = 1 if args.stride is None else args.stride
+        control = forecaster.insample_forecast(model, series, stride)
     else:
         control = ar.recursive_control(series, training_years)
     ratios, scales, target_scale, predicted = impact.impact_for_series(
@@ -598,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, event=True, series=True)
     p.add_argument("--method", choices=["ar", "model"], default="ar")
     p.add_argument("--model", default=None, help="model file for --method model")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=int, default=None, help="for --method model (default 1)")
     p.add_argument(
         "--scale-mode",
         choices=["pre_event_month", "calendar_month"],

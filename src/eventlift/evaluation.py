@@ -3,14 +3,20 @@
 For each series (department) and each recurring event, the last occurrence
 is the prediction target and all earlier ones are training years:
 
-* ours: train the adaptively weighted forecaster once per series on the full
-  history, take the in-sample synthetic control (windows ``stride`` apart),
-  hand it to ``impact_for_series``, which turns the training years'
-  observed-minus-control gaps into impact ratios and predicts the target
-  effect as (mean ratio) x (target year's pre-event scale).  The predicted
-  total is control + predicted effect.
-* DF: train a uniform-weight forecaster on data up to the target window only
-  and use its out-of-sample forecast as the predicted total.
+* ours: train one adaptively weighted forecaster for the whole panel
+  (``train_pooled``: every series' windows, each normalized by its own
+  scale, in one training set; ``epochs`` is one series' budget of gradient
+  steps, split over the pool), take each series' in-sample synthetic
+  control (windows ``stride`` apart), hand it to ``impact_for_series``,
+  which turns the training years' observed-minus-control gaps into impact
+  ratios and predicts the target effect as (mean ratio) x (target year's
+  pre-event scale).  The predicted total is control + predicted effect.
+  The net also trains on the target year, but its event days enter only at
+  ``rare_weight``: removing the target event moves the control by about
+  0.1-0.3% of the effect, so the in-sample control is kept.
+* DF: per series, train a uniform-weight forecaster on data up to the
+  target window only and use its out-of-sample forecast as the predicted
+  total.
 * SD: decompose the series (weekly + annual by default); the fitted values
   including the annual component are the predicted total.
 
@@ -31,9 +37,8 @@ from .forecaster import (
     ForecasterArch,
     RollingWindowConfig,
     TrainConfig,
-    build_rolling_windows,
     insample_forecast,
-    train,
+    train_pooled,
 )
 from .impact import evaluate_mape, impact_for_series, split_occurrences
 from .montecarlo import mix_seed
@@ -91,8 +96,8 @@ def evaluate_panel(
     """Run all three methods on every (series, event) pair.
 
     Events need at least two occurrences (training years plus the target).
-    The per-series training seed is derived from ``train_cfg.seed`` so runs
-    are reproducible end to end.
+    The pooled net trains with ``train_cfg.seed`` and each series' DF net
+    with a seed derived from it, so runs are reproducible end to end.
     """
     fw_config = fw_config or RollingWindowConfig()
     arch = arch or ForecasterArch()
@@ -103,12 +108,10 @@ def evaluate_panel(
     for name in names:
         split_occurrences(name, calendar.occurrences(name))
 
+    all_series = [panel.series(i) for i in range(panel.n_series)]
+    models = train_pooled(all_series, fw_config, calendar, arch, loss_cfg, train_cfg)
     report = EvaluationReport()
-    for i, sid in enumerate(panel.series_ids):
-        series = panel.series(i)
-        samples = build_rolling_windows(series, fw_config, calendar)
-        series_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, i) % (2**32))
-        model = train(samples, arch, loss_cfg, series_cfg)
+    for i, (sid, series, model) in enumerate(zip(panel.series_ids, all_series, models)):
         control = insample_forecast(model, series, fw_config.stride)
 
         for name in names:

@@ -11,16 +11,21 @@ gap on an event window is the effect estimate.
 The forecaster itself is a small fully connected net implemented directly on
 numpy arrays: parameters live in one flat vector, gradients come from manual
 backpropagation, and training is mini-batch gradient descent with a seeded
-shuffle: each epoch gathers one permuted copy of the windows, each batch is a
-slice of it, and each step writes into buffers allocated once and updates the
-parameters in place.  Everything is deterministic given the seed.
+shuffle: each epoch draws one permutation of the windows, each batch gathers
+its rows of it into batch-sized buffers (so no epoch copies the whole
+training set), and each step writes into buffers allocated once and updates
+the parameters in place.  Everything is deterministic given the seed.
+
+A panel trains one pooled net (``train_pooled``): every series' windows,
+each normalized by that series' own robust (shift, scale), stacked into one
+training set, so a panel of S series costs one training instead of S.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +44,7 @@ __all__ = [
     "build_rolling_windows",
     "adaptive_loss",
     "train",
+    "train_pooled",
     "training_loss",
     "insample_forecast",
     "extract_effect",
@@ -355,8 +361,9 @@ def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     falls back to scale 1.0.
     """
     vals = np.concatenate([X.ravel(), Y.ravel()])
-    shift = float(np.median(vals))
-    q75, q25 = np.percentile(vals, [75.0, 25.0])
+    # vals is ours: partition it in place instead of in a second full copy
+    shift = float(np.median(vals, overwrite_input=True))
+    q75, q25 = np.percentile(vals, [75.0, 25.0], overwrite_input=True)
     scale = float(q75 - q25)
     if scale <= 0:
         scale = 1.0
@@ -410,11 +417,14 @@ def train(
 
     B = X.shape[0]
     bs = train_cfg.batch_size
+    rows = min(bs, B)
     layers = _unpack(theta, layer_sizes)
     grad = np.empty_like(theta)
     grads = _unpack(grad, layer_sizes)
-    act_bufs = [np.empty((min(bs, B), fo)) for _, fo in _layer_shapes(layer_sizes)]
+    act_bufs = [np.empty((rows, fo)) for _, fo in _layer_shapes(layer_sizes)]
     delta_bufs = [np.empty_like(buf) for buf in act_bufs[:-1]]
+    x_buf, y_buf = np.empty((rows, X.shape[1])), np.empty((rows, Y.shape[1]))
+    w_buf, mask_buf = np.empty_like(y_buf), np.empty(y_buf.shape, bool)
     lr0 = train_cfg.learning_rate
     lr1 = train_cfg.final_learning_rate if train_cfg.final_learning_rate is not None else lr0
     history = []
@@ -423,16 +433,20 @@ def train(
         lr = lr0 + (lr1 - lr0) * frac
         w1 = _rare_weights(layers, arch.activation, X, Y, mask, loss_cfg)
         perm = rng.permutation(B)
-        # one gather per epoch: batch rows are contiguous slices of these copies
-        Xp, Yp = X[perm], Y[perm]
-        Wp = np.where(mask, w1[:, None], loss_cfg.nonrare_weight)[perm]
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, B, bs):
-            rows = slice(start, start + bs)
-            acts = _forward(layers, arch.activation, Xp[rows], act_bufs)
-            n = len(acts[0])
-            weighted, dpred = _weighted_error(acts[-1] - Yp[rows], Wp[rows], loss_cfg.distance)
+            # gather this batch's rows only; mode="clip" writes into out unbuffered
+            idx = perm[start : start + bs]
+            n = len(idx)
+            xb = np.take(X, idx, axis=0, out=x_buf[:n], mode="clip")
+            yb = np.take(Y, idx, axis=0, out=y_buf[:n], mode="clip")
+            mb = np.take(mask, idx, axis=0, out=mask_buf[:n], mode="clip")
+            wb = w_buf[:n]
+            wb.fill(loss_cfg.nonrare_weight)
+            np.copyto(wb, w1[idx, None], where=mb)
+            acts = _forward(layers, arch.activation, xb, act_bufs)
+            weighted, dpred = _weighted_error(acts[-1] - yb, wb, loss_cfg.distance)
             batch_loss = float(weighted.sum(axis=1).sum()) / n
             if not math.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss)
@@ -452,6 +466,55 @@ def train(
         scale=scale,
         loss_history=tuple(history),
     )
+
+
+def train_pooled(
+    series_list: Sequence[np.ndarray],
+    config: RollingWindowConfig,
+    calendar: EventCalendar | None,
+    arch: ForecasterArch,
+    loss_cfg: AdaptiveLossConfig,
+    train_cfg: TrainConfig,
+) -> list[TrainedForecaster]:
+    """Train one net on the rolling windows of every series; one model each.
+
+    Series i's windows are normalized by its own robust (shift_i, scale_i)
+    and written into one preallocated stack, one series at a time, so no
+    more than one series' raw windows are alive at once.  ``train`` then runs
+    once on the stack for ceil(epochs / S) epochs, about the gradient steps
+    of training one series.  Its model's normalization (shift, scale) of the
+    stack composes with each series' own: model i has the shared parameters
+    with shift_i + scale_i * shift and scale_i * scale, so it maps series i's
+    raw inputs to forecasts.  A pool of one is not ``train`` on that series:
+    the stack is normalized twice.
+    """
+    if not series_list:
+        raise ValidationError("pooled training needs at least one series")
+    sizes = [len(_window_starts(x, config)[1]) for x in series_list]
+    ends = np.cumsum(sizes)
+    stack = RollingWindows(
+        inputs=np.empty((ends[-1], config.lookback)),
+        labels=np.empty((ends[-1], config.horizon)),
+        rare_mask=np.empty((ends[-1], config.horizon), dtype=bool),
+    )
+    norms = []
+    for x, end, size in zip(series_list, ends, sizes):
+        rows = slice(end - size, end)
+        windows = build_rolling_windows(x, config, calendar)
+        shift, scale = _normalization(windows.inputs, windows.labels)
+        for raw, out in ((windows.inputs, stack.inputs), (windows.labels, stack.labels)):
+            dst = out[rows]
+            np.subtract(raw, shift, out=dst)
+            dst /= scale
+        stack.rare_mask[rows] = windows.rare_mask
+        norms.append((shift, scale))
+        del windows  # before the next series' windows are built
+    pooled_cfg = replace(train_cfg, epochs=math.ceil(train_cfg.epochs / len(sizes)))
+    model = train(stack, arch, loss_cfg, pooled_cfg)
+    return [
+        replace(model, shift=shift + scale * model.shift, scale=scale * model.scale)
+        for shift, scale in norms
+    ]
 
 
 def training_loss(

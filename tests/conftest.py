@@ -3,10 +3,13 @@ end-to-end comparison tests."""
 
 from __future__ import annotations
 
+import datetime
+
 import numpy as np
 import pytest
 
 import eventlift as el
+from eventlift import dataio
 
 EVAL_SEED = 42
 EVAL_TRAIN_SEED = 11
@@ -90,3 +93,29 @@ def retail_report(retail_data):
     )
     report.elapsed_seconds = time.monotonic() - started
     return report
+
+
+@pytest.fixture(scope="session")
+def tiny_files(tmp_path_factory):
+    """Two-series panel with a twice-occurring event, written to CSV."""
+    out = tmp_path_factory.mktemp("tiny")
+    rng = np.random.default_rng(9)
+    t = np.arange(230)
+    rows = []
+    for base in (50.0, 80.0):
+        y = base * (1.0 + 0.02 * np.sin(2 * np.pi * t / 7.0)) + rng.normal(
+            0, 0.3, size=len(t)
+        )
+        y[60:63] += 0.2 * base
+        y[160:163] += 0.2 * base
+        rows.append(y)
+    start = datetime.date(2013, 1, 1)
+    dates = tuple(start + datetime.timedelta(days=i) for i in range(len(t)))
+    panel = el.PanelSeries(np.stack(rows), time_index=dates)
+    dataio.write_panel_csv(out / "panel.csv", panel)
+    entries = [
+        dataio.CalendarEntry("promo", dates[60], dates[62]),
+        dataio.CalendarEntry("promo", dates[160], dates[162]),
+    ]
+    dataio.write_calendar_csv(out / "calendar.csv", entries)
+    return out

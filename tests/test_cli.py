@@ -37,32 +37,6 @@ def sim_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def tiny_files(tmp_path_factory):
-    """Two-series panel with a twice-occurring event, written to CSV."""
-    out = tmp_path_factory.mktemp("tiny")
-    rng = np.random.default_rng(9)
-    t = np.arange(230)
-    rows = []
-    for base in (50.0, 80.0):
-        y = base * (1.0 + 0.02 * np.sin(2 * np.pi * t / 7.0)) + rng.normal(
-            0, 0.3, size=len(t)
-        )
-        y[60:63] += 0.2 * base
-        y[160:163] += 0.2 * base
-        rows.append(y)
-    start = datetime.date(2013, 1, 1)
-    dates = tuple(start + datetime.timedelta(days=i) for i in range(len(t)))
-    panel = el.PanelSeries(np.stack(rows), time_index=dates)
-    dataio.write_panel_csv(out / "panel.csv", panel)
-    entries = [
-        dataio.CalendarEntry("promo", dates[60], dates[62]),
-        dataio.CalendarEntry("promo", dates[160], dates[162]),
-    ]
-    dataio.write_calendar_csv(out / "calendar.csv", entries)
-    return out
-
-
-@pytest.fixture(scope="module")
 def trained_dir(sim_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     code = run_command(
@@ -499,6 +473,31 @@ class TestImpactAndEvaluate:
         assert pred[0] == ["k", "predicted_effect"]
         assert [r[0] for r in pred[1:]] == ["1", "2", "3"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--stride", "-4", "--model", "/nonexistent.json"], "--model or --stride"),
+            (["--stride", "1"], "--stride"),
+            (["--model", "/nonexistent.json"], "--model"),
+        ],
+    )
+    def test_impact_ar_method_rejects_model_flags(
+        self, tiny_files, tmp_path, capsys, monkeypatch, flags, named
+    ):
+        def no_input(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        monkeypatch.setattr(dataio, "load_panel_csv", no_input)
+        out = tmp_path / "out"
+        code = run_command(
+            ["impact", "--panel", str(tiny_files / "panel.csv"),
+             "--calendar", str(tiny_files / "calendar.csv"), "--event", "promo",
+             "--series", "s000", "--method", "ar", *flags, "--out", str(out)]
+        )
+        assert code == 2
+        assert f"--method ar does not use {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_impact_model_method(self, tiny_files, tmp_path, capsys):
         inputs = ["--panel", str(tiny_files / "panel.csv"),

@@ -96,12 +96,13 @@ class TestEvaluatePanel:
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
 
     def test_single_occurrence_event_rejected_before_training(self, monkeypatch):
-        from eventlift import evaluation
+        from eventlift import baselines, forecaster
 
         def no_training(*args, **kwargs):
             raise AssertionError("a net was trained")
 
-        monkeypatch.setattr(evaluation, "train", no_training)
+        monkeypatch.setattr(forecaster, "train", no_training)
+        monkeypatch.setattr(baselines, "train", no_training)
         panel, _ = tiny_setup()
         calendar = el.EventCalendar(
             {

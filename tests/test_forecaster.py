@@ -612,6 +612,136 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
     assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
 
 
+def hand_stacked(series_list, cfg, calendar):
+    """Every series' windows, each normalized by its own (shift, scale),
+    concatenated; returns the stack and the per-series pairs."""
+    parts, norms = [], []
+    for x in series_list:
+        w = el.build_rolling_windows(x, cfg, calendar)
+        shift, scale = el.forecaster._normalization(w.inputs, w.labels)
+        parts.append(((w.inputs - shift) / scale, (w.labels - shift) / scale, w.rare_mask))
+        norms.append((shift, scale))
+    stack = el.RollingWindows(*(np.concatenate(cols) for cols in zip(*parts)))
+    return stack, norms
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    lengths=st.lists(st.integers(min_value=12, max_value=50), min_size=1, max_size=4),
+    stride=st.integers(min_value=1, max_value=3),
+    event_t0=st.integers(min_value=1, max_value=40),
+    adaptation=st.sampled_from(["fixed", "residual_inverse"]),
+    epochs=st.integers(min_value=1, max_value=9),
+    batch_size=st.integers(min_value=1, max_value=40),
+)
+def test_train_pooled_is_train_on_the_hand_stacked_windows(
+    seed, lengths, stride, event_t0, adaptation, epochs, batch_size
+):
+    rng = np.random.default_rng(seed)
+    series_list = [rng.normal(rng.uniform(-50, 50), rng.uniform(0.5, 9), size=n) for n in lengths]
+    cfg = el.RollingWindowConfig(lookback=7, horizon=4, stride=stride)
+    calendar = el.EventCalendar({"e": [el.EventWindow(t0=event_t0, d=2)]})
+    arch = el.ForecasterArch(hidden_sizes=(5,), activation="tanh")
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.2, adaptation=adaptation)
+    train_cfg = el.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.02, seed=seed)
+    models = el.train_pooled(series_list, cfg, calendar, arch, loss_cfg, train_cfg)
+
+    stack, norms = hand_stacked(series_list, cfg, calendar)
+    pooled_epochs = -(-epochs // len(series_list))
+    ref = el.train(stack, arch, loss_cfg, replace(train_cfg, epochs=pooled_epochs))
+    assert len(models) == len(series_list)
+    for model, (shift, scale) in zip(models, norms):
+        assert model.theta.tobytes() == ref.theta.tobytes()
+        assert model.loss_history == ref.loss_history
+        assert len(model.loss_history) == pooled_epochs
+        assert model.shift == shift + scale * ref.shift
+        assert model.scale == scale * ref.scale
+
+
+class TestTrainPooled:
+    def series_list(self):
+        t = np.arange(200)
+        rng = np.random.default_rng(11)
+        out = []
+        for level, amp in ((20.0, 2.0), (500.0, 60.0), (3.0, 0.4)):
+            x = level + amp * np.sin(2 * np.pi * t / 7.0) + rng.normal(0, amp / 10, len(t))
+            x[[60, 61, 140, 141]] += 3 * amp
+            out.append(x)
+        return out
+
+    def test_every_series_forecasts_on_its_own_scale(self):
+        cfg = el.RollingWindowConfig(lookback=14, horizon=7)
+        calendar = el.EventCalendar(
+            {"e": [el.EventWindow(t0=59, d=2), el.EventWindow(t0=139, d=2)]}
+        )
+        series_list = self.series_list()
+        models = el.train_pooled(
+            series_list, cfg, calendar, el.ForecasterArch(hidden_sizes=(16,)),
+            el.AdaptiveLossConfig(),
+            el.TrainConfig(epochs=120, batch_size=16, learning_rate=0.01, seed=3),
+        )
+        for x, model in zip(series_list, models):
+            control = el.insample_forecast(model, x)
+            err = np.abs(control[100:130] - x[100:130]).mean()
+            assert err < 0.5 * x.std()
+
+    def test_residual_inverse_keeps_the_mean_rare_weight(self):
+        """On a pooled batch the adaptation renormalizes over every series'
+        windows, so the mean rare weight stays ``rare_weight``."""
+        cfg = el.RollingWindowConfig(lookback=14, horizon=7)
+        calendar = el.EventCalendar(
+            {"e": [el.EventWindow(t0=59, d=2), el.EventWindow(t0=139, d=2)]}
+        )
+        series_list = self.series_list()
+        loss_cfg = el.AdaptiveLossConfig(rare_weight=0.1, adaptation="residual_inverse")
+        models = el.train_pooled(
+            series_list, cfg, calendar, el.ForecasterArch(hidden_sizes=(8,)), loss_cfg,
+            el.TrainConfig(epochs=12, batch_size=32, seed=1),
+        )
+        stack, _ = hand_stacked(series_list, cfg, calendar)
+        shift, scale = el.forecaster._normalization(stack.inputs, stack.labels)
+        X, Y = (stack.inputs - shift) / scale, (stack.labels - shift) / scale
+        model = models[0]
+        layers = el.forecaster._unpack(model.theta, model.layer_sizes)
+        weights = el.forecaster._rare_weights(
+            layers, model.activation, X, Y, stack.rare_mask, loss_cfg
+        )
+        has_rare = stack.rare_mask.any(axis=1)
+        assert has_rare.sum() >= 3 * 2 and not has_rare.all()
+        assert weights[has_rare].mean() == pytest.approx(0.1, rel=1e-12)
+        assert np.ptp(weights[has_rare]) > 0
+        assert np.all(weights[~has_rare] == 0.1)
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValidationError, match="at least one series"):
+            el.train_pooled(
+                [], el.RollingWindowConfig(), None, el.ForecasterArch(),
+                el.AdaptiveLossConfig(), el.TrainConfig(),
+            )
+
+
+def test_train_allocates_no_epoch_copy_of_the_windows():
+    """Peak traced memory of ``train`` stays under twice its windows' bytes:
+    the normalized copies fit, a permuted copy of them per epoch does not."""
+    import tracemalloc
+
+    x = np.random.default_rng(2).normal(100.0, 5.0, size=3000)
+    calendar = el.EventCalendar({"e": [el.EventWindow(t0=400, d=5)]})
+    windows = el.build_rolling_windows(
+        x, el.RollingWindowConfig(lookback=90, horizon=30), calendar
+    )
+    window_bytes = windows.inputs.nbytes + windows.labels.nbytes + windows.rare_mask.nbytes
+    tracemalloc.start()
+    try:
+        el.train(windows, el.ForecasterArch(hidden_sizes=(8,)), el.AdaptiveLossConfig(),
+                 el.TrainConfig(epochs=2, batch_size=64, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * window_bytes, (peak, window_bytes)
+
+
 class TestTrainingLossInvariance:
     def test_rare_labels_are_invisible_at_zero_weight(self):
         model, samples, x, cfg = quick_train()

@@ -54,15 +54,22 @@ codes += [
     run_command(["baseline-sd", *on_sim, "--event", "event", "--periods", "7",
                  "--out", out + "/sd"]),
 ]
+tiny = sys.argv[2]
+codes.append(
+    run_command(["evaluate", "--panel", tiny + "/panel.csv", "--calendar", tiny + "/calendar.csv",
+                 "--lookback", "10", "--horizon", "5", "--hidden", "8", "--epochs", "4",
+                 "--periods", "7,100", "--seed", "1", "--out", out + "/eval"])
+)
 print(codes)
 """
 
 
-def test_commands_run_with_scipy_blocked(tmp_path):
-    proc = run_python(BLOCKED, str(tmp_path))
+def test_commands_run_with_scipy_blocked(tmp_path, tiny_files):
+    proc = run_python(BLOCKED, str(tmp_path), str(tiny_files))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0]", proc.stderr
     assert (tmp_path / "est" / "effect.csv").is_file()
     assert (tmp_path / "mc" / "mc_report.csv").is_file()
     assert (tmp_path / "effect" / "effect.csv").is_file()
     assert (tmp_path / "sd" / "sd_control.csv").is_file()
+    assert (tmp_path / "eval" / "mape.csv").is_file()
