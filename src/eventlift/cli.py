@@ -167,18 +167,21 @@ def _add_inputs(
         p.add_argument("--occurrence", type=int, default=occurrence)
 
 
-def _add_training_flags(p: argparse.ArgumentParser) -> None:
+def _add_training_flags(p: argparse.ArgumentParser, *, loss: bool = True) -> None:
+    """The forecaster flags; ``loss`` adds the adaptive-loss ones, which only
+    commands that train with the adaptive loss may take."""
     p.add_argument("--lookback", type=int, default=90)
     p.add_argument("--horizon", type=int, default=30)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--hidden", default="64,64", help="hidden layer sizes, e.g. 64,64")
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
-    p.add_argument("--rare-weight", type=float, default=0.1)
-    p.add_argument("--nonrare-weight", type=float, default=1.0)
-    p.add_argument("--distance", choices=["absolute", "squared"], default="absolute")
-    p.add_argument(
-        "--adaptation", choices=["fixed", "residual_inverse"], default="fixed"
-    )
+    if loss:
+        p.add_argument("--rare-weight", type=float, default=0.1)
+        p.add_argument("--nonrare-weight", type=float, default=1.0)
+        p.add_argument("--distance", choices=["absolute", "squared"], default="absolute")
+        p.add_argument(
+            "--adaptation", choices=["fixed", "residual_inverse"], default="fixed"
+        )
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.01)
@@ -588,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline-df", help="direct out-of-sample forecast baseline")
     _add_inputs(p, event=True, series=True, occurrence=-1)
     p.add_argument("--predictor", choices=["mlp", "ar1"], default="mlp")
-    _add_training_flags(p)
+    # the direct forecast trains with uniform absolute weights: no loss flags
+    _add_training_flags(p, loss=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_baseline_df)

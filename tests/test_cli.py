@@ -433,6 +433,42 @@ class TestForecasterCommands:
         assert len(control) > 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rare-weight", "0"), ("--nonrare-weight", "2"), ("--distance", "squared"),
+         ("--adaptation", "residual_inverse")],
+    )
+    def test_baseline_df_refuses_the_loss_flags(self, sim_dir, tmp_path, capsys, flag, value):
+        """The direct forecast always trains with uniform absolute weights, so
+        a loss flag would be silently ignored; argparse rejects it instead."""
+        out = tmp_path / "df"
+        code = run_command(
+            [
+                "baseline-df",
+                "--panel", str(sim_dir / "panel.csv"),
+                "--calendar", str(sim_dir / "calendar.csv"),
+                "--event", "event",
+                "--series", "s000",
+                "--lookback", "10",
+                "--horizon", "5",
+                "--hidden", "8",
+                "--epochs", "5",
+                "--seed", "1",
+                flag, value,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_loss_flags_stay_on_the_training_commands(self, capsys):
+        for command in ("train", "evaluate"):
+            assert run_command([command, "--help"]) == 0
+            text = capsys.readouterr().out
+            for flag in ("--rare-weight", "--nonrare-weight", "--distance", "--adaptation"):
+                assert flag in text, (command, flag)
+
     def test_baseline_sd(self, sim_dir, tmp_path, capsys):
         code = run_command(
             [

@@ -498,7 +498,7 @@ def _ref_eta_and_grad(diff, distance):
 
 def _ref_rare_weights(theta, layer_sizes, activation, X, Y, mask, cfg):
     B = X.shape[0]
-    base = np.full(B, cfg.rare_weight)
+    base = np.full(B, cfg.rare_weight, dtype=np.float32)
     if cfg.adaptation != "residual_inverse":
         return base
     acts, _ = _ref_forward(theta, layer_sizes, activation, X)
@@ -514,13 +514,13 @@ def _ref_rare_weights(theta, layer_sizes, activation, X, Y, mask, cfg):
 
 
 def reference_train(windows, arch, loss_cfg, train_cfg):
-    """The allocating training loop that ``train`` replaced: per-step row
-    gathers, fresh activations and gradients, and a new theta per step.
-    Returns (theta, loss_history)."""
+    """The allocating training loop that ``train`` replaced, in the same
+    float32 steps: per-step row gathers, fresh activations and gradients,
+    and a new theta per step.  Returns (theta as float64, loss_history)."""
     mask = windows.rare_mask
     shift, scale = el.forecaster._normalization(windows.inputs, windows.labels)
-    X = (windows.inputs - shift) / scale
-    Y = (windows.labels - shift) / scale
+    X = (windows.inputs - shift).astype(np.float32) / np.float32(scale)
+    Y = (windows.labels - shift).astype(np.float32) / np.float32(scale)
     layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
 
     rng = np.random.default_rng(train_cfg.seed)
@@ -529,7 +529,7 @@ def reference_train(windows, arch, loss_cfg, train_cfg):
         bound = 1.0 / np.sqrt(fi)
         parts.append(rng.uniform(-bound, bound, size=fi * fo))
         parts.append(rng.uniform(-bound, bound, size=fo))
-    theta = np.concatenate(parts)
+    theta = np.concatenate(parts).astype(np.float32)
 
     B = X.shape[0]
     lr0 = train_cfg.learning_rate
@@ -548,7 +548,8 @@ def reference_train(windows, arch, loss_cfg, train_cfg):
             diff = acts[-1] - Y[idx]
             eta, deta = _ref_eta_and_grad(diff, loss_cfg.distance)
             wv = np.where(mask[idx], w1[idx][:, None], loss_cfg.nonrare_weight)
-            batch_loss = float((wv * eta).sum(axis=1).mean())
+            # the float32 row sums are added in float32, the mean taken in float64
+            batch_loss = float((wv * eta).sum(axis=1).sum()) / len(idx)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss)
             grad = _ref_backward(
@@ -558,7 +559,7 @@ def reference_train(windows, arch, loss_cfg, train_cfg):
             epoch_loss += batch_loss
             n_batches += 1
         history.append(epoch_loss / n_batches)
-    return theta, tuple(history)
+    return theta.astype(np.float64), tuple(history)
 
 
 @settings(max_examples=120, deadline=None)
@@ -740,6 +741,26 @@ def test_train_allocates_no_epoch_copy_of_the_windows():
     finally:
         tracemalloc.stop()
     assert peak < 2 * window_bytes, (peak, window_bytes)
+
+
+def test_trained_parameters_are_float32_values(tmp_path):
+    """``train`` and ``train_pooled`` train in float32: the stored float64
+    parameters survive a float32 round trip bit for bit, and a saved model
+    loads back with the same parameter bytes and predictions."""
+    model, samples, x, cfg = quick_train()
+    pooled = el.train_pooled(
+        [x, 40.0 + 3.0 * x], cfg, el.EventCalendar({"e": [el.EventWindow(t0=20, d=3)]}),
+        el.ForecasterArch(hidden_sizes=(8,)), el.AdaptiveLossConfig(),
+        el.TrainConfig(epochs=10, batch_size=16, seed=0),
+    )
+    for i, m in enumerate([model, *pooled]):
+        assert m.theta.dtype == np.float64
+        assert m.theta.astype(np.float32).astype(np.float64).tobytes() == m.theta.tobytes()
+        path = tmp_path / f"model{i}.json"
+        el.save_model(m, path)
+        loaded = el.load_model(path)
+        assert loaded.theta.tobytes() == m.theta.tobytes()
+        assert loaded.predict(samples.inputs).tobytes() == m.predict(samples.inputs).tobytes()
 
 
 class TestTrainingLossInvariance:
