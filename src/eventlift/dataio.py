@@ -6,16 +6,27 @@ day; every series must cover the same gap-free daily range.  Calendar files
 a concrete panel's time index on demand.  Both loaders accept a UTF-8
 byte-order mark, as spreadsheet exports write; the writers emit plain UTF-8.
 
-``load_panel_csv`` makes one pass over ``csv.reader`` and keeps three numbers
-per row: the series' first-seen index, the date's ordinal (each distinct date
-string is parsed once) and the float value.  It then counts rows per cell of
-a dense (series, day) grid over the file's date span; when every cell holds
+``load_panel_csv`` has two tokenizers that fill the same accumulators: per
+row, the series' first-seen index, the date's ordinal (each distinct date
+string is parsed once) and the float value.  The bulk tokenizer reads the
+file in blocks of whole lines (about 64 KB each, so the text never sits in
+memory whole) and splits each block once on commas and newlines.  It takes a
+file whose header is exact and whose lines hold no quote, carriage return or
+NUL and exactly two commas each: what ``write_panel_csv`` emits for ids that
+need no quoting.  Any other file (quoted ids, CRLF line ends, blank lines),
+and any file with a bad date, a non-numeric or non-finite value or a line
+longer than the csv field limit, is read again from the start one
+``csv.reader`` row at a time; that row reader is the only code that names a
+faulty line.  Both then share one pivot: it counts rows per cell of a dense
+(series, day) grid over the file's date span, and when every cell holds
 exactly one row the values land with one scatter.  Otherwise the fault is
-reported as a row-by-row read would meet it: a line fault (column count, bad
-date, non-numeric or non-finite value, or a duplicate (series, date)) on the
-earliest line wins; then an empty file; then the first series, in first-seen
-order, whose date range differs from the first series'; then the first
-series, in sorted order, with missing dates (up to five shown).
+reported as a row-by-row read would meet it: a line fault (column count,
+bad date, non-numeric or non-finite value, csv error, or a duplicate
+(series, date)) on the earliest line wins; then an empty file; then the
+first series, in first-seen order, whose date range differs from the first
+series'; then the first series, in sorted order, with missing dates (up to
+five shown).  A bulk file has no blank lines, so a duplicate on its i-th
+data row is on line i + 2, as the row reader counts.
 ``write_panel_csv`` formats each date once and writes each series' rows with
 one call.
 """
@@ -29,6 +40,7 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,6 +58,10 @@ __all__ = [
 
 PANEL_HEADER = ["series_id", "date", "value"]
 CALENDAR_HEADER = ["event", "start_date", "end_date"]
+_PANEL_HEADER_LINE = ",".join(PANEL_HEADER) + "\n"
+# characters per block of whole lines the bulk tokenizer reads: big enough to
+# amortize the per-block calls, small enough to keep the text off the peak
+_BLOCK_CHARS = 1 << 16
 
 
 def _parse_date(raw: str, line_no: int, path) -> datetime.date:
@@ -61,51 +77,123 @@ def load_panel_csv(path) -> PanelSeries:
     Rows may arrive in any order.  Every series must cover the identical
     daily date range with no gaps; violations name the series and date.
     """
-    sid_index: dict[str, int] = {}
-    ordinals: dict[str, int] = {}
-    rows, days, values = array("i"), array("i"), array("d")
-    blanks: list[int] = []
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError as exc:
         raise ValidationError(f"panel file not found: {path}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PANEL_HEADER:
-            raise ValidationError(
-                f"{path}: expected header {','.join(PANEL_HEADER)!r}, got {header}"
-            )
-        try:
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    blanks.append(len(values))
-                    continue
-                if len(row) != 3:
-                    raise ValidationError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
-                sid, raw_date, raw_value = row
-                day = ordinals.get(raw_date)
-                if day is None:
-                    day = ordinals[raw_date] = _parse_date(raw_date, line_no, path).toordinal()
-                try:
-                    value = float(raw_value)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}:{line_no}: non-numeric value {raw_value!r}"
-                    ) from exc
-                if not math.isfinite(value):
-                    raise ValidationError(f"{path}:{line_no}: non-finite value {raw_value!r}")
-                i = sid_index.get(sid)
-                if i is None:
-                    i = sid_index[sid] = len(sid_index)
-                rows.append(i)
-                days.append(day)
-                values.append(value)
-        except (csv.Error, ValueError):
-            # a duplicate on an earlier line is the fault a row-by-row read meets first
-            _raise_first_duplicate(path, list(sid_index), rows, days, blanks)
-            raise
+        parsed = _read_blocks(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_rows(fh, path)
+    return _pivot(path, *parsed)
 
+
+def _read_blocks(fh):
+    """Tokenize a plain panel file a block of whole lines at a time.
+
+    Returns the accumulators ``_read_rows`` would build, or None as soon as
+    any line needs ``csv.reader`` (a quote, a carriage return, a NUL, a line
+    without exactly three fields or longer than the csv field limit) or
+    ``_read_rows`` would report a fault (a bad date or value); the file then
+    goes to ``_read_rows`` whole, which names the faulty line.
+    """
+    if fh.readline() != _PANEL_HEADER_LINE:
+        return None
+    sid_index: dict[str, int] = {}
+    ordinals: dict[str, int] = {}
+    rows, days, values = array("i"), array("i"), array("d")
+    limit = csv.field_size_limit()
+    try:
+        while lines := fh.readlines(_BLOCK_CHARS):
+            block = "".join(lines)
+            if (
+                '"' in block or "\r" in block or "\0" in block
+                # per line: a total count would let two short lines misalign
+                or set(map(str.count, lines, repeat(","))) != {2}
+                or len(block) > limit and max(map(len, lines)) > limit
+            ):
+                return None
+            fields = block.replace("\n", ",").split(",")
+            del fields[3 * len(lines):]  # the empty field after a final newline
+            sids, dates = fields[0::3], fields[1::3]
+            values.extend(map(float, fields[2::3]))
+            for raw in set(dates).difference(ordinals):
+                ordinals[raw] = datetime.date.fromisoformat(raw).toordinal()
+            days.extend(map(ordinals.__getitem__, dates))
+            for sid in dict.fromkeys(sids):
+                sid_index.setdefault(sid, len(sid_index))
+            rows.extend(map(sid_index.__getitem__, sids))
+    except ValueError:
+        return None
+    if not np.isfinite(np.asarray(values)).all():
+        return None
+    return sid_index, rows, days, values, []
+
+
+def _read_rows(fh, path):
+    """Read a panel file one ``csv.reader`` row at a time, naming any faulty line.
+
+    Returns each series' first-seen index, the per-row series index, date
+    ordinal and value, and the positions (in rows kept) of blank lines.
+    """
+    sid_index: dict[str, int] = {}
+    ordinals: dict[str, int] = {}
+    rows, days, values = array("i"), array("i"), array("d")
+    blanks: list[int] = []
+    reader = _csv_rows(fh, path)
+    header = next(reader, None)
+    if header != PANEL_HEADER:
+        raise ValidationError(
+            f"{path}: expected header {','.join(PANEL_HEADER)!r}, got {header}"
+        )
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                blanks.append(len(values))
+                continue
+            if len(row) != 3:
+                raise ValidationError(f"{path}:{line_no}: expected 3 columns, got {len(row)}")
+            sid, raw_date, raw_value = row
+            day = ordinals.get(raw_date)
+            if day is None:
+                day = ordinals[raw_date] = _parse_date(raw_date, line_no, path).toordinal()
+            try:
+                value = float(raw_value)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{line_no}: non-numeric value {raw_value!r}"
+                ) from exc
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}:{line_no}: non-finite value {raw_value!r}")
+            i = sid_index.get(sid)
+            if i is None:
+                i = sid_index[sid] = len(sid_index)
+            rows.append(i)
+            days.append(day)
+            values.append(value)
+    except ValueError:
+        # a duplicate on an earlier line is the fault a row-by-row read meets first
+        _raise_first_duplicate(path, list(sid_index), rows, days, blanks)
+        raise
+    return sid_index, rows, days, values, blanks
+
+
+def _csv_rows(fh, path):
+    """The ``csv.reader`` rows of ``fh``.
+
+    A ``csv.Error`` (a field over ``csv.field_size_limit()``) becomes a
+    ValidationError naming the file and line.
+    """
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _pivot(path, sid_index, rows, days, values, blanks) -> PanelSeries:
+    """Scatter the rows into the dense (sorted series, day) grid, or raise the first fault."""
     if not values:
         raise ValidationError(f"{path}: no data rows")
     names = list(sid_index)
@@ -214,7 +302,7 @@ def load_calendar(path) -> list[CalendarEntry]:
     except FileNotFoundError as exc:
         raise ValidationError(f"calendar file not found: {path}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header != CALENDAR_HEADER:
             raise ValidationError(

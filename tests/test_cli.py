@@ -76,6 +76,14 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_csv_field_returns_2(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("series_id,date,value\n" + "x" * 200_000 + ",2013-01-01,1.0\n")
+        code = run_command(["fit-ar", "--panel", str(panel), "--t0", "10",
+                            "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{panel}:2: field larger than field limit" in capsys.readouterr().err
+
     def test_validation_failure_returns_2(self, sim_dir, tmp_path, capsys):
         code = run_command(
             [

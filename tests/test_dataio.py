@@ -1,8 +1,10 @@
 import csv
 import datetime
+import io
 import math
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import ValidationError
+from eventlift import ValidationError, dataio
 from eventlift.dataio import CalendarEntry
 
 
@@ -94,6 +96,13 @@ class TestLoadPanel:
         out = tmp_path / "out.csv"
         el.write_panel_csv(out, panel)
         assert out.read_bytes() == PANEL_SMALL.encode("utf-8")
+
+    def test_oversized_field_names_line(self, tmp_path):
+        huge = "x" * (csv.field_size_limit() + 1)
+        broken = PANEL_SMALL.replace("a,2013-01-02,2.0", f"{huge},2013-01-02,2.0")
+        path = write(tmp_path / "p.csv", broken)
+        with pytest.raises(ValidationError, match=r"p\.csv:3: field larger than field limit"):
+            el.load_panel_csv(path)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no data rows"):
@@ -335,6 +344,111 @@ def test_fault_precedence_matches_reference(tmp_path, body, expected):
     assert str(ours.value) == str(ref.value)
 
 
+def row_reader_load(path):
+    """``load_panel_csv`` with the csv.reader loop alone, whatever the file holds."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        parsed = dataio._read_rows(fh, path)
+    return dataio._pivot(path, *parsed)
+
+
+def takes_bulk_path(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        return dataio._read_blocks(fh) is not None
+
+
+BULK_IDS = ["s000", "s001", " lead", "", "\u00e9t\u00e9", "dept_7"]
+QUOTED_IDS = [",", '"', "a,b", 'q"x', "\n"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ids=st.lists(st.sampled_from(BULK_IDS + QUOTED_IDS), min_size=2, max_size=3, unique=True),
+    start=first_day,
+    n_days=st.integers(min_value=1500, max_value=1700),
+    seed=st.integers(0, 2**32 - 1),
+    shuffle=st.booleans(),
+    bom=st.booleans(),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+    n_blanks=st.integers(0, 2),
+    fault=st.none() | st.sampled_from(FAULTS),
+    data=st.data(),
+)
+def test_bulk_tokenizer_matches_row_reader(
+    ids, start, n_days, seed, shuffle, bom, crlf, final_newline, n_blanks, fault, data
+):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(100.0, 30.0, size=(len(ids), n_days))
+    values.flat[rng.integers(values.size, size=3)] = AWKWARD_FLOATS[:3]
+    dates = tuple(start + datetime.timedelta(days=t) for t in range(n_days))
+    rows = [
+        [sid, day.isoformat(), repr(value)]
+        for sid, row in zip(ids, values.tolist())
+        for day, value in zip(dates, row)
+    ]
+    if shuffle:
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+    if fault is not None:
+        # place the fault past the first block, whose lines the bulk path has taken
+        ends = np.cumsum([len(",".join(row)) + 1 for row in rows])
+        first = int(np.searchsorted(ends, dataio._BLOCK_CHARS, side="right")) + 1
+        assert first < len(rows)
+        tail = rows[first:]
+        inject(fault, tail, start, n_days, data)
+        rows[first:] = tail
+    for _ in range(n_blanks):
+        rows.insert(data.draw(st.integers(0, len(rows) - 1)), [])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n" if crlf else "\n").writerows([dataio.PANEL_HEADER, *rows])
+    text = ("\ufeff" if bom else "") + buf.getvalue()
+    if not final_newline:
+        text = text.removesuffix("\r\n" if crlf else "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        ours = outcome(el.load_panel_csv, path)
+        assert ours == outcome(row_reader_load, path)
+        if fault in (None, "gap", "range"):
+            plain = not crlf and not n_blanks and not set(ids) & set(QUOTED_IDS)
+            assert takes_bulk_path(path) == plain
+        if fault is None:
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            assert ours == (values[order].tobytes(), dates, tuple(sorted(ids)))
+
+
+def test_misaligned_columns_are_a_line_fault(tmp_path):
+    # four commas over two lines: a total count would read two aligned rows
+    body = "s1,2020-01-01,1.0,s2\n2020-01-01,2.0\n"
+    path = write(tmp_path / "p.csv", "series_id,date,value\n" + body)
+    with pytest.raises(ValidationError, match=r"p\.csv:2: expected 3 columns, got 4$"):
+        el.load_panel_csv(path)
+
+
+def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
+    n_series, n_days = 500, 366
+    rng = np.random.default_rng(5)
+    dates = tuple(datetime.date(2013, 1, 1) + datetime.timedelta(days=t) for t in range(n_days))
+    panel = el.PanelSeries(
+        rng.normal(size=(n_series, n_days)), dates, tuple(f"s{i:03d}" for i in range(n_series))
+    )
+    path = tmp_path / "p.csv"
+    el.write_panel_csv(path, panel)
+    assert takes_bulk_path(path)
+    peaks = []
+    for load in (el.load_panel_csv, row_reader_load):
+        assert load(path) == panel  # imports and caches are not the loader's cost
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bulk, rows = peaks
+    # both peak in the shared pivot; CPython's free lists keep a few hundred bytes
+    # of the bulk path's freed dicts and lists traced, a whole-file read megabytes
+    assert bulk <= rows + 16384, f"bulk peak {bulk} B, row reader peak {rows} B"
+
+
 CALENDAR_SMALL = """event,start_date,end_date
 christmas,2013-12-24,2013-12-26
 christmas,2014-12-24,2014-12-26
@@ -375,6 +489,14 @@ class TestLoadCalendar:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             el.load_calendar(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_line(self, tmp_path, line):
+        lines = CALENDAR_SMALL.splitlines(keepends=True)
+        lines[line - 1] = "x" * (csv.field_size_limit() + 1) + lines[line - 1]
+        path = write(tmp_path / "c.csv", "".join(lines))
+        with pytest.raises(ValidationError, match=rf"c\.csv:{line}: field larger than"):
+            el.load_calendar(path)
 
     def test_utf8_bom_is_accepted(self, tmp_path):
         path = tmp_path / "c.csv"
