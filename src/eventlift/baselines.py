@@ -4,23 +4,26 @@ decomposition.
 Both produce a synthetic control on an event window without the adaptive
 in-sample machinery, giving the comparison points for the main pipeline.
 A control is a (T,) array along the series, NaN where no forecast lands.
+``direct_forecast`` also takes an (S, T) block of series and returns their
+(S, T) controls, one net per series, trained in lock-step stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .ar import recursive_control
-from .errors import ValidationError
+from .errors import TrainingDivergedError, ValidationError
 from .forecaster import (
     AdaptiveLossConfig,
     ForecasterArch,
     RollingWindowConfig,
     TrainConfig,
+    _train_stack,
     build_rolling_windows,
-    train,
 )
 from .panel import EventWindow
 
@@ -31,13 +34,17 @@ __all__ = [
     "centered_moving_average",
 ]
 
+# nets per lock-step training stack: the gain of stacking has levelled off by
+# six, and a panel of any size then holds at most six nets' buffers at once
+_STACK_NETS = 6
+
 
 def direct_forecast(
     series: np.ndarray,
     window: EventWindow,
     config: RollingWindowConfig,
     arch: ForecasterArch | None = None,
-    train_cfg: TrainConfig | None = None,
+    train_cfg: TrainConfig | Sequence[TrainConfig] | None = None,
     predictor: str = "mlp",
 ) -> np.ndarray:
     """Train on data up to the window start only, then forecast into it.
@@ -48,13 +55,21 @@ def direct_forecast(
     ``"ar1"`` is ``ar.recursive_control`` on one H-day window from t0, the
     same control ``impact --method ar`` uses.
 
-    Returns the (T,) control: the forecasts on indices t0+1 ..
+    ``series`` is one (T,) series or an (S, T) block of them, each with its
+    own net: ``train_cfg`` is one config for every row or a sequence of one
+    per row.  The rows' nets train in lock-step stacks of at most
+    ``_STACK_NETS`` (``forecaster._train_stack``), each stack filled one
+    series' windows at a time, and row i gets the bits of the 1-D call on it
+    with config i.  A net that diverges is named by its row.
+
+    Returns the (T,) or (S, T) control: the forecasts on indices t0+1 ..
     min(t0+H, end of series), NaN everywhere else.  A non-finite forecast
     is rejected.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("direct_forecast expects a single 1-D series")
+    if x.ndim not in (1, 2):
+        raise ValidationError("direct_forecast expects a 1-D series or a 2-D block of them")
+    rows = x.reshape(-1, x.shape[-1])
     t0 = window.t0
     M, H = config.lookback, config.horizon
     if window.d > H:
@@ -62,26 +77,39 @@ def direct_forecast(
             f"window size d={window.d} exceeds forecast horizon H={H}"
         )
     if predictor == "ar1":
-        return recursive_control(x, [EventWindow(t0, H)])
+        windows = [EventWindow(t0, H)]
+        return np.stack([recursive_control(row, windows) for row in rows]).reshape(x.shape)
     if predictor != "mlp":
         raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
     if t0 < M + H:
         raise ValidationError(
             f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
         )
-    samples = build_rolling_windows(x[: t0 + 1], config, calendar=None)
+    if train_cfg is None or isinstance(train_cfg, TrainConfig):
+        cfgs = [train_cfg or TrainConfig()] * len(rows)
+    else:
+        cfgs = list(train_cfg)
+        if len(cfgs) != len(rows):
+            raise ValidationError(f"{len(cfgs)} training configs for {len(rows)} series")
     arch = arch or ForecasterArch()
-    train_cfg = train_cfg or TrainConfig()
     uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
-    model = train(samples, arch, uniform, train_cfg)
-    preds = model.predict(x[t0 + 1 - M : t0 + 1])
 
-    control = np.full(len(x), np.nan)
-    stop = min(t0 + 1 + H, len(x))
-    control[t0 + 1 : stop] = preds[: stop - (t0 + 1)]
-    if not np.isfinite(control[t0 + 1 : stop]).all():
-        raise ValidationError(f"mlp forecast after t0={t0} is not finite")
-    return control
+    control = np.full(rows.shape, np.nan)
+    stop = min(t0 + 1 + H, rows.shape[1])
+    for first in range(0, len(rows), _STACK_NETS):
+        stack = rows[first : first + _STACK_NETS]
+        samples = (build_rolling_windows(row[: t0 + 1], config, calendar=None) for row in stack)
+        try:
+            models = _train_stack(samples, arch, uniform, cfgs[first : first + _STACK_NETS])
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(exc.epoch, exc.loss, first + exc.net) from exc
+        for row, out, model in zip(stack, control[first:], models):
+            out[t0 + 1 : stop] = model.predict(row[t0 + 1 - M : t0 + 1])[: stop - (t0 + 1)]
+    bad = np.flatnonzero(~np.isfinite(control[:, t0 + 1 : stop]).all(axis=1))
+    if bad.size:
+        where = f" for row {bad[0]}" if x.ndim == 2 else ""
+        raise ValidationError(f"mlp forecast after t0={t0} is not finite{where}")
+    return control.reshape(x.shape)
 
 
 def centered_moving_average(x: np.ndarray, period: int) -> np.ndarray:

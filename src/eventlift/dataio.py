@@ -5,6 +5,8 @@ day; every series must cover the same gap-free daily range.  Calendar files
 (`event,start_date,end_date`) carry date-level occurrences that are bound to
 a concrete panel's time index on demand.  Both loaders accept a UTF-8
 byte-order mark, as spreadsheet exports write; the writers emit plain UTF-8.
+A file that is not UTF-8 (a Latin-1 export, say) is a ValidationError that
+names the file and its first line that does not decode.
 
 ``load_panel_csv`` has two tokenizers that fill the same accumulators: per
 row, the series' first-seen index, the date's ordinal (each distinct date
@@ -34,6 +36,7 @@ one call.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime
 import io
@@ -77,16 +80,39 @@ def load_panel_csv(path) -> PanelSeries:
     Rows may arrive in any order.  Every series must cover the identical
     daily date range with no gaps; violations name the series and date.
     """
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except FileNotFoundError as exc:
-        raise ValidationError(f"panel file not found: {path}") from exc
-    with fh:
+    with _open_text(path, "panel") as fh:
         parsed = _read_blocks(fh)
         if parsed is None:
             fh.seek(0)
             parsed = _read_rows(fh, path)
     return _pivot(path, *parsed)
+
+
+@contextlib.contextmanager
+def _open_text(path, kind: str):
+    """Open an input CSV as UTF-8 text (a byte-order mark is skipped).
+
+    A missing file, and text that does not decode, raise a ValidationError
+    naming the file; the second names its first line that does not decode
+    (a UTF-8 sequence never holds a newline byte, so lines decode alone).
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{kind} file not found: {path}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                for line_no, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as bad:
+                        raise ValidationError(
+                            f"{path}:{line_no}: not UTF-8 text ({bad.reason})"
+                        ) from exc
+            raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
 def _read_blocks(fh):
@@ -297,11 +323,7 @@ class CalendarEntry:
 def load_calendar(path) -> list[CalendarEntry]:
     """Read event occurrences; rejects reversed or overlapping ranges."""
     entries: list[CalendarEntry] = []
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except FileNotFoundError as exc:
-        raise ValidationError(f"calendar file not found: {path}") from exc
-    with fh:
+    with _open_text(path, "calendar") as fh:
         reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header != CALENDAR_HEADER:

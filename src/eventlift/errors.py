@@ -10,13 +10,19 @@ class ValidationError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss becomes non-finite.
 
-    def __init__(self, epoch: int, loss: float):
+    ``net`` says which net diverged when several train together: its index
+    in the training stack, or a name the caller gives it (None: not named).
+    """
+
+    def __init__(self, epoch: int, loss: float, net: int | str | None = None):
         self.epoch = epoch
         self.loss = loss
-        super().__init__(f"training diverged at epoch {epoch}: loss={loss!r}")
+        self.net = net
+        where = "" if net is None else f" for net {net}"
+        super().__init__(f"training diverged at epoch {epoch}{where}: loss={loss!r}")
 
     def __reduce__(self):
-        # rebuild from (epoch, loss), so the error crosses process boundaries
-        return type(self), (self.epoch, self.loss)
+        # rebuild from (epoch, loss, net), so the error crosses process boundaries
+        return type(self), (self.epoch, self.loss, self.net)

@@ -16,7 +16,9 @@ is the prediction target and all earlier ones are training years:
   0.1-0.3% of the effect, so the in-sample control is kept.
 * DF: per series, train a uniform-weight forecaster on data up to the
   target window only and use its out-of-sample forecast as the predicted
-  total.
+  total.  One ``direct_forecast`` call per event covers every series: their
+  nets train in lock-step stacks, each with its own derived seed and the
+  bits of training it alone; a net that diverges is named by its series.
 * SD: decompose the series (weekly + annual by default); the fitted values
   including the annual component are the predicted total.
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import direct_forecast, seasonal_decompose
-from .errors import ValidationError
+from .errors import TrainingDivergedError, ValidationError
 from .forecaster import (
     AdaptiveLossConfig,
     ForecasterArch,
@@ -109,16 +111,36 @@ def evaluate_panel(
         split_occurrences(name, calendar.occurrences(name))
 
     all_series = [panel.series(i) for i in range(panel.n_series)]
+    targets = {name: calendar.occurrences(name)[-1] for name in names}
+    # SD trains nothing, so it runs first: a Python loop right after a
+    # multi-threaded BLAS call (the in-sample forecast) shares the cores
+    # with the BLAS threads still spinning, and ran at half speed on 2 cores
+    sd_totals = {}
+    for i, series in enumerate(all_series):
+        for name, target in targets.items():
+            decomposition, _ = seasonal_decompose(series, periods, target)
+            sd_totals[i, name] = decomposition.fitted_total[target.columns]
+
     models = train_pooled(all_series, fw_config, calendar, arch, loss_cfg, train_cfg)
+    df_cfgs = [
+        replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
+        for i in range(panel.n_series)
+    ]
+    df_controls = {}
+    for name, target in targets.items():
+        try:
+            df_controls[name] = direct_forecast(panel.values, target, fw_config, arch, df_cfgs)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(
+                exc.epoch, exc.loss, f"DF of series {panel.series_ids[exc.net]!r}"
+            ) from exc
     report = EvaluationReport()
     for i, (sid, series, model) in enumerate(zip(panel.series_ids, all_series, models)):
         control = insample_forecast(model, series, fw_config.stride)
 
-        for name in names:
-            occurrences = calendar.occurrences(name)
-            target = occurrences[-1]
+        for name, target in targets.items():
             ratios, scales, _, predicted = impact_for_series(
-                name, series, occurrences, control, scale_mode, panel.time_index
+                name, series, calendar.occurrences(name), control, scale_mode, panel.time_index
             )
 
             # covered: the control has every day from the first training year on
@@ -126,13 +148,8 @@ def evaluate_panel(
             observed = series[days]
             control_window = control[days]
             mape_ours = evaluate_mape(control_window + predicted, observed)
-
-            df_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
-            df = direct_forecast(series, target, fw_config, arch, df_cfg)
-            mape_df = evaluate_mape(df[days], observed)
-
-            decomposition, _ = seasonal_decompose(series, periods, target)
-            mape_sd = evaluate_mape(decomposition.fitted_total[days], observed)
+            mape_df = evaluate_mape(df_controls[name][i, days], observed)
+            mape_sd = evaluate_mape(sd_totals[i, name], observed)
 
             report.results.append(
                 SeriesEventResult(

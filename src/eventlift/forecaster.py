@@ -30,6 +30,13 @@ exactly in a float64 vector, so prediction, ``training_loss``,
 A panel trains one pooled net (``train_pooled``): every series' windows,
 each normalized by that series' own robust (shift, scale), stacked into one
 training set, so a panel of S series costs one training instead of S.
+
+Nets that must stay separate (the per-series direct-forecast baseline)
+train in lock-step instead (``_train_stack``): S nets with the same window
+shape and configs but their own seeds run each step as one pass of 3-D
+numpy calls over a leading net axis, which amortizes the per-call cost of
+the small matrix products, and each net gets the bits of training it alone.
+It is the only training loop: ``train`` is the stack of one.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -188,14 +195,17 @@ def parameter_count(layer_sizes: Sequence[int]) -> int:
 
 
 def _unpack(flat: np.ndarray, layer_sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter (or gradient) vector into (weights, bias) views
-    per layer; writing into a view writes into ``flat``."""
+    """Split parameter (or gradient) vectors into (weights, bias) views per
+    layer: a (..., P) array gives (..., fi, fo) weights and (..., 1, fo)
+    biases, one per leading index (net); writing into a view writes into
+    ``flat``."""
+    lead = flat.shape[:-1]
     out = []
     pos = 0
     for fi, fo in _layer_shapes(layer_sizes):
-        W = flat[pos : pos + fi * fo].reshape(fi, fo)
+        W = flat[..., pos : pos + fi * fo].reshape(*lead, fi, fo)
         pos += fi * fo
-        b = flat[pos : pos + fo]
+        b = flat[..., pos : pos + fo].reshape(*lead, 1, fo)
         pos += fo
         out.append((W, b))
     return out
@@ -259,10 +269,12 @@ class TrainedForecaster:
 
 def _forward(layers, activation, X, bufs=None):
     """Activations [X, hidden..., prediction] of the unpacked ``layers`` (the
-    last one linear), written into the leading rows of ``bufs`` when given."""
+    last one linear), written into ``bufs`` when given.  Rows are the last
+    axis but one, so an (S, n, lookback) ``X`` with (S, fi, fo) layers runs
+    S nets, each with the same matrix products as alone."""
     acts = [X]
     for li, (W, b) in enumerate(layers):
-        z = np.matmul(acts[-1], W, out=None if bufs is None else bufs[li][: len(X)])
+        z = np.matmul(acts[-1], W, out=None if bufs is None else bufs[li])
         z += b
         if li < len(layers) - 1:
             if activation == "relu":
@@ -276,16 +288,16 @@ def _forward(layers, activation, X, bufs=None):
 def _backward(layers, activation, acts, dpred, grads, bufs=None):
     """Write the loss gradient, given d(loss)/d(prediction) ``dpred`` (which is
     overwritten), into the (weights, bias) views ``grads``; hidden-layer deltas
-    go into the leading rows of ``bufs`` when given."""
+    go into ``bufs`` when given.  Leading net axes work as in ``_forward``."""
     delta = dpred
     for li in reversed(range(len(layers))):
         gW, gb = grads[li]
-        np.matmul(acts[li].T, delta, out=gW)
-        delta.sum(axis=0, out=gb)
+        np.matmul(acts[li].swapaxes(-1, -2), delta, out=gW)
+        delta.sum(axis=-2, keepdims=True, out=gb)
         if li == 0:
             break
-        out = None if bufs is None else bufs[li - 1][: len(delta)]
-        delta = np.matmul(delta, layers[li][0].T, out=out)
+        out = None if bufs is None else bufs[li - 1]
+        delta = np.matmul(delta, layers[li][0].swapaxes(-1, -2), out=out)
         h = acts[li]
         if activation == "relu":
             # max(z, 0) > 0 exactly where z > 0
@@ -384,30 +396,168 @@ def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     return shift, scale
 
 
-def _normalized(values: np.ndarray, shift: float, scale: float) -> np.ndarray:
-    """(values - shift) / scale written straight into a new ``TRAIN_DTYPE``
-    array: the difference is rounded once into it, then divided in place."""
-    out = np.subtract(values, shift, out=np.empty(values.shape, TRAIN_DTYPE))
-    out /= scale
-    return out
-
-
 def _rare_weights(layers, activation, X, Y, mask, cfg: AdaptiveLossConfig) -> np.ndarray:
-    """Per-window rare weights for the residual_inverse adaptation mode."""
-    B = X.shape[0]
-    base = np.full(B, cfg.rare_weight, dtype=X.dtype)
+    """Per-window rare weights for the residual_inverse adaptation mode.
+
+    ``X``, ``Y`` and ``mask`` hold B windows in their last axis but one,
+    after any leading net axes; each net's weights are renormalized over that
+    net's own windows."""
+    base = np.full(mask.shape[:-1], cfg.rare_weight, dtype=X.dtype)
     if cfg.adaptation != "residual_inverse":
         return base
     acts = _forward(layers, activation, X)
     rare_eta, _ = _weighted_error(acts[-1] - Y, mask, cfg.distance)
-    rare_resid = rare_eta.sum(axis=1)
-    has_rare = mask.any(axis=1)
-    if not has_rare.any():
-        return base
-    raw = 1.0 / (ADAPTATION_FLOOR + rare_resid)
+    raw = 1.0 / (ADAPTATION_FLOOR + rare_eta.sum(axis=-1))
+    has_rare = mask.any(axis=-1)
+    B = mask.shape[-2]
     out = base.copy()
-    out[has_rare] = cfg.rare_weight * raw[has_rare] / raw[has_rare].mean()
+    for w, r, rare in zip(out.reshape(-1, B), raw.reshape(-1, B), has_rare.reshape(-1, B)):
+        if rare.any():
+            w[rare] = cfg.rare_weight * r[rare] / r[rare].mean()
     return out
+
+
+def _train_stack(
+    windows: Iterable[RollingWindows],
+    arch: ForecasterArch,
+    loss_cfg: AdaptiveLossConfig,
+    train_cfgs: Sequence[TrainConfig],
+) -> list[TrainedForecaster]:
+    """Train one net per config in lock-step, net s on the s-th ``windows``.
+
+    The S nets share one pass of numpy calls per step: the parameters are an
+    (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
+    bias view of it, and each step gathers every net's batch with one
+    ``take`` per array from a flat (S * B, .) stack, the rows of net s
+    offset by s * B.  Each net keeps its own seeded generator (its initial
+    draws, then one permutation of its B windows per epoch), its own robust
+    (shift, scale), its own rare weights and its own loss sums, reduced in
+    the order one net alone would use, so net s gets the bits of training it
+    alone.  ``windows`` is read one entry at a time and normalized into the
+    stack before the next is read, so a generator keeps one net's float64
+    windows alive at once.
+
+    The nets must share the row count and widths of their windows and every
+    ``TrainConfig`` field but ``seed``.  A non-finite loss stops the stack at
+    that step and raises for the lowest-index net whose loss it is, at the
+    epoch that net diverges alone.
+    """
+    if not train_cfgs:
+        raise ValidationError("a training stack needs at least one net")
+    cfg = train_cfgs[0]
+    for s, other in enumerate(train_cfgs):
+        if replace(other, seed=cfg.seed) != cfg:
+            raise ValidationError(
+                f"net {s} of a training stack differs from net 0 in more than its seed: "
+                f"{other} vs {cfg}"
+            )
+    S = len(train_cfgs)
+    norms = []
+    for w in windows:  # not enumerate: its reused result tuple would keep w alive
+        s = len(norms)
+        if s == 0:
+            B = len(w)
+            X = np.empty((S * B, w.inputs.shape[1]), TRAIN_DTYPE)
+            Y = np.empty((S * B, w.labels.shape[1]), TRAIN_DTYPE)
+            mask = np.empty(Y.shape, bool)
+        rows = slice(s * B, (s + 1) * B)
+        if w.inputs.shape != X[rows].shape or w.labels.shape != Y[rows].shape:
+            raise ValidationError(
+                f"net {s} of a training stack of {S} has windows {w.inputs.shape} -> "
+                f"{w.labels.shape}, the stack holds {X[:B].shape} -> {Y[:B].shape}"
+            )
+        shift, scale = _normalization(w.inputs, w.labels)
+        for raw, dst in ((w.inputs, X[rows]), (w.labels, Y[rows])):
+            # the difference is rounded once into the float32 stack, then divided there
+            np.subtract(raw, shift, out=dst)
+            dst /= scale
+        mask[rows] = w.rare_mask
+        norms.append((shift, scale))
+        del w  # before the next net's windows are read
+    if len(norms) != S:
+        raise ValidationError(f"a training stack of {S} nets got {len(norms)} windows")
+    layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
+
+    rngs = [np.random.default_rng(c.seed) for c in train_cfgs]
+    theta = np.empty((S, parameter_count(layer_sizes)), TRAIN_DTYPE)
+    for row, rng in zip(theta, rngs):
+        parts = []
+        for fi, fo in _layer_shapes(layer_sizes):
+            bound = 1.0 / np.sqrt(fi)
+            parts.append(rng.uniform(-bound, bound, size=fi * fo))
+            parts.append(rng.uniform(-bound, bound, size=fo))
+        row[:] = np.concatenate(parts)
+
+    bs = cfg.batch_size
+    full = min(bs, B)
+    layers = _unpack(theta, layer_sizes)
+    grad = np.empty_like(theta)
+    grads = _unpack(grad, layer_sizes)
+    x_buf, y_buf, w_buf, *act_bufs = (
+        np.empty((S * full, width), TRAIN_DTYPE)
+        for width in (X.shape[1], Y.shape[1], Y.shape[1], *layer_sizes[1:])
+    )
+    delta_bufs = [np.empty_like(buf) for buf in act_bufs[:-1]]
+
+    def batch_views(n):
+        # (S, n, .) views of the buffers' leading rows, contiguous per net
+        def view(buf):
+            return buf[: S * n].reshape(S, n, -1)
+
+        return (view(x_buf), view(y_buf), view(w_buf),
+                [view(b) for b in act_bufs], [view(b) for b in delta_bufs])
+
+    views = {n: batch_views(n) for n in {full, B % bs} - {0}}
+    weights = np.empty(Y.shape, TRAIN_DTYPE)
+    X3, Y3, mask3 = (a.reshape(S, B, -1) for a in (X, Y, mask))
+    offsets = np.arange(0, S * B, B)[:, None]
+    lr0 = cfg.learning_rate
+    lr1 = cfg.final_learning_rate if cfg.final_learning_rate is not None else lr0
+    history = []
+    for epoch in range(cfg.epochs):
+        frac = epoch / max(cfg.epochs - 1, 1)
+        lr = lr0 + (lr1 - lr0) * frac
+        w1 = _rare_weights(layers, arch.activation, X3, Y3, mask3, loss_cfg)
+        weights.fill(loss_cfg.nonrare_weight)
+        np.copyto(weights, w1.reshape(-1, 1), where=mask)
+        perm = np.stack([rng.permutation(B) for rng in rngs])
+        perm += offsets
+        epoch_loss = [0.0] * S
+        n_batches = 0
+        for start in range(0, B, bs):
+            # gather this batch's rows only; mode="clip" writes into out unbuffered
+            idx = perm[:, start : start + bs]
+            n = idx.shape[1]
+            xb, yb, wb, act_views, delta_views = views[n]
+            X.take(idx, axis=0, out=xb, mode="clip")
+            Y.take(idx, axis=0, out=yb, mode="clip")
+            weights.take(idx, axis=0, out=wb, mode="clip")
+            acts = _forward(layers, arch.activation, xb, act_views)
+            weighted, dpred = _weighted_error(acts[-1] - yb, wb, loss_cfg.distance)
+            # per net: float32 row sums, their float32 sum, the mean in float64
+            for net, total in enumerate(weighted.sum(axis=-1).sum(axis=-1).tolist()):
+                batch_loss = total / n
+                if not math.isfinite(batch_loss):
+                    raise TrainingDivergedError(epoch, batch_loss, net)
+                epoch_loss[net] += batch_loss
+            dpred /= n
+            _backward(layers, arch.activation, acts, dpred, grads, delta_views)
+            grad *= lr
+            theta -= grad
+            n_batches += 1
+        history.append([total / n_batches for total in epoch_loss])
+
+    return [
+        TrainedForecaster(
+            layer_sizes=layer_sizes,
+            theta=row,
+            activation=arch.activation,
+            shift=shift,
+            scale=scale,
+            loss_history=losses,
+        )
+        for row, (shift, scale), losses in zip(theta, norms, zip(*history))
+    ]
 
 
 def train(
@@ -426,74 +576,9 @@ def train(
     batch order do not depend on the precision.  The returned parameters
     are float32 values stored as float64.  Identical windows, configs, and
     seed give bit-identical parameters.  A non-finite loss aborts with the
-    offending epoch.
+    offending epoch (and net 0).  This is ``_train_stack`` of one net.
     """
-    mask = windows.rare_mask
-    shift, scale = _normalization(windows.inputs, windows.labels)
-    X = _normalized(windows.inputs, shift, scale)
-    Y = _normalized(windows.labels, shift, scale)
-    layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
-
-    rng = np.random.default_rng(train_cfg.seed)
-    parts = []
-    for fi, fo in _layer_shapes(layer_sizes):
-        bound = 1.0 / np.sqrt(fi)
-        parts.append(rng.uniform(-bound, bound, size=fi * fo))
-        parts.append(rng.uniform(-bound, bound, size=fo))
-    theta = np.concatenate(parts, dtype=TRAIN_DTYPE)
-
-    B = X.shape[0]
-    bs = train_cfg.batch_size
-    rows = min(bs, B)
-    layers = _unpack(theta, layer_sizes)
-    grad = np.empty_like(theta)
-    grads = _unpack(grad, layer_sizes)
-    act_bufs = [np.empty((rows, fo), TRAIN_DTYPE) for _, fo in _layer_shapes(layer_sizes)]
-    delta_bufs = [np.empty_like(buf) for buf in act_bufs[:-1]]
-    x_buf = np.empty((rows, X.shape[1]), TRAIN_DTYPE)
-    y_buf = np.empty((rows, Y.shape[1]), TRAIN_DTYPE)
-    w_buf, mask_buf = np.empty_like(y_buf), np.empty(y_buf.shape, bool)
-    lr0 = train_cfg.learning_rate
-    lr1 = train_cfg.final_learning_rate if train_cfg.final_learning_rate is not None else lr0
-    history = []
-    for epoch in range(train_cfg.epochs):
-        frac = epoch / max(train_cfg.epochs - 1, 1)
-        lr = lr0 + (lr1 - lr0) * frac
-        w1 = _rare_weights(layers, arch.activation, X, Y, mask, loss_cfg)
-        perm = rng.permutation(B)
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, B, bs):
-            # gather this batch's rows only; mode="clip" writes into out unbuffered
-            idx = perm[start : start + bs]
-            n = len(idx)
-            xb = np.take(X, idx, axis=0, out=x_buf[:n], mode="clip")
-            yb = np.take(Y, idx, axis=0, out=y_buf[:n], mode="clip")
-            mb = np.take(mask, idx, axis=0, out=mask_buf[:n], mode="clip")
-            wb = w_buf[:n]
-            wb.fill(loss_cfg.nonrare_weight)
-            np.copyto(wb, w1[idx, None], where=mb)
-            acts = _forward(layers, arch.activation, xb, act_bufs)
-            weighted, dpred = _weighted_error(acts[-1] - yb, wb, loss_cfg.distance)
-            batch_loss = float(weighted.sum(axis=1).sum()) / n
-            if not math.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, batch_loss)
-            dpred /= n
-            _backward(layers, arch.activation, acts, dpred, grads, delta_bufs)
-            grad *= lr
-            theta -= grad
-            epoch_loss += batch_loss
-            n_batches += 1
-        history.append(epoch_loss / n_batches)
-
-    return TrainedForecaster(
-        layer_sizes=layer_sizes,
-        theta=theta,
-        activation=arch.activation,
-        shift=shift,
-        scale=scale,
-        loss_history=tuple(history),
-    )
+    return _train_stack([windows], arch, loss_cfg, [train_cfg])[0]
 
 
 def train_pooled(

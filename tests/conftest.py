@@ -70,15 +70,9 @@ def retail_data():
 
 
 @pytest.fixture(scope="session")
-def retail_report(retail_data):
-    """One full evaluation run shared by the end-to-end tests."""
-    import time
-
-    panel, calendar, _ = retail_data
-    started = time.monotonic()
-    report = el.evaluate_panel(
-        panel,
-        calendar,
+def retail_eval_kwargs():
+    """The ``evaluate_panel`` settings of the end-to-end tests."""
+    return dict(
         fw_config=el.RollingWindowConfig(lookback=90, horizon=30, stride=1),
         arch=el.ForecasterArch(hidden_sizes=(64, 64), activation="relu"),
         loss_cfg=el.AdaptiveLossConfig(rare_weight=0.1, nonrare_weight=1.0),
@@ -91,6 +85,16 @@ def retail_report(retail_data):
         ),
         periods=[7, 365],
     )
+
+
+@pytest.fixture(scope="session")
+def retail_report(retail_data, retail_eval_kwargs):
+    """One full evaluation run shared by the end-to-end tests."""
+    import time
+
+    panel, calendar, _ = retail_data
+    started = time.monotonic()
+    report = el.evaluate_panel(panel, calendar, **retail_eval_kwargs)
     report.elapsed_seconds = time.monotonic() - started
     return report
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,71 @@ class TestDirectForecastMLP:
                 el.RollingWindowConfig(lookback=10, horizon=5),
                 predictor="arima",
             )
+
+
+class TestDirectForecastBlock:
+    """An (S, T) block: one net per row, trained in lock-step stacks."""
+
+    cfg = el.RollingWindowConfig(lookback=8, horizon=4)
+    window = el.EventWindow(t0=50, d=3)
+    arch = el.ForecasterArch(hidden_sizes=(6,), activation="tanh")
+
+    def block(self, rows=8):
+        rng = np.random.default_rng(5)
+        t = np.arange(70)
+        level = rng.uniform(5, 50, size=(rows, 1))
+        return level * (1 + 0.1 * np.sin(t / 3.0)) + rng.normal(0, 0.5, size=(rows, len(t)))
+
+    def train_cfgs(self, rows):
+        return [el.TrainConfig(epochs=6, batch_size=9, learning_rate=0.02, seed=40 + i)
+                for i in range(rows)]
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])  # 8 rows: two stacks
+    def test_row_i_is_the_1d_call_with_config_i(self, rows):
+        x = self.block(rows)
+        cfgs = self.train_cfgs(rows)
+        block = el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs)
+        assert block.shape == x.shape
+        for row, train_cfg, control in zip(x, cfgs, block):
+            alone = el.direct_forecast(row, self.window, self.cfg, self.arch, train_cfg)
+            assert control.tobytes() == alone.tobytes()
+
+    def test_one_config_serves_every_row(self):
+        x = self.block(2)
+        [train_cfg] = self.train_cfgs(1)
+        block = el.direct_forecast(x, self.window, self.cfg, self.arch, train_cfg)
+        assert block.tobytes() == el.direct_forecast(
+            x, self.window, self.cfg, self.arch, [train_cfg] * 2
+        ).tobytes()
+
+    def test_ar1_rows_are_the_1d_calls(self):
+        x = self.block(3)
+        block = el.direct_forecast(x, self.window, self.cfg, predictor="ar1")
+        for row, control in zip(x, block):
+            alone = el.direct_forecast(row, self.window, self.cfg, predictor="ar1")
+            assert control.tobytes() == alone.tobytes()
+
+    def test_config_count_must_match_rows(self):
+        with pytest.raises(ValidationError, match="2 training configs for 3 series"):
+            el.direct_forecast(self.block(3), self.window, self.cfg, self.arch,
+                               self.train_cfgs(2))
+
+    def test_divergence_names_the_row(self):
+        """Row 7 sits in the second stack; the error names it by its row.  Its
+        spike is finite in float64 but overflows the float32 training stack."""
+        x = self.block(8)
+        x[7, 30] = 1e300
+        cfgs = [replace(c, epochs=3) for c in self.train_cfgs(8)]
+        with pytest.raises(el.TrainingDivergedError) as info, np.errstate(all="ignore"):
+            el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs)
+        with pytest.raises(el.TrainingDivergedError) as alone, np.errstate(all="ignore"):
+            el.direct_forecast(x[7], self.window, self.cfg, self.arch, cfgs[7])
+        assert (info.value.net, info.value.epoch) == (7, alone.value.epoch)
+        assert alone.value.net == 0
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match="1-D series or a 2-D block"):
+            el.direct_forecast(np.zeros((2, 2, 70)), self.window, self.cfg)
 
 
 class TestCenteredMovingAverage:

@@ -84,6 +84,29 @@ class TestExitCodes:
         assert code == 2
         assert f"{panel}:2: field larger than field limit" in capsys.readouterr().err
 
+    def test_panel_not_utf8_returns_2(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(b"series_id,date,value\n\xff,2013-01-01,1.0\n")
+        out = tmp_path / "out"
+        code = run_command(["fit-ar", "--panel", str(panel), "--t0", "10", "--out", str(out)])
+        assert code == 2
+        assert f"{panel}:2: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calendar_not_utf8_returns_2(self, sim_dir, tmp_path, capsys):
+        calendar = tmp_path / "calendar.csv"
+        calendar.write_bytes(
+            "event,start_date,end_date\nFête,2013-01-05,2013-01-06\n".encode("latin-1")
+        )
+        out = tmp_path / "out"
+        code = run_command(
+            ["estimate", "--panel", str(sim_dir / "panel.csv"), "--calendar", str(calendar),
+             "--event", "Fête", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"{calendar}:2: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validation_failure_returns_2(self, sim_dir, tmp_path, capsys):
         code = run_command(
             [

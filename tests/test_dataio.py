@@ -128,6 +128,39 @@ class TestLoadPanel:
         assert elapsed < 1.0
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 (a Latin-1 spreadsheet export, say) is a bad
+    input: the error names the file and the first line that does not decode."""
+
+    @staticmethod
+    def panel_bytes(good_rows, newline=b"\n"):
+        day = datetime.date(2013, 1, 1)
+        lines = [b"series_id,date,value"]
+        lines += [f"a,{day + datetime.timedelta(days=k)},{k}.0".encode() for k in range(good_rows)]
+        lines += [b"\xff,2013-01-01,1.0", b"b,2013-01-01,2.0"]
+        return newline.join(lines) + newline
+
+    # a few rows fail while the header is read; 5,000 rows put the bad byte
+    # past the first block (LF: the bulk tokenizer) or after the row reader
+    # took over (CRLF)
+    @pytest.mark.parametrize("good_rows", [3, 5000])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_panel_names_file_and_line(self, tmp_path, good_rows, newline):
+        path = tmp_path / "p.csv"
+        path.write_bytes(self.panel_bytes(good_rows, newline))
+        with pytest.raises(ValidationError, match=rf"p\.csv:{good_rows + 2}: not UTF-8"):
+            el.load_panel_csv(path)
+
+    def test_calendar_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(
+            "event,start_date,end_date\nsale,2013-01-05,2013-01-06\n"
+            "Fête,2013-03-01,2013-03-02\n".encode("latin-1")
+        )
+        with pytest.raises(ValidationError, match=r"c\.csv:3: not UTF-8"):
+            el.load_calendar(path)
+
+
 class TestPanelRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import eventlift as el
-from eventlift import ValidationError
+from eventlift import TrainingDivergedError, ValidationError
+from eventlift.montecarlo import mix_seed
 
 
 def tiny_setup():
@@ -101,8 +104,9 @@ class TestEvaluatePanel:
         def no_training(*args, **kwargs):
             raise AssertionError("a net was trained")
 
-        monkeypatch.setattr(forecaster, "train", no_training)
-        monkeypatch.setattr(baselines, "train", no_training)
+        # every net, pooled or DF, trains in the one stacked loop
+        monkeypatch.setattr(forecaster, "_train_stack", no_training)
+        monkeypatch.setattr(baselines, "_train_stack", no_training)
         panel, _ = tiny_setup()
         calendar = el.EventCalendar(
             {
@@ -111,6 +115,17 @@ class TestEvaluatePanel:
             }
         )
         with pytest.raises(ValidationError, match="'once' needs >= 2 occurrences"):
+            el.evaluate_panel(panel, calendar, **tiny_kwargs())
+
+    def test_df_divergence_names_the_series(self, monkeypatch):
+        from eventlift import baselines
+
+        def diverge(windows, arch, loss_cfg, train_cfgs):
+            raise TrainingDivergedError(4, float("nan"), 1)
+
+        monkeypatch.setattr(baselines, "_train_stack", diverge)
+        panel, calendar = tiny_setup()
+        with pytest.raises(TrainingDivergedError, match="epoch 4 for net DF of series 's001'"):
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
 
     def test_event_name_filter(self):
@@ -125,3 +140,34 @@ class TestEvaluatePanel:
     def test_empty_mean_mape_rejected(self):
         with pytest.raises(ValidationError):
             el.EvaluationReport().mean_mape()
+
+
+def df_reference_mapes(panel, calendar, fw_config, arch, train_cfg, **_):
+    """Each series' DF MAPE from the 1-D ``direct_forecast``, one series at a
+    time with its own derived seed, as ``evaluate_panel`` computed it before
+    DF trained a panel's nets in stacks."""
+    out = {}
+    for i, sid in enumerate(panel.series_ids):
+        series = panel.series(i)
+        df_cfg = replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
+        for name in sorted(calendar.events):
+            target = calendar.occurrences(name)[-1]
+            control = el.direct_forecast(series, target, fw_config, arch, df_cfg)
+            days = target.columns
+            out[sid, name] = el.evaluate_mape(control[days], series[days])
+    return out
+
+
+def test_df_column_matches_the_per_series_reference_on_the_tiny_panel():
+    panel, calendar = tiny_setup()
+    report = el.evaluate_panel(panel, calendar, **tiny_kwargs())
+    expected = df_reference_mapes(panel, calendar, **tiny_kwargs())
+    assert {(r.series_id, r.event): r.mape_df for r in report.results} == expected
+
+
+def test_df_column_matches_the_per_series_reference_on_the_retail_panel(
+    retail_data, retail_report, retail_eval_kwargs
+):
+    panel, calendar, _ = retail_data
+    expected = df_reference_mapes(panel, calendar, **retail_eval_kwargs)
+    assert {(r.series_id, r.event): r.mape_df for r in retail_report.results} == expected

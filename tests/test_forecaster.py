@@ -398,8 +398,15 @@ class TestTrain:
     def test_divergence_error_pickles(self):
         err = pickle.loads(pickle.dumps(TrainingDivergedError(3, float("nan"))))
         assert type(err) is TrainingDivergedError
-        assert err.epoch == 3 and np.isnan(err.loss)
+        assert err.epoch == 3 and np.isnan(err.loss) and err.net is None
         assert str(err) == "training diverged at epoch 3: loss=nan"
+
+    @pytest.mark.parametrize("net", [2, "DF of series 's001'"])
+    def test_divergence_error_with_a_net_pickles(self, net):
+        err = pickle.loads(pickle.dumps(TrainingDivergedError(3, float("inf"), net)))
+        assert type(err) is TrainingDivergedError
+        assert (err.epoch, err.loss, err.net) == (3, float("inf"), net)
+        assert str(err) == f"training diverged at epoch 3 for net {net}: loss=inf"
 
     def test_divergence_names_the_epoch(self):
         x = np.linspace(0.0, 100.0, 40)
@@ -611,6 +618,161 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
     theta, history = reference_train(windows, arch, loss_cfg, train_cfg)
     assert model.theta.tobytes() == theta.tobytes()
     assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    nets=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=13, max_value=60),
+    lookback=st.integers(min_value=1, max_value=8),
+    horizon=st.integers(min_value=1, max_value=5),
+    event_t0=st.integers(min_value=1, max_value=60),
+    hidden=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+    activation=st.sampled_from(["relu", "tanh"]),
+    distance=st.sampled_from(["absolute", "squared"]),
+    adaptation=st.sampled_from(["fixed", "residual_inverse"]),
+    epochs=st.integers(min_value=1, max_value=4),
+    batching=st.sampled_from(["divides", "remainder", "exceeds"]),
+    pick=st.integers(min_value=0, max_value=6),
+)
+def test_train_stack_matches_training_each_net_alone_bit_for_bit(
+    seed, nets, length, lookback, horizon, event_t0, hidden, activation, distance,
+    adaptation, epochs, batching, pick,
+):
+    """Net s of a lock-step stack gets the parameters and loss history of
+    ``train`` and of the allocating reference loop on its windows alone,
+    with its seed."""
+    rng = np.random.default_rng(seed)
+    cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon)
+    calendar = el.EventCalendar({"e": [el.EventWindow(t0=event_t0, d=2)]})
+    windows = [
+        el.build_rolling_windows(
+            rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 5), size=length), cfg, calendar
+        )
+        for _ in range(nets)
+    ]
+    B = len(windows[0])
+    sizes = {
+        "divides": [k for k in range(1, B + 1) if B % k == 0],
+        "remainder": [k for k in range(2, B) if B % k],
+        "exceeds": [B + 1, B + 7],
+    }[batching]
+    if not sizes:  # B <= 2: every batch size up to B divides it
+        return
+    arch = el.ForecasterArch(hidden_sizes=tuple(hidden), activation=activation)
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.3, distance=distance, adaptation=adaptation)
+    train_cfgs = [
+        el.TrainConfig(
+            epochs=epochs, batch_size=sizes[pick % len(sizes)], learning_rate=0.05,
+            final_learning_rate=0.01, seed=seed + 17 * s,
+        )
+        for s in range(nets)
+    ]
+    stack = el.forecaster._train_stack(iter(windows), arch, loss_cfg, train_cfgs)
+    assert len(stack) == nets
+    for w, train_cfg, model in zip(windows, train_cfgs, stack):
+        alone = el.train(w, arch, loss_cfg, train_cfg)
+        theta, history = reference_train(w, arch, loss_cfg, train_cfg)
+        for ref_theta, ref_history in ((alone.theta, alone.loss_history), (theta, history)):
+            assert model.theta.tobytes() == ref_theta.tobytes()
+            assert np.array(model.loss_history).tobytes() == np.array(ref_history).tobytes()
+        shift, scale = el.forecaster._normalization(w.inputs, w.labels)
+        assert (model.shift, model.scale) == (shift, scale)
+
+
+class TestTrainStack:
+    cfg = el.RollingWindowConfig(lookback=8, horizon=3)
+    arch = el.ForecasterArch(hidden_sizes=(16,))
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0, distance="squared")
+
+    def windows(self, spike=0.0, length=60):
+        """A smooth series; a spike of ``spike`` at day 30 makes it diverge."""
+        x = 10.0 + np.sin(np.arange(length) / 3.0)
+        x[30] += spike
+        return el.build_rolling_windows(x, self.cfg)
+
+    def train_cfgs(self, n, **fields):
+        base = dict(epochs=30, batch_size=8, learning_rate=0.01)
+        return [el.TrainConfig(**{**base, **fields}, seed=s) for s in range(n)]
+
+    def divergence(self, windows, train_cfgs):
+        with pytest.raises(TrainingDivergedError) as info, np.errstate(all="ignore"):
+            el.forecaster._train_stack(windows, self.arch, self.loss_cfg, train_cfgs)
+        return info.value
+
+    def test_spikes_diverge_at_different_epochs_alone(self):
+        """The data the divergence tests stack: a smooth series trains, a
+        spike of 100 diverges at epoch 1 and one of 1e4 at epoch 0."""
+        [cfg] = self.train_cfgs(1)
+        el.train(self.windows(), self.arch, self.loss_cfg, cfg)
+        assert self.divergence([self.windows(100.0)], [cfg]).epoch == 1
+        assert self.divergence([self.windows(1e4)], [cfg]).epoch == 0
+
+    def test_divergence_names_the_lowest_net_at_the_first_bad_step(self):
+        cfgs = self.train_cfgs(4)
+        spikes = [0.0, 100.0, 0.0, 100.0]
+        err = self.divergence([self.windows(s) for s in spikes], cfgs)
+        alone = self.divergence([self.windows(100.0)], [cfgs[1]])
+        assert (err.net, err.epoch) == (1, alone.epoch)
+        assert f"at epoch {alone.epoch} for net 1:" in str(err)
+        # net 3 goes bad at an earlier step than net 1, so it is the one named
+        spikes = [0.0, 100.0, 0.0, 1e4]
+        err = self.divergence([self.windows(s) for s in spikes], cfgs)
+        alone = self.divergence([self.windows(1e4)], [cfgs[3]])
+        assert (err.net, err.epoch) == (3, alone.epoch)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(epochs=31), dict(batch_size=9), dict(learning_rate=0.02),
+         dict(final_learning_rate=0.001)],
+    )
+    def test_configs_may_differ_in_seed_only(self, fields):
+        cfgs = self.train_cfgs(3)
+        cfgs[2] = replace(cfgs[2], **fields)
+        with pytest.raises(ValidationError, match="net 2 of a training stack differs"):
+            el.forecaster._train_stack(
+                [self.windows()] * 3, self.arch, self.loss_cfg, cfgs
+            )
+
+    @pytest.mark.parametrize(
+        "stack, match",
+        [
+            (lambda w: [w, w[1:]], "net 1 of a training stack of 2 has windows"),
+            (lambda w: [w, w, w], "net 2 of a training stack of 2 has windows"),
+            (lambda w: [w], "a training stack of 2 nets got 1 windows"),
+            (lambda w: [w, el.build_rolling_windows(np.arange(60.0), el.RollingWindowConfig(8, 4))],
+             "net 1 of a training stack of 2 has windows"),
+        ],
+        ids=["rows", "too-many", "too-few", "widths"],
+    )
+    def test_mismatched_windows_rejected(self, stack, match):
+        with pytest.raises(ValidationError, match=match):
+            el.forecaster._train_stack(
+                stack(self.windows()), self.arch, self.loss_cfg, self.train_cfgs(2)
+            )
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValidationError, match="at least one net"):
+            el.forecaster._train_stack([], self.arch, self.loss_cfg, [])
+
+    def test_windows_are_read_one_net_at_a_time(self):
+        """A generator's windows are normalized into the stack before the
+        next net's are built, so one net's float64 windows are alive at once."""
+        import weakref
+
+        alive = []
+
+        def lazily():
+            for _ in range(3):
+                w = self.windows()
+                alive.append(weakref.ref(w.inputs))
+                assert sum(ref() is not None for ref in alive) == 1
+                yield w
+                del w
+
+        el.forecaster._train_stack(lazily(), self.arch, self.loss_cfg, self.train_cfgs(3, epochs=1))
+        assert len(alive) == 3
 
 
 def hand_stacked(series_list, cfg, calendar):
