@@ -14,16 +14,15 @@ Uncertainty comes in two flavors: the large-N limit variance sigma^2 /
 (1 - phi^(2k)) / (1 - phi^2) at window depth k, which grows toward the
 limit value.
 
-The intervals' normal quantile comes from ``_normal_quantile``, a port of
-``ndtri`` from Moshier's Cephes Mathematical Library (1989), the routine
-scipy ships as ``scipy.special.ndtri``.  It returns the same bits, so the
-package needs no scipy at run time.
+The intervals' normal quantile is the standard library's
+``statistics.NormalDist.inv_cdf`` (Wichura's AS241, Applied Statistics,
+1988), so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -199,116 +198,15 @@ def effect_covariance(
     )
 
 
-# Cephes ndtri coefficients, highest power first.  Central branch, for
-# |p - 1/2| <= 1/2 - exp(-2):
-_P0 = (
-    -5.99633501014107895267e1,
-    9.80010754185999661536e1,
-    -5.66762857469070293439e1,
-    1.39312609387279679503e1,
-    -1.23916583867381258016e0,
-)
-_Q0 = (
-    1.0,
-    1.95448858338141759834e0,
-    4.67627912898881538453e0,
-    8.63602421390890590575e1,
-    -2.25462687854119370527e2,
-    2.00260212380060660359e2,
-    -8.20372256168333339912e1,
-    1.59056225126211695515e1,
-    -1.18331621121330003142e0,
-)
-# tail branch for x = sqrt(-2 log p) in [2, 8), i.e. p down to exp(-32):
-_P1 = (
-    4.05544892305962419923e0,
-    3.15251094599893866154e1,
-    5.71628192246421288162e1,
-    4.40805073893200834700e1,
-    1.46849561928858024014e1,
-    2.18663306850790267539e0,
-    -1.40256079171354495875e-1,
-    -3.50424626827848203418e-2,
-    -8.57456785154685413611e-4,
-)
-_Q1 = (
-    1.0,
-    1.57799883256466749731e1,
-    4.53907635128879210584e1,
-    4.13172038254672030440e1,
-    1.50425385692907503408e1,
-    2.50464946208309415979e0,
-    -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2,
-    -9.33259480895457427372e-4,
-)
-# deep tail, x >= 8:
-_P2 = (
-    3.23774891776946035970e0,
-    6.91522889068984211695e0,
-    3.93881025292474443415e0,
-    1.33303460815807542389e0,
-    2.01485389549179081538e-1,
-    1.23716634817820021358e-2,
-    3.01581553508235416007e-4,
-    2.65806974686737550832e-6,
-    6.23974539184983293730e-9,
-)
-_Q2 = (
-    1.0,
-    6.02427039364742014255e0,
-    3.67983563856160859403e0,
-    1.37702099489081330271e0,
-    2.16236993594496635890e-1,
-    1.34204006088543189037e-2,
-    3.28014464682127739104e-4,
-    2.89247864745380683936e-6,
-    6.79019408009981274425e-9,
-)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
+def _check_level(level: float, name: str = "level") -> float:
+    """Return a confidence level that leaves an upper tail, else raise.
 
-
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
-    """coef[0] * x^n + ... + coef[n], in Horner order.
-
-    A leading coefficient of 1.0 gives Cephes ``p1evl``'s bits: 1.0 * x is x.
+    The level must lie in (0, 1), and (1 + level) / 2 must round below 1,
+    where the normal quantile is infinite: the largest float below 1 fails.
     """
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile, a port of Cephes ``ndtri`` (scipy's bits).
-
-    Returns -inf at 0, inf at 1 and NaN outside [0, 1].  A rational
-    approximation in p - 1/2 covers the centre; the tails use rational
-    functions of 1/x, x = sqrt(-2 log p), one for x < 8 and one beyond.
-    """
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    if not 0.0 < p < 1.0:
-        return math.nan
-    upper = p > 1.0 - _EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
-    x = x0 - x1
-    return x if upper else -x
+    if not (0.0 < level < 1.0 and (1.0 + level) / 2.0 < 1.0):
+        raise ValidationError(f"{name} must be in (0, 1) and leave an upper tail, got {level}")
+    return level
 
 
 def confidence_intervals(
@@ -319,11 +217,10 @@ def confidence_intervals(
     """Symmetric Gaussian intervals delta_hat[k] +/- z * sqrt(cov[k,k]).
 
     ``delta_hat`` is the (d,) effect and ``covariance`` its (d, d) covariance.
-    z is the normal quantile at (1 + level) / 2 from ``_normal_quantile``,
-    bit for bit ``scipy.special.ndtri``.
+    z is the standard normal quantile at (1 + level) / 2, from
+    ``statistics.NormalDist.inv_cdf``.
     """
-    if not (0.0 < level < 1.0):
-        raise ValidationError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     cov = np.asarray(covariance, dtype=float)
     d = len(delta_hat)
     if cov.shape != (d, d):
@@ -331,6 +228,6 @@ def confidence_intervals(
     variances = np.diag(cov)
     if np.any(variances < 0):
         raise ValidationError("covariance diagonal must be >= 0")
-    z = _normal_quantile((1.0 + level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     half = z * np.sqrt(variances)
     return [(float(m - h), float(m + h)) for m, h in zip(delta_hat, half)]

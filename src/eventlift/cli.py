@@ -46,14 +46,13 @@ def _ints(raw: str) -> tuple[int, ...]:
 
 
 def _level(raw: str) -> float:
-    """argparse type of --level: a float strictly inside (0, 1)."""
+    """argparse type of --level: a float in (0, 1) that leaves an upper tail."""
     try:
-        level = float(raw)
+        return ar._check_level(float(raw))
+    except ValidationError as exc:  # a ValueError too, so caught first
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
-    if not 0.0 < level < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {raw}")
-    return level
 
 
 def _summary(values) -> str:

@@ -24,8 +24,8 @@ throughput; the trained nets forecast as well as float64-trained ones, since
 their error is set by the data and the training budget, not by rounding.
 Everything else stays float64: the normalization statistics, the rolling
 windows, and the stored model, whose parameters are float32 values held
-exactly in a float64 vector, so prediction, ``training_loss``,
-``gradient_check`` and the model file are double precision as before.
+exactly in a float64 vector, so prediction, ``gradient_check`` and the
+model file are double precision as before.
 
 A panel trains one pooled net (``train_pooled``): every series' windows,
 each normalized by that series' own robust (shift, scale), stacked into one
@@ -60,10 +60,8 @@ __all__ = [
     "TrainConfig",
     "TrainedForecaster",
     "build_rolling_windows",
-    "adaptive_loss",
     "train",
     "train_pooled",
-    "training_loss",
     "insample_forecast",
     "extract_effect",
     "gradient_check",
@@ -354,32 +352,6 @@ def _weighted_error(diff: np.ndarray, wv, distance: str):
     return wv * eta, wv * deta
 
 
-def adaptive_loss(
-    pred: np.ndarray,
-    label: np.ndarray,
-    mask: np.ndarray,
-    cfg: AdaptiveLossConfig,
-) -> tuple[float, np.ndarray]:
-    """Weighted loss for one window.
-
-    Returns (rare_weight * sum of rare-step errors + nonrare_weight * sum of
-    the rest, unweighted per-step errors).  Averaging over a batch of windows
-    is the caller's job.  The loss is written as two masked sums, not as the
-    row sum of weighted errors the training loop uses, so that its
-    decomposition into rare and non-rare parts holds exactly.
-    """
-    p = np.asarray(pred, dtype=float)
-    y = np.asarray(label, dtype=float)
-    m = np.asarray(mask, dtype=bool)
-    if p.shape != y.shape or p.shape != m.shape or p.ndim != 1:
-        raise ValidationError(
-            f"pred/label/mask must be equal-length vectors, got {p.shape}, {y.shape}, {m.shape}"
-        )
-    eta, _ = _weighted_error(p - y, 1.0, cfg.distance)
-    loss = cfg.rare_weight * eta[m].sum() + cfg.nonrare_weight * eta[~m].sum()
-    return float(loss), eta
-
-
 def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     """Median shift and interquartile-range scale over all training values.
 
@@ -393,6 +365,19 @@ def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
     scale = float(q75 - q25)
     if scale <= 0:
         scale = 1.0
+    return shift, scale
+
+
+def _normalize_into(w: RollingWindows, X, Y, mask) -> tuple[float, float]:
+    """Write ``w``'s windows, shifted and scaled by their robust
+    ``_normalization``, into the row-aligned ``X``, ``Y`` and ``mask``;
+    return the (shift, scale).  The difference is rounded once into the
+    destination's dtype, then divided there."""
+    shift, scale = _normalization(w.inputs, w.labels)
+    for raw, dst in ((w.inputs, X), (w.labels, Y)):
+        np.subtract(raw, shift, out=dst)
+        dst /= scale
+    mask[...] = w.rare_mask
     return shift, scale
 
 
@@ -466,13 +451,7 @@ def _train_stack(
                 f"net {s} of a training stack of {S} has windows {w.inputs.shape} -> "
                 f"{w.labels.shape}, the stack holds {X[:B].shape} -> {Y[:B].shape}"
             )
-        shift, scale = _normalization(w.inputs, w.labels)
-        for raw, dst in ((w.inputs, X[rows]), (w.labels, Y[rows])):
-            # the difference is rounded once into the float32 stack, then divided there
-            np.subtract(raw, shift, out=dst)
-            dst /= scale
-        mask[rows] = w.rare_mask
-        norms.append((shift, scale))
+        norms.append(_normalize_into(w, X[rows], Y[rows], mask[rows]))
         del w  # before the next net's windows are read
     if len(norms) != S:
         raise ValidationError(f"a training stack of {S} nets got {len(norms)} windows")
@@ -614,13 +593,9 @@ def train_pooled(
     for x, end, size in zip(series_list, ends, sizes):
         rows = slice(end - size, end)
         windows = build_rolling_windows(x, config, calendar)
-        shift, scale = _normalization(windows.inputs, windows.labels)
-        for raw, out in ((windows.inputs, stack.inputs), (windows.labels, stack.labels)):
-            dst = out[rows]
-            np.subtract(raw, shift, out=dst)
-            dst /= scale
-        stack.rare_mask[rows] = windows.rare_mask
-        norms.append((shift, scale))
+        norms.append(
+            _normalize_into(windows, stack.inputs[rows], stack.labels[rows], stack.rare_mask[rows])
+        )
         del windows  # before the next series' windows are built
     pooled_cfg = replace(train_cfg, epochs=math.ceil(train_cfg.epochs / len(sizes)))
     model = train(stack, arch, loss_cfg, pooled_cfg)
@@ -628,24 +603,6 @@ def train_pooled(
         replace(model, shift=shift + scale * model.shift, scale=scale * model.scale)
         for shift, scale in norms
     ]
-
-
-def training_loss(
-    model: TrainedForecaster,
-    windows: RollingWindows,
-    loss_cfg: AdaptiveLossConfig,
-) -> float:
-    """Batch-mean adaptive loss of a model on windows, in normalized units.
-
-    Uses fixed weights (the adaptation mode, if any, applies only inside the
-    training loop).
-    """
-    X = (windows.inputs - model.shift) / model.scale
-    Y = (windows.labels - model.shift) / model.scale
-    acts = _forward(_unpack(model.theta, model.layer_sizes), model.activation, X)
-    wv = np.where(windows.rare_mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
-    weighted, _ = _weighted_error(acts[-1] - Y, wv, loss_cfg.distance)
-    return float(weighted.sum(axis=1).mean())
 
 
 def insample_forecast(
@@ -679,9 +636,8 @@ def insample_forecast(
     values = np.full(len(x), np.nan)
     on = counts >= 1
     if aggregate == "mean":
-        # np.add.at adds in row order, so every sum matches a per-row loop bit for bit
-        sums = np.zeros(len(x))
-        np.add.at(sums, target, preds)
+        # bincount adds in row order, so every sum matches a per-row loop bit for bit
+        sums = np.bincount(target.ravel(), weights=preds.ravel(), minlength=len(x))
         values[on] = sums[on] / counts[on]
     else:
         by_offset = np.full((len(x), H), np.nan)

@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .ar import (
+    _check_level,
     ar1_error_covariance,
     confidence_intervals,
     effect_covariance,
@@ -117,8 +118,7 @@ class MCConfig:
             raise ValidationError(
                 f"fit range t0={self.t0} must be in [1, window.t0={self.window.t0}]"
             )
-        if not (0.0 < self.ci_level < 1.0):
-            raise ValidationError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        _check_level(self.ci_level, "ci_level")
         if self.variance_mode not in ("finite_horizon", "asymptotic_diagonal"):
             raise ValidationError(f"unknown variance_mode {self.variance_mode!r}")
         if self.standardize not in ("oracle", "estimated"):

@@ -1,5 +1,6 @@
 import math
 import re
+import statistics
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import eventlift as el
 from eventlift import ValidationError
-from eventlift.ar import _normal_quantile
 
 
 class TestFitAR1:
@@ -289,29 +289,44 @@ class TestConfidenceIntervals:
 
     def test_width_uses_the_pinned_quantile(self):
         (lo, hi), = el.confidence_intervals(np.array([0.0]), np.eye(1), level=0.95)
-        assert (lo, hi) == (-1.959963984540054, 1.959963984540054)
+        assert (lo, hi) == (-1.9599639845400536, 1.9599639845400536)
 
+    def test_level_with_no_upper_tail_rejected(self):
+        # the largest float below 1: (1 + level) / 2 rounds to 1.0, where z is infinite
+        level = 0.9999999999999999
+        assert level < 1.0 and (1.0 + level) / 2.0 == 1.0
+        with pytest.raises(ValidationError, match="level"):
+            el.confidence_intervals(np.array([0.0]), np.eye(1), level=level)
 
-class TestNormalQuantile:
-    def test_pinned_values(self):
-        # scipy.special.ndtri's bits; statistics.NormalDist gives ...0536 at 0.975
-        assert _normal_quantile(0.975) == 1.959963984540054
-        assert _normal_quantile(0.5) == 0.0
-        assert _normal_quantile(0.0) == -math.inf
-        assert _normal_quantile(1.0) == math.inf
-        assert math.isnan(_normal_quantile(1.5))
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        delta=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        var=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    )
+    def test_bounds_are_delta_plus_minus_the_stdlib_quantile(self, level, delta, var):
+        p = (1.0 + level) / 2.0
+        if p == 1.0:
+            with pytest.raises(ValidationError, match="level"):
+                el.confidence_intervals(np.array([delta]), np.array([[var]]), level)
+            return
+        z = statistics.NormalDist().inv_cdf(p)
+        (lo, hi), = el.confidence_intervals(np.array([delta]), np.array([[var]]), level)
+        assert (lo, hi) == (delta - z * math.sqrt(var), delta + z * math.sqrt(var))
 
     @settings(max_examples=500, deadline=None)
     @given(
         st.one_of(
             st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-            st.floats(min_value=-323.0, max_value=0.0).map(lambda e: 10.0**e),
             st.floats(min_value=-16.0, max_value=0.0).map(lambda e: 1.0 - 10.0**e),
-        ).filter(lambda p: 0.0 < p < 1.0)
+        ).filter(lambda level: 0.0 < level and (1.0 + level) / 2.0 < 1.0)
     )
-    def test_matches_scipy_ndtri_bit_for_bit(self, p):
+    def test_quantile_within_8_ulp_of_scipy_ndtri(self, level):
         special = pytest.importorskip("scipy.special")
-        assert _normal_quantile(p) == float(special.ndtri(p))
+        p = (1.0 + level) / 2.0
+        z = statistics.NormalDist().inv_cdf(p)
+        reference = float(special.ndtri(p))
+        assert abs(z - reference) <= 8 * math.ulp(reference)
 
 
 @settings(max_examples=200, deadline=None)

@@ -139,7 +139,9 @@ class TestExitCodes:
         assert "--start-date" in capsys.readouterr().err
         assert not (tmp_path / "panel.csv").exists()
 
-    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan", "inf", "abc"])
+    @pytest.mark.parametrize(
+        "level", ["1.5", "0", "1", "-0.2", "nan", "inf", "abc", "0.9999999999999999"]
+    )
     @pytest.mark.parametrize("command", ["estimate", "mc-validate"])
     def test_bad_level_is_a_flag_error(self, command, level, tmp_path, capsys):
         # the inputs do not exist: the flag must fail before anything is read

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import eventlift as el
 from eventlift import TrainingDivergedError, ValidationError
+from eventlift.forecaster import _weighted_error
 
 
 def constant_model(outputs, lookback=1, activation="relu"):
@@ -234,42 +235,51 @@ def test_non_finite_series_names_the_first_bad_index(bad):
         el.insample_forecast(constant_model([1.0, 2.0], lookback=4), x)
 
 
+def fixed_weights(mask, cfg):
+    """Fixed per-step weights: rare_weight on the rare steps, nonrare_weight elsewhere."""
+    return np.where(mask, cfg.rare_weight, cfg.nonrare_weight)
+
+
 class TestAdaptiveLoss:
+    """``_weighted_error``, the per-step loss and derivative training reduces."""
+
     def test_hand_computed(self):
         cfg = el.AdaptiveLossConfig(rare_weight=0.5, nonrare_weight=1.0)
-        loss, per_step = el.adaptive_loss(
-            np.zeros(3), np.array([2.0, 1.0, 1.0]), np.array([True, False, False]), cfg
-        )
-        assert loss == 3.0
-        assert per_step.tolist() == [2.0, 1.0, 1.0]
+        mask = np.array([True, False, False])
+        diff = np.zeros(3) - np.array([2.0, 1.0, 1.0])
+        weighted, deriv = _weighted_error(diff, fixed_weights(mask, cfg), cfg.distance)
+        assert weighted.tolist() == [1.0, 1.0, 1.0]
+        assert weighted.sum() == 3.0
+        assert deriv.tolist() == [-0.5, -1.0, -1.0]
 
     def test_perfect_prediction_is_free(self):
         cfg = el.AdaptiveLossConfig(rare_weight=3.0, nonrare_weight=7.0)
         label = np.array([1.0, -2.0])
-        loss, _ = el.adaptive_loss(label, label, np.array([True, False]), cfg)
-        assert loss == 0.0
+        weighted, deriv = _weighted_error(
+            label - label, fixed_weights(np.array([True, False]), cfg), cfg.distance
+        )
+        assert weighted.sum() == 0.0
+        assert deriv.tolist() == [0.0, 0.0]
 
     def test_unit_weights_give_total_distance(self):
         cfg = el.AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
         pred = np.array([1.0, 2.0, 3.0])
         label = np.array([0.0, 4.0, 3.5])
-        loss, _ = el.adaptive_loss(pred, label, np.array([True, False, True]), cfg)
-        assert loss == pytest.approx(3.5)
+        weighted, _ = _weighted_error(
+            pred - label, fixed_weights(np.array([True, False, True]), cfg), cfg.distance
+        )
+        assert weighted.sum() == pytest.approx(3.5)
 
     def test_squared_distance(self):
         cfg = el.AdaptiveLossConfig(
             rare_weight=1.0, nonrare_weight=1.0, distance="squared"
         )
-        loss, per_step = el.adaptive_loss(
-            np.array([0.0, 0.0]), np.array([2.0, -3.0]), np.array([False, False]), cfg
-        )
-        assert loss == 13.0
-        assert per_step.tolist() == [4.0, 9.0]
-
-    def test_length_mismatch_rejected(self):
-        cfg = el.AdaptiveLossConfig()
-        with pytest.raises(ValidationError):
-            el.adaptive_loss(np.zeros(3), np.zeros(2), np.zeros(3, dtype=bool), cfg)
+        diff = np.array([0.0, 0.0]) - np.array([2.0, -3.0])
+        mask = np.array([False, False])
+        weighted, deriv = _weighted_error(diff, fixed_weights(mask, cfg), cfg.distance)
+        assert weighted.tolist() == [4.0, 9.0]
+        assert weighted.sum() == 13.0
+        assert deriv.tolist() == [-4.0, 6.0]
 
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
@@ -289,13 +299,19 @@ class TestAdaptiveLoss:
     distance=st.sampled_from(["absolute", "squared"]),
 )
 def test_loss_decomposes_into_weighted_masked_sums(data, h, w1, w2, distance):
+    """The row sum training takes is the rare part plus the non-rare part.
+
+    The two sides add the same nonnegative terms in different orders, so
+    they agree to a few rounding errors of the total, not bit for bit."""
     finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
     pred = np.array(data.draw(st.lists(finite, min_size=h, max_size=h)))
     label = np.array(data.draw(st.lists(finite, min_size=h, max_size=h)))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=h, max_size=h)))
     cfg = el.AdaptiveLossConfig(rare_weight=w1, nonrare_weight=w2, distance=distance)
-    loss, per_step = el.adaptive_loss(pred, label, mask, cfg)
-    assert loss == w1 * per_step[mask].sum() + w2 * per_step[~mask].sum()
+    weighted, _ = _weighted_error(pred - label, fixed_weights(mask, cfg), distance)
+    eta, _ = _weighted_error(pred - label, 1.0, distance)
+    parts = w1 * eta[mask].sum() + w2 * eta[~mask].sum()
+    assert weighted.sum() == pytest.approx(parts, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,13 +326,12 @@ def test_loss_never_decreases_in_rare_weight(data, h, w1_low, bump):
     pred = np.array(data.draw(st.lists(finite, min_size=h, max_size=h)))
     label = np.array(data.draw(st.lists(finite, min_size=h, max_size=h)))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=h, max_size=h)))
-    low, _ = el.adaptive_loss(
-        pred, label, mask, el.AdaptiveLossConfig(rare_weight=w1_low)
-    )
-    high, _ = el.adaptive_loss(
-        pred, label, mask, el.AdaptiveLossConfig(rare_weight=w1_low + bump)
-    )
-    assert high >= low
+
+    def loss(rare_weight):
+        cfg = el.AdaptiveLossConfig(rare_weight=rare_weight)
+        return _weighted_error(pred - label, fixed_weights(mask, cfg), cfg.distance)[0].sum()
+
+    assert loss(w1_low + bump) >= loss(w1_low)
 
 
 class TestTrain:
@@ -926,23 +941,34 @@ def test_trained_parameters_are_float32_values(tmp_path):
 
 
 class TestTrainingLossInvariance:
+    """The loss a trained model's forecasts get, with training's fixed weights."""
+
+    @staticmethod
+    def loss(model, windows, loss_cfg):
+        weighted, _ = _weighted_error(
+            model.predict(windows.inputs) - windows.labels,
+            fixed_weights(windows.rare_mask, loss_cfg),
+            loss_cfg.distance,
+        )
+        return weighted.sum(axis=1).mean()
+
     def test_rare_labels_are_invisible_at_zero_weight(self):
         model, samples, x, cfg = quick_train()
         calendar = el.EventCalendar({"e": [el.EventWindow(t0=20, d=3)]})
         masked = el.build_rolling_windows(x, cfg, calendar)
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
-        base = el.training_loss(model, masked, loss_cfg)
+        base = self.loss(model, masked, loss_cfg)
         labels = masked.labels.copy()
         labels[masked.rare_mask] += 1e6
         perturbed = replace(masked, labels=labels)
-        assert el.training_loss(model, perturbed, loss_cfg) == base
+        assert self.loss(model, perturbed, loss_cfg) == base
 
     def test_nonrare_labels_do_move_the_loss(self):
         model, samples, x, cfg = quick_train()
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
-        base = el.training_loss(model, samples, loss_cfg)
+        base = self.loss(model, samples, loss_cfg)
         bumped = replace(samples, labels=samples.labels + 1.0)
-        assert el.training_loss(model, bumped, loss_cfg) != base
+        assert self.loss(model, bumped, loss_cfg) != base
 
 
 class TestInsampleForecast:

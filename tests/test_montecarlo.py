@@ -62,6 +62,11 @@ class TestMCConfig:
         with pytest.raises(ValidationError):
             small_config(variance_mode="bootstrap")
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 0.9999999999999999])
+    def test_level_without_an_upper_tail_rejected(self, level):
+        with pytest.raises(ValidationError, match="ci_level"):
+            small_config(ci_level=level)
+
 
 class TestOracles:
     def test_finite_horizon_variances_hand_values(self):
