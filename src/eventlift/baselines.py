@@ -116,27 +116,29 @@ def centered_moving_average(x: np.ndarray, period: int) -> np.ndarray:
     """Centered moving average of one period's width.
 
     Even periods use the classical period+1 window with half weights at the
-    ends.  Near the series edges the window shrinks symmetrically to the
-    widest radius that fits (a plain mean), which affects the first and last
-    period/2 points.
+    ends.  Where that window fits, the average is one ``np.correlate`` of
+    the series with the weights.  Near the series edges the window shrinks
+    symmetrically to the widest radius that fits (a plain mean), which
+    affects the first and last period/2 points, and every point of a series
+    shorter than the window: edge point t averages the 2t+1 points nearest
+    its end, read off running sums taken inward from that end.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
     if period < 2:
         raise ValidationError(f"period must be >= 2, got {period}")
     h = period // 2
-    out = np.empty(n)
-    even = period % 2 == 0
     full = np.ones(2 * h + 1)
-    if even:
+    if period % 2 == 0:
         full[0] = full[-1] = 0.5
     full /= full.sum()
-    for t in range(n):
-        r = min(h, t, n - 1 - t)
-        if r == h:
-            out[t] = x[t - h : t + h + 1] @ full
-        else:
-            out[t] = x[t - r : t + r + 1].mean()
+    out = np.empty(n)
+    if n > 2 * h:
+        out[h : n - h] = np.correlate(x, full, "valid")
+    lengths = np.arange(1, 2 * h, 2)
+    left, right = min(h, (n + 1) // 2), min(h, n // 2)
+    out[:left] = np.cumsum(x[: 2 * left])[::2] / lengths[:left]
+    out[n - right :] = (np.cumsum(x[::-1][: 2 * right])[::2] / lengths[:right])[::-1]
     return out
 
 
@@ -159,6 +161,19 @@ class DecompositionResult:
         return self.trend + self.seasonal_sum()
 
 
+def _ordered_periods(periods, length: int) -> list[int]:
+    """The decomposition periods in ascending order, checked against a
+    series of ``length`` points."""
+    ordered = sorted(int(p) for p in periods)
+    if len(ordered) != len(set(ordered)):
+        raise ValidationError(f"periods must be distinct, got {periods}")
+    if not ordered or any(p < 2 for p in ordered):
+        raise ValidationError(f"periods must all be >= 2, got {periods}")
+    if length < 2 * ordered[-1]:
+        raise ValidationError(f"series length {length} < 2 * max period = {2 * ordered[-1]}")
+    return ordered
+
+
 def seasonal_decompose(
     series: np.ndarray,
     periods: list[int],
@@ -168,10 +183,11 @@ def seasonal_decompose(
 
     For each period in ascending order: estimate a trend by centered moving
     average at that period, take phase means of the detrended residual over
-    the interior where the average had its full window (normalized to sum to
-    zero over the period), and subtract the tiled seasonal before the next
-    pass.  The final trend is the moving average of the deseasonalized
-    series at the longest period.
+    the interior where the average had its full window (one ``np.bincount``
+    of the residual by phase, divided by the phase counts, then normalized
+    to sum to zero over the period), and subtract the tiled seasonal before
+    the next pass.  The final trend is the moving average of the
+    deseasonalized series at the longest period.
 
     The longest period's seasonal absorbs annually recurring events, so the
     synthetic control on the window is trend plus all shorter-period
@@ -186,15 +202,7 @@ def seasonal_decompose(
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
-    ordered = sorted(int(p) for p in periods)
-    if len(ordered) != len(set(ordered)):
-        raise ValidationError(f"periods must be distinct, got {periods}")
-    if not ordered or any(p < 2 for p in ordered):
-        raise ValidationError(f"periods must all be >= 2, got {periods}")
-    if len(x) < 2 * ordered[-1]:
-        raise ValidationError(
-            f"series length {len(x)} < 2 * max period = {2 * ordered[-1]}"
-        )
+    ordered = _ordered_periods(periods, len(x))
     window.check_fits(len(x) - 1)
 
     work = x.copy()
@@ -204,11 +212,10 @@ def seasonal_decompose(
         detrended = work - trend_p
         # phase means use only indices whose moving-average window was full,
         # so the edge-shrunk trend never contaminates the seasonal shape
+        # (the series is at least two periods long, so each phase has one)
         h = period // 2
-        interior = np.arange(h, len(x) - h)
-        phase_means = np.array(
-            [detrended[interior[interior % period == phase]].mean() for phase in range(period)]
-        )
+        phases = np.arange(h, len(x) - h) % period
+        phase_means = np.bincount(phases, weights=detrended[h : len(x) - h]) / np.bincount(phases)
         phase_means -= phase_means.mean()
         tiled = np.resize(phase_means, len(x))
         seasonals[period] = tiled

@@ -286,9 +286,27 @@ def _cmd_mc_validate(args) -> int:
     )
     report = montecarlo.run_replications(config, n_jobs=args.jobs)
     out = _out_dir(args)
-    reports.write_mc_report_csv(out / "mc_report.csv", report)
-    reports.write_crosscov_csv(out / "mc_crosscov.csv", report)
-    reports.write_notes(out / "mc_notes.txt", report.notes)
+    reports.write_rows(
+        out / "mc_report.csv",
+        ["component", "mean_bias", "empirical_var", "theoretical_var_finite",
+         "theoretical_var_asymptotic", "ci_coverage", "skewness", "excess_kurtosis"],
+        (
+            (k + 1, c.mean_bias, c.empirical_var_scaled, c.theoretical_var_finite,
+             c.theoretical_var_asymptotic, c.ci_coverage, c.skewness, c.excess_kurtosis)
+            for k, c in enumerate(report.per_component)
+        ),
+    )
+    reports.write_rows(
+        out / "mc_crosscov.csv",
+        ["k", "l", "empirical", "reference"],
+        (
+            (k + 1, l + 1, value, report.cross_cov_oracle[k, l])
+            for (k, l), value in np.ndenumerate(report.cross_cov_scaled)
+        ),
+    )
+    (out / "mc_notes.txt").write_text(
+        "".join(f"{note}\n" for note in report.notes), encoding="utf-8", newline=""
+    )
     reports.svg_histogram(
         out / "mc_report.svg",
         report.standardized_errors[:, 0],
@@ -314,7 +332,14 @@ def _cmd_rate_check(args) -> int:
         spec, args.t0, _ints(args.grid), args.reps, args.seed
     )
     out = _out_dir(args)
-    reports.write_rate_csv(out / "rate_report.csv", report)
+    reports.write_rows(
+        out / "rate_report.csv",
+        ["n_small", "n_large", "sd_small", "sd_large", "ratio", "expected_ratio"],
+        (
+            (p.n_small, p.n_large, p.sd_small, p.sd_large, p.ratio, p.expected_ratio)
+            for p in report.pairs
+        ),
+    )
     for pair in report.pairs:
         print(
             f"N={pair.n_small} -> N={pair.n_large}: sd ratio {pair.ratio:.3f} "
@@ -435,6 +460,7 @@ def _cmd_impact(args) -> int:
     series = _series_row(panel, args.series)
     occurrences = calendar.occurrences(args.event)
     training_years, _ = impact.split_occurrences(args.event, occurrences)  # before any fit
+    scales = [impact.year_scale(series, w, args.scale_mode, panel.time_index) for w in occurrences]
     if args.method == "model":
         if args.model is None:
             raise ValidationError("--method model needs --model")
@@ -443,17 +469,15 @@ def _cmd_impact(args) -> int:
         control = forecaster.insample_forecast(model, series, stride)
     else:
         control = ar.recursive_control(series, training_years)
-    ratios, scales, target_scale, predicted = impact.impact_for_series(
-        args.event, series, occurrences, control, args.scale_mode, panel.time_index
-    )
+    ratios, predicted = impact.impact_for_series(args.event, series, occurrences, control, scales)
     out = _out_dir(args)
-    reports.write_impact_csv(out / "impact.csv", [(args.event, ratios, scales)])
+    reports.write_impact_csv(out / "impact.csv", [(args.event, ratios, scales[:-1])])
     reports.write_rows(
         out / "prediction.csv", ["k", "predicted_effect"], enumerate(predicted, start=1)
     )
     print(
         f"predicted {args.event} effect for the target year (scale "
-        f"{target_scale:.4f}): [{_summary(predicted)}]; wrote {out / 'impact.csv'} and "
+        f"{scales[-1]:.4f}): [{_summary(predicted)}]; wrote {out / 'impact.csv'} and "
         f"{out / 'prediction.csv'}"
     )
     return 0
@@ -474,7 +498,11 @@ def _cmd_evaluate(args) -> int:
         scale_mode=args.scale_mode,
     )
     out = _out_dir(args)
-    reports.write_mape_csv(out / "mape.csv", report.mape_rows())
+    reports.write_rows(
+        out / "mape.csv",
+        ["department", "event", "SD", "DF", "ours"],
+        ((r.series_id, r.event, r.mape_sd, r.mape_df, r.mape_ours) for r in report.results),
+    )
     reports.write_impact_csv(
         out / "impact.csv",
         [(f"{r.series_id}/{r.event}", r.ratios, r.scales) for r in report.results],

@@ -22,8 +22,11 @@ is the prediction target and all earlier ones are training years:
 * SD: decompose the series (weekly + annual by default); the fitted values
   including the annual component are the predicted total.
 
-Each method's MAPE against the observed window fills one Table-style row
-(department, event, SD, DF, ours).
+Before anything trains, every event's occurrences, the decomposition
+periods and every (series, occurrence) scale are checked, so an input the
+run cannot use fails at once and names its series and event.  Each
+(series, event) row (department, event, SD, DF, ours: each method's MAPE
+against the observed window) is then built in one place.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import direct_forecast, seasonal_decompose
+from .baselines import _ordered_periods, direct_forecast, seasonal_decompose
 from .errors import TrainingDivergedError, ValidationError
 from .forecaster import (
     AdaptiveLossConfig,
@@ -42,7 +45,7 @@ from .forecaster import (
     insample_forecast,
     train_pooled,
 )
-from .impact import evaluate_mape, impact_for_series, split_occurrences
+from .impact import evaluate_mape, impact_for_series, split_occurrences, year_scale
 from .montecarlo import mix_seed
 from .panel import EventCalendar, PanelSeries
 
@@ -68,12 +71,6 @@ class SeriesEventResult:
 class EvaluationReport:
     results: list[SeriesEventResult] = field(default_factory=list)
 
-    def mape_rows(self) -> list[tuple]:
-        return [
-            (r.series_id, r.event, r.mape_sd, r.mape_df, r.mape_ours)
-            for r in self.results
-        ]
-
     def mean_mape(self) -> dict[str, float]:
         if not self.results:
             raise ValidationError("no results to aggregate")
@@ -97,9 +94,11 @@ def evaluate_panel(
 ) -> EvaluationReport:
     """Run all three methods on every (series, event) pair.
 
-    Events need at least two occurrences (training years plus the target).
-    The pooled net trains with ``train_cfg.seed`` and each series' DF net
-    with a seed derived from it, so runs are reproducible end to end.
+    Events need at least two occurrences (training years plus the target),
+    and every series a positive ``year_scale`` at each of them; both, and
+    the periods, are checked before any training.  The pooled net trains
+    with ``train_cfg.seed`` and each series' DF net with a seed derived from
+    it, so runs are reproducible end to end.
     """
     fw_config = fw_config or RollingWindowConfig()
     arch = arch or ForecasterArch()
@@ -107,19 +106,22 @@ def evaluate_panel(
     train_cfg = train_cfg or TrainConfig()
     periods = periods or [7, 365]
     names = event_names if event_names is not None else sorted(calendar.events)
+    targets = {}
     for name in names:
-        split_occurrences(name, calendar.occurrences(name))
+        _, targets[name] = split_occurrences(name, calendar.occurrences(name))
+    _ordered_periods(periods, panel.values.shape[1])
 
     all_series = [panel.series(i) for i in range(panel.n_series)]
-    targets = {name: calendar.occurrences(name)[-1] for name in names}
-    # SD trains nothing, so it runs first: a Python loop right after a
-    # multi-threaded BLAS call (the in-sample forecast) shares the cores
-    # with the BLAS threads still spinning, and ran at half speed on 2 cores
-    sd_totals = {}
-    for i, series in enumerate(all_series):
-        for name, target in targets.items():
-            decomposition, _ = seasonal_decompose(series, periods, target)
-            sd_totals[i, name] = decomposition.fitted_total[target.columns]
+    scales = {}
+    for sid, series in zip(panel.series_ids, all_series):
+        for name in names:
+            try:
+                scales[sid, name] = [
+                    year_scale(series, w, scale_mode, panel.time_index)
+                    for w in calendar.occurrences(name)
+                ]
+            except ValidationError as exc:
+                raise ValidationError(f"series {sid!r}, event {name!r}: {exc}") from exc
 
     models = train_pooled(all_series, fw_config, calendar, arch, loss_cfg, train_cfg)
     df_cfgs = [
@@ -139,31 +141,28 @@ def evaluate_panel(
         control = insample_forecast(model, series, fw_config.stride)
 
         for name, target in targets.items():
-            ratios, scales, _, predicted = impact_for_series(
-                name, series, calendar.occurrences(name), control, scale_mode, panel.time_index
+            ratios, predicted = impact_for_series(
+                name, series, calendar.occurrences(name), control, scales[sid, name]
             )
+            decomposition, _ = seasonal_decompose(series, periods, target)
 
             # covered: the control has every day from the first training year on
             days = target.columns
             observed = series[days]
             control_window = control[days]
-            mape_ours = evaluate_mape(control_window + predicted, observed)
-            mape_df = evaluate_mape(df_controls[name][i, days], observed)
-            mape_sd = evaluate_mape(sd_totals[i, name], observed)
-
             report.results.append(
                 SeriesEventResult(
                     series_id=sid,
                     event=name,
-                    mape_sd=mape_sd,
-                    mape_df=mape_df,
-                    mape_ours=mape_ours,
+                    mape_sd=evaluate_mape(decomposition.fitted_total[days], observed),
+                    mape_df=evaluate_mape(df_controls[name][i, days], observed),
+                    mape_ours=evaluate_mape(control_window + predicted, observed),
                     predicted_effect=predicted,
                     observed=observed,
                     control_ours=control_window,
                     target_window=target,
                     ratios=ratios,
-                    scales=scales,
+                    scales=np.array(scales[sid, name][:-1]),
                 )
             )
     return report

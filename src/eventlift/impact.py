@@ -134,24 +134,22 @@ def split_occurrences(event: str, occurrences) -> tuple[list, EventWindow]:
     return occurrences[:-1], occurrences[-1]
 
 
-def impact_for_series(event: str, series, occurrences, control, scale_mode, time_index):
+def impact_for_series(event: str, series, occurrences, control, scales):
     """Impact ratios of one series' event and its predicted target-year effect.
 
-    A training year's effect is ``extract_effect`` of the (T,) ``control``
-    on its window, divided by that year's ``year_scale``; the cross-year
-    mean ratio rescaled by the target year's scale is the prediction.  The
-    control need not cover the target window.  Every scale is computed
-    before the first effect.  Returns the (K, d) ratios, the (K,)
-    training-year scales, the target scale and the (d,) predicted per-day
+    ``scales`` holds each occurrence's ``year_scale``, the target's last, so
+    a caller checks every scale before it builds a control.  A training
+    year's effect is ``extract_effect`` of the (T,) ``control`` on its
+    window, divided by that year's scale; the cross-year mean ratio rescaled
+    by the target scale is the prediction.  The control need not cover the
+    target window.  Returns the (K, d) ratios and the (d,) predicted per-day
     effect.
     """
     training_years, _ = split_occurrences(event, occurrences)
-    *scales, target_scale = [
-        year_scale(series, w, mode=scale_mode, time_index=time_index) for w in occurrences
-    ]
+    *training_scales, target_scale = scales
     effects = [extract_effect(control, series, w) for w in training_years]
-    ratios = model_from_estimates(effects, scales)
-    return ratios, np.array(scales), target_scale, predict_effect(ratios, target_scale)
+    ratios = model_from_estimates(effects, training_scales)
+    return ratios, predict_effect(ratios, target_scale)
 
 
 def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray) -> float:

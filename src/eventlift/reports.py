@@ -2,30 +2,33 @@
 
 Everything written here is a pure function of its inputs with fixed float
 formatting, so repeated runs produce byte-identical files.  Every output
-table goes through ``write_rows``; the input formats ``simulate`` writes stay
-in ``dataio`` (panel.csv: series_id,date,value; calendar.csv:
+table is written by ``write_rows``, by the command that owns it or through
+a writer here that several commands share (``write_effect_csv``,
+``write_impact_csv``); the input formats ``simulate`` writes stay in
+``dataio`` (panel.csv: series_id,date,value; calendar.csv:
 event,start_date,end_date).  Plots are plain SVG assembled by hand; no
 rendering library is involved and the output parses as well-formed XML.
 
 CSV schemas (k is the 1-based window day, t a 0-based time index):
 
 * effect estimates:   k,delta_hat,lower,upper     (effect.csv, df_effect.csv)
+* AR fit:             phi_hat,sigma2_hat,n_pairs   (ar_fit.csv)
 * MC per-component:   component,mean_bias,empirical_var,theoretical_var_finite,
                       theoretical_var_asymptotic,ci_coverage,skewness,excess_kurtosis
-* MC cross-covariance: k,l,empirical,reference     (scaled errors, 1-based)
+                      (mc_report.csv; mc_notes.txt beside it holds one note a line)
+* MC cross-covariance: k,l,empirical,reference     (mc_crosscov.csv; scaled
+                      errors, 1-based)
 * rate check:         n_small,n_large,sd_small,sd_large,ratio,expected_ratio
-* impact ratios:      event,year,k,ratio,scale     (year: 0-based training-year index)
-* MAPE comparison:    department,event,SD,DF,ours
-
-and the tables the CLI passes to ``write_rows`` directly:
-
-* AR fit:             phi_hat,sigma2_hat,n_pairs   (ar_fit.csv)
+                      (rate_report.csv)
 * training log:       epoch,loss                   (training_log.csv, epoch from 0)
 * forecast control:   t,value                      (df_control.csv, supported t only)
 * SD control:         t,control,total              (sd_control.csv, window days)
 * decomposition:      t,trend,seasonal_<p>...,remainder   (decomposition.csv,
                       one seasonal column per period, ascending)
+* impact ratios:      event,year,k,ratio,scale     (impact.csv; year: 0-based
+                      training-year index)
 * prediction:         k,predicted_effect           (prediction.csv)
+* MAPE comparison:    department,event,SD,DF,ours  (mape.csv)
 * evaluation:         department,event,k,predicted_effect,control,observed
                       (predictions.csv)
 """
@@ -38,17 +41,10 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .montecarlo import MonteCarloReport, RateReport
-
 __all__ = [
     "write_rows",
     "write_effect_csv",
-    "write_mc_report_csv",
-    "write_crosscov_csv",
-    "write_notes",
-    "write_rate_csv",
     "write_impact_csv",
-    "write_mape_csv",
     "svg_line_plot",
     "svg_histogram",
 ]
@@ -79,65 +75,6 @@ def write_effect_csv(path, delta_hat, cis=None) -> None:
     write_rows(path, ["k", "delta_hat", "lower", "upper"], rows)
 
 
-def write_mc_report_csv(path, report: MonteCarloReport) -> None:
-    write_rows(
-        path,
-        [
-            "component",
-            "mean_bias",
-            "empirical_var",
-            "theoretical_var_finite",
-            "theoretical_var_asymptotic",
-            "ci_coverage",
-            "skewness",
-            "excess_kurtosis",
-        ],
-        (
-            [
-                k + 1,
-                comp.mean_bias,
-                comp.empirical_var_scaled,
-                comp.theoretical_var_finite,
-                comp.theoretical_var_asymptotic,
-                comp.ci_coverage,
-                comp.skewness,
-                comp.excess_kurtosis,
-            ]
-            for k, comp in enumerate(report.per_component)
-        ),
-    )
-
-
-def write_crosscov_csv(path, report: MonteCarloReport) -> None:
-    d = report.cross_cov_scaled.shape[0]
-    write_rows(
-        path,
-        ["k", "l", "empirical", "reference"],
-        (
-            [k + 1, l + 1, report.cross_cov_scaled[k, l], report.cross_cov_oracle[k, l]]
-            for k in range(d)
-            for l in range(d)
-        ),
-    )
-
-
-def write_notes(path, notes: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in notes:
-            fh.write(line + "\n")
-
-
-def write_rate_csv(path, report: RateReport) -> None:
-    write_rows(
-        path,
-        ["n_small", "n_large", "sd_small", "sd_large", "ratio", "expected_ratio"],
-        (
-            [p.n_small, p.n_large, p.sd_small, p.sd_large, p.ratio, p.expected_ratio]
-            for p in report.pairs
-        ),
-    )
-
-
 def write_impact_csv(path, labeled: list[tuple]) -> None:
     """Rows of each (label, (K, d) ratios, (K,) scales) triple: the label in
     the ``event`` column, the 0-based training-year row index in ``year``."""
@@ -146,15 +83,6 @@ def write_impact_csv(path, labeled: list[tuple]) -> None:
         for year, (ratio, scale) in enumerate(zip(ratios, scales)):
             rows.extend([label, year, k + 1, v, scale] for k, v in enumerate(ratio))
     write_rows(path, ["event", "year", "k", "ratio", "scale"], rows)
-
-
-def write_mape_csv(path, rows: list[tuple]) -> None:
-    """Rows are (department, event, sd_mape, df_mape, ours_mape)."""
-    write_rows(
-        path,
-        ["department", "event", "SD", "DF", "ours"],
-        ([dep, event, float(sd), float(df), float(ours)] for dep, event, sd, df, ours in rows),
-    )
 
 
 # ---------------------------------------------------------------------------

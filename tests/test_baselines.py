@@ -208,6 +208,99 @@ class TestDirectForecastBlock:
             el.direct_forecast(np.zeros((2, 2, 70)), self.window, self.cfg)
 
 
+def loop_moving_average(x, period):
+    """The per-index loop ``centered_moving_average`` replaced: the full
+    window's weighted sum where it fits, else the widest symmetric mean."""
+    n, h = len(x), period // 2
+    full = np.ones(2 * h + 1)
+    if period % 2 == 0:
+        full[0] = full[-1] = 0.5
+    full /= full.sum()
+    out = np.empty(n)
+    for t in range(n):
+        r = min(h, t, n - 1 - t)
+        out[t] = x[t - h : t + h + 1] @ full if r == h else x[t - r : t + r + 1].mean()
+    return out
+
+
+def loop_phase_means(detrended, period):
+    """The per-phase loop ``seasonal_decompose`` replaced: each phase's mean
+    over the indices whose moving-average window was full."""
+    h = period // 2
+    interior = np.arange(h, len(detrended) - h)
+    return np.array(
+        [detrended[interior[interior % period == phase]].mean() for phase in range(period)]
+    )
+
+
+def loop_decompose(x, periods):
+    """``seasonal_decompose``'s passes built from the two loop references:
+    (trend, {period: seasonal}, remainder)."""
+    work = x.copy()
+    seasonals = {}
+    for period in sorted(periods):
+        means = loop_phase_means(work - loop_moving_average(work, period), period)
+        seasonals[period] = np.resize(means - means.mean(), len(x))
+        work = work - seasonals[period]
+    trend = loop_moving_average(work, max(periods))
+    return trend, seasonals, work - trend
+
+
+def random_series(seed, length, level, spread):
+    return level + spread * np.random.default_rng(seed).normal(size=length)
+
+
+# the array code sums in another order than the loops: allow 1e-12 of the
+# series' largest magnitude, a few thousand float64 roundings
+LOOP_TOL = 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    period=st.integers(min_value=2, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    level=st.floats(min_value=-1e6, max_value=1e6),
+    spread=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_moving_average_matches_the_loop(data, period, seed, level, spread):
+    # half the draws are no longer than the window, where every point is an edge
+    short = data.draw(st.booleans())
+    length = data.draw(st.integers(min_value=1, max_value=period if short else 1500))
+    x = random_series(seed, length, level, spread)
+    expected = loop_moving_average(x, period)
+    got = el.centered_moving_average(x, period)
+    assert np.all(np.abs(got - expected) <= LOOP_TOL * np.abs(x).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    periods=st.lists(st.integers(min_value=2, max_value=400), min_size=1, max_size=2,
+                     unique=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    level=st.floats(min_value=-1e6, max_value=1e6),
+    spread=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_decomposition_matches_the_loops(data, periods, seed, level, spread):
+    length = data.draw(st.integers(min_value=2 * max(periods), max_value=1500))
+    x = random_series(seed, length, level, spread)
+    window = el.EventWindow(t0=length - 3, d=1)
+    result, control = el.seasonal_decompose(x, periods, window)
+    trend, seasonals, remainder = loop_decompose(x, periods)
+    bound = LOOP_TOL * np.abs(x).max()
+    assert np.all(np.abs(result.trend - trend) <= bound)
+    assert result.seasonal_components.keys() == seasonals.keys()
+    for period, seasonal in seasonals.items():
+        assert np.all(np.abs(result.seasonal_components[period] - seasonal) <= bound)
+    assert np.all(np.abs(result.remainder - remainder) <= bound)
+    fitted = trend + sum(seasonals.values())
+    assert np.all(np.abs(result.fitted_total - fitted) <= bound)
+    day = length - 2
+    expected = trend[day] + sum(s[day] for p, s in seasonals.items() if p != max(periods))
+    assert abs(control[day] - expected) <= bound
+
+
 class TestCenteredMovingAverage:
     def test_odd_period_hand_values(self):
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])

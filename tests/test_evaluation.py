@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,13 +48,9 @@ class TestEvaluatePanel:
         assert {r.series_id for r in report.results} == {"s000", "s001"}
         assert all(r.event == "promo" for r in report.results)
 
-    def test_mape_rows_and_means(self):
+    def test_mean_mape_per_method(self):
         panel, calendar = tiny_setup()
         report = el.evaluate_panel(panel, calendar, **tiny_kwargs())
-        rows = report.mape_rows()
-        assert len(rows) == 2
-        assert rows[0][0] == "s000"
-        assert rows[0][1] == "promo"
         means = report.mean_mape()
         assert set(means) == {"SD", "DF", "ours"}
         for value in means.values():
@@ -79,8 +76,8 @@ class TestEvaluatePanel:
         panel, calendar = tiny_setup()
         a = el.evaluate_panel(panel, calendar, **tiny_kwargs())
         b = el.evaluate_panel(panel, calendar, **tiny_kwargs())
-        assert a.mape_rows() == b.mape_rows()
         for ra, rb in zip(a.results, b.results):
+            assert (ra.mape_sd, ra.mape_df, ra.mape_ours) == (rb.mape_sd, rb.mape_df, rb.mape_ours)
             assert np.array_equal(ra.predicted_effect, rb.predicted_effect)
             assert np.array_equal(ra.control_ours, rb.control_ours)
 
@@ -116,6 +113,73 @@ class TestEvaluatePanel:
         )
         with pytest.raises(ValidationError, match="'once' needs >= 2 occurrences"):
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
+
+    @pytest.mark.parametrize(
+        "scale_mode, flat_s001, message",
+        [
+            ("calendar_month", False, "series 's000', event 'promo': calendar_month mode "
+                                      "needs a date-valued time index"),
+            ("annual", False, "series 's000', event 'promo': mode must be"),
+            # s001 sells nothing in the 30 days before the target's run-up
+            ("pre_event_month", True, "series 's001', event 'promo': pre_event_month scale "
+                                      "of the occurrence at t0=159 is 0.0"),
+        ],
+        ids=["calendar_month_without_dates", "unknown_mode", "zero_pre_event_level"],
+    )
+    def test_bad_scale_rejected_before_any_work(
+        self, monkeypatch, scale_mode, flat_s001, message
+    ):
+        from eventlift import baselines, evaluation, forecaster
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work was done before the scales were checked")
+
+        monkeypatch.setattr(forecaster, "_train_stack", no_work)
+        monkeypatch.setattr(baselines, "_train_stack", no_work)
+        monkeypatch.setattr(evaluation, "seasonal_decompose", no_work)
+        panel, calendar = tiny_setup()
+        if flat_s001:
+            values = panel.values.copy()
+            values[1, 123:153] = 0.0
+            panel = el.PanelSeries(values)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            el.evaluate_panel(panel, calendar, scale_mode=scale_mode, **tiny_kwargs())
+
+    def test_each_scale_is_computed_once(self, monkeypatch):
+        from eventlift import evaluation, impact
+
+        calls = []
+        year_scale = impact.year_scale
+
+        def counted(series, window, *args, **kwargs):
+            calls.append(window.t0)
+            return year_scale(series, window, *args, **kwargs)
+
+        monkeypatch.setattr(impact, "year_scale", counted)
+        monkeypatch.setattr(evaluation, "year_scale", counted, raising=False)
+        panel, calendar = tiny_setup()
+        el.evaluate_panel(panel, calendar, **tiny_kwargs())
+        assert calls == [59, 159, 59, 159]
+
+    def test_periods_longer_than_half_the_series_rejected_before_training(
+        self, monkeypatch
+    ):
+        from eventlift import baselines, forecaster
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(forecaster, "_train_stack", no_training)
+        monkeypatch.setattr(baselines, "_train_stack", no_training)
+        panel, calendar = tiny_setup()
+        kwargs = {**tiny_kwargs(), "periods": [7, 200]}
+        with pytest.raises(ValidationError, match="series length 230 < 2 \\* max period = 400"):
+            el.evaluate_panel(panel, calendar, **kwargs)
+
+    def test_sd_column_is_the_decomposition_mape(self):
+        panel, calendar = tiny_setup()
+        report = el.evaluate_panel(panel, calendar, **tiny_kwargs())
+        assert_sd_column_is_the_decomposition_mape(report, panel, tiny_kwargs()["periods"])
 
     def test_df_divergence_names_the_series(self, monkeypatch):
         from eventlift import baselines
@@ -171,3 +235,22 @@ def test_df_column_matches_the_per_series_reference_on_the_retail_panel(
     panel, calendar, _ = retail_data
     expected = df_reference_mapes(panel, calendar, **retail_eval_kwargs)
     assert {(r.series_id, r.event): r.mape_df for r in retail_report.results} == expected
+
+
+def assert_sd_column_is_the_decomposition_mape(report, panel, periods):
+    """Each SD MAPE is, bit for bit, the MAPE of ``seasonal_decompose``'s
+    ``fitted_total`` on the target window."""
+    for r in report.results:
+        series = panel.series(panel.series_ids.index(r.series_id))
+        decomposition, _ = el.seasonal_decompose(series, periods, r.target_window)
+        days = r.target_window.columns
+        assert r.mape_sd == el.evaluate_mape(decomposition.fitted_total[days], series[days])
+
+
+def test_sd_column_is_the_decomposition_mape_on_the_retail_panel(
+    retail_data, retail_report, retail_eval_kwargs
+):
+    panel, _, _ = retail_data
+    assert_sd_column_is_the_decomposition_mape(
+        retail_report, panel, retail_eval_kwargs["periods"]
+    )

@@ -299,19 +299,39 @@ class TestAdaptiveLoss:
     distance=st.sampled_from(["absolute", "squared"]),
 )
 def test_loss_decomposes_into_weighted_masked_sums(data, h, w1, w2, distance):
-    """The row sum training takes is the rare part plus the non-rare part.
-
-    The two sides add the same nonnegative terms in different orders, so
-    they agree to a few rounding errors of the total, not bit for bit."""
+    """The row sum training takes is the rare part plus the non-rare part."""
     finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
     pred = np.array(data.draw(st.lists(finite, min_size=h, max_size=h)))
     label = np.array(data.draw(st.lists(finite, min_size=h, max_size=h)))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=h, max_size=h)))
+    check_loss_decomposition(pred, label, mask, w1, w2, distance)
+
+
+def check_loss_decomposition(pred, label, mask, w1, w2, distance):
+    """Both sides weight each term before adding, then add the same
+    nonnegative terms in different orders, so they agree to a few rounding
+    errors of the total, not bit for bit. Weighting a masked sum after adding
+    would not: ``w * (a + b)`` and ``w * a + w * b`` round apart by a whole
+    subnormal step once the products underflow."""
     cfg = el.AdaptiveLossConfig(rare_weight=w1, nonrare_weight=w2, distance=distance)
     weighted, _ = _weighted_error(pred - label, fixed_weights(mask, cfg), distance)
     eta, _ = _weighted_error(pred - label, 1.0, distance)
-    parts = w1 * eta[mask].sum() + w2 * eta[~mask].sum()
+    parts = (w1 * eta[mask]).sum() + (w2 * eta[~mask]).sum()
     assert weighted.sum() == pytest.approx(parts, rel=1e-12, abs=0.0)
+
+
+def test_loss_decomposes_with_subnormal_products():
+    """The smallest subnormal rare weight: every rare product underflows."""
+    check_loss_decomposition(
+        pred=np.array([0.0, 0.0, 0.0, 1.5, 0.0]),
+        label=np.array([0.0, 1.0, 0.0, 0.0, 0.0]),
+        mask=np.array([False, True, False, True, False]),
+        w1=5e-324, w2=1.0, distance="absolute",
+    )
+    check_loss_decomposition(
+        pred=np.array([5e-324, 5e-324]), label=np.zeros(2),
+        mask=np.array([False, False]), w1=0.0, w2=0.3, distance="absolute",
+    )
 
 
 @settings(max_examples=200, deadline=None)

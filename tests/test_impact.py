@@ -119,19 +119,16 @@ class TestImpactForSeries:
         control = np.full(120, np.nan)
         control[51:53] = [8.0, 9.0]
 
-        ratios, scales, target_scale, predicted = el.impact.impact_for_series(
-            "x", series, windows, control, "pre_event_month", None
-        )
+        scales = [el.year_scale(series, w) for w in windows]
+        assert scales == [10.0, 20.0]
+        ratios, predicted = el.impact.impact_for_series("x", series, windows, control, scales)
         assert ratios.tolist() == [[0.2, 0.1]]
-        assert scales.tolist() == [10.0]
-        assert target_scale == 20.0
         np.testing.assert_allclose(predicted, [4.0, 2.0])
 
     def test_needs_two_occurrences(self):
         with pytest.raises(ValidationError, match="'x' needs >= 2 occurrences"):
             el.impact.impact_for_series(
-                "x", np.ones(120), [el.EventWindow(t0=50, d=2)], np.full(120, np.nan),
-                "pre_event_month", None,
+                "x", np.ones(120), [el.EventWindow(t0=50, d=2)], np.full(120, np.nan), [1.0]
             )
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import eventlift as el
-from eventlift import reports
+from eventlift import dataio, reports
+from eventlift.cli import run_command
 
 
 def read_rows(path):
@@ -66,45 +67,62 @@ class TestEffectCsv:
         assert float(rows[2][1]) == np.pi
 
 
-class TestMonteCarloCsv:
-    def test_report_schema(self, tmp_path):
-        report = small_report()
-        path = tmp_path / "mc.csv"
-        reports.write_mc_report_csv(path, report)
-        rows = read_rows(path)
-        assert rows[0][:3] == ["component", "mean_bias", "empirical_var"]
-        assert len(rows) == 1 + 2
-        assert [r[0] for r in rows[1:]] == ["1", "2"]
+@pytest.fixture(scope="module")
+def mc_dir(tmp_path_factory):
+    """``mc-validate`` on the ``small_report`` settings."""
+    out = tmp_path_factory.mktemp("mc")
+    assert run_command(
+        ["mc-validate", "--phi", "0.5", "--sigma", "1.0", "--n", "200", "--t0", "30",
+         "--d", "2", "--delta", "1,-0.5", "--reps", "40", "--seed", "5", "--out", str(out)]
+    ) == 0
+    return out
 
-    def test_crosscov_schema(self, tmp_path):
-        report = small_report()
-        path = tmp_path / "cc.csv"
-        reports.write_crosscov_csv(path, report)
-        rows = read_rows(path)
+
+class TestMonteCarloCsv:
+    def test_report_schema(self, mc_dir):
+        rows = read_rows(mc_dir / "mc_report.csv")
+        assert rows[0] == [
+            "component", "mean_bias", "empirical_var", "theoretical_var_finite",
+            "theoretical_var_asymptotic", "ci_coverage", "skewness", "excess_kurtosis",
+        ]
+        assert [r[0] for r in rows[1:]] == ["1", "2"]
+        for row, comp in zip(rows[1:], small_report().per_component):
+            assert [float(v) for v in row[1:]] == [
+                comp.mean_bias, comp.empirical_var_scaled, comp.theoretical_var_finite,
+                comp.theoretical_var_asymptotic, comp.ci_coverage, comp.skewness,
+                comp.excess_kurtosis,
+            ]
+
+    def test_crosscov_schema(self, mc_dir):
+        rows = read_rows(mc_dir / "mc_crosscov.csv")
         assert rows[0] == ["k", "l", "empirical", "reference"]
-        assert len(rows) == 1 + 4
+        assert [r[:2] for r in rows[1:]] == [["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
         ref01 = next(r for r in rows[1:] if r[0] == "1" and r[1] == "2")
         assert float(ref01[3]) == el.ar1_error_covariance(0.5, 1.0, 2)[0, 1]
 
-    def test_notes_file(self, tmp_path):
-        report = small_report()
-        path = tmp_path / "notes.txt"
-        reports.write_notes(path, report.notes)
-        text = path.read_text()
+    def test_notes_file(self, mc_dir):
+        text = (mc_dir / "mc_notes.txt").read_bytes().decode("utf-8")
         assert "off-diagonal" in text
+        assert text == "".join(f"{note}\n" for note in small_report().notes)
 
 
 class TestRateCsv:
-    def test_schema(self, tmp_path):
-        spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
-        report = el.rate_check_phi(spec, t0=20, n_grid=[50, 200], reps=10, master_seed=1)
-        path = tmp_path / "rate.csv"
-        reports.write_rate_csv(path, report)
-        rows = read_rows(path)
+    def test_schema(self, tmp_path, capsys):
+        assert run_command(
+            ["rate-check", "--phi", "0.5", "--sigma", "1.0", "--t0", "20", "--grid", "50,200",
+             "--reps", "10", "--seed", "1", "--out", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        rows = read_rows(tmp_path / "rate_report.csv")
         assert rows[0] == ["n_small", "n_large", "sd_small", "sd_large", "ratio", "expected_ratio"]
         assert rows[1][0] == "50"
         assert rows[1][1] == "200"
         assert float(rows[1][5]) == 2.0
+        spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
+        pair = el.rate_check_phi(spec, t0=20, n_grid=[50, 200], reps=10, master_seed=1).pairs[0]
+        assert [float(v) for v in rows[1][2:]] == [
+            pair.sd_small, pair.sd_large, pair.ratio, pair.expected_ratio
+        ]
 
 
 class TestImpactCsv:
@@ -122,18 +140,30 @@ class TestImpactCsv:
 
 
 class TestMapeCsv:
-    def test_table_layout(self, tmp_path):
-        rows_in = [
-            ("dept0", "thanksgiving", 52.6, 20.21, 8.79),
-            ("dept0", "christmas", 20.24, 46.17, 7.08),
-        ]
-        path = tmp_path / "mape.csv"
-        reports.write_mape_csv(path, rows_in)
-        rows = read_rows(path)
+    def test_table_layout(self, tiny_files, tmp_path, capsys):
+        inputs = ["--panel", str(tiny_files / "panel.csv"),
+                  "--calendar", str(tiny_files / "calendar.csv")]
+        assert run_command(
+            ["evaluate", *inputs, "--lookback", "10", "--horizon", "5", "--hidden", "8",
+             "--epochs", "5", "--periods", "7,100", "--seed", "1", "--out", str(tmp_path)]
+        ) == 0
+        capsys.readouterr()
+        rows = read_rows(tmp_path / "mape.csv")
         assert rows[0] == ["department", "event", "SD", "DF", "ours"]
-        assert len(rows) == 3
-        assert float(rows[1][2]) == 52.6
-        assert float(rows[1][4]) == 8.79
+        panel = dataio.load_panel_csv(tiny_files / "panel.csv")
+        report = el.evaluate_panel(
+            panel,
+            dataio.bind_calendar(dataio.load_calendar(tiny_files / "calendar.csv"), panel),
+            fw_config=el.RollingWindowConfig(lookback=10, horizon=5),
+            arch=el.ForecasterArch(hidden_sizes=(8,)),
+            train_cfg=el.TrainConfig(epochs=5, seed=1),
+            periods=[7, 100],
+        )
+        assert rows[1:] == [
+            [r.series_id, r.event, repr(r.mape_sd), repr(r.mape_df), repr(r.mape_ours)]
+            for r in report.results
+        ]
+        assert [r[:2] for r in rows[1:]] == [["s000", "promo"], ["s001", "promo"]]
 
 
 class TestSvgPlots:
