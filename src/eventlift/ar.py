@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
@@ -58,12 +59,15 @@ class ARModelFit:
             raise ValidationError(f"sigma2_hat must be >= 0, got {self.sigma2_hat}")
 
 
-def fit_ar1_ols(panel: PanelSeries, t0: int) -> ARModelFit:
+def fit_ar1_ols(panel: PanelSeries, t0: int, skip: Sequence[EventWindow] = ()) -> ARModelFit:
     """Pooled OLS fit of the AR(1) coefficient from pre-event data.
 
     Uses every consecutive pair (Y[i,t-1], Y[i,t]) with t = 1..t0, giving
-    N*t0 pairs.  Residual variance is the mean squared residual over the
-    same pairs, with no degrees-of-freedom correction.
+    N*t0 pairs, except a pair with either day inside a ``skip`` window (an
+    earlier occurrence, whose event days would bias the fit); ``n_pairs``
+    counts the pairs kept.  The pair (0, 1) always stays, as no window
+    starts before day 2.  Residual variance is the mean squared residual
+    over the same pairs, with no degrees-of-freedom correction.
 
     Raises
     ------
@@ -75,7 +79,13 @@ def fit_ar1_ols(panel: PanelSeries, t0: int) -> ARModelFit:
         raise ValidationError(f"t0 must be in [1, {panel.horizon}], got {t0}")
     prev = panel.values[:, :t0]
     curr = panel.values[:, 1 : t0 + 1]
-    # one (N, t0) scratch buffer holds prev^2, then prev*curr, then the residuals
+    touched = np.zeros(t0 + 1, dtype=bool)
+    for w in skip:
+        touched[w.columns] = True
+    if touched.any():
+        keep = ~(touched[:-1] | touched[1:])
+        prev, curr = prev[:, keep], curr[:, keep]
+    # one (N, pairs) scratch buffer holds prev^2, then prev*curr, then the residuals
     buf = np.multiply(prev, prev)
     denom = float(np.sum(buf))
     if denom == 0.0:
@@ -112,13 +122,14 @@ def forecast_counterfactual(
     return values
 
 
-def recursive_control(series: np.ndarray, windows) -> np.ndarray:
+def recursive_control(series: np.ndarray, windows: Sequence[EventWindow]) -> np.ndarray:
     """The (T,) AR(1) control of one series: its recursive forecast on each window.
 
-    Each window gets its own fit on the series up to that window's t0, and
-    the forecast iterated from the t0 anchor.  A window that runs past the
-    series end is cut there; every index outside the windows is NaN.  No
-    value after a window's t0 enters its forecast.
+    Each window gets its own fit on the series up to that window's t0,
+    skipping the pairs that touch the other windows' days, and the forecast
+    iterated from the t0 anchor.  A window that runs past the series end is
+    cut there; every index outside the windows is NaN.  No value after a
+    window's t0 enters its forecast.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -126,7 +137,7 @@ def recursive_control(series: np.ndarray, windows) -> np.ndarray:
     control = np.full(len(x), np.nan)
     for w in windows:
         history = PanelSeries(x[None, : w.t0 + 1])
-        fit = fit_ar1_ols(history, w.t0)
+        fit = fit_ar1_ols(history, w.t0, windows)
         control[w.columns] = forecast_counterfactual(fit, history, w)[0, : len(x) - w.t0 - 1]
     return control
 

@@ -240,7 +240,8 @@ def _cmd_estimate(args) -> int:
             f"--fit-t0 {t0_fit} is outside [1, {window.t0}]: the fit needs one pair "
             f"and may not pass the window's t0={window.t0}, or it would see event days"
         )
-    fit = ar.fit_ar1_ols(panel, t0_fit)
+    # earlier occurrences' event days stay out of the fit
+    fit = ar.fit_ar1_ols(panel, t0_fit, calendar.occurrences(args.event))
     cf = ar.forecast_counterfactual(fit, panel, window)
     delta_hat = ar.estimate_effect(panel.values[:, window.columns], cf, window)
     cov = ar.effect_covariance(fit, window, panel.n_series, args.variance_mode)

@@ -333,8 +333,7 @@ def build_rolling_windows(
     """
     x, starts = _window_starts(series, config)
     M, H = config.lookback, config.horizon
-    events = calendar.window_indices() if calendar is not None else ()
-    event_day = np.isin(np.arange(len(x)), list(events))
+    event_day = (calendar or EventCalendar()).event_days(len(x))
     return RollingWindows(
         inputs=sliding_window_view(x, M)[starts],
         labels=sliding_window_view(x[M:], H)[starts],

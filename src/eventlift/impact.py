@@ -10,6 +10,8 @@ A year's effect is the series minus a (T,) control from either estimator.
 from __future__ import annotations
 
 import datetime
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,7 +71,8 @@ def year_scale(
     ``pre_event_month``: mean over the 30 days ending one week before the
     event starts (indices t0-36 .. t0-7), which is observable before the
     event happens.  ``calendar_month``: mean over the event's calendar month
-    excluding the event days themselves; needs a date-valued time index.
+    excluding the event days themselves; needs the panel's date-valued time
+    index, which ``PanelSeries`` keeps strictly increasing.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
@@ -83,7 +86,7 @@ def year_scale(
                 f"no pre-event days available for scale (t0={window.t0} leaves "
                 f"nothing before the {RUNUP_BUFFER}-day run-up)"
             )
-        scale, days = float(x[lo : hi + 1].mean()), range(lo, hi + 1)
+        days, first, last = x[lo : hi + 1], lo, hi
     elif mode == "calendar_month":
         if time_index is None:
             raise ValidationError("calendar_month mode needs a time_index")
@@ -92,25 +95,27 @@ def year_scale(
         start = time_index[window.t0 + 1]
         if not isinstance(start, datetime.date):
             raise ValidationError("calendar_month mode needs a date-valued time index")
-        in_window = set(window.indices)
-        candidates = [
-            t
-            for t, day in enumerate(time_index)
-            if day.year == start.year and day.month == start.month and t not in in_window
-        ]
-        if not candidates:
+        # the month is the index range [lo, hi), bisected; the window starts in it
+        month = attrgetter("year", "month")
+        lo = bisect_left(time_index, month(start), hi=window.t0 + 1, key=month)
+        hi = bisect_right(time_index, month(start), lo=window.t0 + 1, key=month)
+        after = min(window.t0 + window.d + 1, hi)
+        days = np.concatenate((x[lo : window.t0 + 1], x[after:hi]))
+        if not days.size:
             raise ValidationError(
                 f"no non-event days in {start.year}-{start.month:02d} to compute a scale"
             )
-        scale, days = float(x[candidates].mean()), candidates
+        first = lo if lo <= window.t0 else after
+        last = hi - 1 if after < hi else window.t0
     else:
         raise ValidationError(
             f"mode must be 'pre_event_month' or 'calendar_month', got {mode!r}"
         )
+    scale = float(days.mean())
     if scale <= 0:
         raise ValidationError(
             f"{mode} scale of the occurrence at t0={window.t0} is {scale}, the mean of "
-            f"{len(days)} days in {days[0]}..{days[-1]}; impact ratios need a positive level"
+            f"{days.size} days in {first}..{last}; impact ratios need a positive level"
         )
     return scale
 

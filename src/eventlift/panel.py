@@ -204,18 +204,13 @@ class EventCalendar:
             raise ValidationError(f"unknown event {name!r}")
         return list(self.events[name])
 
-    def all_windows(self) -> list[EventWindow]:
-        out: list[EventWindow] = []
+    def event_days(self, length: int) -> np.ndarray:
+        """(length,) mask of the days in any event window, cut at the series end."""
+        mask = np.zeros(length, dtype=bool)
         for occ in self.events.values():
-            out.extend(occ)
-        return sorted(out, key=lambda w: w.t0)
-
-    def window_indices(self) -> frozenset[int]:
-        """Set of every time index falling inside any event window."""
-        idx: set[int] = set()
-        for w in self.all_windows():
-            idx.update(w.indices)
-        return frozenset(idx)
+            for w in occ:
+                mask[w.columns] = True
+        return mask
 
 
 def as_effect_vector(delta: Sequence[float], d: int | None = None) -> np.ndarray:

@@ -124,11 +124,12 @@ class TestEstimateEffect:
         np.testing.assert_allclose(est, delta, atol=1e-9)
 
 
-def closure_effect(x, window):
+def closure_effect(x, window, earlier):
     """The single-series AR effect as written before ``recursive_control``:
-    a fit on the full series, the window forecast, then ``estimate_effect``."""
+    a fit on the full series without the pairs that touch the ``earlier``
+    windows, the window forecast, then ``estimate_effect``."""
     single = el.PanelSeries(x[None, :])
-    fit = el.fit_ar1_ols(single, window.t0)
+    fit = el.fit_ar1_ols(single, window.t0, earlier)
     cf = el.forecast_counterfactual(fit, single, window)
     return el.estimate_effect(single.values[:, window.columns], cf, window)
 
@@ -154,9 +155,10 @@ def test_recursive_control_matches_the_full_series_closure(length, spans, seed):
         start = t0 + d
     control = el.recursive_control(x, windows)
     covered = np.zeros(length, dtype=bool)
-    for w in windows:
+    for k, w in enumerate(windows):
         covered[w.columns] = True
-        assert el.extract_effect(control, x, w).tobytes() == closure_effect(x, w).tobytes()
+        want = closure_effect(x, w, windows[:k])
+        assert el.extract_effect(control, x, w).tobytes() == want.tobytes()
     assert np.isnan(control[~covered]).all()
 
 
@@ -186,6 +188,47 @@ class TestRecursiveControl:
     def test_needs_one_series(self):
         with pytest.raises(ValidationError, match="1-D"):
             el.recursive_control(np.ones((2, 10)), [el.EventWindow(t0=5, d=1)])
+
+
+def two_spike_series():
+    """A phi=0.5 AR(1) series with +20 on days 100-102 and 200-202."""
+    x = el.simulate_ar1_panel(el.ARProcessSpec(phi=0.5, sigma=1.0), 1, 260, seed=0).values[0]
+    windows = [el.EventWindow(t0=99, d=3), el.EventWindow(t0=199, d=3)]
+    x = x.copy()
+    for w in windows:
+        x[w.columns] += 20.0
+    return x, windows
+
+
+class TestContaminatedPairs:
+    """A later occurrence's fit skips the pairs that touch earlier event days."""
+
+    def test_second_occurrence_fit_skips_the_first_spike(self):
+        x, windows = two_spike_series()
+        # pairs (t-1, t), t = 1..199, minus (99,100)..(102,103)
+        kept = np.array([t for t in range(1, 200) if not {t - 1, t} & {100, 101, 102}])
+        phi = np.sum(x[kept - 1] * x[kept]) / np.sum(x[kept - 1] ** 2)
+        contaminated = np.sum(x[:199] * x[1:200]) / np.sum(x[:199] ** 2)
+        assert phi == pytest.approx(0.569, abs=5e-4)
+        assert contaminated == pytest.approx(0.613, abs=5e-4)
+        control = el.recursive_control(x, windows)
+        assert control[200:203] == pytest.approx(x[199] * phi ** np.arange(1, 4), rel=1e-12)
+
+    def test_n_pairs_counts_the_kept_pairs(self):
+        x, windows = two_spike_series()
+        fit = el.fit_ar1_ols(el.PanelSeries(np.stack([x, x])), 199, windows)
+        assert fit.n_pairs == 2 * (199 - 4)
+
+    def test_windows_that_touch_no_pair_keep_the_bits(self):
+        x, windows = two_spike_series()
+        panel = el.PanelSeries(x[None, :])
+        assert el.fit_ar1_ols(panel, 99, windows) == el.fit_ar1_ols(panel, 99)
+
+    def test_the_first_pair_always_stays(self):
+        # a window starts on day 2 at the earliest, so (0, 1) is never skipped
+        panel = el.PanelSeries(np.array([[2.0, 3.0, 50.0, 60.0]]))
+        fit = el.fit_ar1_ols(panel, 3, [el.EventWindow(t0=1, d=2)])
+        assert (fit.phi_hat, fit.n_pairs) == (1.5, 1)
 
 
 class TestExplosiveFits:

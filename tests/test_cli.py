@@ -543,6 +543,28 @@ class TestImpactAndEvaluate:
         assert [r[0] for r in pred[1:]] == ["1", "2", "3"]
         capsys.readouterr()
 
+    def test_estimate_later_occurrence_skips_earlier_event_days(
+        self, tiny_files, tmp_path, capsys
+    ):
+        code = run_command(
+            ["estimate", "--panel", str(tiny_files / "panel.csv"),
+             "--calendar", str(tiny_files / "calendar.csv"), "--event", "promo",
+             "--occurrence", "1", "--out", str(tmp_path)]
+        )
+        assert code == 0, capsys.readouterr().err
+        panel = dataio.load_panel_csv(tiny_files / "panel.csv")
+        calendar = dataio.bind_calendar(
+            dataio.load_calendar(tiny_files / "calendar.csv"), panel
+        )
+        first, second = calendar.occurrences("promo")
+        estimates = [float(r[1]) for r in read_csv_rows(tmp_path / "effect.csv")[1:]]
+        for fit, same in ((el.fit_ar1_ols(panel, second.t0, [first]), True),
+                          (el.fit_ar1_ols(panel, second.t0), False)):
+            cf = el.forecast_counterfactual(fit, panel, second)
+            delta = el.estimate_effect(panel.values[:, second.columns], cf, second)
+            assert (estimates == delta.tolist()) is same
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "flags, named",
         [

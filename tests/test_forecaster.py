@@ -137,7 +137,7 @@ def reference_windows(x, cfg, calendar):
     """Per-window construction that ``build_rolling_windows`` replaced: one
     row per start, a calendar set lookup per label step, then stacking."""
     M, H = cfg.lookback, cfg.horizon
-    event_idx = calendar.window_indices()
+    event_idx = {t for occ in calendar.events.values() for w in occ for t in w.indices}
     inputs, labels, masks = [], [], []
     for start in range(0, len(x) - M - H + 1, cfg.stride):
         label_start = start + M

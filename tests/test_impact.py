@@ -255,3 +255,94 @@ def test_mape_invariant_under_joint_rescaling(data, d, lam):
     base = el.evaluate_mape(predicted, observed)
     scaled = el.evaluate_mape(lam * predicted, lam * observed)
     assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def reference_year_scale(series, window, mode="pre_event_month", time_index=None):
+    """``year_scale`` as it was before the bisection: the calendar month's
+    days found by a scan of every date, minus the window's as a set."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError("year_scale expects a single 1-D series")
+    window.check_fits(len(x) - 1)
+    if mode == "pre_event_month":
+        hi = window.t0 - el.impact.RUNUP_BUFFER
+        lo = max(0, hi - el.impact.SCALE_DAYS + 1)
+        if hi < 0:
+            raise ValidationError(
+                f"no pre-event days available for scale (t0={window.t0} leaves "
+                f"nothing before the {el.impact.RUNUP_BUFFER}-day run-up)"
+            )
+        scale, days = float(x[lo : hi + 1].mean()), range(lo, hi + 1)
+    elif mode == "calendar_month":
+        if time_index is None:
+            raise ValidationError("calendar_month mode needs a time_index")
+        if len(time_index) != len(x):
+            raise ValidationError("time_index length must match the series")
+        start = time_index[window.t0 + 1]
+        if not isinstance(start, datetime.date):
+            raise ValidationError("calendar_month mode needs a date-valued time index")
+        in_window = set(window.indices)
+        candidates = [
+            t
+            for t, day in enumerate(time_index)
+            if day.year == start.year and day.month == start.month and t not in in_window
+        ]
+        if not candidates:
+            raise ValidationError(
+                f"no non-event days in {start.year}-{start.month:02d} to compute a scale"
+            )
+        scale, days = float(x[candidates].mean()), candidates
+    else:
+        raise ValidationError(
+            f"mode must be 'pre_event_month' or 'calendar_month', got {mode!r}"
+        )
+    if scale <= 0:
+        raise ValidationError(
+            f"{mode} scale of the occurrence at t0={window.t0} is {scale}, the mean of "
+            f"{len(days)} days in {days[0]}..{days[-1]}; impact ratios need a positive level"
+        )
+    return scale
+
+
+def scale_or_error(fn, *args):
+    try:
+        return np.float64(fn(*args)).tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+# days the dated indices are built around: month ends, year ends and 29 February
+ANCHORS = [datetime.date(*ymd) for ymd in
+           [(2012, 2, 29), (2012, 12, 31), (2013, 1, 31), (2015, 12, 31), (2016, 2, 29),
+            (2014, 4, 30)]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    anchor=st.sampled_from(ANCHORS),
+    lead=st.integers(min_value=0, max_value=90),
+    steps=st.lists(st.sampled_from([1, 1, 1, 1, 2, 3, 7]), min_size=30, max_size=150),
+    level=st.sampled_from([-2.0, 0.3, 50.0]),
+    with_time=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_year_scale_matches_the_date_scan(data, anchor, lead, steps, level, with_time, seed):
+    """Both modes give the scan's bits or its error text, on dated indices
+    with gaps, windows across a month end, a year end or 29 February,
+    windows that swallow their month and windows past the series end."""
+    start = anchor - datetime.timedelta(days=lead)
+    if with_time:
+        start = datetime.datetime.combine(start, datetime.time(13, 30))
+    dates = [start]
+    for step in steps:
+        dates.append(dates[-1] + datetime.timedelta(days=step))
+    x = np.random.default_rng(seed).normal(level, 3.0, size=len(dates))
+    # the window starts up to 35 indices before the anchor's, so most cross it
+    near = sum(day < start + datetime.timedelta(days=lead) for day in dates)
+    offset = data.draw(st.integers(min_value=-35, max_value=5), label="offset")
+    t0 = min(max(near + offset, 1), len(dates) - 1)
+    window = el.EventWindow(t0=t0, d=data.draw(st.integers(min_value=1, max_value=40), label="d"))
+    for mode in ("pre_event_month", "calendar_month"):
+        args = (x, window, mode, dates)
+        assert scale_or_error(el.year_scale, *args) == scale_or_error(reference_year_scale, *args)

@@ -150,7 +150,7 @@ class TestEventCalendar:
                 "y": [el.EventWindow(t0=8, d=1)],
             }
         )
-        assert cal.window_indices() == frozenset({3, 4, 9})
+        assert np.flatnonzero(cal.event_days(12)).tolist() == [3, 4, 9]
 
 
 class TestSimulate:
@@ -294,3 +294,44 @@ def test_window_indices_arithmetic(t0, d):
     assert len(idx) == d
     assert idx[0] == t0 + 1
     assert idx[-1] == t0 + d
+
+
+def reference_event_days(calendar, length):
+    """The set lookup that ``event_days`` replaced: every window's indices in
+    one frozenset, expanded over the series with ``np.isin``."""
+    idx = set()
+    for occ in calendar.events.values():
+        for w in occ:
+            idx.update(w.indices)
+    return np.isin(np.arange(length), list(frozenset(idx)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=80),
+    events=st.lists(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=12)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        max_size=4,
+    ),
+)
+def test_event_days_match_the_set_lookup(length, events):
+    # occurrences of one event never overlap; different events may, and any
+    # window may run past the series end
+    calendar_events = {}
+    for j, spans in enumerate(events):
+        occ, start = [], 1
+        for gap, d in spans:
+            occ.append(el.EventWindow(t0=start + gap, d=d))
+            start += gap + d
+        calendar_events[f"e{j}"] = occ
+    calendar = el.EventCalendar(calendar_events)
+    got = calendar.event_days(length)
+    want = reference_event_days(calendar, length)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
