@@ -122,22 +122,26 @@ def forecast_counterfactual(
     return values
 
 
-def recursive_control(series: np.ndarray, windows: Sequence[EventWindow]) -> np.ndarray:
+def recursive_control(
+    series: np.ndarray, windows: Sequence[EventWindow], skip: Sequence[EventWindow] = ()
+) -> np.ndarray:
     """The (T,) AR(1) control of one series: its recursive forecast on each window.
 
     Each window gets its own fit on the series up to that window's t0,
-    skipping the pairs that touch the other windows' days, and the forecast
-    iterated from the t0 anchor.  A window that runs past the series end is
-    cut there; every index outside the windows is NaN.  No value after a
+    skipping the pairs that touch the days of the other ``windows`` and of
+    the ``skip`` windows (other events' days), and the forecast iterated
+    from the t0 anchor.  A window that runs past the series end is cut
+    there; every index outside ``windows`` is NaN.  No value after a
     window's t0 enters its forecast.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValidationError("recursive_control expects a single 1-D series")
     control = np.full(len(x), np.nan)
+    skipped = [*windows, *skip]
     for w in windows:
         history = PanelSeries(x[None, : w.t0 + 1])
-        fit = fit_ar1_ols(history, w.t0, windows)
+        fit = fit_ar1_ols(history, w.t0, skipped)
         control[w.columns] = forecast_counterfactual(fit, history, w)[0, : len(x) - w.t0 - 1]
     return control
 

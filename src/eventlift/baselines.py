@@ -5,7 +5,8 @@ Both produce a synthetic control on an event window without the adaptive
 in-sample machinery, giving the comparison points for the main pipeline.
 A control is a (T,) array along the series, NaN where no forecast lands.
 ``direct_forecast`` also takes an (S, T) block of series and returns their
-(S, T) controls, one net per series, trained in lock-step stacks.
+(S, T) controls, one net per series, trained in lock-step stacks that hold
+each series' days up to the window start once, not a copy per window.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def direct_forecast(
     own net: ``train_cfg`` is one config for every row or a sequence of one
     per row.  The rows' nets train in lock-step stacks of at most
     ``_STACK_NETS`` (``forecaster._train_stack``), each stack filled one
-    series' windows at a time, and row i gets the bits of the 1-D call on it
-    with config i.  A net that diverges is named by its row.
+    series at a time (its windows are offsets into its days up to t0), and
+    row i gets the bits of the 1-D call on it with config i.  A net that
+    diverges is named by its row.
 
     Returns the (T,) or (S, T) control: the forecasts on indices t0+1 ..
     min(t0+H, end of series), NaN everywhere else.  A non-finite forecast

@@ -240,8 +240,8 @@ def _cmd_estimate(args) -> int:
             f"--fit-t0 {t0_fit} is outside [1, {window.t0}]: the fit needs one pair "
             f"and may not pass the window's t0={window.t0}, or it would see event days"
         )
-    # earlier occurrences' event days stay out of the fit
-    fit = ar.fit_ar1_ols(panel, t0_fit, calendar.occurrences(args.event))
+    # earlier event days, of this event and every other, stay out of the fit
+    fit = ar.fit_ar1_ols(panel, t0_fit, calendar.windows())
     cf = ar.forecast_counterfactual(fit, panel, window)
     delta_hat = ar.estimate_effect(panel.values[:, window.columns], cf, window)
     cov = ar.effect_covariance(fit, window, panel.n_series, args.variance_mode)
@@ -469,7 +469,7 @@ def _cmd_impact(args) -> int:
         stride = 1 if args.stride is None else args.stride
         control = forecaster.insample_forecast(model, series, stride)
     else:
-        control = ar.recursive_control(series, training_years)
+        control = ar.recursive_control(series, training_years, skip=calendar.windows())
     ratios, predicted = impact.impact_for_series(args.event, series, occurrences, control, scales)
     out = _out_dir(args)
     reports.write_impact_csv(out / "impact.csv", [(args.event, ratios, scales[:-1])])

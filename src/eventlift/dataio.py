@@ -229,13 +229,19 @@ def _pivot(path, sid_index, rows, days, values, blanks) -> PanelSeries:
     ords = np.asarray(days)
     start, end = int(ords.min()), int(ords.max())
     width = end - start + 1
-    cell = rank[np.asarray(rows)] * width + (ords - start)
+    # each row's cell, computed in place in one array
+    cell = rank[np.asarray(rows)]
+    cell *= width
+    cell += ords
+    cell -= start
     counts = np.bincount(cell, minlength=len(ids) * width)
     if not (counts == 1).all():
         _raise_first_duplicate(path, names, rows, days, blanks)
         _raise_coverage_fault(path, names, rows, days, counts.reshape(len(ids), width))
-    grid = np.empty(counts.size)
+    del counts  # before the grid is allocated
+    grid = np.empty(len(ids) * width)
     grid[cell] = np.asarray(values)
+    del cell  # before PanelSeries copies the grid
     time_index = tuple(datetime.date.fromordinal(day) for day in range(start, end + 1))
     return PanelSeries(
         values=grid.reshape(len(ids), width), time_index=time_index, series_ids=tuple(ids)

@@ -1,20 +1,28 @@
 """Forecaster pipeline: rolling windows, weighted loss, a small net, and
 in-sample synthetic-control extraction.
 
-The idea: train a forecaster on the rolling windows of the full series (one
-``RollingWindows`` of row-aligned arrays) with forecast errors inside
-rare-event windows down-weighted, so the model learns the routine signal
-(trend, seasonality) but not the event spikes.  Re-forecasting the same
-windows in-sample then yields a synthetic control; the observed-minus-control
-gap on an event window is the effect estimate.
+The idea: train a forecaster on the rolling windows of the full series with
+forecast errors inside rare-event windows down-weighted, so the model learns
+the routine signal (trend, seasonality) but not the event spikes.
+Re-forecasting the same windows in-sample then yields a synthetic control;
+the observed-minus-control gap on an event window is the effect estimate.
+
+A ``RollingWindows`` holds one copy of its series and each window's start
+in it, not a copy of every window: lookback + horizon steps (120 in the
+retail settings) would multiply a panel's memory by that factor.  Training
+keeps the same layout (each net's normalized values in one flat float32
+array, each mini-batch gathered from a strided view of it), so its memory
+grows with the series' total length, O(S * T) for S series of T days.  The
+row-aligned ``inputs``, ``labels`` and ``rare_mask`` arrays are built only
+when read.
 
 The forecaster itself is a small fully connected net implemented directly on
 numpy arrays: parameters live in one flat vector, gradients come from manual
 backpropagation, and training is mini-batch gradient descent with a seeded
 shuffle: each epoch draws one permutation of the windows, each batch gathers
-its rows of it into batch-sized buffers (so no epoch copies the whole
-training set), and each step writes into buffers allocated once and updates
-the parameters in place.  Everything is deterministic given the seed.
+only its own rows, and each step writes its activations into buffers
+allocated once and updates the parameters in place.  Everything is
+deterministic given the seed.
 
 Training runs in single precision (``TRAIN_DTYPE``): the normalized inputs
 and labels, the parameters, the gradient and every batch buffer are
@@ -22,13 +30,13 @@ float32, the usual precision for training nets this size.  It halves the
 memory traffic of each step's small matrix products and about doubles their
 throughput; the trained nets forecast as well as float64-trained ones, since
 their error is set by the data and the training budget, not by rounding.
-Everything else stays float64: the normalization statistics, the rolling
-windows, and the stored model, whose parameters are float32 values held
-exactly in a float64 vector, so prediction, ``gradient_check`` and the
+Everything else stays float64: the normalization statistics, the series
+the windows hold, and the stored model, whose parameters are float32 values
+held exactly in a float64 vector, so prediction, ``gradient_check`` and the
 model file are double precision as before.
 
 A panel trains one pooled net (``train_pooled``): every series' windows,
-each normalized by that series' own robust (shift, scale), stacked into one
+each series normalized by its own robust (shift, scale), pooled into one
 training set, so a panel of S series costs one training instead of S.
 
 Nets that must stay separate (the per-series direct-forecast baseline)
@@ -94,32 +102,104 @@ class RollingWindowConfig:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
 class RollingWindows:
-    """Row-aligned windows of one series: ``inputs`` (n, lookback), the
-    ``labels`` (n, horizon) that follow them, and ``rare_mask`` (n, horizon),
-    true where a label step falls inside an event window.  Indexing with
-    rows returns those rows as another ``RollingWindows``."""
+    """Rolling (input, label) windows of one or more series, held as index
+    ranges rather than copies.
 
-    inputs: np.ndarray
-    labels: np.ndarray
-    rare_mask: np.ndarray
+    ``values`` is a private, read-only float64 copy of the series laid end
+    to end (training holds its normalized float32 values the same way), and
+    ``event_day`` flags the values that fall inside an event window.  Window
+    i reads its ``lookback`` inputs from ``values`` at ``starts[i]`` and the
+    ``horizon`` labels right after them; no window runs from one series into
+    the next.  The row-aligned arrays ``inputs``
+    (n, lookback), ``labels`` (n, horizon) and ``rare_mask`` (n, horizon),
+    true where a label falls in an event window, are built each time they
+    are read, so only code that reads them pays for a copy of every window.
 
-    def __post_init__(self):
-        for name, dtype in (("inputs", float), ("labels", float), ("rare_mask", bool)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        X, Y, mask = self.inputs, self.labels, self.rare_mask
-        if not (X.ndim == Y.ndim == 2 and mask.shape == Y.shape and 1 <= len(X) == len(Y)):
+    ``RollingWindows(inputs, labels, rare_mask)`` holds given arrays, each
+    row a series of its own.  ``len()`` counts the windows, and indexing
+    with rows returns those windows over the same values.
+    """
+
+    __slots__ = ("values", "event_day", "starts", "lookback", "horizon", "__weakref__")
+
+    def __init__(self, inputs, labels, rare_mask):
+        X = np.asarray(inputs, dtype=float)
+        Y = np.asarray(labels, dtype=float)
+        mask = np.asarray(rare_mask, dtype=bool)
+        if not (
+            X.ndim == Y.ndim == 2 and mask.shape == Y.shape and 1 <= len(X) == len(Y)
+            and min(X.shape[1], Y.shape[1]) >= 1
+        ):
             raise ValidationError(
                 "windows need >= 1 row of 2-D inputs, labels and rare_mask that agree, "
                 f"got shapes {X.shape}, {Y.shape}, {mask.shape}"
             )
+        n, M = X.shape
+        H = Y.shape[1]
+        self._hold(
+            np.concatenate([X, Y], axis=1).ravel(),
+            np.concatenate([np.zeros(X.shape, bool), mask], axis=1).ravel(),
+            np.arange(n) * (M + H), M, H,
+        )
+
+    @classmethod
+    def _over(cls, values, event_day, starts, lookback: int, horizon: int) -> RollingWindows:
+        """Windows at ``starts`` over ``values``, which they then own."""
+        windows = cls.__new__(cls)
+        windows._hold(values, event_day, starts, lookback, horizon)
+        return windows
+
+    @classmethod
+    def _joined(cls, parts: Sequence[RollingWindows]) -> RollingWindows:
+        """Every part's windows, over the parts' values laid end to end."""
+        firsts = np.cumsum([0] + [len(part.values) for part in parts[:-1]])
+        return cls._over(
+            np.concatenate([part.values for part in parts]),
+            np.concatenate([part.event_day for part in parts]),
+            np.concatenate([part.starts + first for part, first in zip(parts, firsts)]),
+            parts[0].lookback,
+            parts[0].horizon,
+        )
+
+    def _scaled(self, shift: float, scale: float, dtype=float) -> RollingWindows:
+        """The same windows over (values - shift) / scale, the difference
+        rounded once into ``dtype``, then divided there."""
+        values = np.empty(len(self.values), dtype)
+        np.subtract(self.values, shift, out=values)
+        values /= scale
+        return RollingWindows._over(
+            values, self.event_day, self.starts, self.lookback, self.horizon
+        )
+
+    def _hold(self, values, event_day, starts, lookback, horizon):
+        if starts.ndim != 1 or not len(starts):
+            raise ValidationError(f"windows need >= 1 row, got starts of shape {starts.shape}")
+        for array in (values, event_day, starts):
+            array.setflags(write=False)
+        self.values, self.event_day, self.starts = values, event_day, starts
+        self.lookback, self.horizon = lookback, horizon
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.starts)
 
     def __getitem__(self, rows) -> RollingWindows:
-        return RollingWindows(self.inputs[rows], self.labels[rows], self.rare_mask[rows])
+        starts = np.array(self.starts[rows])
+        return RollingWindows._over(
+            self.values, self.event_day, starts, self.lookback, self.horizon
+        )
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return sliding_window_view(self.values, self.lookback)[self.starts]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return sliding_window_view(self.values[self.lookback :], self.horizon)[self.starts]
+
+    @property
+    def rare_mask(self) -> np.ndarray:
+        return sliding_window_view(self.event_day[self.lookback :], self.horizon)[self.starts]
 
 
 @dataclass(frozen=True)
@@ -237,8 +317,11 @@ class TrainedForecaster:
             raise ValidationError("parameters must all be finite")
         if self.scale <= 0:
             raise ValidationError(f"normalization scale must be > 0, got {self.scale}")
-        theta = theta.copy()
-        theta.setflags(write=False)
+        if theta.flags.writeable:
+            # a read-only vector (another model's, as train_pooled's models
+            # share one) is kept as it is
+            theta = theta.copy()
+            theta.setflags(write=False)
         self.theta = theta
 
     @property
@@ -304,19 +387,26 @@ def _backward(layers, activation, acts, dpred, grads, bufs=None):
             delta *= 1.0 - h**2
 
 
-def _window_starts(series, config: RollingWindowConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a series; return it and the starts i * stride of every window
-    that fits lookback + horizon steps."""
+def _window_starts(series, config: RollingWindowConfig, block: bool = False):
+    """Validate a (T,) series, or an (S, T) block of them when ``block``;
+    return it as float64 and the starts i * stride of every window that fits
+    lookback + horizon steps in one series."""
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError("rolling windows need a single 1-D series")
+    if not (x.ndim == 1 or (block and x.ndim == 2)):
+        raise ValidationError(
+            "rolling windows need a 1-D series or a 2-D block of them" if block
+            else "rolling windows need a single 1-D series"
+        )
     M, H = config.lookback, config.horizon
-    if len(x) < M + H:
-        raise ValidationError(f"series length {len(x)} < lookback + horizon = {M + H}")
-    bad = np.flatnonzero(~np.isfinite(x))
+    if x.shape[-1] < M + H:
+        raise ValidationError(f"series length {x.shape[-1]} < lookback + horizon = {M + H}")
+    bad = np.argwhere(~np.isfinite(x))
     if bad.size:
-        raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
-    return x, np.arange(0, len(x) - M - H + 1, config.stride)
+        where = f"series {bad[0, 0]} value" if x.ndim == 2 else "series value"
+        raise ValidationError(
+            f"{where} at index {bad[0, -1]} is not finite ({x[tuple(bad[0])]})"
+        )
+    return x, np.arange(0, x.shape[-1] - M - H + 1, config.stride)
 
 
 def build_rolling_windows(
@@ -324,20 +414,25 @@ def build_rolling_windows(
     config: RollingWindowConfig,
     calendar: EventCalendar | None = None,
 ) -> RollingWindows:
-    """Slice one series into overlapping (input, label) windows.
+    """The overlapping (input, label) windows of a (T,) series, or of each
+    row of an (S, T) block, held as index ranges.
 
-    Row i covers input indices [i*s, i*s+M) and label indices
-    [i*s+M, i*s+M+H); i runs to ((len-M-H) // s).  Rare masks are set from
-    the calendar (no calendar means all-false masks; indices past the series
-    end are ignored).  The rows are copies, not views of ``series``.
+    A series' window i covers its input indices [i*s, i*s+M) and label
+    indices [i*s+M, i*s+M+H); i runs to ((T-M-H) // s), and the windows run
+    series by series.  Rare masks are set from the calendar, the same days
+    in every series (no calendar means all-false masks; indices past the
+    series end are ignored).  The windows hold one private copy of the
+    series, not a view of ``series`` and not a copy per window.
     """
-    x, starts = _window_starts(series, config)
-    M, H = config.lookback, config.horizon
-    event_day = (calendar or EventCalendar()).event_days(len(x))
-    return RollingWindows(
-        inputs=sliding_window_view(x, M)[starts],
-        labels=sliding_window_view(x[M:], H)[starts],
-        rare_mask=sliding_window_view(event_day[M:], H)[starts],
+    x, starts = _window_starts(series, config, block=True)
+    rows = x.reshape(-1, x.shape[-1])
+    S, T = rows.shape
+    return RollingWindows._over(
+        rows.flatten(),
+        np.tile((calendar or EventCalendar()).event_days(T), S),
+        (np.arange(0, S * T, T)[:, None] + starts).ravel(),
+        config.lookback,
+        config.horizon,
     )
 
 
@@ -351,32 +446,47 @@ def _weighted_error(diff: np.ndarray, wv, distance: str):
     return wv * eta, wv * deta
 
 
-def _normalization(X: np.ndarray, Y: np.ndarray) -> tuple[float, float]:
+def _normalization(windows: RollingWindows) -> tuple[float, float]:
     """Median shift and interquartile-range scale over all training values.
 
-    Robust to the event spikes themselves; a degenerate (constant) series
-    falls back to scale 1.0.
+    The values are every window's inputs and labels, each series value
+    counted once per window that covers it; a running count of the window
+    starts gives those counts.  The median and quartiles are then
+    read off the sorted values' cumulative counts with ``np.median``'s and
+    ``np.percentile``'s (linear) formulas, so they equal those functions
+    over the materialized windows bit for bit (up to the sign of a zero
+    that ties with its negation).  Robust to the event spikes themselves; a
+    degenerate (constant) series falls back to scale 1.0.
     """
-    vals = np.concatenate([X.ravel(), Y.ravel()])
-    # vals is ours: partition it in place instead of in a second full copy
-    shift = float(np.median(vals, overwrite_input=True))
-    q75, q25 = np.percentile(vals, [75.0, 25.0], overwrite_input=True)
-    scale = float(q75 - q25)
+    width = windows.lookback + windows.horizon
+    # a value is covered by the windows that start in the width before it
+    counts = np.cumsum(np.bincount(windows.starts, minlength=len(windows.values)))
+    counts[width:] -= counts[:-width].copy()
+    order = np.argsort(windows.values)
+    ends = counts[order]  # uncovered values count 0 and are never picked
+    del counts
+    np.cumsum(ends, out=ends)
+    n = int(ends[-1])  # >= 2: a window covers lookback + horizon values
+
+    def kth(k: int) -> float:
+        """The k-th smallest (0-based) of the n counted values."""
+        return float(windows.values[order[np.searchsorted(ends, k, side="right")]])
+
+    half = n // 2
+    shift = kth(half) if n % 2 else (kth(half - 1) + kth(half)) / 2
+
+    def quantile(q: float) -> float:
+        """``np.percentile``'s linear interpolation at fraction q."""
+        virtual = (n - 1) * q
+        below = math.floor(virtual)
+        gamma = virtual - below
+        lo, hi = kth(below), kth(below + 1)
+        diff = hi - lo
+        return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
+
+    scale = quantile(0.75) - quantile(0.25)
     if scale <= 0:
         scale = 1.0
-    return shift, scale
-
-
-def _normalize_into(w: RollingWindows, X, Y, mask) -> tuple[float, float]:
-    """Write ``w``'s windows, shifted and scaled by their robust
-    ``_normalization``, into the row-aligned ``X``, ``Y`` and ``mask``;
-    return the (shift, scale).  The difference is rounded once into the
-    destination's dtype, then divided there."""
-    shift, scale = _normalization(w.inputs, w.labels)
-    for raw, dst in ((w.inputs, X), (w.labels, Y)):
-        np.subtract(raw, shift, out=dst)
-        dst /= scale
-    mask[...] = w.rare_mask
     return shift, scale
 
 
@@ -409,19 +519,26 @@ def _train_stack(
 ) -> list[TrainedForecaster]:
     """Train one net per config in lock-step, net s on the s-th ``windows``.
 
+    Each net's series values, shifted and scaled by its robust
+    ``_normalization``, are written once into one flat float32 array (the
+    difference rounded once into float32, then divided there), and its
+    windows become offsets into that array: no window is copied up front.
     The S nets share one pass of numpy calls per step: the parameters are an
     (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
-    bias view of it, and each step gathers every net's batch with one
-    ``take`` per array from a flat (S * B, .) stack, the rows of net s
-    offset by s * B.  Each net keeps its own seeded generator (its initial
-    draws, then one permutation of its B windows per epoch), its own robust
-    (shift, scale), its own rare weights and its own loss sums, reduced in
-    the order one net alone would use, so net s gets the bits of training it
-    alone.  ``windows`` is read one entry at a time and normalized into the
-    stack before the next is read, so a generator keeps one net's float64
-    windows alive at once.
+    bias view of it, and each step gathers every net's batch of inputs,
+    labels and loss weights with one fancy index per array into
+    ``sliding_window_view``s of per-day arrays.  A fixed loss weight belongs
+    to its label's day; ``residual_inverse`` weights belong to the window,
+    so that mode builds them per batch from the rare days, and its
+    once-per-epoch forward pass gathers every window.  Each net keeps its
+    own seeded generator (its initial draws, then one permutation of its B
+    windows per epoch), its own (shift, scale), its own rare weights and its
+    own loss sums, reduced in the order one net alone would use, so net s
+    gets the bits of training it alone.  ``windows`` is read one entry at a
+    time and normalized before the next is read, so a generator keeps one
+    net's float64 values alive at once.
 
-    The nets must share the row count and widths of their windows and every
+    The nets must share the window count, lookback and horizon and every
     ``TrainConfig`` field but ``seed``.  A non-finite loss stops the stack at
     that step and raises for the lowest-index net whose loss it is, at the
     epoch that net diverges alone.
@@ -436,45 +553,51 @@ def _train_stack(
                 f"{other} vs {cfg}"
             )
     S = len(train_cfgs)
-    norms = []
+    norms, parts = [], []
     for w in windows:  # not enumerate: its reused result tuple would keep w alive
         s = len(norms)
         if s == 0:
-            B = len(w)
-            X = np.empty((S * B, w.inputs.shape[1]), TRAIN_DTYPE)
-            Y = np.empty((S * B, w.labels.shape[1]), TRAIN_DTYPE)
-            mask = np.empty(Y.shape, bool)
-        rows = slice(s * B, (s + 1) * B)
-        if w.inputs.shape != X[rows].shape or w.labels.shape != Y[rows].shape:
+            B, M, H = len(w), w.lookback, w.horizon
+        if s >= S or (len(w), w.lookback, w.horizon) != (B, M, H):
             raise ValidationError(
-                f"net {s} of a training stack of {S} has windows {w.inputs.shape} -> "
-                f"{w.labels.shape}, the stack holds {X[:B].shape} -> {Y[:B].shape}"
+                f"net {s} of a training stack of {S} has windows ({len(w)}, {w.lookback}) -> "
+                f"({len(w)}, {w.horizon}), the stack holds ({B}, {M}) -> ({B}, {H})"
             )
-        norms.append(_normalize_into(w, X[rows], Y[rows], mask[rows]))
+        shift, scale = _normalization(w)
+        norms.append((shift, scale))
+        parts.append(w._scaled(shift, scale, TRAIN_DTYPE))
         del w  # before the next net's windows are read
     if len(norms) != S:
         raise ValidationError(f"a training stack of {S} nets got {len(norms)} windows")
-    layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
+    stack = RollingWindows._joined(parts)
+    del parts
+    starts = stack.starts  # window s * B + i is net s's window i
+    inputs = sliding_window_view(stack.values, M)
+    labels = sliding_window_view(stack.values[M:], H)
+    adaptive = loss_cfg.adaptation == "residual_inverse"
+    if adaptive:
+        rare_mask = sliding_window_view(stack.event_day[M:], H)
+    else:
+        rare, nonrare = TRAIN_DTYPE(loss_cfg.rare_weight), TRAIN_DTYPE(loss_cfg.nonrare_weight)
+        label_weights = sliding_window_view(np.where(stack.event_day, rare, nonrare)[M:], H)
+    layer_sizes = (M, *arch.hidden_sizes, H)
 
     rngs = [np.random.default_rng(c.seed) for c in train_cfgs]
     theta = np.empty((S, parameter_count(layer_sizes)), TRAIN_DTYPE)
     for row, rng in zip(theta, rngs):
-        parts = []
+        draws = []
         for fi, fo in _layer_shapes(layer_sizes):
             bound = 1.0 / np.sqrt(fi)
-            parts.append(rng.uniform(-bound, bound, size=fi * fo))
-            parts.append(rng.uniform(-bound, bound, size=fo))
-        row[:] = np.concatenate(parts)
+            draws.append(rng.uniform(-bound, bound, size=fi * fo))
+            draws.append(rng.uniform(-bound, bound, size=fo))
+        row[:] = np.concatenate(draws)
 
     bs = cfg.batch_size
     full = min(bs, B)
     layers = _unpack(theta, layer_sizes)
     grad = np.empty_like(theta)
     grads = _unpack(grad, layer_sizes)
-    x_buf, y_buf, w_buf, *act_bufs = (
-        np.empty((S * full, width), TRAIN_DTYPE)
-        for width in (X.shape[1], Y.shape[1], Y.shape[1], *layer_sizes[1:])
-    )
+    act_bufs = [np.empty((S * full, width), TRAIN_DTYPE) for width in layer_sizes[1:]]
     delta_bufs = [np.empty_like(buf) for buf in act_bufs[:-1]]
 
     def batch_views(n):
@@ -482,36 +605,40 @@ def _train_stack(
         def view(buf):
             return buf[: S * n].reshape(S, n, -1)
 
-        return (view(x_buf), view(y_buf), view(w_buf),
-                [view(b) for b in act_bufs], [view(b) for b in delta_bufs])
+        return [view(b) for b in act_bufs], [view(b) for b in delta_bufs]
 
     views = {n: batch_views(n) for n in {full, B % bs} - {0}}
-    weights = np.empty(Y.shape, TRAIN_DTYPE)
-    X3, Y3, mask3 = (a.reshape(S, B, -1) for a in (X, Y, mask))
-    offsets = np.arange(0, S * B, B)[:, None]
+    net_offsets = np.arange(0, S * B, B)[:, None]
     lr0 = cfg.learning_rate
     lr1 = cfg.final_learning_rate if cfg.final_learning_rate is not None else lr0
     history = []
     for epoch in range(cfg.epochs):
         frac = epoch / max(cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
-        w1 = _rare_weights(layers, arch.activation, X3, Y3, mask3, loss_cfg)
-        weights.fill(loss_cfg.nonrare_weight)
-        np.copyto(weights, w1.reshape(-1, 1), where=mask)
+        if adaptive:
+            every = starts.reshape(S, B)
+            rare_weights = _rare_weights(
+                layers, arch.activation, inputs[every], labels[every], rare_mask[every], loss_cfg
+            ).ravel()
         perm = np.stack([rng.permutation(B) for rng in rngs])
-        perm += offsets
+        perm += net_offsets
+        perm_starts = starts[perm]
         epoch_loss = [0.0] * S
         n_batches = 0
         for start in range(0, B, bs):
-            # gather this batch's rows only; mode="clip" writes into out unbuffered
             idx = perm[:, start : start + bs]
+            pos = perm_starts[:, start : start + bs]
             n = idx.shape[1]
-            xb, yb, wb, act_views, delta_views = views[n]
-            X.take(idx, axis=0, out=xb, mode="clip")
-            Y.take(idx, axis=0, out=yb, mode="clip")
-            weights.take(idx, axis=0, out=wb, mode="clip")
-            acts = _forward(layers, arch.activation, xb, act_views)
-            weighted, dpred = _weighted_error(acts[-1] - yb, wb, loss_cfg.distance)
+            act_views, delta_views = views[n]
+            if adaptive:
+                wb = rare_weights[idx][..., None]
+                wb = np.where(rare_mask[pos], wb, loss_cfg.nonrare_weight)
+            else:
+                wb = label_weights[pos]
+            # fancy indexing copies this batch's rows only, where take would
+            # first copy the whole strided view
+            acts = _forward(layers, arch.activation, inputs[pos], act_views)
+            weighted, dpred = _weighted_error(acts[-1] - labels[pos], wb, loss_cfg.distance)
             # per net: float32 row sums, their float32 sum, the mean in float64
             for net, total in enumerate(weighted.sum(axis=-1).sum(axis=-1).tolist()):
                 batch_loss = total / n
@@ -569,35 +696,28 @@ def train_pooled(
 ) -> list[TrainedForecaster]:
     """Train one net on the rolling windows of every series; one model each.
 
-    Series i's windows are normalized by its own robust (shift_i, scale_i)
-    and written into one preallocated stack, one series at a time, so no
-    more than one series' raw windows are alive at once.  ``train`` then runs
-    once on the stack for ceil(epochs / S) epochs, about the gradient steps
-    of training one series.  Its model's normalization (shift, scale) of the
-    stack composes with each series' own: model i has the shared parameters
-    with shift_i + scale_i * shift and scale_i * scale, so it maps series i's
-    raw inputs to forecasts.  A pool of one is not ``train`` on that series:
-    the stack is normalized twice.
+    Series i is normalized by the robust (shift_i, scale_i) of its own
+    windows, and one pooled ``RollingWindows`` holds every series' windows
+    over the normalized series laid end to end (they may differ in length).
+    ``train`` then runs once on the pool for ceil(epochs / S) epochs, about
+    the gradient steps of training one series.  Its model's normalization
+    (shift, scale) of the pool composes with each series' own: model i has
+    the shared parameters with shift_i + scale_i * shift and scale_i *
+    scale, so it maps series i's raw inputs to forecasts.  A pool of one is
+    not ``train`` on that series: the pool is normalized twice.
     """
     if not series_list:
         raise ValidationError("pooled training needs at least one series")
-    sizes = [len(_window_starts(x, config)[1]) for x in series_list]
-    ends = np.cumsum(sizes)
-    stack = RollingWindows(
-        inputs=np.empty((ends[-1], config.lookback)),
-        labels=np.empty((ends[-1], config.horizon)),
-        rare_mask=np.empty((ends[-1], config.horizon), dtype=bool),
-    )
-    norms = []
-    for x, end, size in zip(series_list, ends, sizes):
-        rows = slice(end - size, end)
+    norms, parts = [], []
+    for x in series_list:
         windows = build_rolling_windows(x, config, calendar)
-        norms.append(
-            _normalize_into(windows, stack.inputs[rows], stack.labels[rows], stack.rare_mask[rows])
-        )
-        del windows  # before the next series' windows are built
-    pooled_cfg = replace(train_cfg, epochs=math.ceil(train_cfg.epochs / len(sizes)))
-    model = train(stack, arch, loss_cfg, pooled_cfg)
+        shift, scale = _normalization(windows)
+        norms.append((shift, scale))
+        parts.append(windows._scaled(shift, scale))
+    pool = RollingWindows._joined(parts)
+    del parts
+    pooled_cfg = replace(train_cfg, epochs=math.ceil(train_cfg.epochs / len(norms)))
+    model = train(pool, arch, loss_cfg, pooled_cfg)
     return [
         replace(model, shift=shift + scale * model.shift, scale=scale * model.scale)
         for shift, scale in norms

@@ -204,12 +204,15 @@ class EventCalendar:
             raise ValidationError(f"unknown event {name!r}")
         return list(self.events[name])
 
+    def windows(self) -> list[EventWindow]:
+        """Every event's windows, event by event."""
+        return [w for occ in self.events.values() for w in occ]
+
     def event_days(self, length: int) -> np.ndarray:
         """(length,) mask of the days in any event window, cut at the series end."""
         mask = np.zeros(length, dtype=bool)
-        for occ in self.events.values():
-            for w in occ:
-                mask[w.columns] = True
+        for w in self.windows():
+            mask[w.columns] = True
         return mask
 
 

@@ -231,6 +231,37 @@ class TestContaminatedPairs:
         assert (fit.phi_hat, fit.n_pairs) == (1.5, 1)
 
 
+def two_event_series():
+    """A phi=0.5 AR(1) series with +20 on days 50-52 and 200-202 (the event)
+    and on days 100-102 (another event)."""
+    x = el.simulate_ar1_panel(el.ARProcessSpec(phi=0.5, sigma=1.0), 1, 260, seed=0).values[0]
+    event = [el.EventWindow(t0=49, d=3), el.EventWindow(t0=199, d=3)]
+    other = [el.EventWindow(t0=99, d=3)]
+    x = x.copy()
+    for w in event + other:
+        x[w.columns] += 20.0
+    return x, event, other
+
+
+class TestOtherEventsDays:
+    """An AR fit also skips the pairs that touch other events' days."""
+
+    def test_second_occurrence_fit_skips_every_spike(self):
+        x, event, other = two_event_series()
+        panel = el.PanelSeries(x[None, :])
+        assert el.fit_ar1_ols(panel, 199, event).phi_hat == pytest.approx(0.615, abs=5e-4)
+        phi = el.fit_ar1_ols(panel, 199, event + other).phi_hat
+        assert phi == pytest.approx(0.577, abs=5e-4)
+        control = el.recursive_control(x, event, skip=other)
+        assert control[200:203] == pytest.approx(x[199] * phi ** np.arange(1, 4), rel=1e-12)
+
+    def test_skip_windows_get_no_forecast(self):
+        x, event, other = two_event_series()
+        control = el.recursive_control(x, event, skip=other)
+        assert np.isnan(control[other[0].columns]).all()
+        assert control.tobytes() == el.recursive_control(x, event, skip=event + other).tobytes()
+
+
 class TestExplosiveFits:
     """A huge phi_hat fails as a ValidationError, with no warning printed."""
 

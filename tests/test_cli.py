@@ -565,6 +565,65 @@ class TestImpactAndEvaluate:
             assert (estimates == delta.tolist()) is same
         capsys.readouterr()
 
+    @pytest.fixture
+    def two_event_files(self, tmp_path):
+        """One dated series at level 100 with +20 spikes: promo on days 50-52,
+        200-202 and 240-242, and another event on days 100-102."""
+        x = el.simulate_ar1_panel(el.ARProcessSpec(phi=0.5, sigma=1.0), 1, 299, seed=0).values
+        x = x + 100.0
+        spans = {"promo": [50, 200, 240], "other": [100]}
+        for days in spans.values():
+            for day in days:
+                x[:, day : day + 3] += 20.0
+        start = datetime.date(2013, 1, 1)
+        dates = tuple(start + datetime.timedelta(days=i) for i in range(x.shape[1]))
+        dataio.write_panel_csv(tmp_path / "panel.csv", el.PanelSeries(x, time_index=dates))
+        dataio.write_calendar_csv(tmp_path / "calendar.csv", [
+            dataio.CalendarEntry(name, dates[day], dates[day + 2])
+            for name, days in spans.items() for day in days
+        ])
+        panel = dataio.load_panel_csv(tmp_path / "panel.csv")
+        calendar = dataio.bind_calendar(dataio.load_calendar(tmp_path / "calendar.csv"), panel)
+        return tmp_path, panel, calendar
+
+    def test_estimate_skips_every_event_s_days(self, two_event_files, tmp_path, capsys):
+        files, panel, calendar = two_event_files
+        out = tmp_path / "out"
+        code = run_command(
+            ["estimate", "--panel", str(files / "panel.csv"),
+             "--calendar", str(files / "calendar.csv"), "--event", "promo",
+             "--occurrence", "1", "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        promo, other = calendar.occurrences("promo"), calendar.occurrences("other")
+        second = promo[1]
+        estimates = [float(r[1]) for r in read_csv_rows(out / "effect.csv")[1:]]
+        for skip, same in ((promo + other, True), (promo, False)):
+            fit = el.fit_ar1_ols(panel, second.t0, skip)
+            cf = el.forecast_counterfactual(fit, panel, second)
+            delta = el.estimate_effect(panel.values[:, second.columns], cf, second)
+            assert (estimates == delta.tolist()) is same
+        capsys.readouterr()
+
+    def test_impact_ar_skips_every_event_s_days(self, two_event_files, tmp_path, capsys):
+        files, panel, calendar = two_event_files
+        out = tmp_path / "out"
+        code = run_command(
+            ["impact", "--panel", str(files / "panel.csv"),
+             "--calendar", str(files / "calendar.csv"), "--event", "promo",
+             "--series", "s000", "--method", "ar", "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        series = panel.series(0)
+        promo, other = calendar.occurrences("promo"), calendar.occurrences("other")
+        scales = [el.year_scale(series, w, "pre_event_month") for w in promo]
+        predicted = [float(r[1]) for r in read_csv_rows(out / "prediction.csv")[1:]]
+        for skip, same in ((other, True), ((), False)):
+            control = el.recursive_control(series, promo[:-1], skip=skip)
+            _, expected = el.impact.impact_for_series("promo", series, promo, control, scales)
+            assert (predicted == expected.tolist()) is same
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "flags, named",
         [

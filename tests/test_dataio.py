@@ -457,8 +457,8 @@ def test_misaligned_columns_are_a_line_fault(tmp_path):
         el.load_panel_csv(path)
 
 
-def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
-    n_series, n_days = 500, 366
+def year_panel_file(tmp_path, n_series=500, n_days=366):
+    """A simulated panel of ``n_series`` dated series, and its CSV file."""
     rng = np.random.default_rng(5)
     dates = tuple(datetime.date(2013, 1, 1) + datetime.timedelta(days=t) for t in range(n_days))
     panel = el.PanelSeries(
@@ -466,6 +466,11 @@ def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
     )
     path = tmp_path / "p.csv"
     el.write_panel_csv(path, panel)
+    return path, panel
+
+
+def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
+    path, panel = year_panel_file(tmp_path)
     assert takes_bulk_path(path)
     peaks = []
     for load in (el.load_panel_csv, row_reader_load):
@@ -480,6 +485,21 @@ def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
     # both peak in the shared pivot; CPython's free lists keep a few hundred bytes
     # of the bulk path's freed dicts and lists traced, a whole-file read megabytes
     assert bulk <= rows + 16384, f"bulk peak {bulk} B, row reader peak {rows} B"
+
+
+def test_ingest_peak_stays_under_four_and_a_half_grids(tmp_path):
+    """The loader's traced peak on a 500 x 366 panel: the row accumulators
+    (two int32 and one float64 value per row), the grid and the panel's own
+    copy of it, with no grid-sized index temporaries left alive beside them."""
+    path, panel = year_panel_file(tmp_path)
+    el.load_panel_csv(path)  # imports and caches are not the loader's cost
+    tracemalloc.start()
+    try:
+        el.load_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * panel.values.nbytes, (peak, panel.values.nbytes)
 
 
 CALENDAR_SMALL = """event,start_date,end_date

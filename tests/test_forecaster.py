@@ -93,6 +93,39 @@ class TestRollingWindows:
         assert np.array_equal(head.inputs, windows.inputs[:3])
         assert windows[np.array([0, 2])].labels[:, 0].tolist() == [4.0, 6.0]
 
+    @pytest.mark.parametrize("rows", [3, np.array([], dtype=int), slice(5, 5)])
+    def test_selection_of_no_window_row_rejected(self, rows):
+        windows = el.build_rolling_windows(
+            np.arange(20.0), el.RollingWindowConfig(lookback=4, horizon=2)
+        )
+        with pytest.raises(ValidationError, match="windows need >= 1 row"):
+            windows[rows]
+
+    def test_windows_hold_one_read_only_copy_of_the_series(self):
+        x = np.arange(20.0)
+        windows = el.build_rolling_windows(x, el.RollingWindowConfig(lookback=4, horizon=2))
+        assert windows.values.nbytes == x.nbytes and not np.shares_memory(windows.values, x)
+        assert not windows.values.flags.writeable
+        x[:] = -1.0
+        assert windows.inputs[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_block_holds_its_rows_windows_in_turn(self):
+        x = np.random.default_rng(1).normal(size=(3, 17))
+        cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=2)
+        calendar = el.EventCalendar({"e": [el.EventWindow(t0=3, d=2)]})
+        block = el.build_rolling_windows(x, cfg, calendar)
+        rows = [el.build_rolling_windows(row, cfg, calendar) for row in x]
+        assert len(block) == sum(map(len, rows))
+        for name in ("inputs", "labels", "rare_mask"):
+            want = np.concatenate([getattr(w, name) for w in rows])
+            assert getattr(block, name).tobytes() == want.tobytes()
+
+    def test_block_names_the_series_of_a_bad_value(self):
+        x = np.zeros((3, 10))
+        x[2, 7] = np.nan
+        with pytest.raises(ValidationError, match=r"series 2 value at index 7 is not finite"):
+            el.build_rolling_windows(x, el.RollingWindowConfig(lookback=4, horizon=2))
+
     @pytest.mark.parametrize(
         "inputs, labels, mask",
         [((3,), (3, 2), (3, 2)), ((3, 4), (2, 2), (2, 2)), ((3, 4), (3, 2), (3, 3))],
@@ -555,12 +588,21 @@ def _ref_rare_weights(theta, layer_sizes, activation, X, Y, mask, cfg):
     return out
 
 
+def reference_normalization(X, Y):
+    """The robust (shift, scale) over materialized windows' values, with
+    ``np.median`` and ``np.percentile``; scale 1.0 for a constant series."""
+    vals = np.concatenate([X.ravel(), Y.ravel()])
+    q75, q25 = np.percentile(vals, [75.0, 25.0])
+    scale = float(q75 - q25)
+    return float(np.median(vals)), scale if scale > 0 else 1.0
+
+
 def reference_train(windows, arch, loss_cfg, train_cfg):
     """The allocating training loop that ``train`` replaced, in the same
     float32 steps: per-step row gathers, fresh activations and gradients,
     and a new theta per step.  Returns (theta as float64, loss_history)."""
     mask = windows.rare_mask
-    shift, scale = el.forecaster._normalization(windows.inputs, windows.labels)
+    shift, scale = reference_normalization(windows.inputs, windows.labels)
     X = (windows.inputs - shift).astype(np.float32) / np.float32(scale)
     Y = (windows.labels - shift).astype(np.float32) / np.float32(scale)
     layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
@@ -712,7 +754,7 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
         for ref_theta, ref_history in ((alone.theta, alone.loss_history), (theta, history)):
             assert model.theta.tobytes() == ref_theta.tobytes()
             assert np.array(model.loss_history).tobytes() == np.array(ref_history).tobytes()
-        shift, scale = el.forecaster._normalization(w.inputs, w.labels)
+        shift, scale = reference_normalization(w.inputs, w.labels)
         assert (model.shift, model.scale) == (shift, scale)
 
 
@@ -793,7 +835,7 @@ class TestTrainStack:
 
     def test_windows_are_read_one_net_at_a_time(self):
         """A generator's windows are normalized into the stack before the
-        next net's are built, so one net's float64 windows are alive at once."""
+        next net's are built, so one net's float64 values are alive at once."""
         import weakref
 
         alive = []
@@ -801,7 +843,7 @@ class TestTrainStack:
         def lazily():
             for _ in range(3):
                 w = self.windows()
-                alive.append(weakref.ref(w.inputs))
+                alive.append(weakref.ref(w))
                 assert sum(ref() is not None for ref in alive) == 1
                 yield w
                 del w
@@ -816,7 +858,7 @@ def hand_stacked(series_list, cfg, calendar):
     parts, norms = [], []
     for x in series_list:
         w = el.build_rolling_windows(x, cfg, calendar)
-        shift, scale = el.forecaster._normalization(w.inputs, w.labels)
+        shift, scale = reference_normalization(w.inputs, w.labels)
         parts.append(((w.inputs - shift) / scale, (w.labels - shift) / scale, w.rare_mask))
         norms.append((shift, scale))
     stack = el.RollingWindows(*(np.concatenate(cols) for cols in zip(*parts)))
@@ -898,7 +940,7 @@ class TestTrainPooled:
             el.TrainConfig(epochs=12, batch_size=32, seed=1),
         )
         stack, _ = hand_stacked(series_list, cfg, calendar)
-        shift, scale = el.forecaster._normalization(stack.inputs, stack.labels)
+        shift, scale = reference_normalization(stack.inputs, stack.labels)
         X, Y = (stack.inputs - shift) / scale, (stack.labels - shift) / scale
         model = models[0]
         layers = el.forecaster._unpack(model.theta, model.layer_sizes)
@@ -917,6 +959,68 @@ class TestTrainPooled:
                 [], el.RollingWindowConfig(), None, el.ForecasterArch(),
                 el.AdaptiveLossConfig(), el.TrainConfig(),
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_series=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=2, max_value=40),
+    lookback=st.integers(min_value=1, max_value=6),
+    horizon=st.integers(min_value=1, max_value=4),
+    stride=st.integers(min_value=1, max_value=3),
+    levels=st.sampled_from([1, 2, 3, 5, None]),
+    subset=st.booleans(),
+)
+def test_counted_normalization_is_numpy_on_the_materialized_windows(
+    seed, n_series, length, lookback, horizon, stride, levels, subset
+):
+    """The counted median and quartiles equal ``np.median`` and
+    ``np.percentile`` over every window's inputs and labels, bit for bit:
+    blocks of several series, strides 1-3, values drawn from a few levels
+    (ties; one level is a constant series, scale 1.0) or continuous, and
+    window subsets, which cover the values unevenly."""
+    if length < lookback + horizon:
+        return
+    rng = np.random.default_rng(seed)
+    shape = (n_series, length)
+    if levels is None:
+        x = rng.normal(rng.uniform(-50, 50), rng.uniform(0.1, 9), size=shape)
+    else:
+        x = rng.uniform(-20, 20) + 0.25 * rng.integers(0, levels, size=shape)
+    windows = el.build_rolling_windows(
+        x, el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
+    )
+    if subset:
+        windows = windows[np.sort(rng.choice(len(windows), rng.integers(1, len(windows) + 1)))]
+    got = el.forecaster._normalization(windows)
+    want = reference_normalization(windows.inputs, windows.labels)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if levels == 1:
+        assert got[1] == 1.0
+
+
+def test_train_pooled_holds_the_series_not_their_windows():
+    """Traced peak of ``train_pooled`` on 20 series x 1,000 days (lookback
+    90, horizon 30): under 16 times the 0.16 MB block of series, where the
+    pool's 17,620 windows of 120 float64 values would be 17 MB."""
+    import tracemalloc
+
+    x = np.random.default_rng(3).normal(100.0, 5.0, size=(20, 1000))
+    calendar = el.EventCalendar({"e": [el.EventWindow(t0=200, d=5), el.EventWindow(t0=565, d=5)]})
+    args = (
+        list(x), el.RollingWindowConfig(lookback=90, horizon=30), calendar,
+        el.ForecasterArch(hidden_sizes=(64, 64)), el.AdaptiveLossConfig(),
+        el.TrainConfig(epochs=1, batch_size=64, seed=0),
+    )
+    el.train_pooled(*args)  # imports and caches are not training's cost
+    tracemalloc.start()
+    try:
+        el.train_pooled(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * x.nbytes, (peak, x.nbytes)
 
 
 def test_train_allocates_no_epoch_copy_of_the_windows():
@@ -980,14 +1084,14 @@ class TestTrainingLossInvariance:
         base = self.loss(model, masked, loss_cfg)
         labels = masked.labels.copy()
         labels[masked.rare_mask] += 1e6
-        perturbed = replace(masked, labels=labels)
+        perturbed = el.RollingWindows(masked.inputs, labels, masked.rare_mask)
         assert self.loss(model, perturbed, loss_cfg) == base
 
     def test_nonrare_labels_do_move_the_loss(self):
         model, samples, x, cfg = quick_train()
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
         base = self.loss(model, samples, loss_cfg)
-        bumped = replace(samples, labels=samples.labels + 1.0)
+        bumped = el.RollingWindows(samples.inputs, samples.labels + 1.0, samples.rare_mask)
         assert self.loss(model, bumped, loss_cfg) != base
 
 
