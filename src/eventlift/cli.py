@@ -120,7 +120,6 @@ def _loss_cfg(args) -> forecaster.AdaptiveLossConfig:
         rare_weight=args.rare_weight,
         nonrare_weight=args.nonrare_weight,
         distance=args.distance,
-        adaptation=args.adaptation,
     )
 
 
@@ -178,9 +177,6 @@ def _add_training_flags(p: argparse.ArgumentParser, *, loss: bool = True) -> Non
         p.add_argument("--rare-weight", type=float, default=0.1)
         p.add_argument("--nonrare-weight", type=float, default=1.0)
         p.add_argument("--distance", choices=["absolute", "squared"], default="absolute")
-        p.add_argument(
-            "--adaptation", choices=["fixed", "residual_inverse"], default="fixed"
-        )
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.01)

@@ -79,10 +79,6 @@ __all__ = [
 
 MODEL_FORMAT_VERSION = 1
 
-# residual_inverse adaptation: 1 / (ADAPTATION_FLOOR + rare residual) keeps a
-# window whose rare steps are already fit exactly at a finite weight
-ADAPTATION_FLOOR = 1e-3
-
 # precision of every training step; see the module docstring
 TRAIN_DTYPE = np.float32
 
@@ -208,16 +204,12 @@ class AdaptiveLossConfig:
 
     ``rare_weight`` < ``nonrare_weight`` makes the model under-fit events so
     their signal stays in the residuals.  ``distance`` picks the per-step
-    error (absolute or squared).  ``adaptation`` is either ``fixed`` or
-    ``residual_inverse``, which rescales each window's rare weight by the
-    inverse of its current rare-step residual once per epoch (renormalized
-    so the mean rare weight stays at ``rare_weight``).
+    error (absolute or squared).
     """
 
     rare_weight: float = 0.1
     nonrare_weight: float = 1.0
     distance: str = "absolute"
-    adaptation: str = "fixed"
 
     def __post_init__(self):
         if self.rare_weight < 0 or self.nonrare_weight < 0:
@@ -226,10 +218,6 @@ class AdaptiveLossConfig:
             raise ValidationError("at least one loss weight must be positive")
         if self.distance not in ("absolute", "squared"):
             raise ValidationError(f"distance must be 'absolute' or 'squared', got {self.distance!r}")
-        if self.adaptation not in ("fixed", "residual_inverse"):
-            raise ValidationError(
-                f"adaptation must be 'fixed' or 'residual_inverse', got {self.adaptation!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -490,27 +478,6 @@ def _normalization(windows: RollingWindows) -> tuple[float, float]:
     return shift, scale
 
 
-def _rare_weights(layers, activation, X, Y, mask, cfg: AdaptiveLossConfig) -> np.ndarray:
-    """Per-window rare weights for the residual_inverse adaptation mode.
-
-    ``X``, ``Y`` and ``mask`` hold B windows in their last axis but one,
-    after any leading net axes; each net's weights are renormalized over that
-    net's own windows."""
-    base = np.full(mask.shape[:-1], cfg.rare_weight, dtype=X.dtype)
-    if cfg.adaptation != "residual_inverse":
-        return base
-    acts = _forward(layers, activation, X)
-    rare_eta, _ = _weighted_error(acts[-1] - Y, mask, cfg.distance)
-    raw = 1.0 / (ADAPTATION_FLOOR + rare_eta.sum(axis=-1))
-    has_rare = mask.any(axis=-1)
-    B = mask.shape[-2]
-    out = base.copy()
-    for w, r, rare in zip(out.reshape(-1, B), raw.reshape(-1, B), has_rare.reshape(-1, B)):
-        if rare.any():
-            w[rare] = cfg.rare_weight * r[rare] / r[rare].mean()
-    return out
-
-
 def _train_stack(
     windows: Iterable[RollingWindows],
     arch: ForecasterArch,
@@ -527,16 +494,13 @@ def _train_stack(
     (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
     bias view of it, and each step gathers every net's batch of inputs,
     labels and loss weights with one fancy index per array into
-    ``sliding_window_view``s of per-day arrays.  A fixed loss weight belongs
-    to its label's day; ``residual_inverse`` weights belong to the window,
-    so that mode builds them per batch from the rare days, and its
-    once-per-epoch forward pass gathers every window.  Each net keeps its
-    own seeded generator (its initial draws, then one permutation of its B
-    windows per epoch), its own (shift, scale), its own rare weights and its
-    own loss sums, reduced in the order one net alone would use, so net s
-    gets the bits of training it alone.  ``windows`` is read one entry at a
-    time and normalized before the next is read, so a generator keeps one
-    net's float64 values alive at once.
+    ``sliding_window_view``s of per-day arrays; a loss weight belongs to its
+    label's day.  Each net keeps its own seeded generator (its initial
+    draws, then one permutation of its B windows per epoch), its own
+    (shift, scale) and its own loss sums, reduced in the order one net
+    alone would use, so net s gets the bits of training it alone.
+    ``windows`` is read one entry at a time and normalized before the next
+    is read, so a generator keeps one net's float64 values alive at once.
 
     The nets must share the window count, lookback and horizon and every
     ``TrainConfig`` field but ``seed``.  A non-finite loss stops the stack at
@@ -574,12 +538,8 @@ def _train_stack(
     starts = stack.starts  # window s * B + i is net s's window i
     inputs = sliding_window_view(stack.values, M)
     labels = sliding_window_view(stack.values[M:], H)
-    adaptive = loss_cfg.adaptation == "residual_inverse"
-    if adaptive:
-        rare_mask = sliding_window_view(stack.event_day[M:], H)
-    else:
-        rare, nonrare = TRAIN_DTYPE(loss_cfg.rare_weight), TRAIN_DTYPE(loss_cfg.nonrare_weight)
-        label_weights = sliding_window_view(np.where(stack.event_day, rare, nonrare)[M:], H)
+    rare, nonrare = TRAIN_DTYPE(loss_cfg.rare_weight), TRAIN_DTYPE(loss_cfg.nonrare_weight)
+    label_weights = sliding_window_view(np.where(stack.event_day, rare, nonrare)[M:], H)
     layer_sizes = (M, *arch.hidden_sizes, H)
 
     rngs = [np.random.default_rng(c.seed) for c in train_cfgs]
@@ -615,30 +575,21 @@ def _train_stack(
     for epoch in range(cfg.epochs):
         frac = epoch / max(cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
-        if adaptive:
-            every = starts.reshape(S, B)
-            rare_weights = _rare_weights(
-                layers, arch.activation, inputs[every], labels[every], rare_mask[every], loss_cfg
-            ).ravel()
         perm = np.stack([rng.permutation(B) for rng in rngs])
         perm += net_offsets
         perm_starts = starts[perm]
         epoch_loss = [0.0] * S
         n_batches = 0
         for start in range(0, B, bs):
-            idx = perm[:, start : start + bs]
             pos = perm_starts[:, start : start + bs]
-            n = idx.shape[1]
+            n = pos.shape[1]
             act_views, delta_views = views[n]
-            if adaptive:
-                wb = rare_weights[idx][..., None]
-                wb = np.where(rare_mask[pos], wb, loss_cfg.nonrare_weight)
-            else:
-                wb = label_weights[pos]
             # fancy indexing copies this batch's rows only, where take would
             # first copy the whole strided view
             acts = _forward(layers, arch.activation, inputs[pos], act_views)
-            weighted, dpred = _weighted_error(acts[-1] - labels[pos], wb, loss_cfg.distance)
+            weighted, dpred = _weighted_error(
+                acts[-1] - labels[pos], label_weights[pos], loss_cfg.distance
+            )
             # per net: float32 row sums, their float32 sum, the mean in float64
             for net, total in enumerate(weighted.sum(axis=-1).sum(axis=-1).tolist()):
                 batch_loss = total / n

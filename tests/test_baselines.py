@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
@@ -253,6 +253,14 @@ def random_series(seed, length, level, spread):
 # the array code sums in another order than the loops: allow 1e-12 of the
 # series' largest magnitude, a few thousand float64 roundings
 LOOP_TOL = 1e-12
+# ... but no less than 4096 of the smallest subnormal: on a subnormal series
+# the relative bound underflows to 0.0, while each rounding there errs by up
+# to half a subnormal, absolutely
+LOOP_FLOOR = 4096 * np.finfo(float).smallest_subnormal
+
+
+def loop_bound(x):
+    return max(LOOP_TOL * np.abs(x).max(), LOOP_FLOOR)
 
 
 @settings(max_examples=150, deadline=None)
@@ -270,25 +278,34 @@ def test_moving_average_matches_the_loop(data, period, seed, level, spread):
     x = random_series(seed, length, level, spread)
     expected = loop_moving_average(x, period)
     got = el.centered_moving_average(x, period)
-    assert np.all(np.abs(got - expected) <= LOOP_TOL * np.abs(x).max())
+    assert np.all(np.abs(got - expected) <= loop_bound(x))
+
+
+@st.composite
+def periods_and_length(draw):
+    """One or two periods and a series length of at least two of the longest."""
+    periods = draw(st.lists(st.integers(min_value=2, max_value=400), min_size=1, max_size=2,
+                            unique=True))
+    return periods, draw(st.integers(min_value=2 * max(periods), max_value=1500))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    data=st.data(),
-    periods=st.lists(st.integers(min_value=2, max_value=400), min_size=1, max_size=2,
-                     unique=True),
+    case=periods_and_length(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     level=st.floats(min_value=-1e6, max_value=1e6),
     spread=st.floats(min_value=0.0, max_value=1e6),
 )
-def test_decomposition_matches_the_loops(data, periods, seed, level, spread):
-    length = data.draw(st.integers(min_value=2 * max(periods), max_value=1500))
+# a subnormal series: the trend differs from the loop's by 1e-323 while the
+# relative bound underflows to 0.0
+@example(case=([2], 4), seed=0, level=0.0, spread=2.2250738585e-313)
+def test_decomposition_matches_the_loops(case, seed, level, spread):
+    periods, length = case
     x = random_series(seed, length, level, spread)
     window = el.EventWindow(t0=length - 3, d=1)
     result, control = el.seasonal_decompose(x, periods, window)
     trend, seasonals, remainder = loop_decompose(x, periods)
-    bound = LOOP_TOL * np.abs(x).max()
+    bound = loop_bound(x)
     assert np.all(np.abs(result.trend - trend) <= bound)
     assert result.seasonal_components.keys() == seasonals.keys()
     for period, seasonal in seasonals.items():

@@ -468,8 +468,7 @@ class TestForecasterCommands:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--rare-weight", "0"), ("--nonrare-weight", "2"), ("--distance", "squared"),
-         ("--adaptation", "residual_inverse")],
+        [("--rare-weight", "0"), ("--nonrare-weight", "2"), ("--distance", "squared")],
     )
     def test_baseline_df_refuses_the_loss_flags(self, sim_dir, tmp_path, capsys, flag, value):
         """The direct forecast always trains with uniform absolute weights, so
@@ -499,7 +498,7 @@ class TestForecasterCommands:
         for command in ("train", "evaluate"):
             assert run_command([command, "--help"]) == 0
             text = capsys.readouterr().out
-            for flag in ("--rare-weight", "--nonrare-weight", "--distance", "--adaptation"):
+            for flag in ("--rare-weight", "--nonrare-weight", "--distance"):
                 assert flag in text, (command, flag)
 
     def test_baseline_sd(self, sim_dir, tmp_path, capsys):

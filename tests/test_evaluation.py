@@ -6,6 +6,7 @@ import pytest
 
 import eventlift as el
 from eventlift import TrainingDivergedError, ValidationError
+from eventlift.impact import impact_for_series
 from eventlift.montecarlo import mix_seed
 
 
@@ -254,3 +255,37 @@ def test_sd_column_is_the_decomposition_mape_on_the_retail_panel(
     assert_sd_column_is_the_decomposition_mape(
         retail_report, panel, retail_eval_kwargs["periods"]
     )
+
+
+def ours_effect_error(retail_data, retail_eval_kwargs, loss_cfg):
+    """Criterion 6's effect MAE, as a fraction of the true effects' mean
+    magnitude, of the pooled forecaster trained with ``loss_cfg``."""
+    panel, calendar, true_effects = retail_data
+    kwargs = retail_eval_kwargs
+    all_series = [panel.series(i) for i in range(panel.n_series)]
+    models = el.train_pooled(
+        all_series, kwargs["fw_config"], calendar, kwargs["arch"], loss_cfg, kwargs["train_cfg"]
+    )
+    occurrences = calendar.occurrences("holiday")
+    predicted = []
+    for series, model in zip(all_series, models):
+        control = el.insample_forecast(model, series, kwargs["fw_config"].stride)
+        scales = [el.year_scale(series, w, "pre_event_month", panel.time_index) for w in occurrences]
+        _, effect = impact_for_series("holiday", series, occurrences, control, scales)
+        predicted.append(effect)
+    return np.mean(np.abs(np.stack(predicted) - true_effects)) / np.mean(np.abs(true_effects))
+
+
+def test_rare_weighting_beats_no_weighting_on_the_retail_panel(retail_data, retail_eval_kwargs):
+    """Down-weighting event days keeps the event out of the in-sample
+    control: under the squared loss, which does not discount outlying days
+    by itself, rare weight 0.1 estimates the effect clearly better than
+    weight 1.0 (no weighting)."""
+    weighted, unweighted = (
+        ours_effect_error(
+            retail_data, retail_eval_kwargs,
+            el.AdaptiveLossConfig(rare_weight=rare_weight, distance="squared"),
+        )
+        for rare_weight in (0.1, 1.0)
+    )
+    assert 1.25 * weighted < unweighted, (weighted, unweighted)

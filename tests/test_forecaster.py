@@ -508,20 +508,6 @@ class TestTrain:
                 rare_mask=np.zeros((0, 2), dtype=bool),
             )
 
-    def test_residual_inverse_adaptation_trains(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(10.0, 1.0, size=60)
-        calendar = el.EventCalendar({"e": [el.EventWindow(t0=30, d=3)]})
-        cfg = el.RollingWindowConfig(lookback=8, horizon=4, stride=1)
-        samples = el.build_rolling_windows(x, cfg, calendar)
-        model = el.train(
-            samples,
-            el.ForecasterArch(hidden_sizes=(8,), activation="relu"),
-            el.AdaptiveLossConfig(adaptation="residual_inverse"),
-            el.TrainConfig(epochs=40, batch_size=16, learning_rate=0.01, seed=1),
-        )
-        assert np.all(np.isfinite(model.theta))
-
 
 def _ref_layers(theta, layer_sizes):
     out, pos = [], 0
@@ -571,23 +557,6 @@ def _ref_eta_and_grad(diff, distance):
     return diff**2, 2.0 * diff
 
 
-def _ref_rare_weights(theta, layer_sizes, activation, X, Y, mask, cfg):
-    B = X.shape[0]
-    base = np.full(B, cfg.rare_weight, dtype=np.float32)
-    if cfg.adaptation != "residual_inverse":
-        return base
-    acts, _ = _ref_forward(theta, layer_sizes, activation, X)
-    eta, _ = _ref_eta_and_grad(acts[-1] - Y, cfg.distance)
-    rare_resid = (eta * mask).sum(axis=1)
-    has_rare = mask.any(axis=1)
-    if not has_rare.any():
-        return base
-    raw = 1.0 / (el.forecaster.ADAPTATION_FLOOR + rare_resid)
-    out = base.copy()
-    out[has_rare] = cfg.rare_weight * raw[has_rare] / raw[has_rare].mean()
-    return out
-
-
 def reference_normalization(X, Y):
     """The robust (shift, scale) over materialized windows' values, with
     ``np.median`` and ``np.percentile``; scale 1.0 for a constant series."""
@@ -622,7 +591,6 @@ def reference_train(windows, arch, loss_cfg, train_cfg):
     for epoch in range(train_cfg.epochs):
         frac = epoch / max(train_cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
-        w1 = _ref_rare_weights(theta, layer_sizes, arch.activation, X, Y, mask, loss_cfg)
         perm = rng.permutation(B)
         epoch_loss = 0.0
         n_batches = 0
@@ -631,7 +599,9 @@ def reference_train(windows, arch, loss_cfg, train_cfg):
             acts, pres = _ref_forward(theta, layer_sizes, arch.activation, X[idx])
             diff = acts[-1] - Y[idx]
             eta, deta = _ref_eta_and_grad(diff, loss_cfg.distance)
-            wv = np.where(mask[idx], w1[idx][:, None], loss_cfg.nonrare_weight)
+            wv = np.where(
+                mask[idx], np.float32(loss_cfg.rare_weight), np.float32(loss_cfg.nonrare_weight)
+            )
             # the float32 row sums are added in float32, the mean taken in float64
             batch_loss = float((wv * eta).sum(axis=1).sum()) / len(idx)
             if not np.isfinite(batch_loss):
@@ -657,14 +627,13 @@ def reference_train(windows, arch, loss_cfg, train_cfg):
     hidden=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
     activation=st.sampled_from(["relu", "tanh"]),
     distance=st.sampled_from(["absolute", "squared"]),
-    adaptation=st.sampled_from(["fixed", "residual_inverse"]),
     epochs=st.integers(min_value=1, max_value=4),
     batching=st.sampled_from(["divides", "remainder", "exceeds"]),
     pick=st.integers(min_value=0, max_value=6),
 )
 def test_train_matches_the_allocating_reference_bit_for_bit(
     seed, length, lookback, horizon, event_t0s, hidden, activation, distance,
-    adaptation, epochs, batching, pick,
+    epochs, batching, pick,
 ):
     rng = np.random.default_rng(seed)
     x = rng.normal(10.0, 3.0, size=length)
@@ -684,9 +653,7 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
         return
     batch_size = sizes[pick % len(sizes)]
     arch = el.ForecasterArch(hidden_sizes=tuple(hidden), activation=activation)
-    loss_cfg = el.AdaptiveLossConfig(
-        rare_weight=0.3, distance=distance, adaptation=adaptation
-    )
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.3, distance=distance)
     train_cfg = el.TrainConfig(
         epochs=epochs, batch_size=batch_size, learning_rate=0.05,
         final_learning_rate=0.01, seed=seed,
@@ -708,14 +675,13 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
     hidden=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
     activation=st.sampled_from(["relu", "tanh"]),
     distance=st.sampled_from(["absolute", "squared"]),
-    adaptation=st.sampled_from(["fixed", "residual_inverse"]),
     epochs=st.integers(min_value=1, max_value=4),
     batching=st.sampled_from(["divides", "remainder", "exceeds"]),
     pick=st.integers(min_value=0, max_value=6),
 )
 def test_train_stack_matches_training_each_net_alone_bit_for_bit(
     seed, nets, length, lookback, horizon, event_t0, hidden, activation, distance,
-    adaptation, epochs, batching, pick,
+    epochs, batching, pick,
 ):
     """Net s of a lock-step stack gets the parameters and loss history of
     ``train`` and of the allocating reference loop on its windows alone,
@@ -738,7 +704,7 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
     if not sizes:  # B <= 2: every batch size up to B divides it
         return
     arch = el.ForecasterArch(hidden_sizes=tuple(hidden), activation=activation)
-    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.3, distance=distance, adaptation=adaptation)
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.3, distance=distance)
     train_cfgs = [
         el.TrainConfig(
             epochs=epochs, batch_size=sizes[pick % len(sizes)], learning_rate=0.05,
@@ -871,19 +837,18 @@ def hand_stacked(series_list, cfg, calendar):
     lengths=st.lists(st.integers(min_value=12, max_value=50), min_size=1, max_size=4),
     stride=st.integers(min_value=1, max_value=3),
     event_t0=st.integers(min_value=1, max_value=40),
-    adaptation=st.sampled_from(["fixed", "residual_inverse"]),
     epochs=st.integers(min_value=1, max_value=9),
     batch_size=st.integers(min_value=1, max_value=40),
 )
 def test_train_pooled_is_train_on_the_hand_stacked_windows(
-    seed, lengths, stride, event_t0, adaptation, epochs, batch_size
+    seed, lengths, stride, event_t0, epochs, batch_size
 ):
     rng = np.random.default_rng(seed)
     series_list = [rng.normal(rng.uniform(-50, 50), rng.uniform(0.5, 9), size=n) for n in lengths]
     cfg = el.RollingWindowConfig(lookback=7, horizon=4, stride=stride)
     calendar = el.EventCalendar({"e": [el.EventWindow(t0=event_t0, d=2)]})
     arch = el.ForecasterArch(hidden_sizes=(5,), activation="tanh")
-    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.2, adaptation=adaptation)
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.2)
     train_cfg = el.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.02, seed=seed)
     models = el.train_pooled(series_list, cfg, calendar, arch, loss_cfg, train_cfg)
 
@@ -925,33 +890,6 @@ class TestTrainPooled:
             control = el.insample_forecast(model, x)
             err = np.abs(control[100:130] - x[100:130]).mean()
             assert err < 0.5 * x.std()
-
-    def test_residual_inverse_keeps_the_mean_rare_weight(self):
-        """On a pooled batch the adaptation renormalizes over every series'
-        windows, so the mean rare weight stays ``rare_weight``."""
-        cfg = el.RollingWindowConfig(lookback=14, horizon=7)
-        calendar = el.EventCalendar(
-            {"e": [el.EventWindow(t0=59, d=2), el.EventWindow(t0=139, d=2)]}
-        )
-        series_list = self.series_list()
-        loss_cfg = el.AdaptiveLossConfig(rare_weight=0.1, adaptation="residual_inverse")
-        models = el.train_pooled(
-            series_list, cfg, calendar, el.ForecasterArch(hidden_sizes=(8,)), loss_cfg,
-            el.TrainConfig(epochs=12, batch_size=32, seed=1),
-        )
-        stack, _ = hand_stacked(series_list, cfg, calendar)
-        shift, scale = reference_normalization(stack.inputs, stack.labels)
-        X, Y = (stack.inputs - shift) / scale, (stack.labels - shift) / scale
-        model = models[0]
-        layers = el.forecaster._unpack(model.theta, model.layer_sizes)
-        weights = el.forecaster._rare_weights(
-            layers, model.activation, X, Y, stack.rare_mask, loss_cfg
-        )
-        has_rare = stack.rare_mask.any(axis=1)
-        assert has_rare.sum() >= 3 * 2 and not has_rare.all()
-        assert weights[has_rare].mean() == pytest.approx(0.1, rel=1e-12)
-        assert np.ptp(weights[has_rare]) > 0
-        assert np.all(weights[~has_rare] == 0.1)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError, match="at least one series"):
