@@ -9,10 +9,10 @@ and the innovation variance by the mean squared residual over the same
 pairs.  Counterfactuals are forecast recursively from the last pre-event
 observation, and per-period effects are observed-minus-counterfactual
 cross-series means; on one series, ``recursive_control`` gives the control.
-Uncertainty comes in two flavors: the large-N limit variance sigma^2 /
-(1 - phi^2) per component, and the exact finite-horizon variance sigma^2 *
-(1 - phi^(2k)) / (1 - phi^2) at window depth k, which grows toward the
-limit value.
+Uncertainty is the exact finite-horizon covariance of the forecast errors:
+its diagonal is sigma^2 * (1 - phi^(2k)) / (1 - phi^2) at window depth k,
+which grows toward the limit sigma^2 / (1 - phi^2), and its off-diagonals
+carry the dependence between window days.
 
 The intervals' normal quantile is the standard library's
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241, Applied Statistics,
@@ -185,32 +185,17 @@ def ar1_error_covariance(phi: float, sigma2: float, d: int) -> np.ndarray:
     return cov
 
 
-def effect_covariance(
-    fit: ARModelFit, window: EventWindow, n_series: int, mode: str = "finite_horizon"
-) -> np.ndarray:
+def effect_covariance(fit: ARModelFit, window: EventWindow, n_series: int) -> np.ndarray:
     """Covariance of the effect estimate under the fitted AR(1) model.
 
-    ``asymptotic_diagonal`` puts sigma2_hat / ((1 - phi_hat^2) * N) on every
-    diagonal entry and zeros elsewhere.  ``finite_horizon`` returns
-    ``ar1_error_covariance`` / N: its diagonal is the depth-dependent variance
-    sigma2_hat * sum_{j=0..k} phi_hat^(2j) / N at window step k, which is
-    smaller at shallow depths and converges upward to the asymptotic value,
-    and its off-diagonals carry the cross-step covariance of the errors.
+    Returns ``ar1_error_covariance`` / N: its diagonal is the depth-dependent
+    variance sigma2_hat * sum_{j=0..k} phi_hat^(2j) / N at window step k,
+    which converges upward to sigma2_hat / ((1 - phi_hat^2) * N), and its
+    off-diagonals carry the cross-step covariance of the errors.
     """
     if n_series < 1:
         raise ValidationError(f"n_series must be >= 1, got {n_series}")
-    if mode == "asymptotic_diagonal":
-        if abs(fit.phi_hat) >= 1.0:
-            raise ValidationError(
-                f"asymptotic variance undefined for nonstationary fit |phi_hat|={abs(fit.phi_hat)} >= 1"
-            )
-        var = fit.sigma2_hat / ((1.0 - fit.phi_hat**2) * n_series)
-        return np.diag(np.full(window.d, var))
-    if mode == "finite_horizon":
-        return ar1_error_covariance(fit.phi_hat, fit.sigma2_hat, window.d) / n_series
-    raise ValidationError(
-        f"mode must be 'asymptotic_diagonal' or 'finite_horizon', got {mode!r}"
-    )
+    return ar1_error_covariance(fit.phi_hat, fit.sigma2_hat, window.d) / n_series
 
 
 def _check_level(level: float, name: str = "level") -> float:

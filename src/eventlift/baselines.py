@@ -65,8 +65,9 @@ def direct_forecast(
     diverges is named by its row.
 
     Returns the (T,) or (S, T) control: the forecasts on indices t0+1 ..
-    min(t0+H, end of series), NaN everywhere else.  A non-finite forecast
-    is rejected.
+    min(t0+H, end of series), NaN everywhere else.  A window with no day
+    before the series end is rejected before any training, and a non-finite
+    forecast after it.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim not in (1, 2):
@@ -77,6 +78,10 @@ def direct_forecast(
     if window.d > H:
         raise ValidationError(
             f"window size d={window.d} exceeds forecast horizon H={H}"
+        )
+    if t0 + 1 >= rows.shape[1]:
+        raise ValidationError(
+            f"window t0={t0} leaves no day to forecast in a series of length {rows.shape[1]}"
         )
     if predictor == "ar1":
         windows = [EventWindow(t0, H)]

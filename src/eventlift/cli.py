@@ -240,7 +240,7 @@ def _cmd_estimate(args) -> int:
     fit = ar.fit_ar1_ols(panel, t0_fit, calendar.windows())
     cf = ar.forecast_counterfactual(fit, panel, window)
     delta_hat = ar.estimate_effect(panel.values[:, window.columns], cf, window)
-    cov = ar.effect_covariance(fit, window, panel.n_series, args.variance_mode)
+    cov = ar.effect_covariance(fit, window, panel.n_series)
     cis = ar.confidence_intervals(delta_hat, cov, args.level)
     out = _out_dir(args)
     reports.write_effect_csv(out / "effect.csv", delta_hat, cis)
@@ -278,7 +278,6 @@ def _cmd_mc_validate(args) -> int:
         replications=args.reps,
         master_seed=args.seed,
         ci_level=args.level,
-        variance_mode=args.variance_mode,
         standardize=args.standardize,
     )
     report = montecarlo.run_replications(config, n_jobs=args.jobs)
@@ -557,11 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="recursive-counterfactual effect estimate with CIs")
     _add_inputs(p, event=True, occurrence=0)
     p.add_argument("--fit-t0", type=int, default=None, help="override the fit range")
-    p.add_argument(
-        "--variance-mode",
-        choices=["finite_horizon", "asymptotic_diagonal"],
-        default="finite_horizon",
-    )
     p.add_argument("--level", type=_level, default=0.95)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_estimate)
@@ -574,11 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--level", type=_level, default=0.95)
-    p.add_argument(
-        "--variance-mode",
-        choices=["finite_horizon", "asymptotic_diagonal"],
-        default="finite_horizon",
-    )
     p.add_argument("--standardize", choices=["oracle", "estimated"], default="oracle")
     p.add_argument(
         "--jobs", type=int, default=1, help="worker threads, capped at the CPUs available"

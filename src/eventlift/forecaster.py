@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -290,9 +291,12 @@ class TrainedForecaster:
     loss_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
-            raise ValidationError(f"bad layer sizes {self.layer_sizes}")
+        sizes = tuple(self.layer_sizes)
+        if len(sizes) < 2 or not all(
+            isinstance(s, numbers.Real) and s >= 1 and float(s).is_integer() for s in sizes
+        ):
+            raise ValidationError(f"bad layer sizes {sizes}")
+        self.layer_sizes = tuple(int(s) for s in sizes)
         if self.activation not in ("relu", "tanh"):
             raise ValidationError(f"bad activation {self.activation!r}")
         theta = np.asarray(self.theta, dtype=float)
@@ -303,8 +307,10 @@ class TrainedForecaster:
             )
         if not np.all(np.isfinite(theta)):
             raise ValidationError("parameters must all be finite")
-        if self.scale <= 0:
-            raise ValidationError(f"normalization scale must be > 0, got {self.scale}")
+        if not math.isfinite(self.shift):
+            raise ValidationError(f"normalization shift must be finite, got {self.shift}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValidationError(f"normalization scale must be finite and > 0, got {self.scale}")
         if theta.flags.writeable:
             # a read-only vector (another model's, as train_pooled's models
             # share one) is kept as it is
@@ -375,26 +381,19 @@ def _backward(layers, activation, acts, dpred, grads, bufs=None):
             delta *= 1.0 - h**2
 
 
-def _window_starts(series, config: RollingWindowConfig, block: bool = False):
-    """Validate a (T,) series, or an (S, T) block of them when ``block``;
-    return it as float64 and the starts i * stride of every window that fits
-    lookback + horizon steps in one series."""
+def _window_starts(series, config: RollingWindowConfig):
+    """Validate a (T,) series; return it as float64 and the starts i * stride
+    of every window that fits lookback + horizon steps."""
     x = np.asarray(series, dtype=float)
-    if not (x.ndim == 1 or (block and x.ndim == 2)):
-        raise ValidationError(
-            "rolling windows need a 1-D series or a 2-D block of them" if block
-            else "rolling windows need a single 1-D series"
-        )
+    if x.ndim != 1:
+        raise ValidationError("rolling windows need a single 1-D series")
     M, H = config.lookback, config.horizon
-    if x.shape[-1] < M + H:
-        raise ValidationError(f"series length {x.shape[-1]} < lookback + horizon = {M + H}")
-    bad = np.argwhere(~np.isfinite(x))
+    if len(x) < M + H:
+        raise ValidationError(f"series length {len(x)} < lookback + horizon = {M + H}")
+    bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        where = f"series {bad[0, 0]} value" if x.ndim == 2 else "series value"
-        raise ValidationError(
-            f"{where} at index {bad[0, -1]} is not finite ({x[tuple(bad[0])]})"
-        )
-    return x, np.arange(0, x.shape[-1] - M - H + 1, config.stride)
+        raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
+    return x, np.arange(0, len(x) - M - H + 1, config.stride)
 
 
 def build_rolling_windows(
@@ -402,26 +401,18 @@ def build_rolling_windows(
     config: RollingWindowConfig,
     calendar: EventCalendar | None = None,
 ) -> RollingWindows:
-    """The overlapping (input, label) windows of a (T,) series, or of each
-    row of an (S, T) block, held as index ranges.
+    """The overlapping (input, label) windows of a (T,) series, held as
+    index ranges.
 
-    A series' window i covers its input indices [i*s, i*s+M) and label
-    indices [i*s+M, i*s+M+H); i runs to ((T-M-H) // s), and the windows run
-    series by series.  Rare masks are set from the calendar, the same days
-    in every series (no calendar means all-false masks; indices past the
+    Window i covers input indices [i*s, i*s+M) and label indices
+    [i*s+M, i*s+M+H); i runs to ((T-M-H) // s).  Rare masks are set from
+    the calendar (no calendar means all-false masks; indices past the
     series end are ignored).  The windows hold one private copy of the
     series, not a view of ``series`` and not a copy per window.
     """
-    x, starts = _window_starts(series, config, block=True)
-    rows = x.reshape(-1, x.shape[-1])
-    S, T = rows.shape
-    return RollingWindows._over(
-        rows.flatten(),
-        np.tile((calendar or EventCalendar()).event_days(T), S),
-        (np.arange(0, S * T, T)[:, None] + starts).ravel(),
-        config.lookback,
-        config.horizon,
-    )
+    x, starts = _window_starts(series, config)
+    days = (calendar or EventCalendar()).event_days(len(x))
+    return RollingWindows._over(x.copy(), days, starts, config.lookback, config.horizon)
 
 
 def _weighted_error(diff: np.ndarray, wv, distance: str):

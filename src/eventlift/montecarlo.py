@@ -106,7 +106,6 @@ class MCConfig:
     replications: int
     master_seed: int
     ci_level: float = 0.95
-    variance_mode: str = "finite_horizon"
     standardize: str = "oracle"
 
     def __post_init__(self):
@@ -119,8 +118,6 @@ class MCConfig:
                 f"fit range t0={self.t0} must be in [1, window.t0={self.window.t0}]"
             )
         _check_level(self.ci_level, "ci_level")
-        if self.variance_mode not in ("finite_horizon", "asymptotic_diagonal"):
-            raise ValidationError(f"unknown variance_mode {self.variance_mode!r}")
         if self.standardize not in ("oracle", "estimated"):
             raise ValidationError(f"unknown standardize {self.standardize!r}")
         object.__setattr__(
@@ -151,7 +148,6 @@ class MonteCarloReport:
     replications: int
     n_series: int
     ci_level: float
-    variance_mode: str
     notes: list[str] = field(default_factory=list)
     # (R, d) matrix of standardized errors, for histogram diagnostics
     standardized_errors: np.ndarray | None = None
@@ -169,7 +165,7 @@ def _replicate(config: MCConfig, r: int):
     if not np.all(np.isfinite(observed)):
         raise ValidationError("treated window values must all be finite")
     delta_hat = estimate_effect(observed, cf, window)
-    cov = effect_covariance(fit, window, config.n_series, config.variance_mode)
+    cov = effect_covariance(fit, window, config.n_series)
     cis = confidence_intervals(delta_hat, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
     return delta_hat, fit.phi_hat, np.diag(cov), covered
@@ -291,7 +287,6 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
         replications=R,
         n_series=config.n_series,
         ci_level=config.ci_level,
-        variance_mode=config.variance_mode,
         notes=notes,
         standardized_errors=z,
     )

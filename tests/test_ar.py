@@ -301,13 +301,6 @@ class TestEffectCovariance:
         cov = el.effect_covariance(fit, el.EventWindow(t0=5, d=d), n_series=n)
         assert np.array_equal(cov, el.ar1_error_covariance(phi, sigma2, d) / n)
 
-    def test_asymptotic_diagonal(self):
-        fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)
-        cov = el.effect_covariance(
-            fit, el.EventWindow(t0=5, d=2), n_series=4, mode="asymptotic_diagonal"
-        )
-        np.testing.assert_allclose(np.diag(cov), (4.0 / 3.0) / 4.0)
-
     def test_scales_inversely_with_n(self):
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=2.0, n_pairs=100)
         window = el.EventWindow(t0=5, d=3)
@@ -319,18 +312,6 @@ class TestEffectCovariance:
         fit = el.ARModelFit(phi_hat=1.0, sigma2_hat=1.0, n_pairs=100)
         cov = el.effect_covariance(fit, el.EventWindow(t0=5, d=3), n_series=1)
         assert np.diag(cov).tolist() == [1.0, 2.0, 3.0]
-
-    def test_asymptotic_rejects_unit_root(self):
-        fit = el.ARModelFit(phi_hat=1.0, sigma2_hat=1.0, n_pairs=100)
-        with pytest.raises(ValidationError):
-            el.effect_covariance(
-                fit, el.EventWindow(t0=5, d=3), n_series=1, mode="asymptotic_diagonal"
-            )
-
-    def test_unknown_mode(self):
-        fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)
-        with pytest.raises(ValidationError):
-            el.effect_covariance(fit, el.EventWindow(t0=5, d=1), n_series=1, mode="x")
 
     def test_converges_to_asymptotic_with_depth(self):
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)

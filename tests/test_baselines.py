@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import ValidationError
+from eventlift import ValidationError, baselines
 
 
 class TestDirectForecastAR1:
@@ -141,6 +141,26 @@ class TestDirectForecastMLP:
                 el.RollingWindowConfig(lookback=10, horizon=5),
                 predictor="arima",
             )
+
+
+@pytest.mark.parametrize("predictor", ["mlp", "ar1"])
+@pytest.mark.parametrize("t0", [199, 250])
+def test_window_past_the_series_rejected_before_training(predictor, t0, monkeypatch):
+    """A window whose first day lies past a 200-day series has nothing to
+    forecast: it fails naming t0 and the length, and no net trains."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a net trained for a window past the series")
+
+    monkeypatch.setattr(baselines, "_train_stack", no_training)
+    x = 10.0 + np.sin(np.arange(200.0))
+    with pytest.raises(ValidationError, match=rf"t0={t0} .* series of length 200"):
+        el.direct_forecast(
+            x,
+            el.EventWindow(t0=t0, d=3),
+            el.RollingWindowConfig(lookback=20, horizon=5),
+            predictor=predictor,
+        )
 
 
 class TestDirectForecastBlock:

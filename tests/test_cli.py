@@ -1,5 +1,6 @@
 import datetime
 import inspect
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -57,6 +58,16 @@ def trained_dir(sim_dir, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def unread_argv(command, tmp_path):
+    """``estimate`` or ``mc-validate`` arguments whose inputs do not exist, so
+    a flag error must be raised before anything is read."""
+    if command == "estimate":
+        return ["estimate", "--panel", str(tmp_path / "none.csv"),
+                "--calendar", str(tmp_path / "none.csv"), "--event", "e"]
+    return ["mc-validate", "--phi", "0.5", "--sigma", "1", "--n", "50",
+            "--t0", "10", "--d", "1", "--delta", "1", "--reps", "3", "--seed", "1"]
 
 
 class TestExitCodes:
@@ -144,17 +155,21 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize("command", ["estimate", "mc-validate"])
     def test_bad_level_is_a_flag_error(self, command, level, tmp_path, capsys):
-        # the inputs do not exist: the flag must fail before anything is read
         out = tmp_path / "out"
-        if command == "estimate":
-            argv = ["estimate", "--panel", str(tmp_path / "none.csv"),
-                    "--calendar", str(tmp_path / "none.csv"), "--event", "e"]
-        else:
-            argv = ["mc-validate", "--phi", "0.5", "--sigma", "1", "--n", "50",
-                    "--t0", "10", "--d", "1", "--delta", "1", "--reps", "3", "--seed", "1"]
-        code = run_command([*argv, "--level", level, "--out", str(out)])
+        code = run_command([*unread_argv(command, tmp_path), "--level", level, "--out", str(out)])
         assert code == 2
         assert "argument --level:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "mc-validate"])
+    def test_covariance_selector_flag_is_unknown(self, command, tmp_path, capsys):
+        """Both commands report the one finite-horizon covariance; the flag
+        that once chose another is unknown, not silently ignored."""
+        out = tmp_path / "out"
+        flag = ["--variance-mode", "finite_horizon"]
+        code = run_command([*unread_argv(command, tmp_path), *flag, "--out", str(out)])
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -442,6 +457,34 @@ class TestForecasterCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "stride 7" in err and "horizon 5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, text",
+        [("scale", "NaN"), ("shift", "Infinity"), ("layer_sizes", "[10.5, 8, 5]")],
+    )
+    def test_extract_rejects_a_malformed_model_naming_the_file(
+        self, sim_dir, trained_dir, tmp_path, capsys, entry, text
+    ):
+        # json reads NaN, Infinity and fractional sizes; the model must refuse them
+        payload = json.loads((trained_dir / "model_s000.json").read_text(encoding="utf-8"))
+        payload[entry] = "@"
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(payload).replace('"@"', text), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_command(
+            [
+                "extract",
+                "--panel", str(sim_dir / "panel.csv"),
+                "--calendar", str(sim_dir / "calendar.csv"),
+                "--event", "event",
+                "--series", "s000",
+                "--model", str(model),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"error: {model}: bad model entry" in capsys.readouterr().err
         assert not out.exists()
 
     def test_baseline_df_ar1_predictor(self, sim_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 
@@ -109,22 +110,10 @@ class TestRollingWindows:
         x[:] = -1.0
         assert windows.inputs[0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
-    def test_block_holds_its_rows_windows_in_turn(self):
-        x = np.random.default_rng(1).normal(size=(3, 17))
-        cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=2)
-        calendar = el.EventCalendar({"e": [el.EventWindow(t0=3, d=2)]})
-        block = el.build_rolling_windows(x, cfg, calendar)
-        rows = [el.build_rolling_windows(row, cfg, calendar) for row in x]
-        assert len(block) == sum(map(len, rows))
-        for name in ("inputs", "labels", "rare_mask"):
-            want = np.concatenate([getattr(w, name) for w in rows])
-            assert getattr(block, name).tobytes() == want.tobytes()
-
-    def test_block_names_the_series_of_a_bad_value(self):
-        x = np.zeros((3, 10))
-        x[2, 7] = np.nan
-        with pytest.raises(ValidationError, match=r"series 2 value at index 7 is not finite"):
-            el.build_rolling_windows(x, el.RollingWindowConfig(lookback=4, horizon=2))
+    def test_a_block_of_series_is_rejected(self):
+        # a pool of series is joined from per-series windows, as train_pooled does
+        with pytest.raises(ValidationError, match="need a single 1-D series"):
+            el.build_rolling_windows(np.zeros((3, 17)), el.RollingWindowConfig(4, 2))
 
     @pytest.mark.parametrize(
         "inputs, labels, mask",
@@ -926,9 +915,9 @@ def test_counted_normalization_is_numpy_on_the_materialized_windows(
         x = rng.normal(rng.uniform(-50, 50), rng.uniform(0.1, 9), size=shape)
     else:
         x = rng.uniform(-20, 20) + 0.25 * rng.integers(0, levels, size=shape)
-    windows = el.build_rolling_windows(
-        x, el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
-    )
+    cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
+    # the pool of several series, as train_pooled joins it
+    windows = el.RollingWindows._joined([el.build_rolling_windows(row, cfg) for row in x])
     if subset:
         windows = windows[np.sort(rng.choice(len(windows), rng.integers(1, len(windows) + 1)))]
     got = el.forecaster._normalization(windows)
@@ -1229,8 +1218,25 @@ class TestModelSerialization:
                 "could not convert string to float",
             ),
             ('{"format_version": 999}', "unsupported model format version 999"),
+            (
+                '{"format_version": 1, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
+                '"activation": "relu", "shift": Infinity, "scale": NaN}',
+                "normalization shift must be finite",
+            ),
+            (
+                '{"format_version": 1, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
+                '"activation": "relu", "shift": 0.0, "scale": NaN}',
+                "normalization scale must be finite and > 0",
+            ),
+            (
+                '{"format_version": 1, "layer_sizes": [3.7, 2], '
+                '"theta": [0, 0, 0, 0, 0, 0, 0, 0], "activation": "relu", "shift": 0.0, '
+                '"scale": 1.0}',
+                r"bad layer sizes \(3\.7, 2\)",
+            ),
         ],
-        ids=["missing-file", "malformed-json", "missing-key", "bad-entry", "version"],
+        ids=["missing-file", "malformed-json", "missing-key", "bad-entry", "version",
+             "infinite-shift", "nan-scale", "fractional-layer-size"],
     )
     def test_bad_file_fails_naming_the_path(self, tmp_path, text, message):
         path = tmp_path / "model.json"
@@ -1264,6 +1270,40 @@ class TestTrainedForecaster:
                 shift=0.0,
                 scale=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "layer_sizes, shift, scale, message",
+        [
+            ((1, 1, 1), math.inf, 1.0, "shift must be finite, got inf"),
+            ((1, 1, 1), math.nan, 1.0, "shift must be finite, got nan"),
+            ((1, 1, 1), 0.0, math.nan, "scale must be finite and > 0, got nan"),
+            ((1, 1, 1), 0.0, math.inf, "scale must be finite and > 0, got inf"),
+            ((3.7, 2), 0.0, 1.0, r"bad layer sizes \(3\.7, 2\)"),
+            ((1, 1.5, 1), 0.0, 1.0, r"bad layer sizes \(1, 1\.5, 1\)"),
+        ],
+    )
+    def test_normalization_and_layout_must_be_well_formed(
+        self, layer_sizes, shift, scale, message
+    ):
+        with pytest.raises(ValidationError, match=message):
+            el.TrainedForecaster(
+                layer_sizes=layer_sizes,
+                theta=np.zeros(el.parameter_count(tuple(int(s) for s in layer_sizes))),
+                activation="relu",
+                shift=shift,
+                scale=scale,
+            )
+
+    def test_integral_float_layer_sizes_are_kept_as_ints(self):
+        model = el.TrainedForecaster(
+            layer_sizes=(2.0, 1),
+            theta=np.zeros(el.parameter_count((2, 1))),
+            activation="relu",
+            shift=0.0,
+            scale=1.0,
+        )
+        assert model.layer_sizes == (2, 1)
+        assert all(type(s) is int for s in model.layer_sizes)
 
     def test_predict_denormalizes(self):
         # zero weights predict the shift itself whatever the input

@@ -58,10 +58,6 @@ class TestMCConfig:
         with pytest.raises(ValidationError, match="standardize 'exact'"):
             small_config(standardize="exact")
 
-    def test_bad_variance_mode(self):
-        with pytest.raises(ValidationError):
-            small_config(variance_mode="bootstrap")
-
     @pytest.mark.parametrize("level", [0.0, 1.0, 0.9999999999999999])
     def test_level_without_an_upper_tail_rejected(self, level):
         with pytest.raises(ValidationError, match="ci_level"):
@@ -276,7 +272,7 @@ def composed_replication(config, r):
     fit = el.fit_ar1_ols(treated, config.t0)
     cf = el.forecast_counterfactual(fit, treated, window)
     est = el.estimate_effect(treated.values[:, window.columns], cf, window)
-    cov = el.effect_covariance(fit, window, config.n_series, config.variance_mode)
+    cov = el.effect_covariance(fit, window, config.n_series)
     cis = el.confidence_intervals(est, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
     return est, fit.phi_hat, np.diag(cov), covered
@@ -302,10 +298,9 @@ def outcome(fn, *args):
     d=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
     r=st.integers(min_value=0, max_value=5),
-    variance_mode=st.sampled_from(["finite_horizon", "asymptotic_diagonal"]),
 )
 def test_replicate_equals_public_composition(
-    data, phi, sigma, initial_mode, initial_value, n, window_t0, d, seed, r, variance_mode
+    data, phi, sigma, initial_mode, initial_value, n, window_t0, d, seed, r
 ):
     t0 = data.draw(st.integers(min_value=1, max_value=window_t0))
     delta = data.draw(
@@ -322,7 +317,6 @@ def test_replicate_equals_public_composition(
         replications=r + 1,
         master_seed=seed,
         ci_level=data.draw(st.floats(min_value=0.5, max_value=0.99)),
-        variance_mode=variance_mode,
     )
     # tiny panels can fit a huge phi_hat whose forecast overflows; both sides must agree
     with np.errstate(over="ignore", invalid="ignore"):
