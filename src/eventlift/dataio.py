@@ -224,28 +224,32 @@ def _pivot(path, sid_index, rows, days, values, blanks) -> PanelSeries:
         raise ValidationError(f"{path}: no data rows")
     names = list(sid_index)
     ids = sorted(names)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[[sid_index[sid] for sid in ids]] = np.arange(len(ids))
     ords = np.asarray(days)
     start, end = int(ords.min()), int(ords.max())
     width = end - start + 1
-    # each row's cell, computed in place in one array
+    n_cells = len(ids) * width
+    # each row's cell, computed in place in one array (every step stays in
+    # [-start, n_cells), so int32 holds it on any grid int32 can index)
+    rank = np.empty(len(names), np.int32 if n_cells <= np.iinfo(np.int32).max else np.int64)
+    rank[[sid_index[sid] for sid in ids]] = np.arange(len(ids))
     cell = rank[np.asarray(rows)]
     cell *= width
-    cell += ords
     cell -= start
-    counts = np.bincount(cell, minlength=len(ids) * width)
-    if not (counts == 1).all():
+    cell += ords
+    # as many rows as cells, every cell hit: exactly one row per cell
+    seen = np.zeros(n_cells, bool)
+    seen[cell] = True
+    if not (len(cell) == n_cells and seen.all()):
+        counts = np.bincount(cell, minlength=n_cells)
         _raise_first_duplicate(path, names, rows, days, blanks)
         _raise_coverage_fault(path, names, rows, days, counts.reshape(len(ids), width))
-    del counts  # before the grid is allocated
-    grid = np.empty(len(ids) * width)
-    grid[cell] = np.asarray(values)
-    del cell  # before PanelSeries copies the grid
+    del seen  # before the grid is allocated
+    grid = np.empty((len(ids), width))
+    grid.reshape(-1)[cell] = np.asarray(values)
+    # read-only and owning its data, the grid is handed over, not copied
+    grid.setflags(write=False)
     time_index = tuple(datetime.date.fromordinal(day) for day in range(start, end + 1))
-    return PanelSeries(
-        values=grid.reshape(len(ids), width), time_index=time_index, series_ids=tuple(ids)
-    )
+    return PanelSeries(values=grid, time_index=time_index, series_ids=tuple(ids))
 
 
 def _raise_first_duplicate(path, names, rows, days, blanks) -> None:

@@ -14,7 +14,11 @@ keeps the same layout (each net's normalized values in one flat float32
 array, each mini-batch gathered from a strided view of it), so its memory
 grows with the series' total length, O(S * T) for S series of T days.  The
 row-aligned ``inputs``, ``labels`` and ``rare_mask`` arrays are built only
-when read.
+when read.  In-sample forecasting keeps to the same bound:
+``insample_forecast`` predicts ``_PREDICT_ROWS`` windows at a time and adds
+each block's forecasts into per-day running sums (or the median's
+by-offset table) before it reads the next, so its memory is O(T + block),
+not a copy of every window and every activation of the net.
 
 The forecaster itself is a small fully connected net implemented directly on
 numpy arrays: parameters live in one flat vector, gradients come from manual
@@ -82,6 +86,9 @@ MODEL_FORMAT_VERSION = 1
 
 # precision of every training step; see the module docstring
 TRAIN_DTYPE = np.float32
+
+# windows per ``model.predict`` call in ``insample_forecast``: bounds its memory
+_PREDICT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -560,19 +567,23 @@ def _train_stack(
 
     views = {n: batch_views(n) for n in {full, B % bs} - {0}}
     net_offsets = np.arange(0, S * B, B)[:, None]
+    # rng.permutation(B) is a shuffle of arange(B): each epoch shuffles a
+    # fresh arange in place, with the same draws, in int32
+    windows_in_order = np.arange(B, dtype=np.int32)
+    order = np.empty((S, B), np.int32)
     lr0 = cfg.learning_rate
     lr1 = cfg.final_learning_rate if cfg.final_learning_rate is not None else lr0
     history = []
     for epoch in range(cfg.epochs):
         frac = epoch / max(cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
-        perm = np.stack([rng.permutation(B) for rng in rngs])
-        perm += net_offsets
-        perm_starts = starts[perm]
+        for row, rng in zip(order, rngs):
+            row[:] = windows_in_order
+            rng.shuffle(row)
         epoch_loss = [0.0] * S
         n_batches = 0
         for start in range(0, B, bs):
-            pos = perm_starts[:, start : start + bs]
+            pos = starts[order[:, start : start + bs] + net_offsets]
             n = pos.shape[1]
             act_views, delta_views = views[n]
             # fancy indexing copies this batch's rows only, where take would
@@ -681,6 +692,16 @@ def insample_forecast(
     the series scale.  Only the first ``lookback`` indices are NaN: when the
     strided starts miss the last possible start, one more window ending at
     the series end is added.  A non-finite forecast is rejected.
+
+    The windows are predicted in blocks of ``_PREDICT_ROWS``, and only one
+    block's inputs, activations and forecasts are alive at a time, beside
+    the (T,) sums and counts (or the (T, horizon) table of forecasts by
+    offset the median reads), so memory is O(T + block) rather than
+    O(windows * lookback).  ``np.add.at`` adds a block's forecasts into the
+    sums row by row, continuing the earlier blocks' sums, which is the
+    order ``np.bincount`` adds all rows in at once: the sums, and so the
+    control, have the bits of one full-batch pass whenever the net gives
+    each window the same bits in a block as in one call over every window.
     """
     M, H = model.lookback, model.horizon
     config = RollingWindowConfig(lookback=M, horizon=H, stride=stride)
@@ -691,18 +712,28 @@ def insample_forecast(
     x, starts = _window_starts(series, config)
     if starts[-1] != len(x) - M - H:
         starts = np.append(starts, len(x) - M - H)
-    preds = model.predict(sliding_window_view(x, M)[starts])
-    target = starts[:, None] + M + np.arange(H)
-    counts = np.bincount(target.ravel(), minlength=len(x))
+    inputs = sliding_window_view(x, M)
+    steps = np.arange(H)
+    offsets = steps + M
+    counts = np.zeros(len(x), np.int64)
+    if aggregate == "mean":
+        sums = np.zeros(len(x))
+    else:
+        by_offset = np.full((len(x), H), np.nan)
+    for first in range(0, len(starts), _PREDICT_ROWS):
+        block = starts[first : first + _PREDICT_ROWS]
+        preds = model.predict(inputs[block])
+        target = block[:, None] + offsets
+        np.add.at(counts, target, 1)
+        if aggregate == "mean":
+            np.add.at(sums, target, preds)
+        else:
+            by_offset[target, steps] = preds
     values = np.full(len(x), np.nan)
     on = counts >= 1
     if aggregate == "mean":
-        # bincount adds in row order, so every sum matches a per-row loop bit for bit
-        sums = np.bincount(target.ravel(), weights=preds.ravel(), minlength=len(x))
         values[on] = sums[on] / counts[on]
     else:
-        by_offset = np.full((len(x), H), np.nan)
-        by_offset[target, np.arange(H)] = preds
         values[on] = np.nanmedian(by_offset[on], axis=1)
     bad = np.flatnonzero(on & ~np.isfinite(values))
     if bad.size:

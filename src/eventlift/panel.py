@@ -82,7 +82,9 @@ def _default_series_ids(n: int) -> tuple[str, ...]:
 class PanelSeries:
     """N series x (T+1) observations on a shared time index.
 
-    ``values`` is an immutable float array of shape (N, T+1).  ``time_index``
+    ``values`` is an immutable float array of shape (N, T+1): a private
+    copy of the given values, or the given array itself when it is a
+    read-only, C-ordered float64 array that owns its data.  ``time_index``
     holds strictly increasing labels (integers or dates) of length T+1.
     ``series_ids`` are unique string labels, generated as ``s000, s001, ...``
     when not supplied; panels of the same width share one generated tuple.
@@ -121,8 +123,11 @@ class PanelSeries:
                 )
             if len(set(self.series_ids)) != n:
                 raise ValidationError("series_ids must be unique")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable or not (vals.flags.owndata and vals.flags.c_contiguous):
+            # a read-only array that owns its data (a loader's fresh grid) is
+            # kept as it is; anything a caller could still write through is copied
+            vals = vals.copy()
+            vals.setflags(write=False)
         self.values = vals
 
     @property

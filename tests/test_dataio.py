@@ -502,6 +502,23 @@ def test_ingest_peak_stays_under_four_and_a_half_grids(tmp_path):
     assert peak < 4.5 * panel.values.nbytes, (peak, panel.values.nbytes)
 
 
+def test_ingest_hands_its_grid_to_the_panel(tmp_path):
+    """The loaded panel holds the grid the pivot filled, not a copy of it,
+    and the pivot's cell indices are int32: the traced peak on a 500 x 366
+    panel reads 3.63 grids (the row accumulators, the cells and the grid),
+    where a second grid or int64 cells made it 4.21."""
+    path, panel = year_panel_file(tmp_path)
+    el.load_panel_csv(path)  # imports and caches are not the loader's cost
+    tracemalloc.start()
+    try:
+        loaded = el.load_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.flags.owndata and not loaded.values.flags.writeable
+    assert peak < 3.75 * panel.values.nbytes, (peak, panel.values.nbytes)
+
+
 CALENDAR_SMALL = """event,start_date,end_date
 christmas,2013-12-24,2013-12-26
 christmas,2014-12-24,2014-12-26

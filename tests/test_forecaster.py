@@ -1,6 +1,7 @@
 import math
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import TrainingDivergedError, ValidationError
+from eventlift import TrainingDivergedError, ValidationError, forecaster
 from eventlift.forecaster import _weighted_error
 
 
@@ -243,6 +244,102 @@ def test_windows_and_insample_match_per_window_reference(
         ctrl = el.insample_forecast(model, x, stride, aggregate=aggregate)
         values, _ = reference_insample(model, x, cfg, aggregate)
         assert ctrl.tobytes() == values.tobytes()
+
+
+def full_batch_insample(model, x, stride, aggregate):
+    """``insample_forecast`` as one ``predict`` call over every window, its
+    sums by ``bincount`` and its median table filled at once: the body the
+    blocked walk replaced."""
+    M, H = model.lookback, model.horizon
+    starts = np.arange(0, len(x) - M - H + 1, stride)
+    if starts[-1] != len(x) - M - H:
+        starts = np.append(starts, len(x) - M - H)
+    preds = model.predict(np.lib.stride_tricks.sliding_window_view(x, M)[starts])
+    target = starts[:, None] + M + np.arange(H)
+    counts = np.bincount(target.ravel(), minlength=len(x))
+    values = np.full(len(x), np.nan)
+    on = counts >= 1
+    if aggregate == "mean":
+        sums = np.bincount(target.ravel(), weights=preds.ravel(), minlength=len(x))
+        values[on] = sums[on] / counts[on]
+    else:
+        by_offset = np.full((len(x), H), np.nan)
+        by_offset[target, np.arange(H)] = preds
+        values[on] = np.nanmedian(by_offset[on], axis=1)
+    return values
+
+
+def exact_product_model(layer_sizes, rng, activation):
+    """A net whose matrix products are exact: each weight column holds one
+    nonzero entry, a power of two, so every product is one exact scaling and
+    its bits cannot depend on how BLAS splits or orders it for a given row
+    count.  Biases, activations and the (shift, scale) are arbitrary."""
+    theta = np.zeros(el.parameter_count(layer_sizes))
+    pos = 0
+    for fi, fo in zip(layer_sizes[:-1], layer_sizes[1:]):
+        W = theta[pos : pos + fi * fo].reshape(fi, fo)
+        W[rng.integers(0, fi, size=fo), np.arange(fo)] = rng.choice([-2.0, -0.5, 0.5, 1.0, 2.0], fo)
+        theta[pos + fi * fo : pos + fi * fo + fo] = rng.normal(0.0, 0.5, size=fo)
+        pos += (fi + 1) * fo
+    return el.TrainedForecaster(layer_sizes, theta, activation, shift=10.0, scale=3.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    block_rows=st.sampled_from([1, 2, 5, forecaster._PREDICT_ROWS]),
+    blocks=st.integers(min_value=0, max_value=3),
+    partial=st.integers(min_value=0, max_value=2**16),
+    lookback=st.integers(min_value=1, max_value=12),
+    horizon=st.integers(min_value=1, max_value=8),
+    stride_draw=st.integers(min_value=1, max_value=2**16),
+    appended=st.booleans(),
+    activation=st.sampled_from(["relu", "tanh"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_blocked_insample_forecast_is_the_full_batch_bit_for_bit(
+    block_rows, blocks, partial, lookback, horizon, stride_draw, appended, activation, seed
+):
+    """One block, exactly k blocks and k blocks plus a partial one (the
+    appended last window included), every stride 1..horizon, both
+    aggregates: the blocked walk gives the full-batch body's bytes."""
+    stride = 1 + stride_draw % horizon
+    appended = appended and stride > 1
+    windows = max(blocks * block_rows + partial % block_rows or block_rows, 1 + appended)
+    # the strided windows, then, when the series runs 1..stride-1 days past
+    # the last of them, one more ending at the series end
+    past_last = 1 + seed % (stride - 1) if appended else 0
+    length = lookback + horizon + (windows - appended - 1) * stride + past_last
+    rng = np.random.default_rng(seed)
+    x = rng.normal(10.0, 3.0, size=length)
+    model = exact_product_model((lookback, 3, 4, horizon), rng, activation)
+    with mock.patch.object(forecaster, "_PREDICT_ROWS", block_rows):
+        for aggregate in ("mean", "median"):
+            got = el.insample_forecast(model, x, stride, aggregate=aggregate)
+            want = full_batch_insample(model, x, stride, aggregate)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_insample_forecast_holds_no_window_copy():
+    """Traced peak of the mean path on a 20,000-day series with 90/30
+    windows and a 64-64 net: under 16 times the 0.16 MB series, where every
+    window's inputs alone take 90 times it and the full-batch body peaked at
+    367 times it."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    x = rng.normal(100.0, 5.0, size=20_000)
+    sizes = (90, 64, 64, 30)
+    model = el.TrainedForecaster(
+        sizes, rng.normal(0.0, 0.1, el.parameter_count(sizes)), "relu", shift=100.0, scale=5.0
+    )
+    el.insample_forecast(model, x)  # imports and caches are not the forecast's cost
+    tracemalloc.start()
+    try:
+        el.insample_forecast(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * x.nbytes, (peak, x.nbytes)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -52,6 +52,25 @@ class TestPanelSeries:
         with pytest.raises(ValueError):
             panel.values[0, 0] = 1.0
 
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_values_a_caller_can_write_are_copied(self, read_only_view):
+        owner = np.zeros((2, 3))
+        given = owner
+        if read_only_view:
+            given = owner[:]
+            given.setflags(write=False)
+        panel = el.PanelSeries(given)
+        owner[0, 0] = 1.0
+        assert panel.values[0, 0] == 0.0 and not panel.values.flags.writeable
+
+    def test_a_read_only_array_that_owns_its_data_is_kept(self):
+        grid = np.zeros((2, 3))
+        grid.setflags(write=False)
+        assert el.PanelSeries(grid).values is grid
+        fortran = np.asfortranarray(np.zeros((2, 3)))
+        fortran.setflags(write=False)
+        assert el.PanelSeries(fortran).values.flags.c_contiguous
+
     def test_defaults_generated(self):
         panel = el.PanelSeries(np.zeros((2, 3)))
         assert panel.series_ids == ("s000", "s001")
