@@ -278,7 +278,6 @@ def _cmd_mc_validate(args) -> int:
         replications=args.reps,
         master_seed=args.seed,
         ci_level=args.level,
-        standardize=args.standardize,
     )
     report = montecarlo.run_replications(config, n_jobs=args.jobs)
     out = _out_dir(args)
@@ -568,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--level", type=_level, default=0.95)
-    p.add_argument("--standardize", choices=["oracle", "estimated"], default="oracle")
     p.add_argument(
         "--jobs", type=int, default=1, help="worker threads, capped at the CPUs available"
     )

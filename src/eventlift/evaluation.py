@@ -104,7 +104,7 @@ def evaluate_panel(
     arch = arch or ForecasterArch()
     loss_cfg = loss_cfg or AdaptiveLossConfig()
     train_cfg = train_cfg or TrainConfig()
-    periods = periods or [7, 365]
+    periods = [7, 365] if periods is None else periods
     names = event_names if event_names is not None else sorted(calendar.events)
     targets = {}
     for name in names:

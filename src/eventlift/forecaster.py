@@ -39,9 +39,12 @@ the windows hold, and the stored model, whose parameters are float32 values
 held exactly in a float64 vector, so prediction, ``gradient_check`` and the
 model file are double precision as before.
 
-A panel trains one pooled net (``train_pooled``): every series' windows,
-each series normalized by its own robust (shift, scale), pooled into one
-training set, so a panel of S series costs one training instead of S.
+Training normalizes each series by the median and interquartile range of
+its own values (``_normalization``), each value counted once whether or not
+a window covers it.  A panel trains one pooled net (``train_pooled``):
+every series' windows, each series normalized by its own (shift, scale),
+pooled into one training set, so a panel of S series costs one training
+instead of S.
 
 Nets that must stay separate (the per-series direct-forecast baseline)
 train in lock-step instead (``_train_stack``): S nets with the same window
@@ -432,45 +435,16 @@ def _weighted_error(diff: np.ndarray, wv, distance: str):
     return wv * eta, wv * deta
 
 
-def _normalization(windows: RollingWindows) -> tuple[float, float]:
-    """Median shift and interquartile-range scale over all training values.
+def _normalization(values: np.ndarray) -> tuple[float, float]:
+    """Median shift and interquartile-range scale of a series' values.
 
-    The values are every window's inputs and labels, each series value
-    counted once per window that covers it; a running count of the window
-    starts gives those counts.  The median and quartiles are then
-    read off the sorted values' cumulative counts with ``np.median``'s and
-    ``np.percentile``'s (linear) formulas, so they equal those functions
-    over the materialized windows bit for bit (up to the sign of a zero
-    that ties with its negation).  Robust to the event spikes themselves; a
-    degenerate (constant) series falls back to scale 1.0.
+    Each value counts once, whether or not a training window covers it, so
+    the pair depends on the series alone, not on the windows' stride or
+    subset.  Robust to the event spikes themselves; a degenerate (constant)
+    series falls back to scale 1.0.
     """
-    width = windows.lookback + windows.horizon
-    # a value is covered by the windows that start in the width before it
-    counts = np.cumsum(np.bincount(windows.starts, minlength=len(windows.values)))
-    counts[width:] -= counts[:-width].copy()
-    order = np.argsort(windows.values)
-    ends = counts[order]  # uncovered values count 0 and are never picked
-    del counts
-    np.cumsum(ends, out=ends)
-    n = int(ends[-1])  # >= 2: a window covers lookback + horizon values
-
-    def kth(k: int) -> float:
-        """The k-th smallest (0-based) of the n counted values."""
-        return float(windows.values[order[np.searchsorted(ends, k, side="right")]])
-
-    half = n // 2
-    shift = kth(half) if n % 2 else (kth(half - 1) + kth(half)) / 2
-
-    def quantile(q: float) -> float:
-        """``np.percentile``'s linear interpolation at fraction q."""
-        virtual = (n - 1) * q
-        below = math.floor(virtual)
-        gamma = virtual - below
-        lo, hi = kth(below), kth(below + 1)
-        diff = hi - lo
-        return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
-
-    scale = quantile(0.75) - quantile(0.25)
+    q25, shift, q75 = np.percentile(values, [25, 50, 75]).tolist()
+    scale = q75 - q25
     if scale <= 0:
         scale = 1.0
     return shift, scale
@@ -484,10 +458,11 @@ def _train_stack(
 ) -> list[TrainedForecaster]:
     """Train one net per config in lock-step, net s on the s-th ``windows``.
 
-    Each net's series values, shifted and scaled by its robust
-    ``_normalization``, are written once into one flat float32 array (the
-    difference rounded once into float32, then divided there), and its
-    windows become offsets into that array: no window is copied up front.
+    Each net's series values, shifted and scaled by their own median and
+    interquartile range (``_normalization``), are written once into one
+    flat float32 array (the difference rounded once into float32, then
+    divided there), and its windows become offsets into that array: no
+    window is copied up front.
     The S nets share one pass of numpy calls per step: the parameters are an
     (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
     bias view of it, and each step gathers every net's batch of inputs,
@@ -525,7 +500,7 @@ def _train_stack(
                 f"net {s} of a training stack of {S} has windows ({len(w)}, {w.lookback}) -> "
                 f"({len(w)}, {w.horizon}), the stack holds ({B}, {M}) -> ({B}, {H})"
             )
-        shift, scale = _normalization(w)
+        shift, scale = _normalization(w.values)
         norms.append((shift, scale))
         parts.append(w._scaled(shift, scale, TRAIN_DTYPE))
         del w  # before the next net's windows are read
@@ -626,9 +601,10 @@ def train(
 ) -> TrainedForecaster:
     """Mini-batch gradient descent on the batch-mean adaptive loss.
 
-    Inputs and labels are normalized by the robust per-series (shift, scale)
-    before training; the pair is recorded on the model for exact
-    denormalization.  Every step runs in ``TRAIN_DTYPE`` (float32, about
+    Inputs and labels are normalized by the (shift, scale) of the series
+    the windows hold, its median and interquartile range with each value
+    counted once, before training; the pair is recorded on the model for
+    exact denormalization.  Every step runs in ``TRAIN_DTYPE`` (float32, about
     half the cost of a float64 step); the initial parameters are drawn in
     float64 from the seeded generator and rounded, so the draws and the
     batch order do not depend on the precision.  The returned parameters
@@ -649,9 +625,10 @@ def train_pooled(
 ) -> list[TrainedForecaster]:
     """Train one net on the rolling windows of every series; one model each.
 
-    Series i is normalized by the robust (shift_i, scale_i) of its own
-    windows, and one pooled ``RollingWindows`` holds every series' windows
-    over the normalized series laid end to end (they may differ in length).
+    Series i is normalized by the median and interquartile range (shift_i,
+    scale_i) of its own values, and one pooled ``RollingWindows`` holds
+    every series' windows over the normalized series laid end to end (they
+    may differ in length).
     ``train`` then runs once on the pool for ceil(epochs / S) epochs, about
     the gradient steps of training one series.  Its model's normalization
     (shift, scale) of the pool composes with each series' own: model i has
@@ -664,7 +641,7 @@ def train_pooled(
     norms, parts = [], []
     for x in series_list:
         windows = build_rolling_windows(x, config, calendar)
-        shift, scale = _normalization(windows)
+        shift, scale = _normalization(windows.values)
         norms.append((shift, scale))
         parts.append(windows._scaled(shift, scale))
     pool = RollingWindows._joined(parts)

@@ -91,11 +91,9 @@ class MCConfig:
     """Design of one Monte Carlo experiment.
 
     ``t0`` is the number of pre-event pairs used by the OLS fit; it must
-    not exceed ``window.t0`` (fits never see event data).  ``standardize``
-    picks how the standardized errors (skewness, excess kurtosis and the
-    histogram) scale each replication's error:
-    ``"oracle"`` uses the true (phi, sigma), ``"estimated"`` uses the
-    replication's own fit.
+    not exceed ``window.t0`` (fits never see event data).  The standardized
+    errors (skewness, excess kurtosis and the histogram) scale each
+    replication's error by its standard deviation at the true (phi, sigma).
     """
 
     spec: ARProcessSpec
@@ -106,7 +104,6 @@ class MCConfig:
     replications: int
     master_seed: int
     ci_level: float = 0.95
-    standardize: str = "oracle"
 
     def __post_init__(self):
         if self.n_series < 1:
@@ -118,8 +115,6 @@ class MCConfig:
                 f"fit range t0={self.t0} must be in [1, window.t0={self.window.t0}]"
             )
         _check_level(self.ci_level, "ci_level")
-        if self.standardize not in ("oracle", "estimated"):
-            raise ValidationError(f"unknown standardize {self.standardize!r}")
         object.__setattr__(
             self, "delta", tuple(as_effect_vector(self.delta, self.window.d).tolist())
         )
@@ -168,7 +163,7 @@ def _replicate(config: MCConfig, r: int):
     cov = effect_covariance(fit, window, config.n_series)
     cis = confidence_intervals(delta_hat, cov, config.ci_level)
     covered = np.array([lo <= dk <= hi for dk, (lo, hi) in zip(delta, cis)])
-    return delta_hat, fit.phi_hat, np.diag(cov), covered
+    return delta_hat, fit.phi_hat, covered
 
 
 def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
@@ -211,19 +206,17 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
     delta = np.asarray(config.delta)
     delta_hats = np.empty((R, d), dtype=float)
     phi_hats = np.empty(R, dtype=float)
-    est_vars = np.empty((R, d), dtype=float)
     covers = np.empty((R, d), dtype=bool)
 
     def work(r: int) -> None:
         try:
-            dh, ph, ev, cv = _replicate(config, r)
+            dh, ph, cv = _replicate(config, r)
         except ValidationError as exc:
             raise ValidationError(f"replication {r}: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"replication {r} failed: {exc}") from exc
         delta_hats[r] = dh
         phi_hats[r] = ph
-        est_vars[r] = ev
         covers[r] = cv
 
     if workers == 1:
@@ -238,10 +231,7 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
     oracle = ar1_error_covariance(config.spec.phi, config.spec.sigma**2, d)
     var_finite = np.diag(oracle)
     var_asym = stationary_variance(config.spec)
-    if config.standardize == "oracle":
-        se = np.sqrt(var_finite)[None, :]
-    else:
-        se = np.sqrt(config.n_series * est_vars)
+    se = np.sqrt(var_finite)[None, :]
     z = np.divide(scaled, se, out=np.zeros_like(scaled), where=se > 0)
 
     per_component = []

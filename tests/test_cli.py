@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import eventlift as el
-from eventlift import dataio
+from eventlift import dataio, evaluation
 from eventlift.cli import run_command
 
 
@@ -870,6 +870,23 @@ class TestImpactAndEvaluate:
         )
         assert code == 2
         assert "unknown event" in capsys.readouterr().err
+
+    def test_evaluate_empty_periods_rejected_before_training(
+        self, tiny_files, tmp_path, capsys, monkeypatch
+    ):
+        """``--periods ""`` is an empty list, not the default 7,365: it fails
+        as it does for ``baseline-sd``, before any net trains."""
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(evaluation, "train_pooled", no_training)
+        out = tmp_path / "out"
+        argv = self.evaluate_args(tiny_files, out)
+        argv[argv.index("--periods") + 1] = ""
+        assert run_command(argv) == 2
+        assert "periods must all be >= 2, got []" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_parser_is_built_once():
