@@ -11,24 +11,28 @@ names the file and its first line that does not decode.
 ``load_panel_csv`` has two tokenizers that fill the same accumulators: per
 row, the series' first-seen index, the date's ordinal (each distinct date
 string is parsed once) and the float value.  The bulk tokenizer reads the
-file in blocks of whole lines (about 64 KB each, so the text never sits in
-memory whole) and splits each block once on commas and newlines.  It takes a
-file whose header is exact and whose lines hold no quote, carriage return or
-NUL and exactly two commas each: what ``write_panel_csv`` emits for ids that
-need no quoting.  Any other file (quoted ids, CRLF line ends, blank lines),
-and any file with a bad date, a non-numeric or non-finite value or a line
-longer than the csv field limit, is read again from the start one
-``csv.reader`` row at a time; that row reader is the only code that names a
-faulty line.  Both then share one pivot: it counts rows per cell of a dense
-(series, day) grid over the file's date span, and when every cell holds
-exactly one row the values land with one scatter.  Otherwise the fault is
-reported as a row-by-row read would meet it: a line fault (column count,
-bad date, non-numeric or non-finite value, csv error, or a duplicate
-(series, date)) on the earliest line wins; then an empty file; then the
-first series, in first-seen order, whose date range differs from the first
-series'; then the first series, in sorted order, with missing dates (up to
-five shown).  A bulk file has no blank lines, so a duplicate on its i-th
-data row is on line i + 2, as the row reader counts.
+file's bytes in blocks of whole lines (about 64 KB each, so the file never
+sits in memory whole), checks every line's separators at once with one
+``bytes.translate``, splits each block once on commas and newlines, parses
+the values from bytes and decodes only the distinct dates and ids.  It takes
+a file whose header is exact (after an optional byte-order mark) and whose
+lines hold no quote, carriage return or NUL and exactly two commas each:
+what ``write_panel_csv`` emits for ids that need no quoting.  Any other file
+(quoted ids, CRLF line ends, blank lines), and any file with a bad date, a
+non-numeric or non-finite value, a value ``float`` takes only as text
+(non-ASCII digits or spaces), bytes that are not UTF-8 or a line as long as
+the csv field limit, is read again from the start one ``csv.reader`` row at
+a time; that row reader is the only code that names a faulty line.  Both
+then share one pivot: it counts rows per cell of a dense (series, day) grid
+over the file's date span, and when every cell holds exactly one row the
+values land with one scatter.  Otherwise the fault is reported as a
+row-by-row read would meet it: a line fault (column count, bad date,
+non-numeric or non-finite value, csv error, or a duplicate (series, date))
+on the earliest line wins; then an empty file; then the first series, in
+first-seen order, whose date range differs from the first series'; then the
+first series, in sorted order, with missing dates (up to five shown).  A
+bulk file has no blank lines, so a duplicate on its i-th data row is on line
+i + 2, as the row reader counts.
 ``write_panel_csv`` formats each date once and writes each series' rows with
 one call.
 """
@@ -36,6 +40,7 @@ one call.
 from __future__ import annotations
 
 import bisect
+import codecs
 import contextlib
 import csv
 import datetime
@@ -43,7 +48,6 @@ import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -61,10 +65,12 @@ __all__ = [
 
 PANEL_HEADER = ["series_id", "date", "value"]
 CALENDAR_HEADER = ["event", "start_date", "end_date"]
-_PANEL_HEADER_LINE = ",".join(PANEL_HEADER) + "\n"
-# characters per block of whole lines the bulk tokenizer reads: big enough to
-# amortize the per-block calls, small enough to keep the text off the peak
-_BLOCK_CHARS = 1 << 16
+_PANEL_HEADER_LINE = (",".join(PANEL_HEADER) + "\n").encode()
+# bytes per block of whole lines the bulk tokenizer reads: big enough to
+# amortize the per-block calls, small enough to keep the file off the peak
+_BLOCK_BYTES = 1 << 16
+# every byte but the separators and those csv.reader treats specially
+_NOT_SPECIAL = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
 def _parse_date(raw: str, line_no: int, path) -> datetime.date:
@@ -80,10 +86,9 @@ def load_panel_csv(path) -> PanelSeries:
     Rows may arrive in any order.  Every series must cover the identical
     daily date range with no gaps; violations name the series and date.
     """
-    with _open_text(path, "panel") as fh:
-        parsed = _read_blocks(fh)
-        if parsed is None:
-            fh.seek(0)
+    parsed = _read_blocks(path)
+    if parsed is None:
+        with _open_text(path, "panel") as fh:
             parsed = _read_rows(fh, path)
     return _pivot(path, *parsed)
 
@@ -115,46 +120,55 @@ def _open_text(path, kind: str):
             raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
-def _read_blocks(fh):
-    """Tokenize a plain panel file a block of whole lines at a time.
+def _read_blocks(path):
+    """Tokenize a plain panel file's bytes a block of whole lines at a time.
 
     Returns the accumulators ``_read_rows`` would build, or None as soon as
     any line needs ``csv.reader`` (a quote, a carriage return, a NUL, a line
-    without exactly three fields or longer than the csv field limit) or
-    ``_read_rows`` would report a fault (a bad date or value); the file then
-    goes to ``_read_rows`` whole, which names the faulty line.
+    without exactly three fields or as long as the csv field limit) or
+    ``_read_rows`` would report a fault (a missing file, a bad date or value,
+    bytes that are not UTF-8); the file then goes to ``_read_rows`` whole,
+    which names the faulty line.  One ``bytes.translate`` per block keeps the
+    separators and the bytes special to ``csv.reader``: a plain block leaves
+    ``,,\\n`` per line.  ``float`` reads bytes only in ASCII, so a value in
+    other digits or spaces goes to the row reader, which reads it as text.
     """
-    if fh.readline() != _PANEL_HEADER_LINE:
-        return None
-    sid_index: dict[str, int] = {}
-    ordinals: dict[str, int] = {}
+    sid_index: dict[bytes, int] = {}
+    ordinals: dict[bytes, int] = {}
     rows, days, values = array("i"), array("i"), array("d")
     limit = csv.field_size_limit()
     try:
-        while lines := fh.readlines(_BLOCK_CHARS):
-            block = "".join(lines)
-            if (
-                '"' in block or "\r" in block or "\0" in block
-                # per line: a total count would let two short lines misalign
-                or set(map(str.count, lines, repeat(","))) != {2}
-                or len(block) > limit and max(map(len, lines)) > limit
-            ):
+        with open(path, "rb") as fh:
+            if fh.readline().removeprefix(codecs.BOM_UTF8) != _PANEL_HEADER_LINE:
                 return None
-            fields = block.replace("\n", ",").split(",")
-            del fields[3 * len(lines):]  # the empty field after a final newline
-            sids, dates = fields[0::3], fields[1::3]
-            values.extend(map(float, fields[2::3]))
-            for raw in set(dates).difference(ordinals):
-                ordinals[raw] = datetime.date.fromisoformat(raw).toordinal()
-            days.extend(map(ordinals.__getitem__, dates))
-            for sid in dict.fromkeys(sids):
-                sid_index.setdefault(sid, len(sid_index))
-            rows.extend(map(sid_index.__getitem__, sids))
-    except ValueError:
+            # readline finishes the read's last line but stops at the field
+            # limit; a line that many bytes long goes to the row reader, and a
+            # shorter one has fewer characters too, so its fields fit the limit
+            while block := fh.read(_BLOCK_BYTES) + fh.readline(limit):
+                if not block.endswith(b"\n"):
+                    block += b"\n"  # the file's last line, or one cut at the limit
+                if (
+                    # per line: a total count would let two lines misalign
+                    block.translate(None, _NOT_SPECIAL) != b",,\n" * block.count(b"\n")
+                    or len(block) >= limit and max(map(len, block.split(b"\n"))) >= limit
+                ):
+                    return None
+                fields = block.replace(b"\n", b",").split(b",")
+                fields.pop()  # the empty field after the final newline
+                sids, dates = fields[0::3], fields[1::3]
+                values.extend(map(float, fields[2::3]))
+                for raw in set(dates).difference(ordinals):
+                    ordinals[raw] = datetime.date.fromisoformat(raw.decode()).toordinal()
+                days.extend(map(ordinals.__getitem__, dates))
+                for sid in dict.fromkeys(sids):
+                    sid_index.setdefault(sid, len(sid_index))
+                rows.extend(map(sid_index.__getitem__, sids))
+        names = {sid.decode(): i for sid, i in sid_index.items()}
+    except (FileNotFoundError, ValueError):
         return None
     if not np.isfinite(np.asarray(values)).all():
         return None
-    return sid_index, rows, days, values, []
+    return names, rows, days, values, []
 
 
 def _read_rows(fh, path):

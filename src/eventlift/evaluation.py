@@ -23,10 +23,11 @@ is the prediction target and all earlier ones are training years:
   including the annual component are the predicted total.
 
 Before anything trains, every event's occurrences, the decomposition
-periods and every (series, occurrence) scale are checked, so an input the
-run cannot use fails at once and names its series and event.  Each
-(series, event) row (department, event, SD, DF, ours: each method's MAPE
-against the observed window) is then built in one place.
+periods, every (series, occurrence) scale and every target window's observed
+days (``evaluate_mape`` needs them nonzero) are checked, so an input the run
+cannot use fails at once and names its series and event.  Each (series,
+event) row (department, event, SD, DF, ours: each method's MAPE against the
+observed window) is then built in one place.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ def evaluate_panel(
     """Run all three methods on every (series, event) pair.
 
     Events need at least two occurrences (training years plus the target),
-    and every series a positive ``year_scale`` at each of them; both, and
-    the periods, are checked before any training.  The pooled net trains
-    with ``train_cfg.seed`` and each series' DF net with a seed derived from
-    it, so runs are reproducible end to end.
+    and every series a positive ``year_scale`` at each of them and no zero
+    in the target window; all of these, and the periods, are checked before
+    any training.  The pooled net trains with ``train_cfg.seed`` and each
+    series' DF net with a seed derived from it, so runs are reproducible end
+    to end.
     """
     fw_config = fw_config or RollingWindowConfig()
     arch = arch or ForecasterArch()
@@ -120,6 +122,8 @@ def evaluate_panel(
                     year_scale(series, w, scale_mode, panel.time_index)
                     for w in calendar.occurrences(name)
                 ]
+                days = targets[name].columns
+                evaluate_mape(series[days], series[days], panel.time_index[days])
             except ValidationError as exc:
                 raise ValidationError(f"series {sid!r}, event {name!r}: {exc}") from exc
 

@@ -92,6 +92,8 @@ TRAIN_DTYPE = np.float32
 
 # windows per ``model.predict`` call in ``insample_forecast``: bounds its memory
 _PREDICT_ROWS = 256
+# days per ``np.nanmedian`` call in ``insample_forecast``: bounds its copies
+_MEDIAN_DAYS = 1024
 
 
 @dataclass(frozen=True)
@@ -673,12 +675,13 @@ def insample_forecast(
     The windows are predicted in blocks of ``_PREDICT_ROWS``, and only one
     block's inputs, activations and forecasts are alive at a time, beside
     the (T,) sums and counts (or the (T, horizon) table of forecasts by
-    offset the median reads), so memory is O(T + block) rather than
-    O(windows * lookback).  ``np.add.at`` adds a block's forecasts into the
-    sums row by row, continuing the earlier blocks' sums, which is the
-    order ``np.bincount`` adds all rows in at once: the sums, and so the
-    control, have the bits of one full-batch pass whenever the net gives
-    each window the same bits in a block as in one call over every window.
+    offset the median reads, ``_MEDIAN_DAYS`` rows at a time), so memory is
+    O(T + block) rather than O(windows * lookback).  ``np.add.at`` adds a
+    block's forecasts into the sums row by row, continuing the earlier
+    blocks' sums, which is the order ``np.bincount`` adds all rows in at
+    once: the sums, and so the control, have the bits of one full-batch
+    pass whenever the net gives each window the same bits in a block as in
+    one call over every window.
     """
     M, H = model.lookback, model.horizon
     config = RollingWindowConfig(lookback=M, horizon=H, stride=stride)
@@ -711,7 +714,10 @@ def insample_forecast(
     if aggregate == "mean":
         values[on] = sums[on] / counts[on]
     else:
-        values[on] = np.nanmedian(by_offset[on], axis=1)
+        # each day's median reads only its own row, so blocks keep the bits
+        for first in range(0, len(x), _MEDIAN_DAYS):
+            days = slice(first, first + _MEDIAN_DAYS)
+            values[days][on[days]] = np.nanmedian(by_offset[days][on[days]], axis=1)
     bad = np.flatnonzero(on & ~np.isfinite(values))
     if bad.size:
         raise ValidationError(

@@ -157,8 +157,12 @@ def impact_for_series(event: str, series, occurrences, control, scales):
     return ratios, predict_effect(ratios, target_scale)
 
 
-def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray) -> float:
-    """Mean absolute percentage error, in percent."""
+def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray, days=None) -> float:
+    """Mean absolute percentage error, in percent.
+
+    A zero observation leaves it undefined: the error names the first one by
+    its index, or by its label in ``days`` when given.
+    """
     p = np.asarray(predicted_total, dtype=float)
     o = np.asarray(observed, dtype=float)
     if p.shape != o.shape or p.ndim != 1:
@@ -167,7 +171,7 @@ def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray) -> float:
         )
     zeros = np.flatnonzero(o == 0)
     if zeros.size:
-        raise ValidationError(
-            f"observed value is zero at index {int(zeros[0])}; MAPE undefined"
-        )
+        k = int(zeros[0])
+        where = f"at index {k}" if days is None else f"on day {days[k]}"
+        raise ValidationError(f"observed value is zero {where}; MAPE undefined")
     return float(100.0 * np.mean(np.abs(o - p) / np.abs(o)))

@@ -818,6 +818,37 @@ class TestImpactAndEvaluate:
         assert "'holiday'" in err and "[5, 5, 4]" in err
         assert not out.exists()
 
+    def test_evaluate_zero_in_a_target_window_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(evaluation, "train_pooled", no_training)
+        # a 2-series, 3-year panel; s001 sold nothing on its last holiday's 2nd day
+        t = np.arange(3 * 365)
+        level = 100.0 + 5.0 * np.sin(2 * np.pi * t / 7.0)
+        values = np.stack([level, 2.0 * level])
+        values[1, 1081] = 0.0
+        start = datetime.date(2013, 1, 1)
+        dates = tuple(start + datetime.timedelta(days=i) for i in range(len(t)))
+        dataio.write_panel_csv(tmp_path / "panel.csv", el.PanelSeries(values, time_index=dates))
+        dataio.write_calendar_csv(
+            tmp_path / "calendar.csv",
+            [dataio.CalendarEntry("holiday", dates[k], dates[k + 2]) for k in (350, 715, 1080)],
+        )
+        out = tmp_path / "out"
+        argv = ["evaluate", "--panel", str(tmp_path / "panel.csv"),
+                "--calendar", str(tmp_path / "calendar.csv"), "--lookback", "10",
+                "--horizon", "5", "--hidden", "8", "--epochs", "3", "--periods", "7,100",
+                "--seed", "1", "--out", str(out)]
+        assert run_command(argv) == 2
+        assert (
+            "series 's001', event 'holiday': observed value is zero on day "
+            f"{dates[1081]}; MAPE undefined" in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def evaluate_args(self, tiny_files, out, seed="4"):
         return [
             "evaluate",

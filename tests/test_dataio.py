@@ -385,8 +385,7 @@ def row_reader_load(path):
 
 
 def takes_bulk_path(path):
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return dataio._read_blocks(fh) is not None
+    return dataio._read_blocks(path) is not None
 
 
 BULK_IDS = ["s000", "s001", " lead", "", "\u00e9t\u00e9", "dept_7"]
@@ -423,8 +422,8 @@ def test_bulk_tokenizer_matches_row_reader(
         rows = [rows[k] for k in rng.permutation(len(rows))]
     if fault is not None:
         # place the fault past the first block, whose lines the bulk path has taken
-        ends = np.cumsum([len(",".join(row)) + 1 for row in rows])
-        first = int(np.searchsorted(ends, dataio._BLOCK_CHARS, side="right")) + 1
+        ends = np.cumsum([len(",".join(row).encode()) + 1 for row in rows])
+        first = int(np.searchsorted(ends, dataio._BLOCK_BYTES, side="right")) + 1
         assert first < len(rows)
         tail = rows[first:]
         inject(fault, tail, start, n_days, data)
@@ -455,6 +454,77 @@ def test_misaligned_columns_are_a_line_fault(tmp_path):
     path = write(tmp_path / "p.csv", "series_id,date,value\n" + body)
     with pytest.raises(ValidationError, match=r"p\.csv:2: expected 3 columns, got 4$"):
         el.load_panel_csv(path)
+
+
+def plain_lines(n_rows):
+    """``n_rows`` bulk-path data lines of one series, a day apart."""
+    day = datetime.date(2000, 1, 1)
+    return [f"s,{day + datetime.timedelta(days=k)},{k}.25" for k in range(n_rows)]
+
+
+def block_line(lines):
+    """The index of the data line holding the first block's last byte."""
+    ends = np.cumsum([len(line.encode()) + 1 for line in lines])
+    return int(np.searchsorted(ends, dataio._BLOCK_BYTES))
+
+
+def plain_file(tmp_path, lines):
+    return write(tmp_path / "p.csv", "series_id,date,value\n" + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1])
+@pytest.mark.parametrize("split", [2, 4])
+def test_misaligned_pair_at_the_first_block_end_is_a_line_fault(tmp_path, shift, split):
+    # the pair's six fields realign into the two rows it replaces: only a
+    # per-line count of the separators sees the fault
+    lines = plain_lines(5000)
+    k = block_line(lines) + shift
+    fields = ",".join(lines[k : k + 2]).split(",")
+    lines[k : k + 2] = ",".join(fields[:split]), ",".join(fields[split:])
+    path = plain_file(tmp_path, lines)
+    with pytest.raises(ValidationError, match=rf"p\.csv:{k + 2}: expected 3 columns, got {split}$"):
+        el.load_panel_csv(path)
+    assert outcome(el.load_panel_csv, path) == outcome(row_reader_load, path)
+
+
+@pytest.mark.parametrize("raw", ["\u0661\u0662", "3.5\u00a0", "\u00a03.5", "1\u200a"])
+def test_values_float_reads_only_as_text_load_as_the_row_reader_loads_them(tmp_path, raw):
+    # float(bytes) rejects non-ASCII digits and spaces that float(str) accepts
+    lines = plain_lines(5000)
+    k = block_line(lines) + 10
+    lines[k] = lines[k].rsplit(",", 1)[0] + "," + raw
+    path = plain_file(tmp_path, lines)
+    assert not takes_bulk_path(path)
+    ours = outcome(el.load_panel_csv, path)
+    assert ours == outcome(row_reader_load, path)
+    assert np.frombuffer(ours[0])[k] == float(raw)
+
+
+@pytest.mark.parametrize("field", [1, 2], ids=["date", "value"])
+def test_bad_utf8_past_the_first_block_names_its_line(tmp_path, field):
+    lines = plain_lines(5000)
+    k = block_line(lines) + 10
+    raw = [line.encode() for line in lines]
+    parts = raw[k].split(b",")
+    parts[field] = parts[field][:-1] + b"\xff"
+    raw[k] = b",".join(parts)
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"series_id,date,value\n" + b"\n".join(raw) + b"\n")
+    with pytest.raises(ValidationError, match=rf"p\.csv:{k + 2}: not UTF-8"):
+        el.load_panel_csv(path)
+
+
+@pytest.mark.parametrize("at", [0, 1000, 2999])
+def test_line_longer_than_a_block_under_the_field_limit_takes_the_bulk_path(tmp_path, at):
+    lines = plain_lines(3000)
+    digits = "1." + "0" * (dataio._BLOCK_BYTES + 1000) + "5"
+    assert len(digits) + 20 < csv.field_size_limit()
+    lines[at] = lines[at].rsplit(",", 1)[0] + "," + digits
+    path = plain_file(tmp_path, lines)
+    assert takes_bulk_path(path)
+    ours = outcome(el.load_panel_csv, path)
+    assert ours == outcome(row_reader_load, path)
+    assert np.frombuffer(ours[0])[at] == float(digits)
 
 
 def year_panel_file(tmp_path, n_series=500, n_days=366):

@@ -146,6 +146,22 @@ class TestEvaluatePanel:
         with pytest.raises(ValidationError, match=re.escape(message)):
             el.evaluate_panel(panel, calendar, scale_mode=scale_mode, **tiny_kwargs())
 
+    def test_zero_in_a_target_window_rejected_before_training(self, monkeypatch):
+        from eventlift import baselines, forecaster
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(forecaster, "_train_stack", no_training)
+        monkeypatch.setattr(baselines, "_train_stack", no_training)
+        panel, calendar = tiny_setup()
+        values = panel.values.copy()
+        values[1, 161] = 0.0  # the second day of s001's target window
+        panel = el.PanelSeries(values)
+        message = "series 's001', event 'promo': observed value is zero on day 161; MAPE undefined"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            el.evaluate_panel(panel, calendar, **tiny_kwargs())
+
     def test_each_scale_is_computed_once(self, monkeypatch):
         from eventlift import evaluation, impact
 

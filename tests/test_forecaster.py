@@ -287,6 +287,7 @@ def exact_product_model(layer_sizes, rng, activation):
 @settings(max_examples=120, deadline=None)
 @given(
     block_rows=st.sampled_from([1, 2, 5, forecaster._PREDICT_ROWS]),
+    median_days=st.sampled_from([1, 3, 16, forecaster._MEDIAN_DAYS]),
     blocks=st.integers(min_value=0, max_value=3),
     partial=st.integers(min_value=0, max_value=2**16),
     lookback=st.integers(min_value=1, max_value=12),
@@ -297,11 +298,13 @@ def exact_product_model(layer_sizes, rng, activation):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_blocked_insample_forecast_is_the_full_batch_bit_for_bit(
-    block_rows, blocks, partial, lookback, horizon, stride_draw, appended, activation, seed
+    block_rows, median_days, blocks, partial, lookback, horizon, stride_draw, appended,
+    activation, seed
 ):
     """One block, exactly k blocks and k blocks plus a partial one (the
     appended last window included), every stride 1..horizon, both
-    aggregates: the blocked walk gives the full-batch body's bytes."""
+    aggregates, the medians taken in blocks of days or all at once: the
+    blocked walk gives the full-batch body's bytes."""
     stride = 1 + stride_draw % horizon
     appended = appended and stride > 1
     windows = max(blocks * block_rows + partial % block_rows or block_rows, 1 + appended)
@@ -312,7 +315,8 @@ def test_blocked_insample_forecast_is_the_full_batch_bit_for_bit(
     rng = np.random.default_rng(seed)
     x = rng.normal(10.0, 3.0, size=length)
     model = exact_product_model((lookback, 3, 4, horizon), rng, activation)
-    with mock.patch.object(forecaster, "_PREDICT_ROWS", block_rows):
+    with mock.patch.object(forecaster, "_PREDICT_ROWS", block_rows), \
+            mock.patch.object(forecaster, "_MEDIAN_DAYS", median_days):
         for aggregate in ("mean", "median"):
             got = el.insample_forecast(model, x, stride, aggregate=aggregate)
             want = full_batch_insample(model, x, stride, aggregate)
@@ -340,6 +344,29 @@ def test_insample_forecast_holds_no_window_copy():
     finally:
         tracemalloc.stop()
     assert peak < 16 * x.nbytes, (peak, x.nbytes)
+
+
+def test_insample_median_takes_its_medians_a_block_of_days_at_a_time():
+    """Traced peak of the median path on the same 20,000-day series: under
+    64 times the series (10.2 MB).  The (T, horizon) table of forecasts by
+    offset is 30 times it; handing every covered row to ``np.nanmedian`` at
+    once peaked at 166 times it, a block of days at a time at 41 times."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    x = rng.normal(100.0, 5.0, size=20_000)
+    sizes = (90, 64, 64, 30)
+    model = el.TrainedForecaster(
+        sizes, rng.normal(0.0, 0.1, el.parameter_count(sizes)), "relu", shift=100.0, scale=5.0
+    )
+    el.insample_forecast(model, x, aggregate="median")  # imports and caches
+    tracemalloc.start()
+    try:
+        el.insample_forecast(model, x, aggregate="median")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * x.nbytes, (peak, x.nbytes)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
