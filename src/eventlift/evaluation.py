@@ -4,13 +4,15 @@ For each series (department) and each recurring event, the last occurrence
 is the prediction target and all earlier ones are training years:
 
 * ours: train one adaptively weighted forecaster for the whole panel
-  (``train_pooled``: every series' windows, each normalized by its own
-  scale, in one training set; ``epochs`` is one series' budget of gradient
-  steps, split over the pool), take each series' in-sample synthetic
-  control (windows ``stride`` apart), hand it to ``impact_for_series``,
-  which turns the training years' observed-minus-control gaps into impact
-  ratios and predicts the target effect as (mean ratio) x (target year's
-  pre-event scale).  The predicted total is control + predicted effect.
+  (``train_pooled``: every series' windows, each holding its series
+  normalized once, by its own median and interquartile range, in one
+  float32 training set; each series' model carries that pair; ``epochs`` is
+  one series' budget of gradient steps, split over the pool), take each
+  series' in-sample synthetic control (windows ``stride`` apart), hand it
+  to ``impact_for_series``, which turns the training years'
+  observed-minus-control gaps into impact ratios and predicts the target
+  effect as (mean ratio) x (target year's pre-event scale).  The predicted
+  total is control + predicted effect.
   The net also trains on the target year, but its event days enter only at
   ``rare_weight``: removing the target event moves the control by about
   0.1-0.3% of the effect, so the in-sample control is kept.

@@ -7,16 +7,16 @@ the routine signal (trend, seasonality) but not the event spikes.
 Re-forecasting the same windows in-sample then yields a synthetic control;
 the observed-minus-control gap on an event window is the effect estimate.
 
-A ``RollingWindows`` holds one copy of its series and each window's start
-in it, not a copy of every window: lookback + horizon steps (120 in the
-retail settings) would multiply a panel's memory by that factor.  Training
-keeps the same layout (each net's normalized values in one flat float32
-array, each mini-batch gathered from a strided view of it), so its memory
-grows with the series' total length, O(S * T) for S series of T days.  The
-row-aligned ``inputs``, ``labels`` and ``rare_mask`` arrays are built only
-when read.  In-sample forecasting keeps to the same bound:
-``insample_forecast`` predicts ``_PREDICT_ROWS`` windows at a time and adds
-each block's forecasts into per-day running sums (or the median's
+A ``RollingWindows`` holds one copy of its series, already normalized and
+in float32, its (shift, scale), and each window's start in it, not a copy
+of every window: lookback + horizon steps (120 in the retail settings)
+would multiply a panel's memory by that factor.  Training reads those
+values as they are (each mini-batch gathered from a strided view of them),
+so its memory grows with the series' total length, O(S * T) for S series
+of T days.  The row-aligned ``inputs``, ``labels`` and ``rare_mask``
+arrays are built only when read.  In-sample forecasting keeps to the same
+bound: ``insample_forecast`` predicts ``_PREDICT_ROWS`` windows at a time
+and adds each block's forecasts into per-day running sums (or the median's
 by-offset table) before it reads the next, so its memory is O(T + block),
 not a copy of every window and every activation of the net.
 
@@ -28,23 +28,24 @@ only its own rows, and each step writes its activations into buffers
 allocated once and updates the parameters in place.  Everything is
 deterministic given the seed.
 
-Training runs in single precision (``TRAIN_DTYPE``): the normalized inputs
-and labels, the parameters, the gradient and every batch buffer are
+Training runs in single precision (``TRAIN_DTYPE``): the normalized values
+the windows hold, the parameters, the gradient and every batch buffer are
 float32, the usual precision for training nets this size.  It halves the
 memory traffic of each step's small matrix products and about doubles their
 throughput; the trained nets forecast as well as float64-trained ones, since
 their error is set by the data and the training budget, not by rounding.
-Everything else stays float64: the normalization statistics, the series
-the windows hold, and the stored model, whose parameters are float32 values
-held exactly in a float64 vector, so prediction, ``gradient_check`` and the
-model file are double precision as before.
+Everything else stays float64: the normalization statistics and the stored
+model, whose parameters are float32 values held exactly in a float64
+vector, so prediction and ``gradient_check`` are double precision.  The
+model file writes each parameter in its shortest float32 form, and
+``load_model`` rounds it back to that float32 value.
 
-Training normalizes each series by the median and interquartile range of
-its own values (``_normalization``), each value counted once whether or not
-a window covers it.  A panel trains one pooled net (``train_pooled``):
-every series' windows, each series normalized by its own (shift, scale),
-pooled into one training set, so a panel of S series costs one training
-instead of S.
+``build_rolling_windows`` is the one place a series is normalized: by the
+median and interquartile range of its own values (``_normalization``), each
+value counted once whether or not a window covers it.  A panel trains one
+pooled net (``train_pooled``): every series' windows, each series
+normalized by its own pair, pooled as they are into one training set, so a
+panel of S series costs one training instead of S.
 
 Nets that must stay separate (the per-series direct-forecast baseline)
 train in lock-step instead (``_train_stack``): S nets with the same window
@@ -85,7 +86,7 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # precision of every training step; see the module docstring
 TRAIN_DTYPE = np.float32
@@ -113,28 +114,30 @@ class RollingWindowConfig:
 
 class RollingWindows:
     """Rolling (input, label) windows of one or more series, held as index
-    ranges rather than copies.
+    ranges rather than copies, on normalized values.
 
-    ``values`` is a private, read-only float64 copy of the series laid end
-    to end (training holds its normalized float32 values the same way), and
-    ``event_day`` flags the values that fall inside an event window.  Window
-    i reads its ``lookback`` inputs from ``values`` at ``starts[i]`` and the
-    ``horizon`` labels right after them; no window runs from one series into
-    the next.  The row-aligned arrays ``inputs``
-    (n, lookback), ``labels`` (n, horizon) and ``rare_mask`` (n, horizon),
-    true where a label falls in an event window, are built each time they
-    are read, so only code that reads them pays for a copy of every window.
+    ``values`` is a private, read-only float32 array of the series laid end
+    to end, already normalized: (series - ``shift``) / ``scale``, the pair
+    training records on its model.  ``event_day`` flags the values that
+    fall inside an event window.  Window i reads its ``lookback`` inputs
+    from ``values`` at ``starts[i]`` and the ``horizon`` labels right after
+    them; no window runs from one series into the next.  The row-aligned
+    arrays ``inputs`` (n, lookback), ``labels`` (n, horizon) and
+    ``rare_mask`` (n, horizon), true where a label falls in an event
+    window, are built each time they are read, so only code that reads them
+    pays for a copy of every window.
 
     ``RollingWindows(inputs, labels, rare_mask)`` holds given arrays, each
-    row a series of its own.  ``len()`` counts the windows, and indexing
-    with rows returns those windows over the same values.
+    row a series of its own, as normalized values at (0.0, 1.0).  ``len()``
+    counts the windows, and indexing with rows returns those windows over
+    the same values.
     """
 
-    __slots__ = ("values", "event_day", "starts", "lookback", "horizon", "__weakref__")
+    __slots__ = ("values", "event_day", "starts", "lookback", "horizon", "shift", "scale")
 
     def __init__(self, inputs, labels, rare_mask):
-        X = np.asarray(inputs, dtype=float)
-        Y = np.asarray(labels, dtype=float)
+        X = np.asarray(inputs, dtype=TRAIN_DTYPE)
+        Y = np.asarray(labels, dtype=TRAIN_DTYPE)
         mask = np.asarray(rare_mask, dtype=bool)
         if not (
             X.ndim == Y.ndim == 2 and mask.shape == Y.shape and 1 <= len(X) == len(Y)
@@ -149,45 +152,47 @@ class RollingWindows:
         self._hold(
             np.concatenate([X, Y], axis=1).ravel(),
             np.concatenate([np.zeros(X.shape, bool), mask], axis=1).ravel(),
-            np.arange(n) * (M + H), M, H,
+            np.arange(n) * (M + H), M, H, 0.0, 1.0,
         )
 
     @classmethod
-    def _over(cls, values, event_day, starts, lookback: int, horizon: int) -> RollingWindows:
+    def _over(cls, values, event_day, starts, lookback, horizon, shift, scale) -> RollingWindows:
         """Windows at ``starts`` over ``values``, which they then own."""
         windows = cls.__new__(cls)
-        windows._hold(values, event_day, starts, lookback, horizon)
+        windows._hold(values, event_day, starts, lookback, horizon, shift, scale)
         return windows
 
     @classmethod
-    def _joined(cls, parts: Sequence[RollingWindows]) -> RollingWindows:
-        """Every part's windows, over the parts' values laid end to end."""
-        firsts = np.cumsum([0] + [len(part.values) for part in parts[:-1]])
-        return cls._over(
-            np.concatenate([part.values for part in parts]),
-            np.concatenate([part.event_day for part in parts]),
-            np.concatenate([part.starts + first for part, first in zip(parts, firsts)]),
-            parts[0].lookback,
-            parts[0].horizon,
-        )
+    def _joined(
+        cls, parts: Iterable[RollingWindows], length: int
+    ) -> tuple[RollingWindows, list[tuple[float, float]]]:
+        """Every part's windows over the parts' ``length`` values laid end to
+        end as they are, so at (0.0, 1.0), and each part's (shift, scale).
+        Each part is copied in and dropped before the next is read.  The
+        starts are int32, as the float32 values they index would fill 8 GB
+        before an offset passed 2**31."""
+        values = np.empty(length, TRAIN_DTYPE)
+        event_day = np.empty(length, bool)
+        starts, pairs, first = [], [], 0
+        for part in parts:
+            last = first + len(part.values)
+            values[first:last] = part.values
+            event_day[first:last] = part.event_day
+            starts.append(part.starts + first)
+            pairs.append((part.shift, part.scale))
+            first, M, H = last, part.lookback, part.horizon
+            del part  # before the next part is read
+        starts = np.concatenate(starts, dtype=np.int32)
+        return cls._over(values, event_day, starts, M, H, 0.0, 1.0), pairs
 
-    def _scaled(self, shift: float, scale: float, dtype=float) -> RollingWindows:
-        """The same windows over (values - shift) / scale, the difference
-        rounded once into ``dtype``, then divided there."""
-        values = np.empty(len(self.values), dtype)
-        np.subtract(self.values, shift, out=values)
-        values /= scale
-        return RollingWindows._over(
-            values, self.event_day, self.starts, self.lookback, self.horizon
-        )
-
-    def _hold(self, values, event_day, starts, lookback, horizon):
+    def _hold(self, values, event_day, starts, lookback, horizon, shift, scale):
         if starts.ndim != 1 or not len(starts):
             raise ValidationError(f"windows need >= 1 row, got starts of shape {starts.shape}")
         for array in (values, event_day, starts):
             array.setflags(write=False)
         self.values, self.event_day, self.starts = values, event_day, starts
         self.lookback, self.horizon = lookback, horizon
+        self.shift, self.scale = shift, scale
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -195,7 +200,8 @@ class RollingWindows:
     def __getitem__(self, rows) -> RollingWindows:
         starts = np.array(self.starts[rows])
         return RollingWindows._over(
-            self.values, self.event_day, starts, self.lookback, self.horizon
+            self.values, self.event_day, starts, self.lookback, self.horizon,
+            self.shift, self.scale,
         )
 
     @property
@@ -414,17 +420,25 @@ def build_rolling_windows(
     calendar: EventCalendar | None = None,
 ) -> RollingWindows:
     """The overlapping (input, label) windows of a (T,) series, held as
-    index ranges.
+    index ranges over the normalized series.
 
     Window i covers input indices [i*s, i*s+M) and label indices
     [i*s+M, i*s+M+H); i runs to ((T-M-H) // s).  Rare masks are set from
     the calendar (no calendar means all-false masks; indices past the
-    series end are ignored).  The windows hold one private copy of the
-    series, not a view of ``series`` and not a copy per window.
+    series end are ignored).  The windows hold one private float32 copy of
+    the series, normalized by its (shift, scale) (``_normalization``: the
+    difference rounded once into float32, then divided there), and that
+    pair; not a view of ``series`` and not a copy per window.
     """
     x, starts = _window_starts(series, config)
     days = (calendar or EventCalendar()).event_days(len(x))
-    return RollingWindows._over(x.copy(), days, starts, config.lookback, config.horizon)
+    shift, scale = _normalization(x)
+    values = np.empty(len(x), TRAIN_DTYPE)
+    np.subtract(x, shift, out=values)
+    values /= scale
+    return RollingWindows._over(
+        values, days, starts, config.lookback, config.horizon, shift, scale
+    )
 
 
 def _weighted_error(diff: np.ndarray, wv, distance: str):
@@ -460,22 +474,20 @@ def _train_stack(
 ) -> list[TrainedForecaster]:
     """Train one net per config in lock-step, net s on the s-th ``windows``.
 
-    Each net's series values, shifted and scaled by their own median and
-    interquartile range (``_normalization``), are written once into one
-    flat float32 array (the difference rounded once into float32, then
-    divided there), and its windows become offsets into that array: no
-    window is copied up front.
+    Each net trains on its windows' own normalized float32 values: a stack
+    of one reads them as they are, and a stack of several joins its nets'
+    values end to end into one float32 array (``RollingWindows._joined``),
+    each net's windows becoming offsets into it.  No window is copied up
+    front.  Net s's model records the (shift, scale) of its windows.
     The S nets share one pass of numpy calls per step: the parameters are an
     (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
     bias view of it, and each step gathers every net's batch of inputs,
     labels and loss weights with one fancy index per array into
     ``sliding_window_view``s of per-day arrays; a loss weight belongs to its
     label's day.  Each net keeps its own seeded generator (its initial
-    draws, then one permutation of its B windows per epoch), its own
-    (shift, scale) and its own loss sums, reduced in the order one net
-    alone would use, so net s gets the bits of training it alone.
-    ``windows`` is read one entry at a time and normalized before the next
-    is read, so a generator keeps one net's float64 values alive at once.
+    draws, then one permutation of its B windows per epoch) and its own
+    loss sums, reduced in the order one net alone would use, so net s gets
+    the bits of training it alone.
 
     The nets must share the window count, lookback and horizon and every
     ``TrainConfig`` field but ``seed``.  A non-finite loss stops the stack at
@@ -492,23 +504,21 @@ def _train_stack(
                 f"{other} vs {cfg}"
             )
     S = len(train_cfgs)
-    norms, parts = [], []
-    for w in windows:  # not enumerate: its reused result tuple would keep w alive
-        s = len(norms)
-        if s == 0:
-            B, M, H = len(w), w.lookback, w.horizon
+    parts = list(windows)
+    if len(parts) < S:
+        raise ValidationError(f"a training stack of {S} nets got {len(parts)} windows")
+    B, M, H = len(parts[0]), parts[0].lookback, parts[0].horizon
+    for s, w in enumerate(parts):
         if s >= S or (len(w), w.lookback, w.horizon) != (B, M, H):
             raise ValidationError(
                 f"net {s} of a training stack of {S} has windows ({len(w)}, {w.lookback}) -> "
                 f"({len(w)}, {w.horizon}), the stack holds ({B}, {M}) -> ({B}, {H})"
             )
-        shift, scale = _normalization(w.values)
-        norms.append((shift, scale))
-        parts.append(w._scaled(shift, scale, TRAIN_DTYPE))
-        del w  # before the next net's windows are read
-    if len(norms) != S:
-        raise ValidationError(f"a training stack of {S} nets got {len(norms)} windows")
-    stack = RollingWindows._joined(parts)
+    if S == 1:
+        [stack] = parts
+        norms = [(stack.shift, stack.scale)]
+    else:
+        stack, norms = RollingWindows._joined(parts, sum(len(w.values) for w in parts))
     del parts
     starts = stack.starts  # window s * B + i is net s's window i
     inputs = sliding_window_view(stack.values, M)
@@ -603,10 +613,10 @@ def train(
 ) -> TrainedForecaster:
     """Mini-batch gradient descent on the batch-mean adaptive loss.
 
-    Inputs and labels are normalized by the (shift, scale) of the series
-    the windows hold, its median and interquartile range with each value
-    counted once, before training; the pair is recorded on the model for
-    exact denormalization.  Every step runs in ``TRAIN_DTYPE`` (float32, about
+    Trains on the normalized float32 values the windows hold, as they are;
+    the windows' (shift, scale) (the median and interquartile range of the
+    series, each value counted once) is recorded on the model for exact
+    denormalization.  Every step runs in ``TRAIN_DTYPE`` (float32, about
     half the cost of a float64 step); the initial parameters are drawn in
     float64 from the seeded generator and rounded, so the draws and the
     batch order do not depend on the precision.  The returned parameters
@@ -627,33 +637,26 @@ def train_pooled(
 ) -> list[TrainedForecaster]:
     """Train one net on the rolling windows of every series; one model each.
 
-    Series i is normalized by the median and interquartile range (shift_i,
-    scale_i) of its own values, and one pooled ``RollingWindows`` holds
-    every series' windows over the normalized series laid end to end (they
-    may differ in length).
-    ``train`` then runs once on the pool for ceil(epochs / S) epochs, about
-    the gradient steps of training one series.  Its model's normalization
-    (shift, scale) of the pool composes with each series' own: model i has
-    the shared parameters with shift_i + scale_i * shift and scale_i *
-    scale, so it maps series i's raw inputs to forecasts.  A pool of one is
-    not ``train`` on that series: the pool is normalized twice.
+    Each series' windows (``build_rolling_windows``) hold it normalized by
+    the median and interquartile range (shift_i, scale_i) of its own
+    values.  Their float32 values are copied, series by series, into one
+    preallocated pool laid end to end (the series may differ in length),
+    each series' windows dropped before the next are built, and the pool is
+    not normalized again: ``train`` runs once on it at (0.0, 1.0), for
+    ceil(epochs / S) epochs, about the gradient steps of training one
+    series.  Model i has the shared parameters and (shift_i, scale_i), so
+    it maps series i's raw inputs to forecasts.  A pool of one is ``train``
+    on that series' windows.
     """
     if not series_list:
         raise ValidationError("pooled training needs at least one series")
-    norms, parts = [], []
-    for x in series_list:
-        windows = build_rolling_windows(x, config, calendar)
-        shift, scale = _normalization(windows.values)
-        norms.append((shift, scale))
-        parts.append(windows._scaled(shift, scale))
-    pool = RollingWindows._joined(parts)
-    del parts
+    pool, norms = RollingWindows._joined(
+        (build_rolling_windows(x, config, calendar) for x in series_list),
+        sum(np.size(x) for x in series_list),
+    )
     pooled_cfg = replace(train_cfg, epochs=math.ceil(train_cfg.epochs / len(norms)))
     model = train(pool, arch, loss_cfg, pooled_cfg)
-    return [
-        replace(model, shift=shift + scale * model.shift, scale=scale * model.scale)
-        for shift, scale in norms
-    ]
+    return [replace(model, shift=shift, scale=scale) for shift, scale in norms]
 
 
 def insample_forecast(
@@ -758,7 +761,8 @@ def gradient_check(
     epsilon: float = 1e-6,
 ) -> float:
     """Max relative error between analytic and central-difference gradients
-    of the adaptive loss summed over the windows' rows.
+    of the adaptive loss summed over the windows' rows, on the normalized
+    values the windows hold (the model's own shift and scale are not used).
 
     Each parameter is perturbed by +/- epsilon.  Perturbations that flip a
     relu preactivation sign or an absolute-error residual sign straddle a
@@ -767,8 +771,7 @@ def gradient_check(
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    X = (windows.inputs - model.shift) / model.scale
-    Y = (windows.labels - model.shift) / model.scale
+    X, Y = windows.inputs, windows.labels
     wv = np.where(windows.rare_mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
     sizes = model.layer_sizes
     act = model.activation
@@ -812,14 +815,16 @@ def gradient_check(
 
 
 def save_model(model: TrainedForecaster, path) -> None:
-    """Write the model as versioned JSON; floats round-trip exactly."""
+    """Write the model as versioned JSON: the shift and scale exactly, each
+    parameter in the shortest text that reads back to its float32 value
+    (training's precision), which ``load_model`` rounds it back to."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "layer_sizes": list(model.layer_sizes),
         "activation": model.activation,
         "shift": model.shift,
         "scale": model.scale,
-        "theta": [float(v) for v in model.theta],
+        "theta": [float(str(v)) for v in model.theta.astype(TRAIN_DTYPE)],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -844,7 +849,7 @@ def load_model(path) -> TrainedForecaster:
     try:
         return TrainedForecaster(
             layer_sizes=tuple(payload["layer_sizes"]),
-            theta=np.array(payload["theta"], dtype=float),
+            theta=np.array(payload["theta"], dtype=TRAIN_DTYPE),
             activation=payload["activation"],
             shift=float(payload["shift"]),
             scale=float(payload["scale"]),

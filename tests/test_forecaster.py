@@ -45,16 +45,28 @@ def quick_train(seed=0, epochs=30):
     return model, samples, x, cfg
 
 
+def normalized(x):
+    """A series as its windows hold it, and its (shift, scale): the median
+    and interquartile range from ``np.percentile``, each value counted once
+    (scale 1.0 for a constant series); the difference from the median is
+    rounded once into float32, then divided by the scale there."""
+    q25, q50, q75 = np.percentile(x, [25, 50, 75])
+    shift, scale = float(q50), float(q75 - q25)
+    scale = scale if scale > 0 else 1.0
+    return (x - shift).astype(np.float32) / np.float32(scale), (shift, scale)
+
+
 class TestRollingWindows:
     def test_window_count_and_indices(self):
         x = np.arange(10.0)
         cfg = el.RollingWindowConfig(lookback=4, horizon=2, stride=1)
         windows = el.build_rolling_windows(x, cfg)
+        z, pair = normalized(x)
         assert len(windows) == 5
-        assert windows.inputs[0].tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert windows.labels[0].tolist() == [4.0, 5.0]
-        assert windows.labels[0, 0] == 4
-        assert windows.labels[-1].tolist() == [8.0, 9.0]
+        assert (windows.shift, windows.scale) == pair == (4.5, 4.5)
+        assert windows.inputs[0].tolist() == z[0:4].tolist()
+        assert windows.labels[0].tolist() == z[4:6].tolist()
+        assert windows.labels[-1].tolist() == z[8:10].tolist()
 
     def test_stride_consuming_series_gives_one_sample(self):
         x = np.arange(10.0)
@@ -93,7 +105,9 @@ class TestRollingWindows:
         head = windows[:3]
         assert isinstance(head, el.RollingWindows) and len(head) == 3
         assert np.array_equal(head.inputs, windows.inputs[:3])
-        assert windows[np.array([0, 2])].labels[:, 0].tolist() == [4.0, 6.0]
+        assert (head.shift, head.scale) == (windows.shift, windows.scale)
+        z, _ = normalized(np.arange(20.0))
+        assert windows[np.array([0, 2])].labels[:, 0].tolist() == z[[4, 6]].tolist()
 
     @pytest.mark.parametrize("rows", [3, np.array([], dtype=int), slice(5, 5)])
     def test_selection_of_no_window_row_rejected(self, rows):
@@ -105,11 +119,22 @@ class TestRollingWindows:
 
     def test_windows_hold_one_read_only_copy_of_the_series(self):
         x = np.arange(20.0)
+        z, _ = normalized(x)
         windows = el.build_rolling_windows(x, el.RollingWindowConfig(lookback=4, horizon=2))
-        assert windows.values.nbytes == x.nbytes and not np.shares_memory(windows.values, x)
+        assert windows.values.tobytes() == z.tobytes()
+        assert not np.shares_memory(windows.values, x)
         assert not windows.values.flags.writeable
         x[:] = -1.0
-        assert windows.inputs[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert windows.inputs[0].tolist() == z[0:4].tolist()
+
+    def test_given_arrays_are_held_as_normalized_values(self):
+        windows = el.RollingWindows(
+            np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]),
+            np.array([[True], [False]]),
+        )
+        assert (windows.shift, windows.scale) == (0.0, 1.0)
+        assert windows.values.dtype == np.float32
+        assert windows.labels[:, 0].tolist() == [5.0, 6.0]
 
     def test_a_block_of_series_is_rejected(self):
         # a pool of series is joined from per-series windows, as train_pooled does
@@ -145,13 +170,15 @@ def test_rolling_window_index_arithmetic(length, lookback, horizon, stride):
     cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
     windows = el.build_rolling_windows(x, cfg)
     assert len(windows) == (length - lookback - horizon) // stride + 1
-    label_starts = windows.labels[:, 0]
+    # the normalized days stay distinct, so each value names its day
+    day = {v: t for t, v in enumerate(normalized(x)[0].tolist())}
+    label_starts = [day[v] for v in windows.labels[:, 0].tolist()]
     for i in range(len(windows)):
         assert label_starts[i] == i * stride + lookback
-        assert windows.inputs[i, 0] == i * stride
+        assert day[windows.inputs[i, 0].item()] == i * stride
     if stride == 1:
         covered = set()
-        for label_start in label_starts.astype(int):
+        for label_start in label_starts:
             covered.update(range(label_start, label_start + horizon))
         assert covered == set(range(lookback, length))
 
@@ -219,9 +246,11 @@ def test_windows_and_insample_match_per_window_reference(
     )
     cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon, stride=stride)
     windows = el.build_rolling_windows(x, cfg, calendar)
+    z, pair = normalized(x)
+    assert (windows.shift, windows.scale) == pair
     for got, want in zip(
         (windows.inputs, windows.labels, windows.rare_mask),
-        reference_windows(x, cfg, calendar),
+        reference_windows(z, cfg, calendar),
     ):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -511,7 +540,7 @@ class TestTrain:
             el.AdaptiveLossConfig(),
             el.TrainConfig(epochs=200, batch_size=16, learning_rate=0.01, seed=0),
         )
-        preds = model.predict(samples.inputs)
+        preds = model.predict(np.lib.stride_tricks.sliding_window_view(x, cfg.lookback))
         assert np.all(np.abs(preds - 5.0) / 5.0 < 0.01)
 
     def test_training_is_deterministic(self):
@@ -670,25 +699,12 @@ def _ref_eta_and_grad(diff, distance):
     return diff**2, 2.0 * diff
 
 
-def reference_normalization(values):
-    """The (shift, scale) of a series' values, each counted once: the median
-    and interquartile range from ``np.percentile``; scale 1.0 for a
-    constant series."""
-    q25, q50, q75 = np.percentile(values, [25, 50, 75])
-    scale = float(q75 - q25)
-    return float(q50), scale if scale > 0 else 1.0
-
-
-def reference_train(windows, arch, loss_cfg, train_cfg, values=None):
+def reference_train(windows, arch, loss_cfg, train_cfg):
     """The allocating training loop that ``train`` replaced, in the same
-    float32 steps: per-step row gathers, fresh activations and gradients,
-    and a new theta per step.  The (shift, scale) is taken over ``values``,
-    by default the series the windows hold.  Returns (theta as float64,
-    loss_history)."""
-    mask = windows.rare_mask
-    shift, scale = reference_normalization(windows.values if values is None else values)
-    X = (windows.inputs - shift).astype(np.float32) / np.float32(scale)
-    Y = (windows.labels - shift).astype(np.float32) / np.float32(scale)
+    float32 steps, on the windows' normalized values as they are: per-step
+    row gathers, fresh activations and gradients, and a new theta per step.
+    Returns (theta as float64, loss_history)."""
+    X, Y, mask = windows.inputs, windows.labels, windows.rare_mask
     layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
 
     rng = np.random.default_rng(train_cfg.seed)
@@ -755,9 +771,8 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
     calendar = el.EventCalendar(
         {f"e{j}": [el.EventWindow(t0=t0, d=2)] for j, t0 in enumerate(event_t0s)}
     )
-    windows = el.build_rolling_windows(
-        x, el.RollingWindowConfig(lookback=lookback, horizon=horizon), calendar
-    )
+    cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon)
+    windows = el.build_rolling_windows(x, cfg, calendar)
     B = len(windows)
     sizes = {
         "divides": [k for k in range(1, B + 1) if B % k == 0],
@@ -774,9 +789,12 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
         final_learning_rate=0.01, seed=seed,
     )
     model = el.train(windows, arch, loss_cfg, train_cfg)
-    theta, history = reference_train(windows, arch, loss_cfg, train_cfg)
+    z, pair = normalized(x)
+    reference = el.RollingWindows(*reference_windows(z, cfg, calendar))
+    theta, history = reference_train(reference, arch, loss_cfg, train_cfg)
     assert model.theta.tobytes() == theta.tobytes()
     assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
+    assert (model.shift, model.scale) == pair
 
 
 @settings(max_examples=80, deadline=None)
@@ -804,12 +822,10 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
     rng = np.random.default_rng(seed)
     cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon)
     calendar = el.EventCalendar({"e": [el.EventWindow(t0=event_t0, d=2)]})
-    windows = [
-        el.build_rolling_windows(
-            rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 5), size=length), cfg, calendar
-        )
-        for _ in range(nets)
+    series = [
+        rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 5), size=length) for _ in range(nets)
     ]
+    windows = [el.build_rolling_windows(x, cfg, calendar) for x in series]
     B = len(windows[0])
     sizes = {
         "divides": [k for k in range(1, B + 1) if B % k == 0],
@@ -829,14 +845,16 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
     ]
     stack = el.forecaster._train_stack(iter(windows), arch, loss_cfg, train_cfgs)
     assert len(stack) == nets
-    for w, train_cfg, model in zip(windows, train_cfgs, stack):
+    for x, w, train_cfg, model in zip(series, windows, train_cfgs, stack):
         alone = el.train(w, arch, loss_cfg, train_cfg)
-        theta, history = reference_train(w, arch, loss_cfg, train_cfg)
+        z, pair = normalized(x)
+        theta, history = reference_train(
+            el.RollingWindows(*reference_windows(z, cfg, calendar)), arch, loss_cfg, train_cfg
+        )
         for ref_theta, ref_history in ((alone.theta, alone.loss_history), (theta, history)):
             assert model.theta.tobytes() == ref_theta.tobytes()
             assert np.array(model.loss_history).tobytes() == np.array(ref_history).tobytes()
-        shift, scale = reference_normalization(w.values)
-        assert (model.shift, model.scale) == (shift, scale)
+        assert (model.shift, model.scale) == (alone.shift, alone.scale) == pair
 
 
 class TestTrainStack:
@@ -914,38 +932,17 @@ class TestTrainStack:
         with pytest.raises(ValidationError, match="at least one net"):
             el.forecaster._train_stack([], self.arch, self.loss_cfg, [])
 
-    def test_windows_are_read_one_net_at_a_time(self):
-        """A generator's windows are normalized into the stack before the
-        next net's are built, so one net's float64 values are alive at once."""
-        import weakref
-
-        alive = []
-
-        def lazily():
-            for _ in range(3):
-                w = self.windows()
-                alive.append(weakref.ref(w))
-                assert sum(ref() is not None for ref in alive) == 1
-                yield w
-                del w
-
-        el.forecaster._train_stack(lazily(), self.arch, self.loss_cfg, self.train_cfgs(3, epochs=1))
-        assert len(alive) == 3
-
 
 def hand_stacked(series_list, cfg, calendar):
-    """Every series' windows, each normalized by its own (shift, scale),
-    concatenated; returns the stack, the normalized series laid end to end
-    and the per-series pairs."""
-    parts, values, norms = [], [], []
+    """Every series' windows, each series normalized by its own (shift,
+    scale) and by nothing else, concatenated; returns the stack and the
+    per-series pairs."""
+    parts, norms = [], []
     for x in series_list:
-        w = el.build_rolling_windows(x, cfg, calendar)
-        shift, scale = reference_normalization(x)
-        parts.append(((w.inputs - shift) / scale, (w.labels - shift) / scale, w.rare_mask))
-        values.append((x - shift) / scale)
-        norms.append((shift, scale))
-    stack = el.RollingWindows(*(np.concatenate(cols) for cols in zip(*parts)))
-    return stack, np.concatenate(values), norms
+        z, pair = normalized(x)
+        parts.append(reference_windows(z, cfg, calendar))
+        norms.append(pair)
+    return el.RollingWindows(*(np.concatenate(cols) for cols in zip(*parts))), norms
 
 
 @settings(max_examples=40, deadline=None)
@@ -969,20 +966,34 @@ def test_train_pooled_is_train_on_the_hand_stacked_windows(
     train_cfg = el.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.02, seed=seed)
     models = el.train_pooled(series_list, cfg, calendar, arch, loss_cfg, train_cfg)
 
-    stack, values, norms = hand_stacked(series_list, cfg, calendar)
+    stack, norms = hand_stacked(series_list, cfg, calendar)
     pooled_epochs = -(-epochs // len(series_list))
     theta, history = reference_train(
-        stack, arch, loss_cfg, replace(train_cfg, epochs=pooled_epochs), values
+        stack, arch, loss_cfg, replace(train_cfg, epochs=pooled_epochs)
     )
-    # the pool is normalized by the normalized series, each day once
-    pool_shift, pool_scale = reference_normalization(values)
     assert len(models) == len(series_list)
-    for model, (shift, scale) in zip(models, norms):
+    for model, pair in zip(models, norms):
         assert model.theta.tobytes() == theta.tobytes()
         assert model.loss_history == history
         assert len(model.loss_history) == pooled_epochs
-        assert model.shift == shift + scale * pool_shift
-        assert model.scale == scale * pool_scale
+        assert (model.shift, model.scale) == pair
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_a_pool_of_one_is_train(stride):
+    """``train_pooled`` on one series gives the parameter bytes, loss
+    history and (shift, scale) of ``train`` on that series' windows."""
+    x = np.random.default_rng(6).normal(30.0, 4.0, size=90)
+    cfg = el.RollingWindowConfig(lookback=10, horizon=4, stride=stride)
+    calendar = el.EventCalendar({"e": [el.EventWindow(t0=40, d=3)]})
+    arch = el.ForecasterArch(hidden_sizes=(6,))
+    loss_cfg = el.AdaptiveLossConfig(rare_weight=0.2)
+    train_cfg = el.TrainConfig(epochs=5, batch_size=8, seed=4)
+    [pooled] = el.train_pooled([x], cfg, calendar, arch, loss_cfg, train_cfg)
+    alone = el.train(el.build_rolling_windows(x, cfg, calendar), arch, loss_cfg, train_cfg)
+    assert pooled.theta.tobytes() == alone.theta.tobytes()
+    assert pooled.loss_history == alone.loss_history
+    assert (pooled.shift, pooled.scale) == (alone.shift, alone.scale)
 
 
 class TestTrainPooled:
@@ -1064,14 +1075,12 @@ def test_normalization_is_numpy_on_the_series_values(
 
 
 def test_normalization_holds_one_copy_of_the_values():
-    """Traced peak of ``_normalization`` on a pool of 200 series x 1,460
-    days stays under twice the values' bytes: ``np.percentile``'s one
+    """Traced peak of ``_normalization`` on 200 series x 1,460 days laid end
+    to end stays under twice the values' bytes: ``np.percentile``'s one
     partitioned copy fits, per-value index arrays (8 bytes each) do not."""
     import tracemalloc
 
-    x = np.random.default_rng(5).normal(100.0, 5.0, size=(200, 1460))
-    cfg = el.RollingWindowConfig(lookback=90, horizon=30)
-    values = el.RollingWindows._joined([el.build_rolling_windows(row, cfg) for row in x]).values
+    values = np.random.default_rng(5).normal(100.0, 5.0, size=200 * 1460)
     el.forecaster._normalization(values)  # imports and caches are not its cost
     tracemalloc.start()
     try:
@@ -1083,26 +1092,34 @@ def test_normalization_holds_one_copy_of_the_values():
 
 
 def test_train_pooled_holds_the_series_not_their_windows():
-    """Traced peak of ``train_pooled`` on 20 series x 1,000 days (lookback
-    90, horizon 30): under 16 times the 0.16 MB block of series, where the
-    pool's 17,620 windows of 120 float64 values would be 17 MB."""
+    """Traced peak of ``train_pooled`` (lookback 90, horizon 30, one epoch)
+    against the float64 bytes of the block of series, in two cases.
+    20 x 1,000 days: under 16 times the 0.16 MB block, where the pool's
+    17,620 windows of 120 float64 values would be 17 MB.  200 x 1,460 days:
+    under 3 times the 2.3 MB block, which the pool's one float32 copy of the
+    normalized series, its starts and the epoch's order fit, and a second,
+    float64 copy of the pool (5.2 times) does not."""
     import tracemalloc
 
-    x = np.random.default_rng(3).normal(100.0, 5.0, size=(20, 1000))
     calendar = el.EventCalendar({"e": [el.EventWindow(t0=200, d=5), el.EventWindow(t0=565, d=5)]})
-    args = (
-        list(x), el.RollingWindowConfig(lookback=90, horizon=30), calendar,
-        el.ForecasterArch(hidden_sizes=(64, 64)), el.AdaptiveLossConfig(),
-        el.TrainConfig(epochs=1, batch_size=64, seed=0),
-    )
-    el.train_pooled(*args)  # imports and caches are not training's cost
-    tracemalloc.start()
-    try:
-        el.train_pooled(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * x.nbytes, (peak, x.nbytes)
+    for shape, hidden, batch_size, bound in [
+        ((20, 1000), (64, 64), 64, 16),
+        ((200, 1460), (8,), 256, 3),
+    ]:
+        x = np.random.default_rng(3).normal(100.0, 5.0, size=shape)
+        args = (
+            list(x), el.RollingWindowConfig(lookback=90, horizon=30), calendar,
+            el.ForecasterArch(hidden_sizes=hidden), el.AdaptiveLossConfig(),
+            el.TrainConfig(epochs=1, batch_size=batch_size, seed=0),
+        )
+        el.train_pooled(*args)  # imports and caches are not training's cost
+        tracemalloc.start()
+        try:
+            el.train_pooled(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * x.nbytes, (shape, peak, x.nbytes)
 
 
 def test_train_allocates_no_epoch_copy_of_the_windows():
@@ -1130,7 +1147,7 @@ def test_trained_parameters_are_float32_values(tmp_path):
     """``train`` and ``train_pooled`` train in float32: the stored float64
     parameters survive a float32 round trip bit for bit, and a saved model
     loads back with the same parameter bytes and predictions."""
-    model, samples, x, cfg = quick_train()
+    model, _, x, cfg = quick_train()
     pooled = el.train_pooled(
         [x, 40.0 + 3.0 * x], cfg, el.EventCalendar({"e": [el.EventWindow(t0=20, d=3)]}),
         el.ForecasterArch(hidden_sizes=(8,)), el.AdaptiveLossConfig(),
@@ -1143,7 +1160,8 @@ def test_trained_parameters_are_float32_values(tmp_path):
         el.save_model(m, path)
         loaded = el.load_model(path)
         assert loaded.theta.tobytes() == m.theta.tobytes()
-        assert loaded.predict(samples.inputs).tobytes() == m.predict(samples.inputs).tobytes()
+        X = np.lib.stride_tricks.sliding_window_view(x, cfg.lookback)
+        assert loaded.predict(X).tobytes() == m.predict(X).tobytes()
 
 
 class TestTrainingLossInvariance:
@@ -1151,8 +1169,10 @@ class TestTrainingLossInvariance:
 
     @staticmethod
     def loss(model, windows, loss_cfg):
+        # the net on the normalized values the windows hold
+        net = replace(model, shift=0.0, scale=1.0)
         weighted, _ = _weighted_error(
-            model.predict(windows.inputs) - windows.labels,
+            net.predict(windows.inputs) - windows.labels,
             fixed_weights(windows.rare_mask, loss_cfg),
             loss_cfg.distance,
         )
@@ -1341,12 +1361,21 @@ class TestModelSerialization:
         assert loaded.activation == model.activation
 
     def test_round_trip_predictions_identical(self, tmp_path):
-        model, samples, _, _ = quick_train()
+        model, _, x, cfg = quick_train()
         path = tmp_path / "model.json"
         el.save_model(model, path)
         loaded = el.load_model(path)
-        X = samples.inputs
+        X = np.lib.stride_tricks.sliding_window_view(x, cfg.lookback)
         assert np.array_equal(loaded.predict(X), model.predict(X))
+
+    def test_parameters_are_written_in_their_shortest_float32_form(self, tmp_path):
+        import json
+
+        model, _, _, _ = quick_train()
+        path = tmp_path / "model.json"
+        el.save_model(model, path)
+        written = json.loads(path.read_text())["theta"]
+        assert [repr(v) for v in written] == [str(v) for v in model.theta.astype(np.float32)]
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
@@ -1366,32 +1395,33 @@ class TestModelSerialization:
         [
             (None, "model file not found"),
             ("{not json", "not a model JSON file"),
-            ('{"format_version": 1, "theta": [1.0]}', r"KeyError\('layer_sizes'\)"),
+            ('{"format_version": 2, "theta": [1.0]}', r"KeyError\('layer_sizes'\)"),
             (
-                '{"format_version": 1, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
+                '{"format_version": 2, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
                 '"activation": "relu", "shift": "abc", "scale": 1.0}',
                 "could not convert string to float",
             ),
             ('{"format_version": 999}', "unsupported model format version 999"),
+            ('{"format_version": 1}', r"unsupported model format version 1 \(expected 2\)"),
             (
-                '{"format_version": 1, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
+                '{"format_version": 2, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
                 '"activation": "relu", "shift": Infinity, "scale": NaN}',
                 "normalization shift must be finite",
             ),
             (
-                '{"format_version": 1, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
+                '{"format_version": 2, "layer_sizes": [1, 1, 1], "theta": [0, 0, 0, 0], '
                 '"activation": "relu", "shift": 0.0, "scale": NaN}',
                 "normalization scale must be finite and > 0",
             ),
             (
-                '{"format_version": 1, "layer_sizes": [3.7, 2], '
+                '{"format_version": 2, "layer_sizes": [3.7, 2], '
                 '"theta": [0, 0, 0, 0, 0, 0, 0, 0], "activation": "relu", "shift": 0.0, '
                 '"scale": 1.0}',
                 r"bad layer sizes \(3\.7, 2\)",
             ),
         ],
         ids=["missing-file", "malformed-json", "missing-key", "bad-entry", "version",
-             "infinite-shift", "nan-scale", "fractional-layer-size"],
+             "version-1", "infinite-shift", "nan-scale", "fractional-layer-size"],
     )
     def test_bad_file_fails_naming_the_path(self, tmp_path, text, message):
         path = tmp_path / "model.json"
