@@ -7,15 +7,33 @@ A control is a (T,) array along the series, NaN where no forecast lands.
 ``direct_forecast`` also takes an (S, T) block of series and returns their
 (S, T) controls, one net per series, trained in lock-step stacks that hold
 each series' days up to the window start once, not a copy per window.
+
+The block's rows split into contiguous groups, one per CPU this process may
+run on (``montecarlo._available_cpus``, the cap ``run_replications`` uses).
+The calling process trains the first group and a forked child each other
+one, all of them stack by stack as a single group would; the children send
+their trained nets back over a pipe, and the caller forecasts every row.
+Each net gets the bits of training it alone, so the controls are the same
+bytes on any number of CPUs.  There is one group, and no fork, on one CPU,
+for one row, where ``os.fork`` is missing or the platform is not Linux, and
+while another Python thread is alive, because a forked child would inherit
+any lock that thread holds, held.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import montecarlo
 from .ar import recursive_control
 from .errors import TrainingDivergedError, ValidationError
 from .forecaster import (
@@ -23,6 +41,7 @@ from .forecaster import (
     ForecasterArch,
     RollingWindowConfig,
     TrainConfig,
+    TrainedForecaster,
     _train_stack,
     build_rolling_windows,
 )
@@ -58,11 +77,17 @@ def direct_forecast(
 
     ``series`` is one (T,) series or an (S, T) block of them, each with its
     own net: ``train_cfg`` is one config for every row or a sequence of one
-    per row.  The rows' nets train in lock-step stacks of at most
-    ``_STACK_NETS`` (``forecaster._train_stack``), each stack filled one
-    series at a time (its windows are offsets into its days up to t0), and
-    row i gets the bits of the 1-D call on it with config i.  A net that
-    diverges is named by its row.
+    per row.  The rows split into one contiguous group per available CPU
+    (see the module docstring): this process trains the first group, a
+    forked child each other one.  Each group trains in lock-step stacks of
+    at most ``_STACK_NETS`` (``forecaster._train_stack``), each stack filled
+    one series at a time (its windows are offsets into its days up to t0),
+    so a process holds one stack's buffers at a time, and row i gets the
+    bits of the 1-D call on it with config i, on any number of CPUs.  A net
+    that diverges is named by its row in the block; when nets of several
+    groups diverge, the first group's error in row order is raised, as a
+    serial loop would meet it.  A child that ends without sending its nets
+    is a ``RuntimeError`` naming its rows.  No child outlives the call.
 
     Returns the (T,) or (S, T) control: the forecasts on indices t0+1 ..
     min(t0+H, end of series), NaN everywhere else.  A window with no day
@@ -101,22 +126,107 @@ def direct_forecast(
     arch = arch or ForecasterArch()
     uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
 
+    def train_group(group: range) -> list[TrainedForecaster]:
+        models = []
+        for first in range(group.start, group.stop, _STACK_NETS):
+            last = min(first + _STACK_NETS, group.stop)
+            samples = (
+                build_rolling_windows(row[: t0 + 1], config, calendar=None)
+                for row in rows[first:last]
+            )
+            try:
+                models += _train_stack(samples, arch, uniform, cfgs[first:last])
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(exc.epoch, exc.loss, first + exc.net) from exc
+        return models
+
+    models = [m for group in _forked_map(train_group, _row_groups(len(rows))) for m in group]
     control = np.full(rows.shape, np.nan)
     stop = min(t0 + 1 + H, rows.shape[1])
-    for first in range(0, len(rows), _STACK_NETS):
-        stack = rows[first : first + _STACK_NETS]
-        samples = (build_rolling_windows(row[: t0 + 1], config, calendar=None) for row in stack)
-        try:
-            models = _train_stack(samples, arch, uniform, cfgs[first : first + _STACK_NETS])
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(exc.epoch, exc.loss, first + exc.net) from exc
-        for row, out, model in zip(stack, control[first:], models):
-            out[t0 + 1 : stop] = model.predict(row[t0 + 1 - M : t0 + 1])[: stop - (t0 + 1)]
+    for row, out, model in zip(rows, control, models):
+        out[t0 + 1 : stop] = model.predict(row[t0 + 1 - M : t0 + 1])[: stop - (t0 + 1)]
     bad = np.flatnonzero(~np.isfinite(control[:, t0 + 1 : stop]).all(axis=1))
     if bad.size:
         where = f" for row {bad[0]}" if x.ndim == 2 else ""
         raise ValidationError(f"mlp forecast after t0={t0} is not finite{where}")
     return control.reshape(x.shape)
+
+
+def _row_groups(n_rows: int) -> list[range]:
+    """Contiguous groups of ``n_rows`` rows, one per CPU this process may run
+    on, the earlier ones one row larger when they do not divide evenly; a
+    single group where the module docstring says no fork happens."""
+    can_fork = (
+        n_rows > 1 and hasattr(os, "fork") and sys.platform.startswith("linux")
+        and threading.active_count() == 1
+    )
+    n = min(montecarlo._available_cpus(), n_rows) if can_fork else 1
+    bounds = [-(-n_rows * g // n) for g in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _forked_map(fn, groups: Sequence[range]) -> list:
+    """``[fn(group) for group in groups]``, the first group in this process
+    and each other in a forked child, whose result comes back pickled over a
+    pipe.  The first failing group in order raises, as a serial loop would
+    meet it: a child's exception is raised as it crossed the pipe, and a
+    child that leaves no result is a ``RuntimeError`` naming its rows.  No
+    child outlives the call: each is reaped on the way out, and one whose
+    result is still unread is killed first."""
+    workers = []  # (pid, the read end of its pipe), one per forked group
+    try:
+        for group in groups[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that forking a process with threads
+                    # may deadlock; the only other threads here are OpenBLAS's
+                    # idle pool, which OpenBLAS itself shuts down for a fork
+                    warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child, which never returns
+                os.close(read_fd)
+                _child_main(fn, group, write_fd)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        results = [fn(groups[0])]
+        for (_, pipe), group in zip(workers, groups[1:]):
+            with pipe:
+                payload = pipe.read()
+            if not payload:
+                rows = f"{group.start}..{group.stop - 1}"
+                raise RuntimeError(f"the worker training rows {rows} ended without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            if not pipe.closed:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child_main(fn, group: range, write_fd: int):
+    """Run ``fn(group)`` in a forked child, write ``(True, result)`` or
+    ``(False, exception)`` to ``write_fd`` pickled, and leave by
+    ``os._exit``, which neither flushes inherited buffers nor runs the
+    parent's exit handlers."""
+    try:
+        try:
+            payload = pickle.dumps((True, fn(group)))
+        except Exception as exc:
+            payload = pickle.dumps((False, exc))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 def centered_moving_average(x: np.ndarray, period: int) -> np.ndarray:

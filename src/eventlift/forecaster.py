@@ -173,17 +173,20 @@ class RollingWindows:
         before an offset passed 2**31."""
         values = np.empty(length, TRAIN_DTYPE)
         event_day = np.empty(length, bool)
-        starts, pairs, first = [], [], 0
+        # a part has fewer windows than values, so ``length`` starts hold
+        # them all; the pages of the unused tail are never touched
+        starts = np.empty(length, np.int32)
+        pairs, first, n = [], 0, 0
         for part in parts:
             last = first + len(part.values)
             values[first:last] = part.values
             event_day[first:last] = part.event_day
-            starts.append(part.starts + first)
+            np.add(part.starts, first, out=starts[n : n + len(part)])
+            n += len(part)
             pairs.append((part.shift, part.scale))
             first, M, H = last, part.lookback, part.horizon
             del part  # before the next part is read
-        starts = np.concatenate(starts, dtype=np.int32)
-        return cls._over(values, event_day, starts, M, H, 0.0, 1.0), pairs
+        return cls._over(values, event_day, starts[:n], M, H, 0.0, 1.0), pairs
 
     def _hold(self, values, event_day, starts, lookback, horizon, shift, scale):
         if starts.ndim != 1 or not len(starts):
@@ -231,8 +234,10 @@ class AdaptiveLossConfig:
     distance: str = "absolute"
 
     def __post_init__(self):
-        if self.rare_weight < 0 or self.nonrare_weight < 0:
-            raise ValidationError("loss weights must be >= 0")
+        for name in ("rare_weight", "nonrare_weight"):
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValidationError(f"{name} must be finite and >= 0, got {weight}")
         if self.rare_weight + self.nonrare_weight <= 0:
             raise ValidationError("at least one loss weight must be positive")
         if self.distance not in ("absolute", "squared"):
@@ -265,10 +270,10 @@ class TrainConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
-        if self.final_learning_rate is not None and self.final_learning_rate <= 0:
-            raise ValidationError("final_learning_rate must be > 0 when set")
+        for name in ("learning_rate", "final_learning_rate"):
+            rate = getattr(self, name)
+            if rate is not None and not (math.isfinite(rate) and rate > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {rate}")
 
 
 def _layer_shapes(layer_sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -481,13 +486,17 @@ def _train_stack(
     front.  Net s's model records the (shift, scale) of its windows.
     The S nets share one pass of numpy calls per step: the parameters are an
     (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
-    bias view of it, and each step gathers every net's batch of inputs,
-    labels and loss weights with one fancy index per array into
-    ``sliding_window_view``s of per-day arrays; a loss weight belongs to its
-    label's day.  Each net keeps its own seeded generator (its initial
-    draws, then one permutation of its B windows per epoch) and its own
-    loss sums, reduced in the order one net alone would use, so net s gets
-    the bits of training it alone.
+    bias view of it, and each step gathers every net's batch of inputs and
+    labels with one fancy index per array into ``sliding_window_view``s of
+    the values.  A loss weight belongs to its label's day: a weight equal
+    on every day is one scalar (DF's uniform loss), and otherwise each
+    batch picks its weights with ``np.where`` from the labels' one-byte
+    event flags, gathered the same way.  Each net keeps its own seeded
+    generator (its initial draws, then one shuffle of its own B starts per
+    epoch, the draws of a permutation of its windows) and its own loss
+    sums, reduced in the order one net alone would use, so net s gets the
+    bits of training it alone.  Beside the values and flags, training holds
+    the starts and one int32 order of them per net.
 
     The nets must share the window count, lookback and horizon and every
     ``TrainConfig`` field but ``seed``.  A non-finite loss stops the stack at
@@ -520,11 +529,15 @@ def _train_stack(
     else:
         stack, norms = RollingWindows._joined(parts, sum(len(w.values) for w in parts))
     del parts
-    starts = stack.starts  # window s * B + i is net s's window i
+    own_starts = stack.starts.reshape(S, B)  # window s * B + i is net s's window i
     inputs = sliding_window_view(stack.values, M)
     labels = sliding_window_view(stack.values[M:], H)
     rare, nonrare = TRAIN_DTYPE(loss_cfg.rare_weight), TRAIN_DTYPE(loss_cfg.nonrare_weight)
-    label_weights = sliding_window_view(np.where(stack.event_day, rare, nonrare)[M:], H)
+    # a weight equal on every day is one scalar; otherwise each batch picks
+    # its weights by the one-byte event flag of each label's day
+    label_events = None
+    if rare != nonrare and stack.event_day[M:].any():
+        label_events = sliding_window_view(stack.event_day[M:], H)
     layer_sizes = (M, *arch.hidden_sizes, H)
 
     rngs = [np.random.default_rng(c.seed) for c in train_cfgs]
@@ -553,10 +566,9 @@ def _train_stack(
         return [view(b) for b in act_bufs], [view(b) for b in delta_bufs]
 
     views = {n: batch_views(n) for n in {full, B % bs} - {0}}
-    net_offsets = np.arange(0, S * B, B)[:, None]
-    # rng.permutation(B) is a shuffle of arange(B): each epoch shuffles a
-    # fresh arange in place, with the same draws, in int32
-    windows_in_order = np.arange(B, dtype=np.int32)
+    # rng.permutation(B) shuffles arange(B), and the draws depend on B alone:
+    # shuffling a copy of the net's own starts in place puts them in that
+    # order, so each epoch's order holds the starts a batch reads, in int32
     order = np.empty((S, B), np.int32)
     lr0 = cfg.learning_rate
     lr1 = cfg.final_learning_rate if cfg.final_learning_rate is not None else lr0
@@ -564,21 +576,23 @@ def _train_stack(
     for epoch in range(cfg.epochs):
         frac = epoch / max(cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
-        for row, rng in zip(order, rngs):
-            row[:] = windows_in_order
+        for row, net_starts, rng in zip(order, own_starts, rngs):
+            row[:] = net_starts
             rng.shuffle(row)
         epoch_loss = [0.0] * S
         n_batches = 0
         for start in range(0, B, bs):
-            pos = starts[order[:, start : start + bs] + net_offsets]
+            pos = order[:, start : start + bs]
             n = pos.shape[1]
             act_views, delta_views = views[n]
             # fancy indexing copies this batch's rows only, where take would
             # first copy the whole strided view
             acts = _forward(layers, arch.activation, inputs[pos], act_views)
-            weighted, dpred = _weighted_error(
-                acts[-1] - labels[pos], label_weights[pos], loss_cfg.distance
-            )
+            if label_events is None:
+                weights = nonrare
+            else:
+                weights = np.where(label_events[pos], rare, nonrare)
+            weighted, dpred = _weighted_error(acts[-1] - labels[pos], weights, loss_cfg.distance)
             # per net: float32 row sums, their float32 sum, the mean in float64
             for net, total in enumerate(weighted.sum(axis=-1).sum(axis=-1).tolist()):
                 batch_loss = total / n

@@ -185,7 +185,8 @@ def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
 
 
 def _available_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on: the cap on ``run_replications``'
+    threads and on ``baselines.direct_forecast``'s training groups."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -1,3 +1,8 @@
+import math
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import ValidationError, baselines
+from eventlift import TrainingDivergedError, ValidationError, baselines, montecarlo
 
 
 class TestDirectForecastAR1:
@@ -226,6 +231,133 @@ class TestDirectForecastBlock:
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValidationError, match="1-D series or a 2-D block"):
             el.direct_forecast(np.zeros((2, 2, 70)), self.window, self.cfg)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts this process's ``os.fork`` calls."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="DF forks only on Linux")
+class TestDirectForecastGroups:
+    """DF's rows split into one contiguous group per CPU: this process
+    trains the first, a forked child each other one."""
+
+    setup = TestDirectForecastBlock()
+    cfg, window, arch = setup.cfg, setup.window, setup.arch
+
+    def run(self, x, cfgs=None):
+        cfgs = cfgs or self.setup.train_cfgs(len(x))
+        return el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs)
+
+    def test_control_bytes_do_not_depend_on_the_cpu_count(self, forks, monkeypatch):
+        x = self.setup.block(5)
+        controls = {}
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+            forks.clear()
+            controls[cpus] = self.run(x).tobytes()
+            assert len(forks) == min(cpus, 5) - 1
+            assert_no_child_left()
+        assert len(set(controls.values())) == 1
+
+    def test_row_groups_are_contiguous_and_balanced(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        assert baselines._row_groups(8) == [range(0, 3), range(3, 6), range(6, 8)]
+        assert baselines._row_groups(2) == [range(0, 1), range(1, 2)]
+        assert baselines._row_groups(1) == [range(0, 1)]
+        assert baselines._row_groups(0) == [range(0, 0)]
+
+    def test_an_empty_block_trains_nothing_and_forks_nothing(self, forks, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        control = self.run(np.zeros((0, 70)), cfgs=[])
+        assert control.shape == (0, 70)
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_divergence_in_a_child_names_its_row(self, cpus, monkeypatch):
+        """Row 4 trains in the last child; its float32 overflow is named by
+        its row in the block, at the epoch it diverges alone."""
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        x = self.setup.block(5)
+        x[4, 30] = 1e300
+        cfgs = [replace(c, epochs=3) for c in self.setup.train_cfgs(5)]
+        with pytest.raises(el.TrainingDivergedError) as info, np.errstate(all="ignore"):
+            self.run(x, cfgs)
+        assert_no_child_left()
+        with pytest.raises(el.TrainingDivergedError) as alone, np.errstate(all="ignore"):
+            el.direct_forecast(x[4], self.window, self.cfg, self.arch, cfgs[4])
+        assert (info.value.net, info.value.epoch) == (4, alone.value.epoch)
+
+    def test_the_first_failing_group_wins(self, monkeypatch):
+        """Rows 1 and 4 both diverge, in the first and the second of two
+        groups: the error names row 1, as the serial loop meets it first."""
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        x = self.setup.block(5)
+        x[[1, 4], 30] = 1e300
+        with pytest.raises(el.TrainingDivergedError) as info, np.errstate(all="ignore"):
+            self.run(x)
+        assert info.value.net == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_raises_naming_its_rows(self, monkeypatch):
+        parent = os.getpid()
+        train_stack = baselines._train_stack
+
+        def die_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return train_stack(*args)
+
+        monkeypatch.setattr(baselines, "_train_stack", die_in_a_child)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"rows 3\.\.4 ended without a result"):
+            self.run(self.setup.block(5))
+        assert_no_child_left()
+
+    def test_children_are_killed_when_this_process_raises(self, monkeypatch):
+        """The children would sleep for ten minutes: the call returns at
+        once with this process's own error, and leaves none of them."""
+        parent = os.getpid()
+
+        def fail_here_sleep_there(windows, arch, loss_cfg, train_cfgs):
+            if os.getpid() != parent:
+                time.sleep(600)
+            raise TrainingDivergedError(2, math.nan, 0)
+
+        monkeypatch.setattr(baselines, "_train_stack", fail_here_sleep_there)
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        begun = time.monotonic()
+        with pytest.raises(TrainingDivergedError, match="epoch 2 for net 0"):
+            self.run(self.setup.block(5))
+        assert time.monotonic() - begun < 60
+        assert_no_child_left()
+
+    def test_a_call_from_a_second_thread_trains_in_one_group(self, forks, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 8)
+        x = self.setup.block(5)
+        result = {}
+        worker = threading.Thread(target=lambda: result.setdefault("control", self.run(x)))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert forks == []
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        assert result["control"].tobytes() == self.run(x).tobytes()
 
 
 def loop_moving_average(x, period):

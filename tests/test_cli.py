@@ -214,6 +214,27 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+         ("--rare-weight", "nan", "rare_weight")],
+    )
+    def test_non_finite_rate_or_weight_is_bad_input(
+        self, flag, value, field, sim_dir, tmp_path, capsys
+    ):
+        """A NaN or infinite rate or weight fails as bad input (exit 2) naming
+        the field, where it used to train until the loss turned NaN (exit 1)."""
+        out = tmp_path / "out"
+        code = run_command(
+            ["train", "--panel", str(sim_dir / "panel.csv"),
+             "--calendar", str(sim_dir / "calendar.csv"), "--series", "s000",
+             "--lookback", "10", "--horizon", "5", "--hidden", "8", "--epochs", "2",
+             flag, value, "--seed", "1", "--out", str(out)]
+        )
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateFitEstimate:
     def test_simulate_outputs(self, sim_dir):

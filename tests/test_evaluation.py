@@ -1,3 +1,4 @@
+import os
 import re
 from dataclasses import replace
 
@@ -208,6 +209,24 @@ class TestEvaluatePanel:
         panel, calendar = tiny_setup()
         with pytest.raises(TrainingDivergedError, match="epoch 4 for net DF of series 's001'"):
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
+
+    def test_df_divergence_in_a_forked_worker_names_the_series(self, monkeypatch):
+        """On two CPUs, s001's DF net trains in a forked child; its real float32
+        overflow is named by the series.  The pooled net, which would diverge
+        on the spike first, is not trained."""
+        from eventlift import evaluation, montecarlo
+
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "train_pooled", lambda series, *_: [None] * len(series))
+        panel, calendar = tiny_setup()
+        values = panel.values.copy()
+        values[1, 100] = 1e300
+        panel = el.PanelSeries(values)
+        with pytest.raises(TrainingDivergedError, match="for net DF of series 's001'"), \
+                np.errstate(all="ignore"):
+            el.evaluate_panel(panel, calendar, **tiny_kwargs())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_event_name_filter(self):
         panel, calendar = tiny_setup()

@@ -459,6 +459,10 @@ class TestAdaptiveLoss:
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             el.AdaptiveLossConfig(rare_weight=-0.1)
+        for field, value in [("rare_weight", math.nan), ("rare_weight", math.inf),
+                             ("nonrare_weight", math.nan), ("nonrare_weight", math.inf)]:
+            with pytest.raises(ValidationError, match=rf"{field} must be finite and >= 0"):
+                el.AdaptiveLossConfig(**{field: value})
         with pytest.raises(ValidationError):
             el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=0.0)
         with pytest.raises(ValidationError):
@@ -649,6 +653,14 @@ class TestTrain:
                 labels=np.zeros((0, 2)),
                 rare_mask=np.zeros((0, 2), dtype=bool),
             )
+
+    @pytest.mark.parametrize("field", ["learning_rate", "final_learning_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+    def test_rate_must_be_finite_and_positive(self, field, value):
+        """NaN passes a ``<= 0`` check and inf passes ``> 0``; each must fail
+        naming its field, not train until the loss turns NaN."""
+        with pytest.raises(ValidationError, match=rf"^{field} must be finite and > 0"):
+            el.TrainConfig(**{field: value})
 
 
 def _ref_layers(theta, layer_sizes):
@@ -1096,15 +1108,16 @@ def test_train_pooled_holds_the_series_not_their_windows():
     against the float64 bytes of the block of series, in two cases.
     20 x 1,000 days: under 16 times the 0.16 MB block, where the pool's
     17,620 windows of 120 float64 values would be 17 MB.  200 x 1,460 days:
-    under 3 times the 2.3 MB block, which the pool's one float32 copy of the
-    normalized series, its starts and the epoch's order fit, and a second,
-    float64 copy of the pool (5.2 times) does not."""
+    under 2 times the 2.3 MB block, which the pool's one float32 copy of the
+    normalized series, its int32 starts and the epoch's order fit, and a
+    second, float64 copy of the pool (5.2 times), or a held arange and a
+    float32 loss weight per day beside them (2.7 times), does not."""
     import tracemalloc
 
     calendar = el.EventCalendar({"e": [el.EventWindow(t0=200, d=5), el.EventWindow(t0=565, d=5)]})
     for shape, hidden, batch_size, bound in [
         ((20, 1000), (64, 64), 64, 16),
-        ((200, 1460), (8,), 256, 3),
+        ((200, 1460), (8,), 256, 2),
     ]:
         x = np.random.default_rng(3).normal(100.0, 5.0, size=shape)
         args = (
