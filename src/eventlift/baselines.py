@@ -35,7 +35,7 @@ import numpy as np
 
 from . import montecarlo
 from .ar import recursive_control
-from .errors import TrainingDivergedError, ValidationError
+from .errors import TrainingDivergedError, ValidationError, check_size
 from .forecaster import (
     AdaptiveLossConfig,
     ForecasterArch,
@@ -281,10 +281,10 @@ class DecompositionResult:
 def _ordered_periods(periods, length: int) -> list[int]:
     """The decomposition periods in ascending order, checked against a
     series of ``length`` points."""
-    ordered = sorted(int(p) for p in periods)
+    ordered = sorted(check_size("periods", p, minimum=2) for p in periods)
     if len(ordered) != len(set(ordered)):
         raise ValidationError(f"periods must be distinct, got {periods}")
-    if not ordered or any(p < 2 for p in ordered):
+    if not ordered:
         raise ValidationError(f"periods must all be >= 2, got {periods}")
     if length < 2 * ordered[-1]:
         raise ValidationError(f"series length {length} < 2 * max period = {2 * ordered[-1]}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -347,6 +348,9 @@ def _cmd_rate_check(args) -> int:
 def _cmd_train(args) -> int:
     panel, calendar = _load_bound(args)
     series = _series_row(panel, args.series)
+    # the model file is named after the series, so its id must be a file name
+    if any(c and c in args.series for c in (os.sep, os.altsep, "\0")):
+        raise ValidationError(f"series {args.series!r} cannot name a model file")
     config = _fw_config(args)
     samples = forecaster.build_rolling_windows(series, config, calendar)
     model = forecaster.train(samples, _arch(args), _loss_cfg(args), _train_cfg(args))

@@ -1,12 +1,29 @@
-"""Exception types shared across the package.
+"""Exception types, and the check of a size argument, shared across the
+package.
 
 The CLI maps ValidationError to exit code 2 (bad inputs or parameters)
 and every other exception to exit code 1 (runtime failure).
 """
 
+import numbers
+
 
 class ValidationError(ValueError):
     """Raised when inputs violate a precondition or data invariant."""
+
+
+def check_size(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, when it is a whole number >= ``minimum``: an int,
+    a numpy integer or a float such as 2.0.  A bool, a fraction or a
+    non-number is rejected naming ``name``, as is a value below ``minimum``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not whole:
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 class TrainingDivergedError(RuntimeError):

@@ -13,12 +13,13 @@ of every window: lookback + horizon steps (120 in the retail settings)
 would multiply a panel's memory by that factor.  Training reads those
 values as they are (each mini-batch gathered from a strided view of them),
 so its memory grows with the series' total length, O(S * T) for S series
-of T days.  The row-aligned ``inputs``, ``labels`` and ``rare_mask``
-arrays are built only when read.  In-sample forecasting keeps to the same
-bound: ``insample_forecast`` predicts ``_PREDICT_ROWS`` windows at a time
-and adds each block's forecasts into per-day running sums (or the median's
-by-offset table) before it reads the next, so its memory is O(T + block),
-not a copy of every window and every activation of the net.
+of T days; nothing builds a row per window.  In-sample forecasting keeps
+to the same bound: ``insample_forecast`` predicts ``_PREDICT_ROWS``
+windows at a time and adds each block's forecasts into per-day running
+sums (or the median's by-offset table) before it reads the next, so its
+memory is O(T + block), not a copy of every window and every activation
+of the net.  ``gradient_check`` alone takes rows as arrays, a few at a
+time.
 
 The forecaster itself is a small fully connected net implemented directly on
 numpy arrays: parameters live in one flat vector, gradients come from manual
@@ -59,14 +60,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TrainingDivergedError, ValidationError
+from .errors import TrainingDivergedError, ValidationError, check_size
 from .panel import EventCalendar, EventWindow
 
 __all__ = [
@@ -108,59 +108,33 @@ class RollingWindowConfig:
 
     def __post_init__(self):
         for name in ("lookback", "horizon", "stride"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, check_size(name, getattr(self, name)))
 
 
 class RollingWindows:
     """Rolling (input, label) windows of one or more series, held as index
     ranges rather than copies, on normalized values.
 
-    ``values`` is a private, read-only float32 array of the series laid end
-    to end, already normalized: (series - ``shift``) / ``scale``, the pair
-    training records on its model.  ``event_day`` flags the values that
-    fall inside an event window.  Window i reads its ``lookback`` inputs
-    from ``values`` at ``starts[i]`` and the ``horizon`` labels right after
-    them; no window runs from one series into the next.  The row-aligned
-    arrays ``inputs`` (n, lookback), ``labels`` (n, horizon) and
-    ``rare_mask`` (n, horizon), true where a label falls in an event
-    window, are built each time they are read, so only code that reads them
-    pays for a copy of every window.
-
-    ``RollingWindows(inputs, labels, rare_mask)`` holds given arrays, each
-    row a series of its own, as normalized values at (0.0, 1.0).  ``len()``
-    counts the windows, and indexing with rows returns those windows over
-    the same values.
+    ``values`` is a float32 array of the series laid end to end, already
+    normalized: (series - ``shift``) / ``scale``, the pair training records
+    on its model.  ``event_day`` flags the values that fall inside an event
+    window.  Window i reads its ``lookback`` inputs from ``values`` at
+    ``starts[i]`` and the ``horizon`` labels right after them; no window
+    runs from one series into the next.  The windows own the three arrays
+    they are given and make them read-only.  ``len()`` counts the windows,
+    and indexing with rows returns those windows over the same values.
     """
 
     __slots__ = ("values", "event_day", "starts", "lookback", "horizon", "shift", "scale")
 
-    def __init__(self, inputs, labels, rare_mask):
-        X = np.asarray(inputs, dtype=TRAIN_DTYPE)
-        Y = np.asarray(labels, dtype=TRAIN_DTYPE)
-        mask = np.asarray(rare_mask, dtype=bool)
-        if not (
-            X.ndim == Y.ndim == 2 and mask.shape == Y.shape and 1 <= len(X) == len(Y)
-            and min(X.shape[1], Y.shape[1]) >= 1
-        ):
-            raise ValidationError(
-                "windows need >= 1 row of 2-D inputs, labels and rare_mask that agree, "
-                f"got shapes {X.shape}, {Y.shape}, {mask.shape}"
-            )
-        n, M = X.shape
-        H = Y.shape[1]
-        self._hold(
-            np.concatenate([X, Y], axis=1).ravel(),
-            np.concatenate([np.zeros(X.shape, bool), mask], axis=1).ravel(),
-            np.arange(n) * (M + H), M, H, 0.0, 1.0,
-        )
-
-    @classmethod
-    def _over(cls, values, event_day, starts, lookback, horizon, shift, scale) -> RollingWindows:
-        """Windows at ``starts`` over ``values``, which they then own."""
-        windows = cls.__new__(cls)
-        windows._hold(values, event_day, starts, lookback, horizon, shift, scale)
-        return windows
+    def __init__(self, values, event_day, starts, lookback, horizon, shift, scale):
+        if starts.ndim != 1 or not len(starts):
+            raise ValidationError(f"windows need >= 1 row, got starts of shape {starts.shape}")
+        for array in (values, event_day, starts):
+            array.setflags(write=False)
+        self.values, self.event_day, self.starts = values, event_day, starts
+        self.lookback, self.horizon = lookback, horizon
+        self.shift, self.scale = shift, scale
 
     @classmethod
     def _joined(
@@ -186,38 +160,16 @@ class RollingWindows:
             pairs.append((part.shift, part.scale))
             first, M, H = last, part.lookback, part.horizon
             del part  # before the next part is read
-        return cls._over(values, event_day, starts[:n], M, H, 0.0, 1.0), pairs
-
-    def _hold(self, values, event_day, starts, lookback, horizon, shift, scale):
-        if starts.ndim != 1 or not len(starts):
-            raise ValidationError(f"windows need >= 1 row, got starts of shape {starts.shape}")
-        for array in (values, event_day, starts):
-            array.setflags(write=False)
-        self.values, self.event_day, self.starts = values, event_day, starts
-        self.lookback, self.horizon = lookback, horizon
-        self.shift, self.scale = shift, scale
+        return cls(values, event_day, starts[:n], M, H, 0.0, 1.0), pairs
 
     def __len__(self) -> int:
         return len(self.starts)
 
     def __getitem__(self, rows) -> RollingWindows:
-        starts = np.array(self.starts[rows])
-        return RollingWindows._over(
-            self.values, self.event_day, starts, self.lookback, self.horizon,
-            self.shift, self.scale,
+        return RollingWindows(
+            self.values, self.event_day, np.array(self.starts[rows]), self.lookback,
+            self.horizon, self.shift, self.scale,
         )
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return sliding_window_view(self.values, self.lookback)[self.starts]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return sliding_window_view(self.values[self.lookback :], self.horizon)[self.starts]
-
-    @property
-    def rare_mask(self) -> np.ndarray:
-        return sliding_window_view(self.event_day[self.lookback :], self.horizon)[self.starts]
 
 
 @dataclass(frozen=True)
@@ -250,9 +202,10 @@ class ForecasterArch:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValidationError(f"hidden sizes must be positive, got {self.hidden_sizes}")
+        sizes = tuple(check_size("hidden_sizes", h) for h in self.hidden_sizes)
+        if not sizes:
+            raise ValidationError("hidden_sizes must hold at least one layer size")
+        object.__setattr__(self, "hidden_sizes", sizes)
         if self.activation not in ("relu", "tanh"):
             raise ValidationError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
 
@@ -266,10 +219,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, check_size(name, getattr(self, name)))
         for name in ("learning_rate", "final_learning_rate"):
             rate = getattr(self, name)
             if rate is not None and not (math.isfinite(rate) and rate > 0):
@@ -315,11 +266,12 @@ class TrainedForecaster:
 
     def __post_init__(self):
         sizes = tuple(self.layer_sizes)
-        if len(sizes) < 2 or not all(
-            isinstance(s, numbers.Real) and s >= 1 and float(s).is_integer() for s in sizes
-        ):
-            raise ValidationError(f"bad layer sizes {sizes}")
-        self.layer_sizes = tuple(int(s) for s in sizes)
+        try:
+            self.layer_sizes = tuple(check_size("layer_sizes", s) for s in sizes)
+        except ValidationError as exc:
+            raise ValidationError(f"bad layer sizes {sizes}: {exc}") from None
+        if len(sizes) < 2:
+            raise ValidationError(f"bad layer sizes {sizes}: a net needs an input and an output")
         if self.activation not in ("relu", "tanh"):
             raise ValidationError(f"bad activation {self.activation!r}")
         theta = np.asarray(self.theta, dtype=float)
@@ -441,9 +393,7 @@ def build_rolling_windows(
     values = np.empty(len(x), TRAIN_DTYPE)
     np.subtract(x, shift, out=values)
     values /= scale
-    return RollingWindows._over(
-        values, days, starts, config.lookback, config.horizon, shift, scale
-    )
+    return RollingWindows(values, days, starts, config.lookback, config.horizon, shift, scale)
 
 
 def _weighted_error(diff: np.ndarray, wv, distance: str):
@@ -770,13 +720,18 @@ def extract_effect(
 
 def gradient_check(
     model: TrainedForecaster,
-    windows: RollingWindows,
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    rare_mask: np.ndarray,
     loss_cfg: AdaptiveLossConfig,
     epsilon: float = 1e-6,
 ) -> float:
     """Max relative error between analytic and central-difference gradients
-    of the adaptive loss summed over the windows' rows, on the normalized
-    values the windows hold (the model's own shift and scale are not used).
+    of the adaptive loss summed over n rows of normalized values: (n,
+    lookback) ``inputs``, (n, horizon) ``labels`` and an (n, horizon)
+    ``rare_mask``, true where a label falls in an event window.  Inputs
+    and labels are rounded to ``TRAIN_DTYPE``, as training reads them; the
+    model's own shift and scale are not used.
 
     Each parameter is perturbed by +/- epsilon.  Perturbations that flip a
     relu preactivation sign or an absolute-error residual sign straddle a
@@ -785,8 +740,20 @@ def gradient_check(
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    X, Y = windows.inputs, windows.labels
-    wv = np.where(windows.rare_mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
+    X = np.asarray(inputs, dtype=TRAIN_DTYPE)
+    Y = np.asarray(labels, dtype=TRAIN_DTYPE)
+    mask = np.asarray(rare_mask, dtype=bool)
+    if not (X.ndim == Y.ndim == 2 and mask.shape == Y.shape and 1 <= len(X) == len(Y)):
+        raise ValidationError(
+            "gradient_check needs >= 1 row of 2-D inputs, labels and rare_mask that agree, "
+            f"got shapes {X.shape}, {Y.shape}, {mask.shape}"
+        )
+    if (X.shape[1], Y.shape[1]) != (model.lookback, model.horizon):
+        raise ValidationError(
+            f"rows of {X.shape[1]} inputs and {Y.shape[1]} labels do not fit the model's "
+            f"lookback {model.lookback} and horizon {model.horizon}"
+        )
+    wv = np.where(mask, loss_cfg.rare_weight, loss_cfg.nonrare_weight)
     sizes = model.layer_sizes
     act = model.activation
 

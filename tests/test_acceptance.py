@@ -188,15 +188,13 @@ def test_criterion_8_gradient_correctness(capsys):
             shift=0.0,
             scale=1.0,
         )
-        sample = el.RollingWindows(
-            inputs=rng.normal(0.0, 1.0, size=lookback)[None, :],
-            labels=rng.normal(0.0, 1.0, size=horizon)[None, :],
-            rare_mask=(rng.random(horizon) < 0.3)[None, :],
-        )
+        inputs = rng.normal(0.0, 1.0, size=lookback)[None, :]
+        labels = rng.normal(0.0, 1.0, size=horizon)[None, :]
+        rare_mask = (rng.random(horizon) < 0.3)[None, :]
         cfg = el.AdaptiveLossConfig(
             rare_weight=0.1, nonrare_weight=1.0, distance=distance
         )
-        worst = max(worst, el.gradient_check(model, sample, cfg))
+        worst = max(worst, el.gradient_check(model, inputs, labels, rare_mask, cfg))
     ok = worst < 1e-4
     announce(
         capsys, 8, "analytic gradients match finite differences", ok,

@@ -2,6 +2,7 @@ import datetime
 import inspect
 import json
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,6 +507,24 @@ class TestForecasterCommands:
         )
         assert code == 2
         assert f"error: {model}: bad model entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sid", ["a/b", "a\0b"], ids=["separator", "nul"])
+    def test_train_rejects_an_id_that_cannot_name_a_file_before_training(
+        self, sim_dir, tmp_path, capsys, sid
+    ):
+        panel = tmp_path / "panel.csv"
+        text = (sim_dir / "panel.csv").read_text(encoding="utf-8")
+        panel.write_text(text.replace("\ns000,", f"\n{sid},"), encoding="utf-8")
+        out = tmp_path / "out"
+        with mock.patch.object(el.forecaster, "train", side_effect=AssertionError("trained")):
+            code = run_command(
+                ["train", "--panel", str(panel), "--calendar", str(sim_dir / "calendar.csv"),
+                 "--series", sid, "--lookback", "10", "--horizon", "5", "--seed", "1",
+                 "--out", str(out)]
+            )
+        assert code == 2
+        assert f"error: series {sid!r} cannot name a model file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_baseline_df_ar1_predictor(self, sim_dir, tmp_path, capsys):

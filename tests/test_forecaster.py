@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -56,6 +56,19 @@ def normalized(x):
     return (x - shift).astype(np.float32) / np.float32(scale), (shift, scale)
 
 
+def window_rows(windows):
+    """The (n, lookback) inputs, (n, horizon) labels and (n, horizon) rare
+    mask of ``windows``, read from their values and event days at their
+    starts."""
+    view = np.lib.stride_tricks.sliding_window_view
+    M, H, starts = windows.lookback, windows.horizon, windows.starts
+    return (
+        view(windows.values, M)[starts],
+        view(windows.values[M:], H)[starts],
+        view(windows.event_day[M:], H)[starts],
+    )
+
+
 class TestRollingWindows:
     def test_window_count_and_indices(self):
         x = np.arange(10.0)
@@ -64,9 +77,10 @@ class TestRollingWindows:
         z, pair = normalized(x)
         assert len(windows) == 5
         assert (windows.shift, windows.scale) == pair == (4.5, 4.5)
-        assert windows.inputs[0].tolist() == z[0:4].tolist()
-        assert windows.labels[0].tolist() == z[4:6].tolist()
-        assert windows.labels[-1].tolist() == z[8:10].tolist()
+        inputs, labels, _ = window_rows(windows)
+        assert inputs[0].tolist() == z[0:4].tolist()
+        assert labels[0].tolist() == z[4:6].tolist()
+        assert labels[-1].tolist() == z[8:10].tolist()
 
     def test_stride_consuming_series_gives_one_sample(self):
         x = np.arange(10.0)
@@ -80,8 +94,9 @@ class TestRollingWindows:
         calendar = el.EventCalendar({"e": [el.EventWindow(t0=3, d=2)]})
         windows = el.build_rolling_windows(x, cfg, calendar)
         # event occupies indices 4 and 5
-        assert windows.rare_mask[0].tolist() == [True, True]
-        assert windows.rare_mask[2].tolist() == [False, False]
+        rare_mask = window_rows(windows)[2]
+        assert rare_mask[0].tolist() == [True, True]
+        assert rare_mask[2].tolist() == [False, False]
 
     def test_rare_mask_partial_overlap(self):
         x = np.arange(12.0)
@@ -89,14 +104,14 @@ class TestRollingWindows:
         calendar = el.EventCalendar({"e": [el.EventWindow(t0=4, d=2)]})
         windows = el.build_rolling_windows(x, cfg, calendar)
         # event occupies indices 5 and 6; window 0 labels indices 4 and 5
-        assert windows.rare_mask[0].tolist() == [False, True]
+        assert window_rows(windows)[2][0].tolist() == [False, True]
 
     def test_no_calendar_means_all_false(self):
         x = np.arange(10.0)
         windows = el.build_rolling_windows(
             x, el.RollingWindowConfig(lookback=4, horizon=2)
         )
-        assert not windows.rare_mask.any()
+        assert not windows.event_day.any()
 
     def test_row_selection_keeps_the_layout(self):
         windows = el.build_rolling_windows(
@@ -104,10 +119,13 @@ class TestRollingWindows:
         )
         head = windows[:3]
         assert isinstance(head, el.RollingWindows) and len(head) == 3
-        assert np.array_equal(head.inputs, windows.inputs[:3])
+        assert head.values is windows.values and head.event_day is windows.event_day
+        assert head.starts.tolist() == windows.starts[:3].tolist()
+        assert (head.lookback, head.horizon) == (windows.lookback, windows.horizon)
         assert (head.shift, head.scale) == (windows.shift, windows.scale)
         z, _ = normalized(np.arange(20.0))
-        assert windows[np.array([0, 2])].labels[:, 0].tolist() == z[[4, 6]].tolist()
+        labels = window_rows(windows[np.array([0, 2])])[1]
+        assert labels[:, 0].tolist() == z[[4, 6]].tolist()
 
     @pytest.mark.parametrize("rows", [3, np.array([], dtype=int), slice(5, 5)])
     def test_selection_of_no_window_row_rejected(self, rows):
@@ -125,29 +143,12 @@ class TestRollingWindows:
         assert not np.shares_memory(windows.values, x)
         assert not windows.values.flags.writeable
         x[:] = -1.0
-        assert windows.inputs[0].tolist() == z[0:4].tolist()
-
-    def test_given_arrays_are_held_as_normalized_values(self):
-        windows = el.RollingWindows(
-            np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]),
-            np.array([[True], [False]]),
-        )
-        assert (windows.shift, windows.scale) == (0.0, 1.0)
-        assert windows.values.dtype == np.float32
-        assert windows.labels[:, 0].tolist() == [5.0, 6.0]
+        assert window_rows(windows)[0][0].tolist() == z[0:4].tolist()
 
     def test_a_block_of_series_is_rejected(self):
         # a pool of series is joined from per-series windows, as train_pooled does
         with pytest.raises(ValidationError, match="need a single 1-D series"):
             el.build_rolling_windows(np.zeros((3, 17)), el.RollingWindowConfig(4, 2))
-
-    @pytest.mark.parametrize(
-        "inputs, labels, mask",
-        [((3,), (3, 2), (3, 2)), ((3, 4), (2, 2), (2, 2)), ((3, 4), (3, 2), (3, 3))],
-    )
-    def test_misaligned_arrays_rejected(self, inputs, labels, mask):
-        with pytest.raises(ValidationError):
-            el.RollingWindows(np.zeros(inputs), np.zeros(labels), np.zeros(mask, dtype=bool))
 
     def test_short_series_rejected(self):
         with pytest.raises(ValidationError):
@@ -172,10 +173,11 @@ def test_rolling_window_index_arithmetic(length, lookback, horizon, stride):
     assert len(windows) == (length - lookback - horizon) // stride + 1
     # the normalized days stay distinct, so each value names its day
     day = {v: t for t, v in enumerate(normalized(x)[0].tolist())}
-    label_starts = [day[v] for v in windows.labels[:, 0].tolist()]
+    inputs, labels, _ = window_rows(windows)
+    label_starts = [day[v] for v in labels[:, 0].tolist()]
     for i in range(len(windows)):
         assert label_starts[i] == i * stride + lookback
-        assert day[windows.inputs[i, 0].item()] == i * stride
+        assert day[inputs[i, 0].item()] == i * stride
     if stride == 1:
         covered = set()
         for label_start in label_starts:
@@ -248,10 +250,7 @@ def test_windows_and_insample_match_per_window_reference(
     windows = el.build_rolling_windows(x, cfg, calendar)
     z, pair = normalized(x)
     assert (windows.shift, windows.scale) == pair
-    for got, want in zip(
-        (windows.inputs, windows.labels, windows.rare_mask),
-        reference_windows(z, cfg, calendar),
-    ):
+    for got, want in zip(window_rows(windows), reference_windows(z, cfg, calendar)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, x)
@@ -637,7 +636,7 @@ class TestTrain:
             )
         with pytest.raises(TrainingDivergedError) as ref, np.errstate(all="ignore"):
             reference_train(
-                samples,
+                *window_rows(samples),
                 el.ForecasterArch(hidden_sizes=(16,), activation="relu"),
                 el.AdaptiveLossConfig(
                     rare_weight=1.0, nonrare_weight=1.0, distance="squared"
@@ -646,14 +645,6 @@ class TestTrain:
             )
         assert info.value.epoch == ref.value.epoch
 
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValidationError):
-            el.RollingWindows(
-                inputs=np.zeros((0, 4)),
-                labels=np.zeros((0, 2)),
-                rare_mask=np.zeros((0, 2), dtype=bool),
-            )
-
     @pytest.mark.parametrize("field", ["learning_rate", "final_learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.01])
     def test_rate_must_be_finite_and_positive(self, field, value):
@@ -661,6 +652,44 @@ class TestTrain:
         naming its field, not train until the loss turns NaN."""
         with pytest.raises(ValidationError, match=rf"^{field} must be finite and > 0"):
             el.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("lookback", lambda v: el.RollingWindowConfig(lookback=v)),
+        ("horizon", lambda v: el.RollingWindowConfig(horizon=v)),
+        ("stride", lambda v: el.RollingWindowConfig(stride=v)),
+        ("stride", lambda v: el.insample_forecast(constant_model([1.0, 2.0]), np.zeros(9), v)),
+        ("epochs", lambda v: el.TrainConfig(epochs=v)),
+        ("batch_size", lambda v: el.TrainConfig(batch_size=v)),
+        ("hidden_sizes", lambda v: el.ForecasterArch(hidden_sizes=(8, v))),
+        ("layer_sizes", lambda v: el.TrainedForecaster((2, v, 1), np.zeros(1), "relu", 0.0, 1.0)),
+        ("periods", lambda v: el.seasonal_decompose(np.zeros(40), [v], el.EventWindow(30, 2))),
+    ],
+    ids=["lookback", "horizon", "stride", "insample-stride", "epochs", "batch_size",
+         "hidden_sizes", "layer_sizes", "periods"],
+)
+@pytest.mark.parametrize(
+    "value", [1.5, 7.5, True, np.True_, "3"], ids=["1.5", "7.5", "True", "np.True_", "text"]
+)
+def test_sizes_must_be_whole_numbers(field, build, value):
+    """A fractional size must not be truncated, used as a float index or fail
+    later with a TypeError, and a bool is not a size; each is rejected
+    naming its field."""
+    with pytest.raises(ValidationError, match=rf"{field} must be a whole number, got"):
+        build(value)
+
+
+def test_numpy_integer_and_whole_float_sizes_become_ints():
+    sizes = [
+        *astuple(el.RollingWindowConfig(np.int64(9), np.int32(3), 2.0)),
+        *(getattr(el.TrainConfig(epochs=np.int64(4), batch_size=8.0), f)
+          for f in ("epochs", "batch_size")),
+        *el.ForecasterArch(hidden_sizes=(np.int16(5), 6.0)).hidden_sizes,
+    ]
+    assert sizes == [9, 3, 2, 4, 8, 5, 6]
+    assert all(type(size) is int for size in sizes)
 
 
 def _ref_layers(theta, layer_sizes):
@@ -711,12 +740,12 @@ def _ref_eta_and_grad(diff, distance):
     return diff**2, 2.0 * diff
 
 
-def reference_train(windows, arch, loss_cfg, train_cfg):
+def reference_train(X, Y, mask, arch, loss_cfg, train_cfg):
     """The allocating training loop that ``train`` replaced, in the same
-    float32 steps, on the windows' normalized values as they are: per-step
-    row gathers, fresh activations and gradients, and a new theta per step.
-    Returns (theta as float64, loss_history)."""
-    X, Y, mask = windows.inputs, windows.labels, windows.rare_mask
+    float32 steps, on float32 rows of normalized values as they are: the
+    (n, lookback) inputs ``X``, (n, horizon) labels ``Y`` and rare ``mask``.
+    Per-step row gathers, fresh activations and gradients, and a new theta
+    per step.  Returns (theta as float64, loss_history)."""
     layer_sizes = (X.shape[1], *arch.hidden_sizes, Y.shape[1])
 
     rng = np.random.default_rng(train_cfg.seed)
@@ -802,8 +831,9 @@ def test_train_matches_the_allocating_reference_bit_for_bit(
     )
     model = el.train(windows, arch, loss_cfg, train_cfg)
     z, pair = normalized(x)
-    reference = el.RollingWindows(*reference_windows(z, cfg, calendar))
-    theta, history = reference_train(reference, arch, loss_cfg, train_cfg)
+    theta, history = reference_train(
+        *reference_windows(z, cfg, calendar), arch, loss_cfg, train_cfg
+    )
     assert model.theta.tobytes() == theta.tobytes()
     assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
     assert (model.shift, model.scale) == pair
@@ -861,7 +891,7 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
         alone = el.train(w, arch, loss_cfg, train_cfg)
         z, pair = normalized(x)
         theta, history = reference_train(
-            el.RollingWindows(*reference_windows(z, cfg, calendar)), arch, loss_cfg, train_cfg
+            *reference_windows(z, cfg, calendar), arch, loss_cfg, train_cfg
         )
         for ref_theta, ref_history in ((alone.theta, alone.loss_history), (theta, history)):
             assert model.theta.tobytes() == ref_theta.tobytes()
@@ -947,14 +977,14 @@ class TestTrainStack:
 
 def hand_stacked(series_list, cfg, calendar):
     """Every series' windows, each series normalized by its own (shift,
-    scale) and by nothing else, concatenated; returns the stack and the
-    per-series pairs."""
+    scale) and by nothing else, concatenated; returns the stacked inputs,
+    labels and rare mask, and the per-series pairs."""
     parts, norms = [], []
     for x in series_list:
         z, pair = normalized(x)
         parts.append(reference_windows(z, cfg, calendar))
         norms.append(pair)
-    return el.RollingWindows(*(np.concatenate(cols) for cols in zip(*parts))), norms
+    return [np.concatenate(cols) for cols in zip(*parts)], norms
 
 
 @settings(max_examples=40, deadline=None)
@@ -981,7 +1011,7 @@ def test_train_pooled_is_train_on_the_hand_stacked_windows(
     stack, norms = hand_stacked(series_list, cfg, calendar)
     pooled_epochs = -(-epochs // len(series_list))
     theta, history = reference_train(
-        stack, arch, loss_cfg, replace(train_cfg, epochs=pooled_epochs)
+        *stack, arch, loss_cfg, replace(train_cfg, epochs=pooled_epochs)
     )
     assert len(models) == len(series_list)
     for model, pair in zip(models, norms):
@@ -1145,7 +1175,7 @@ def test_train_allocates_no_epoch_copy_of_the_windows():
     windows = el.build_rolling_windows(
         x, el.RollingWindowConfig(lookback=90, horizon=30), calendar
     )
-    window_bytes = windows.inputs.nbytes + windows.labels.nbytes + windows.rare_mask.nbytes
+    window_bytes = sum(rows.nbytes for rows in window_rows(windows))
     tracemalloc.start()
     try:
         el.train(windows, el.ForecasterArch(hidden_sizes=(8,)), el.AdaptiveLossConfig(),
@@ -1181,33 +1211,30 @@ class TestTrainingLossInvariance:
     """The loss a trained model's forecasts get, with training's fixed weights."""
 
     @staticmethod
-    def loss(model, windows, loss_cfg):
-        # the net on the normalized values the windows hold
+    def loss(model, inputs, labels, rare_mask, loss_cfg):
+        # the net on the normalized values of the windows' rows
         net = replace(model, shift=0.0, scale=1.0)
         weighted, _ = _weighted_error(
-            net.predict(windows.inputs) - windows.labels,
-            fixed_weights(windows.rare_mask, loss_cfg),
-            loss_cfg.distance,
+            net.predict(inputs) - labels, fixed_weights(rare_mask, loss_cfg), loss_cfg.distance
         )
         return weighted.sum(axis=1).mean()
 
     def test_rare_labels_are_invisible_at_zero_weight(self):
         model, samples, x, cfg = quick_train()
         calendar = el.EventCalendar({"e": [el.EventWindow(t0=20, d=3)]})
-        masked = el.build_rolling_windows(x, cfg, calendar)
+        inputs, labels, rare_mask = window_rows(el.build_rolling_windows(x, cfg, calendar))
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
-        base = self.loss(model, masked, loss_cfg)
-        labels = masked.labels.copy()
-        labels[masked.rare_mask] += 1e6
-        perturbed = el.RollingWindows(masked.inputs, labels, masked.rare_mask)
-        assert self.loss(model, perturbed, loss_cfg) == base
+        base = self.loss(model, inputs, labels, rare_mask, loss_cfg)
+        labels = labels.copy()
+        labels[rare_mask] += 1e6
+        assert self.loss(model, inputs, labels, rare_mask, loss_cfg) == base
 
     def test_nonrare_labels_do_move_the_loss(self):
         model, samples, x, cfg = quick_train()
         loss_cfg = el.AdaptiveLossConfig(rare_weight=0.0, nonrare_weight=1.0)
-        base = self.loss(model, samples, loss_cfg)
-        bumped = el.RollingWindows(samples.inputs, samples.labels + 1.0, samples.rare_mask)
-        assert self.loss(model, bumped, loss_cfg) != base
+        inputs, labels, rare_mask = window_rows(samples)
+        base = self.loss(model, inputs, labels, rare_mask, loss_cfg)
+        assert self.loss(model, inputs, labels + 1.0, rare_mask, loss_cfg) != base
 
 
 class TestInsampleForecast:
@@ -1310,15 +1337,13 @@ class TestGradientCheck:
             shift=0.0,
             scale=1.0,
         )
-        sample = el.RollingWindows(
-            inputs=rng.normal(size=6)[None, :],
-            labels=rng.normal(size=3)[None, :],
-            rare_mask=np.array([[True, False, False]]),
-        )
+        inputs = rng.normal(size=6)[None, :]
+        labels = rng.normal(size=3)[None, :]
         cfg = el.AdaptiveLossConfig(
             rare_weight=0.3, nonrare_weight=1.0, distance="squared"
         )
-        assert el.gradient_check(model, sample, cfg) < 1e-4
+        rare_mask = np.array([[True, False, False]])
+        assert el.gradient_check(model, inputs, labels, rare_mask, cfg) < 1e-4
 
     def test_relu_and_absolute_distance_with_kink_filter(self):
         rng = np.random.default_rng(1)
@@ -1330,35 +1355,80 @@ class TestGradientCheck:
             shift=0.0,
             scale=1.0,
         )
-        sample = el.RollingWindows(
-            inputs=rng.normal(size=5)[None, :],
-            labels=rng.normal(size=2)[None, :],
-            rare_mask=np.array([[False, True]]),
-        )
+        inputs = rng.normal(size=5)[None, :]
+        labels = rng.normal(size=2)[None, :]
         cfg = el.AdaptiveLossConfig(rare_weight=0.5, nonrare_weight=1.0)
-        assert el.gradient_check(model, sample, cfg) < 1e-4
+        rare_mask = np.array([[False, True]])
+        assert el.gradient_check(model, inputs, labels, rare_mask, cfg) < 1e-4
 
     def test_zero_gradient_at_perfect_fit(self):
         model = constant_model([2.0, 3.0], lookback=2)
-        sample = el.RollingWindows(
-            inputs=np.zeros((1, 2)),
-            labels=np.array([[2.0, 3.0]]),
-            rare_mask=np.array([[False, False]]),
-        )
         cfg = el.AdaptiveLossConfig(
             rare_weight=1.0, nonrare_weight=1.0, distance="squared"
         )
-        assert el.gradient_check(model, sample, cfg) < 1e-6
+        check = el.gradient_check(
+            model, np.zeros((1, 2)), np.array([[2.0, 3.0]]), np.array([[False, False]]), cfg
+        )
+        assert check < 1e-6
+
+    def test_given_arrays_are_rounded_to_float32(self):
+        """Rows are checked in training's precision: float64 rows give the
+        bits of their float32 rounding."""
+        rng = np.random.default_rng(2)
+        layer_sizes = (4, 5, 2)
+        model = el.TrainedForecaster(
+            layer_sizes=layer_sizes,
+            theta=rng.normal(0, 0.5, size=el.parameter_count(layer_sizes)),
+            activation="tanh",
+            shift=0.0,
+            scale=1.0,
+        )
+        inputs, labels = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
+        rare_mask = rng.random((3, 2)) < 0.5
+        cfg = el.AdaptiveLossConfig(distance="squared")
+        rounded = [a.astype(np.float32) for a in (inputs, labels)]
+        assert not np.array_equal(rounded[0], inputs)
+        assert el.gradient_check(model, inputs, labels, rare_mask, cfg) == el.gradient_check(
+            model, *rounded, rare_mask, cfg
+        )
 
     def test_epsilon_must_be_positive(self):
-        model = constant_model([1.0])
-        sample = el.RollingWindows(
-            inputs=np.zeros((1, 1)),
-            labels=np.zeros((1, 1)),
-            rare_mask=np.array([[False]]),
-        )
-        with pytest.raises(ValidationError):
-            el.gradient_check(model, sample, el.AdaptiveLossConfig(), epsilon=0.0)
+        with pytest.raises(ValidationError, match="epsilon must be > 0"):
+            el.gradient_check(
+                constant_model([1.0]), np.zeros((1, 1)), np.zeros((1, 1)),
+                np.array([[False]]), el.AdaptiveLossConfig(), epsilon=0.0,
+            )
+
+    @pytest.mark.parametrize(
+        "inputs, labels, mask",
+        [((3,), (3, 2), (3, 2)), ((3, 4), (2, 2), (2, 2)), ((3, 4), (3, 2), (3, 3))],
+    )
+    def test_misaligned_arrays_rejected(self, inputs, labels, mask):
+        with pytest.raises(ValidationError, match="that agree, got shapes"):
+            el.gradient_check(
+                constant_model([0.0, 0.0], lookback=4), np.zeros(inputs), np.zeros(labels),
+                np.zeros(mask, dtype=bool), el.AdaptiveLossConfig(),
+            )
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValidationError, match="needs >= 1 row"):
+            el.gradient_check(
+                constant_model([0.0, 0.0], lookback=4), np.zeros((0, 4)), np.zeros((0, 2)),
+                np.zeros((0, 2), dtype=bool), el.AdaptiveLossConfig(),
+            )
+
+    @pytest.mark.parametrize("lookback, horizon", [(3, 2), (4, 3)])
+    def test_rows_must_fit_the_model(self, lookback, horizon):
+        with pytest.raises(
+            ValidationError,
+            match=rf"rows of {lookback} inputs and {horizon} labels do not fit the model's "
+            r"lookback 4 and horizon 2",
+        ):
+            el.gradient_check(
+                constant_model([0.0, 0.0], lookback=4), np.zeros((2, lookback)),
+                np.zeros((2, horizon)), np.zeros((2, horizon), dtype=bool),
+                el.AdaptiveLossConfig(),
+            )
 
 
 class TestModelSerialization:
