@@ -13,11 +13,15 @@ run on (``montecarlo._available_cpus``, the cap ``run_replications`` uses).
 The calling process trains the first group and a forked child each other
 one, all of them stack by stack as a single group would; the children send
 their trained nets back over a pipe, and the caller forecasts every row.
-Each net gets the bits of training it alone, so the controls are the same
-bytes on any number of CPUs.  There is one group, and no fork, on one CPU,
-for one row, where ``os.fork`` is missing or the platform is not Linux, and
-while another Python thread is alive, because a forked child would inherit
-any lock that thread holds, held.
+Given other work to do meanwhile (``alongside``), the caller does that
+instead of training a group, and every group trains in a child, a lone row
+too.  Each net gets the bits of training it alone, so the controls are the
+same bytes on any number of CPUs.  Nothing forks, and the caller trains
+every row in one group (after any ``alongside`` work), on one CPU, where
+``os.fork`` is missing or the platform is not Linux, and while another
+Python thread is alive, because a forked child would inherit any lock that
+thread holds, held; without ``alongside`` work, one row does not fork
+either.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,6 +70,8 @@ def direct_forecast(
     arch: ForecasterArch | None = None,
     train_cfg: TrainConfig | Sequence[TrainConfig] | None = None,
     predictor: str = "mlp",
+    *,
+    alongside: Callable[[], object] | None = None,
 ) -> np.ndarray:
     """Train on data up to the window start only, then forecast into it.
 
@@ -79,7 +85,14 @@ def direct_forecast(
     own net: ``train_cfg`` is one config for every row or a sequence of one
     per row.  The rows split into one contiguous group per available CPU
     (see the module docstring): this process trains the first group, a
-    forked child each other one.  Each group trains in lock-step stacks of
+    forked child each other one.  ``alongside``, a callable taking no
+    argument, is work for this process while the children train: when it is
+    given, every group (a lone row too) trains in a forked child, and this
+    process calls ``alongside()`` and then collects the groups in row order.
+    Where nothing can fork, and for ``"ar1"``, ``alongside()`` runs first and
+    then the rows in this process.  Its result is dropped, and its error is
+    raised before any of this call's own, validation errors included, the
+    children then being killed.  Each group trains in lock-step stacks of
     at most ``_STACK_NETS`` (``forecaster._train_stack``), each stack filled
     one series at a time (its windows are offsets into its days up to t0),
     so a process holds one stack's buffers at a time, and row i gets the
@@ -95,34 +108,42 @@ def direct_forecast(
     forecast after it.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValidationError("direct_forecast expects a 1-D series or a 2-D block of them")
-    rows = x.reshape(-1, x.shape[-1])
     t0 = window.t0
     M, H = config.lookback, config.horizon
-    if window.d > H:
-        raise ValidationError(
-            f"window size d={window.d} exceeds forecast horizon H={H}"
-        )
-    if t0 + 1 >= rows.shape[1]:
-        raise ValidationError(
-            f"window t0={t0} leaves no day to forecast in a series of length {rows.shape[1]}"
-        )
+    try:
+        if x.ndim not in (1, 2):
+            raise ValidationError("direct_forecast expects a 1-D series or a 2-D block of them")
+        rows = x.reshape(-1, x.shape[-1])
+        if window.d > H:
+            raise ValidationError(
+                f"window size d={window.d} exceeds forecast horizon H={H}"
+            )
+        if t0 + 1 >= rows.shape[1]:
+            raise ValidationError(
+                f"window t0={t0} leaves no day to forecast in a series of length {rows.shape[1]}"
+            )
+        if predictor not in ("mlp", "ar1"):
+            raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
+        if predictor == "mlp":
+            if t0 < M + H:
+                raise ValidationError(
+                    f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
+                )
+            if train_cfg is None or isinstance(train_cfg, TrainConfig):
+                cfgs = [train_cfg or TrainConfig()] * len(rows)
+            else:
+                cfgs = list(train_cfg)
+                if len(cfgs) != len(rows):
+                    raise ValidationError(f"{len(cfgs)} training configs for {len(rows)} series")
+    except ValidationError:
+        if alongside is not None:
+            alongside()  # its own error comes first, as when it ran before this call
+        raise
     if predictor == "ar1":
+        if alongside is not None:
+            alongside()
         windows = [EventWindow(t0, H)]
         return np.stack([recursive_control(row, windows) for row in rows]).reshape(x.shape)
-    if predictor != "mlp":
-        raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
-    if t0 < M + H:
-        raise ValidationError(
-            f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
-        )
-    if train_cfg is None or isinstance(train_cfg, TrainConfig):
-        cfgs = [train_cfg or TrainConfig()] * len(rows)
-    else:
-        cfgs = list(train_cfg)
-        if len(cfgs) != len(rows):
-            raise ValidationError(f"{len(cfgs)} training configs for {len(rows)} series")
     arch = arch or ForecasterArch()
     uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
 
@@ -140,7 +161,8 @@ def direct_forecast(
                 raise TrainingDivergedError(exc.epoch, exc.loss, first + exc.net) from exc
         return models
 
-    models = [m for group in _forked_map(train_group, _row_groups(len(rows))) for m in group]
+    groups = _row_groups(len(rows), alongside is not None)
+    models = [m for group in _forked_map(train_group, groups, alongside) for m in group]
     control = np.full(rows.shape, np.nan)
     stop = min(t0 + 1 + H, rows.shape[1])
     for row, out, model in zip(rows, control, models):
@@ -152,27 +174,34 @@ def direct_forecast(
     return control.reshape(x.shape)
 
 
-def _row_groups(n_rows: int) -> list[range]:
+def _row_groups(n_rows: int, alongside: bool = False) -> list[range]:
     """Contiguous groups of ``n_rows`` rows, one per CPU this process may run
     on, the earlier ones one row larger when they do not divide evenly; a
-    single group where the module docstring says no fork happens."""
+    single group where the module docstring says no fork happens.  With
+    ``alongside``, wherever a fork can happen, an empty group leads: the
+    calling process, which runs the first group, then trains no row, and
+    every row trains in a child, a lone row too."""
     can_fork = (
-        n_rows > 1 and hasattr(os, "fork") and sys.platform.startswith("linux")
+        n_rows > 0 and hasattr(os, "fork") and sys.platform.startswith("linux")
         and threading.active_count() == 1
     )
-    n = min(montecarlo._available_cpus(), n_rows) if can_fork else 1
+    cpus = montecarlo._available_cpus() if can_fork else 1
+    n = max(1, min(cpus, n_rows))
     bounds = [-(-n_rows * g // n) for g in range(n + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    groups = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    return [range(0, 0), *groups] if alongside and cpus > 1 else groups
 
 
-def _forked_map(fn, groups: Sequence[range]) -> list:
+def _forked_map(fn, groups: Sequence[range], alongside: Callable[[], object] | None = None) -> list:
     """``[fn(group) for group in groups]``, the first group in this process
     and each other in a forked child, whose result comes back pickled over a
-    pipe.  The first failing group in order raises, as a serial loop would
-    meet it: a child's exception is raised as it crossed the pipe, and a
-    child that leaves no result is a ``RuntimeError`` naming its rows.  No
-    child outlives the call: each is reaped on the way out, and one whose
-    result is still unread is killed first."""
+    pipe.  ``alongside()``, when given, runs in this process once the
+    children are forked and before the first group, so its error is raised
+    before any group's.  Then the first failing group in order raises, as a
+    serial loop would meet it: a child's exception is raised as it crossed
+    the pipe, and a child that leaves no result is a ``RuntimeError`` naming
+    its rows.  No child outlives the call: each is reaped on the way out,
+    and one whose result is still unread is killed first."""
     workers = []  # (pid, the read end of its pipe), one per forked group
     try:
         for group in groups[1:]:
@@ -193,6 +222,8 @@ def _forked_map(fn, groups: Sequence[range]) -> list:
                 _child_main(fn, group, write_fd)
             os.close(write_fd)
             workers.append((pid, open(read_fd, "rb")))
+        if alongside is not None:
+            alongside()
         results = [fn(groups[0])]
         for (_, pipe), group in zip(workers, groups[1:]):
             with pipe:

@@ -24,6 +24,15 @@ is the prediction target and all earlier ones are training years:
 * SD: decompose the series (weekly + annual by default); the fitted values
   including the annual component are the predicted total.
 
+The pooled net trains in this process as the first event's
+``direct_forecast`` ``alongside`` work: where DF can fork (Linux, more than
+one CPU, no other Python thread), each of its row groups, a lone series'
+too, trains in a forked child meanwhile, so no CPU idles while "ours"
+trains; elsewhere the pooled net trains first and then DF, in this process.
+The report is the same bytes either way, and a pooled-net divergence is
+raised before any DF error, as when the pooled net trained first.  With no
+event to evaluate, nothing trains.
+
 Before anything trains, every event's occurrences, the decomposition
 periods, every (series, occurrence) scale and every target window's observed
 days (``evaluate_mape`` needs them nonzero) are checked, so an input the run
@@ -129,7 +138,11 @@ def evaluate_panel(
             except ValidationError as exc:
                 raise ValidationError(f"series {sid!r}, event {name!r}: {exc}") from exc
 
-    models = train_pooled(all_series, fw_config, calendar, arch, loss_cfg, train_cfg)
+    models = []
+
+    def train_ours():
+        models.extend(train_pooled(all_series, fw_config, calendar, arch, loss_cfg, train_cfg))
+
     df_cfgs = [
         replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
         for i in range(panel.n_series)
@@ -137,8 +150,13 @@ def evaluate_panel(
     df_controls = {}
     for name, target in targets.items():
         try:
-            df_controls[name] = direct_forecast(panel.values, target, fw_config, arch, df_cfgs)
+            df_controls[name] = direct_forecast(
+                panel.values, target, fw_config, arch, df_cfgs,
+                alongside=None if models else train_ours,
+            )
         except TrainingDivergedError as exc:
+            if not models:  # the pooled net's own, raised before any DF error
+                raise
             raise TrainingDivergedError(
                 exc.epoch, exc.loss, f"DF of series {panel.series_ids[exc.net]!r}"
             ) from exc

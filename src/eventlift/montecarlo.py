@@ -56,7 +56,7 @@ from .ar import (
     fit_ar1_ols,
     forecast_counterfactual,
 )
-from .errors import ValidationError
+from .errors import ValidationError, check_size
 from .panel import ARProcessSpec, EventWindow, as_effect_vector, simulate_ar1_panel
 from .panel import stationary_variance
 
@@ -106,10 +106,8 @@ class MCConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        if self.n_series < 1:
-            raise ValidationError(f"n_series must be >= 1, got {self.n_series}")
-        if self.replications < 1:
-            raise ValidationError(f"replications must be >= 1, got {self.replications}")
+        object.__setattr__(self, "n_series", check_size("n_series", self.n_series))
+        object.__setattr__(self, "replications", check_size("replications", self.replications))
         if self.t0 < 1 or self.t0 > self.window.t0:
             raise ValidationError(
                 f"fit range t0={self.t0} must be in [1, window.t0={self.window.t0}]"
@@ -186,7 +184,10 @@ def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
 
 def _available_cpus() -> int:
     """CPUs this process may run on: the cap on ``run_replications``'
-    threads and on ``baselines.direct_forecast``'s training groups."""
+    threads and the number of ``baselines.direct_forecast``'s training
+    groups.  Given ``alongside`` work, DF forks a child for every group and
+    the caller does that work, so up to one more process than this count is
+    busy at once (``evaluate_panel``'s pooled net beside its DF nets)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

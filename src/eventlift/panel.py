@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_size
 
 __all__ = [
     "ARProcessSpec",
@@ -164,10 +164,8 @@ class EventWindow:
     d: int
 
     def __post_init__(self):
-        if self.t0 < 1:
-            raise ValidationError(f"window t0 must be >= 1, got {self.t0}")
-        if self.d < 1:
-            raise ValidationError(f"window size d must be >= 1, got {self.d}")
+        object.__setattr__(self, "t0", check_size("window t0", self.t0))
+        object.__setattr__(self, "d", check_size("window size d", self.d))
 
     @property
     def indices(self) -> range:

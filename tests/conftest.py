@@ -4,6 +4,7 @@ end-to-end comparison tests."""
 from __future__ import annotations
 
 import datetime
+import os
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def make_retail_panel(
     ]
     calendar = el.EventCalendar({"holiday": windows})
     return panel, calendar, np.stack(true_effects)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts this process's ``os.fork`` calls."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

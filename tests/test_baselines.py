@@ -238,20 +238,6 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts this process's ``os.fork`` calls."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="DF forks only on Linux")
 class TestDirectForecastGroups:
     """DF's rows split into one contiguous group per CPU: this process
@@ -281,6 +267,14 @@ class TestDirectForecastGroups:
         assert baselines._row_groups(2) == [range(0, 1), range(1, 2)]
         assert baselines._row_groups(1) == [range(0, 1)]
         assert baselines._row_groups(0) == [range(0, 0)]
+        # with work alongside, the caller's group is empty and a lone row forks
+        assert baselines._row_groups(8, alongside=True) == [
+            range(0, 0), range(0, 3), range(3, 6), range(6, 8)
+        ]
+        assert baselines._row_groups(1, alongside=True) == [range(0, 0), range(0, 1)]
+        assert baselines._row_groups(0, alongside=True) == [range(0, 0)]
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        assert baselines._row_groups(8, alongside=True) == [range(0, 8)]
 
     def test_an_empty_block_trains_nothing_and_forks_nothing(self, forks, monkeypatch):
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
@@ -358,6 +352,60 @@ class TestDirectForecastGroups:
         assert forks == []
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
         assert result["control"].tobytes() == self.run(x).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_every_group_forks_while_this_process_runs_the_work_alongside(
+        self, rows, forks, monkeypatch
+    ):
+        """Given work alongside, every group trains in a child, a lone row
+        too, and the work runs here, once; on one CPU nothing forks.  The
+        controls are the bytes of the call without it."""
+        x = self.setup.block(rows)
+        cfgs = self.setup.train_cfgs(rows)
+        expected = self.run(x, cfgs).tobytes()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+            forks.clear()
+            ran = []
+            control = el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs,
+                                         alongside=lambda: ran.append(os.getpid()))
+            assert control.tobytes() == expected
+            assert ran == [os.getpid()]
+            assert len(forks) == (0 if cpus == 1 else min(cpus, rows))
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_work_alongside_raises_before_any_error_of_the_call(self, cpus, monkeypatch):
+        """Its error comes first, before a divergence in a group and before
+        a rejected input, as when it ran before the call."""
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+
+        def fail():
+            raise RuntimeError("the work alongside failed")
+
+        x = self.setup.block(3)
+        x[1, 30] = 1e300
+        with pytest.raises(RuntimeError, match="alongside failed"), np.errstate(all="ignore"):
+            el.direct_forecast(x, self.window, self.cfg, self.arch,
+                               self.setup.train_cfgs(3), alongside=fail)
+        assert_no_child_left()
+        with pytest.raises(RuntimeError, match="alongside failed"):
+            el.direct_forecast(x, el.EventWindow(t0=5, d=3), self.cfg, alongside=fail)
+        ran = []
+        with pytest.raises(ValidationError, match="need t0 >= lookback"):
+            el.direct_forecast(x, el.EventWindow(t0=5, d=3), self.cfg,
+                               alongside=lambda: ran.append(1))
+        assert ran == [1]
+
+    def test_ar1_runs_the_work_alongside_first(self, forks):
+        x = self.setup.block(2)
+        ran = []
+        control = el.direct_forecast(x, self.window, self.cfg, predictor="ar1",
+                                     alongside=lambda: ran.append(1))
+        assert ran == [1] and forks == []
+        assert control.tobytes() == el.direct_forecast(
+            x, self.window, self.cfg, predictor="ar1"
+        ).tobytes()
 
 
 def loop_moving_average(x, period):

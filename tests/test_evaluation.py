@@ -1,5 +1,7 @@
 import os
+import pickle
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -210,10 +212,10 @@ class TestEvaluatePanel:
         with pytest.raises(TrainingDivergedError, match="epoch 4 for net DF of series 's001'"):
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
 
-    def test_df_divergence_in_a_forked_worker_names_the_series(self, monkeypatch):
-        """On two CPUs, s001's DF net trains in a forked child; its real float32
-        overflow is named by the series.  The pooled net, which would diverge
-        on the spike first, is not trained."""
+    def test_df_divergence_in_a_forked_worker_names_the_series(self, forks, monkeypatch):
+        """On two CPUs, each series' DF net trains in a forked child; s001's
+        real float32 overflow is named by the series.  The pooled net, which
+        would diverge on the spike first, is not trained."""
         from eventlift import evaluation, montecarlo
 
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
@@ -225,8 +227,56 @@ class TestEvaluatePanel:
         with pytest.raises(TrainingDivergedError, match="for net DF of series 's001'"), \
                 np.errstate(all="ignore"):
             el.evaluate_panel(panel, calendar, **tiny_kwargs())
+        assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_pooled_divergence_beside_the_df_workers_is_raised_first(self, forks, monkeypatch):
+        """A spike after the target's t0 makes the pooled net overflow but not
+        the DF nets, which train on the days up to t0 in forked children
+        meanwhile: the pooled net's own error is raised, not named as a DF
+        net's, and no child is left."""
+        from eventlift import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        panel, calendar = tiny_setup()
+        values = panel.values.copy()
+        values[1, 200] = 1e300
+        panel = el.PanelSeries(values)
+        with pytest.raises(TrainingDivergedError) as info, np.errstate(all="ignore"):
+            el.evaluate_panel(panel, calendar, **tiny_kwargs())
+        assert re.fullmatch(r"training diverged at epoch \d+ for net 0: loss=\w+", str(info.value))
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pooled_net_trains_here_while_the_first_event_df_runs(self, monkeypatch):
+        """``train_pooled`` runs as the first event's ``direct_forecast``'s
+        ``alongside``, and both are called in this process."""
+        from eventlift import evaluation, montecarlo
+
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+        calls = []
+        train_pooled, direct_forecast = evaluation.train_pooled, evaluation.direct_forecast
+
+        def pooled(*args):
+            calls.append(("pooled", os.getpid()))
+            return train_pooled(*args)
+
+        def df(*args, **kwargs):
+            calls.append(("DF", os.getpid()))
+            control = direct_forecast(*args, **kwargs)
+            calls.append(("DF done", os.getpid()))
+            return control
+
+        monkeypatch.setattr(evaluation, "train_pooled", pooled)
+        monkeypatch.setattr(evaluation, "direct_forecast", df)
+        panel, calendar = tiny_setup()
+        calendar = el.EventCalendar({"promo": calendar.occurrences("promo"),
+                                     "sale": calendar.occurrences("promo")})
+        el.evaluate_panel(panel, calendar, **tiny_kwargs())
+        assert [name for name, _ in calls] == ["DF", "pooled", "DF done", "DF", "DF done"]
+        assert {pid for _, pid in calls} == {os.getpid()}
 
     def test_event_name_filter(self):
         panel, calendar = tiny_setup()
@@ -240,6 +290,36 @@ class TestEvaluatePanel:
     def test_empty_mean_mape_rejected(self):
         with pytest.raises(ValidationError):
             el.EvaluationReport().mean_mape()
+
+
+def report_bytes(report) -> bytes:
+    """Every number of the report, as bytes."""
+    return pickle.dumps([
+        (r.series_id, r.event, r.mape_sd, r.mape_df, r.mape_ours, r.predicted_effect.tobytes(),
+         r.observed.tobytes(), r.control_ours.tobytes(), r.ratios.tobytes(), r.scales.tobytes())
+        for r in report.results
+    ])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="DF forks only on Linux")
+@pytest.mark.parametrize("n_series", [2, 1], ids=["tiny", "one_series"])
+def test_report_bytes_do_not_depend_on_the_cpu_count(n_series, forks, monkeypatch):
+    """On one CPU nothing forks; on more, each DF group forks, a lone series
+    too, while this process trains the pooled net.  The report is the same
+    bytes every time."""
+    from eventlift import montecarlo
+
+    panel, calendar = tiny_setup()
+    panel = el.PanelSeries(panel.values[:n_series])
+    seen = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        forks.clear()
+        seen[cpus] = report_bytes(el.evaluate_panel(panel, calendar, **tiny_kwargs()))
+        assert len(forks) == (0 if cpus == 1 else min(cpus, n_series))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(set(seen.values())) == 1
 
 
 def df_reference_mapes(panel, calendar, fw_config, arch, train_cfg, **_):

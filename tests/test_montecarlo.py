@@ -50,6 +50,18 @@ class TestMCConfig:
         cfg = small_config(t0=50)
         assert cfg.t0 == 50
 
+    @pytest.mark.parametrize("field", ["n_series", "replications"])
+    def test_sizes_below_one_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be >= 1, got 0"):
+            small_config(**{field: 0})
+
+    @pytest.mark.parametrize("value", [2.5, True, np.True_, "3"],
+                             ids=["2.5", "True", "np.True_", "text"])
+    @pytest.mark.parametrize("field", ["n_series", "replications"])
+    def test_sizes_must_be_whole_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a whole number, got"):
+            small_config(**{field: value})
+
     def test_delta_length_enforced(self):
         with pytest.raises(ValidationError):
             small_config(delta=(1.0, 2.0))

@@ -134,10 +134,27 @@ class TestEventWindow:
             el.EventWindow(t0=4, d=3).check_fits(6)
 
     def test_invalid_params(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="window t0 must be >= 1, got 0"):
             el.EventWindow(t0=0, d=3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="window size d must be >= 1, got 0"):
             el.EventWindow(t0=4, d=0)
+
+    @pytest.mark.parametrize("value", [30.5, True, np.True_, "3"],
+                             ids=["30.5", "True", "np.True_", "text"])
+    @pytest.mark.parametrize("field, build", [
+        ("window t0", lambda v: el.EventWindow(t0=v, d=2)),
+        ("window size d", lambda v: el.EventWindow(t0=30, d=v)),
+    ], ids=["t0", "d"])
+    def test_sizes_must_be_whole_numbers(self, field, build, value):
+        """A fraction would fail later as a bare TypeError, and a bool would
+        pass as 1; both are rejected naming the field."""
+        with pytest.raises(ValidationError, match=rf"{field} must be a whole number, got"):
+            build(value)
+
+    def test_numpy_integer_and_whole_float_sizes_become_ints(self):
+        window = el.EventWindow(t0=np.int64(30), d=2.0)
+        assert (window.t0, window.d) == (30, 2)
+        assert type(window.t0) is int and type(window.d) is int
 
 
 class TestEventCalendar:
