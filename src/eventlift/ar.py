@@ -21,13 +21,14 @@ The intervals' normal quantile is the standard library's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_size
 from .panel import EventWindow, PanelSeries
 
 __all__ = [
@@ -75,6 +76,7 @@ def fit_ar1_ols(panel: PanelSeries, t0: int, skip: Sequence[EventWindow] = ()) -
         If t0 is out of range or the pre-event data are identically zero
         (the OLS ratio would be 0/0).
     """
+    t0 = check_size("t0", t0, minimum=-math.inf)  # the range check names the minimum
     if t0 < 1 or t0 > panel.horizon:
         raise ValidationError(f"t0 must be in [1, {panel.horizon}], got {t0}")
     prev = panel.values[:, :t0]
@@ -193,8 +195,7 @@ def effect_covariance(fit: ARModelFit, window: EventWindow, n_series: int) -> np
     which converges upward to sigma2_hat / ((1 - phi_hat^2) * N), and its
     off-diagonals carry the cross-step covariance of the errors.
     """
-    if n_series < 1:
-        raise ValidationError(f"n_series must be >= 1, got {n_series}")
+    n_series = check_size("n_series", n_series)
     return ar1_error_covariance(fit.phi_hat, fit.sigma2_hat, window.d) / n_series
 
 

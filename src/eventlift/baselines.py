@@ -5,8 +5,10 @@ Both produce a synthetic control on an event window without the adaptive
 in-sample machinery, giving the comparison points for the main pipeline.
 A control is a (T,) array along the series, NaN where no forecast lands.
 ``direct_forecast`` also takes an (S, T) block of series and returns their
-(S, T) controls, one net per series, trained in lock-step stacks that hold
-each series' days up to the window start once, not a copy per window.
+(S, T) controls, one net per series, trained in lock-step stacks.  A stack
+joins its series' days up to the window start as the pooled net joins its
+series (``RollingWindows._joined``): each series is held once, not a copy per
+window, and only one series' windows are built beside the joined set.
 
 The block's rows split into contiguous groups, one per CPU this process may
 run on (``montecarlo._available_cpus``, the cap ``run_replications`` uses).
@@ -15,13 +17,14 @@ one, all of them stack by stack as a single group would; the children send
 their trained nets back over a pipe, and the caller forecasts every row.
 Given other work to do meanwhile (``alongside``), the caller does that
 instead of training a group, and every group trains in a child, a lone row
-too.  Each net gets the bits of training it alone, so the controls are the
-same bytes on any number of CPUs.  Nothing forks, and the caller trains
-every row in one group (after any ``alongside`` work), on one CPU, where
-``os.fork`` is missing or the platform is not Linux, and while another
-Python thread is alive, because a forked child would inherit any lock that
-thread holds, held; without ``alongside`` work, one row does not fork
-either.
+too, so up to one more process than the CPU count is busy at once
+(``evaluate_panel``'s pooled net beside its DF nets).  Each net gets the
+bits of training it alone, so the controls are the same bytes on any number
+of CPUs.  Nothing forks, and the caller trains every row in one group (after
+any ``alongside`` work), on one CPU, where ``os.fork`` is missing or the
+platform is not Linux, and while another Python thread is alive, because a
+forked child would inherit any lock that thread holds, held; without
+``alongside`` work, one row does not fork either.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .forecaster import (
     AdaptiveLossConfig,
     ForecasterArch,
     RollingWindowConfig,
+    RollingWindows,
     TrainConfig,
     TrainedForecaster,
     _train_stack,
@@ -90,60 +94,45 @@ def direct_forecast(
     given, every group (a lone row too) trains in a forked child, and this
     process calls ``alongside()`` and then collects the groups in row order.
     Where nothing can fork, and for ``"ar1"``, ``alongside()`` runs first and
-    then the rows in this process.  Its result is dropped, and its error is
-    raised before any of this call's own, validation errors included, the
-    children then being killed.  Each group trains in lock-step stacks of
-    at most ``_STACK_NETS`` (``forecaster._train_stack``), each stack filled
-    one series at a time (its windows are offsets into its days up to t0),
-    so a process holds one stack's buffers at a time, and row i gets the
-    bits of the 1-D call on it with config i, on any number of CPUs.  A net
-    that diverges is named by its row in the block; when nets of several
-    groups diverge, the first group's error in row order is raised, as a
-    serial loop would meet it.  A child that ends without sending its nets
-    is a ``RuntimeError`` naming its rows.  No child outlives the call.
+    then the rows in this process.  It runs only once this call's inputs
+    pass; its result is dropped, and its error is raised before any error of
+    the training, the children then being killed.  Each group trains in
+    lock-step stacks of at most ``_STACK_NETS`` (``forecaster._train_stack``).
+    A stack joins its series' days up to t0 as the pooled net joins its
+    series (``RollingWindows._joined``), building one series' windows at a
+    time, so a process holds one joined stack and its buffers at a time, and
+    row i gets the bits of the 1-D call on it with config i, on any number
+    of CPUs.  A net that diverges is named by its row in the block; when
+    nets of several groups diverge, the first group's error in row order is
+    raised, as a serial loop would meet it.  A child that ends without
+    sending its nets is a ``RuntimeError`` naming its rows.  No child
+    outlives the call.
 
     Returns the (T,) or (S, T) control: the forecasts on indices t0+1 ..
-    min(t0+H, end of series), NaN everywhere else.  A window with no day
-    before the series end is rejected before any training, and a non-finite
-    forecast after it.
+    min(t0+H, end of series), NaN everywhere else.  A window DF cannot
+    forecast (``_check_window``) is rejected before any training, and a
+    non-finite forecast after it.
     """
     x = np.asarray(series, dtype=float)
     t0 = window.t0
     M, H = config.lookback, config.horizon
-    try:
-        if x.ndim not in (1, 2):
-            raise ValidationError("direct_forecast expects a 1-D series or a 2-D block of them")
-        rows = x.reshape(-1, x.shape[-1])
-        if window.d > H:
-            raise ValidationError(
-                f"window size d={window.d} exceeds forecast horizon H={H}"
-            )
-        if t0 + 1 >= rows.shape[1]:
-            raise ValidationError(
-                f"window t0={t0} leaves no day to forecast in a series of length {rows.shape[1]}"
-            )
-        if predictor not in ("mlp", "ar1"):
-            raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
-        if predictor == "mlp":
-            if t0 < M + H:
-                raise ValidationError(
-                    f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
-                )
-            if train_cfg is None or isinstance(train_cfg, TrainConfig):
-                cfgs = [train_cfg or TrainConfig()] * len(rows)
-            else:
-                cfgs = list(train_cfg)
-                if len(cfgs) != len(rows):
-                    raise ValidationError(f"{len(cfgs)} training configs for {len(rows)} series")
-    except ValidationError:
-        if alongside is not None:
-            alongside()  # its own error comes first, as when it ran before this call
-        raise
+    if x.ndim not in (1, 2):
+        raise ValidationError("direct_forecast expects a 1-D series or a 2-D block of them")
+    rows = x.reshape(-1, x.shape[-1])
+    if predictor not in ("mlp", "ar1"):
+        raise ValidationError(f"predictor must be 'mlp' or 'ar1', got {predictor!r}")
+    _check_window(window, rows.shape[1], config, predictor)
     if predictor == "ar1":
         if alongside is not None:
             alongside()
         windows = [EventWindow(t0, H)]
         return np.stack([recursive_control(row, windows) for row in rows]).reshape(x.shape)
+    if train_cfg is None or isinstance(train_cfg, TrainConfig):
+        cfgs = [train_cfg or TrainConfig()] * len(rows)
+    else:
+        cfgs = list(train_cfg)
+        if len(cfgs) != len(rows):
+            raise ValidationError(f"{len(cfgs)} training configs for {len(rows)} series")
     arch = arch or ForecasterArch()
     uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
 
@@ -151,14 +140,15 @@ def direct_forecast(
         models = []
         for first in range(group.start, group.stop, _STACK_NETS):
             last = min(first + _STACK_NETS, group.stop)
-            samples = (
-                build_rolling_windows(row[: t0 + 1], config, calendar=None)
-                for row in rows[first:last]
+            stack, norms = RollingWindows._joined(
+                (build_rolling_windows(row[: t0 + 1], config) for row in rows[first:last]),
+                (last - first) * (t0 + 1),
             )
             try:
-                models += _train_stack(samples, arch, uniform, cfgs[first:last])
+                models += _train_stack(stack, norms, arch, uniform, cfgs[first:last])
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(exc.epoch, exc.loss, first + exc.net) from exc
+            del stack  # before the next stack is joined
         return models
 
     groups = _row_groups(len(rows), alongside is not None)
@@ -172,6 +162,26 @@ def direct_forecast(
         where = f" for row {bad[0]}" if x.ndim == 2 else ""
         raise ValidationError(f"mlp forecast after t0={t0} is not finite{where}")
     return control.reshape(x.shape)
+
+
+def _check_window(
+    window: EventWindow, length: int, config: RollingWindowConfig, predictor: str = "mlp"
+) -> None:
+    """DF's rules for forecasting ``window`` in series of ``length`` days:
+    the window fits in one horizon, it has a day before the series end, and
+    the ``"mlp"`` predictor has a full window of days to train on before
+    it (t0 >= lookback + horizon)."""
+    t0, M, H = window.t0, config.lookback, config.horizon
+    if window.d > H:
+        raise ValidationError(f"window size d={window.d} exceeds forecast horizon H={H}")
+    if t0 + 1 >= length:
+        raise ValidationError(
+            f"window t0={t0} leaves no day to forecast in a series of length {length}"
+        )
+    if predictor == "mlp" and t0 < M + H:
+        raise ValidationError(
+            f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
+        )
 
 
 def _row_groups(n_rows: int, alongside: bool = False) -> list[range]:

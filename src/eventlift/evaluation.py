@@ -33,10 +33,13 @@ The report is the same bytes either way, and a pooled-net divergence is
 raised before any DF error, as when the pooled net trained first.  With no
 event to evaluate, nothing trains.
 
-Before anything trains, every event's occurrences, the decomposition
+Before anything trains, every event's occurrences, its target window
+against DF's rules (``baselines._check_window``), every occurrence against
+day ``lookback``, the first the in-sample control covers, the decomposition
 periods, every (series, occurrence) scale and every target window's observed
 days (``evaluate_mape`` needs them nonzero) are checked, so an input the run
-cannot use fails at once and names its series and event.  Each (series,
+cannot use fails at once and names its event, and its series where it is one
+series'.  Each (series,
 event) row (department, event, SD, DF, ours: each method's MAPE against the
 observed window) is then built in one place.
 """
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import _ordered_periods, direct_forecast, seasonal_decompose
+from .baselines import _check_window, _ordered_periods, direct_forecast, seasonal_decompose
 from .errors import TrainingDivergedError, ValidationError
 from .forecaster import (
     AdaptiveLossConfig,
@@ -107,6 +110,7 @@ def evaluate_panel(
     """Run all three methods on every (series, event) pair.
 
     Events need at least two occurrences (training years plus the target),
+    a target window DF can forecast, no occurrence before day ``lookback``,
     and every series a positive ``year_scale`` at each of them and no zero
     in the target window; all of these, and the periods, are checked before
     any training.  The pooled net trains with ``train_cfg.seed`` and each
@@ -121,7 +125,18 @@ def evaluate_panel(
     names = event_names if event_names is not None else sorted(calendar.events)
     targets = {}
     for name in names:
-        _, targets[name] = split_occurrences(name, calendar.occurrences(name))
+        occurrences = calendar.occurrences(name)
+        _, targets[name] = split_occurrences(name, occurrences)
+        first = min(w.t0 for w in occurrences)
+        try:
+            _check_window(targets[name], panel.values.shape[1], fw_config)
+            if first + 1 < fw_config.lookback:
+                raise ValidationError(
+                    f"the occurrence at t0={first} starts before day {fw_config.lookback}, "
+                    "the first day the in-sample control covers"
+                )
+        except ValidationError as exc:
+            raise ValidationError(f"event {name!r}: {exc}") from exc
     _ordered_periods(periods, panel.values.shape[1])
 
     all_series = [panel.series(i) for i in range(panel.n_series)]

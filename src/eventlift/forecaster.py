@@ -49,11 +49,13 @@ normalized by its own pair, pooled as they are into one training set, so a
 panel of S series costs one training instead of S.
 
 Nets that must stay separate (the per-series direct-forecast baseline)
-train in lock-step instead (``_train_stack``): S nets with the same window
-shape and configs but their own seeds run each step as one pass of 3-D
-numpy calls over a leading net axis, which amortizes the per-call cost of
-the small matrix products, and each net gets the bits of training it alone.
-It is the only training loop: ``train`` is the stack of one.
+train in lock-step instead (``_train_stack``): their series are joined as
+the pool's are (``RollingWindows._joined``), net s trains on the s-th of S
+equal runs of the joined windows, and the S nets, with the same configs but
+their own seeds, run each step as one pass of 3-D numpy calls over a
+leading net axis, which amortizes the per-call cost of the small matrix
+products; each net gets the bits of training it alone.  It is the only
+training loop: ``train`` is the stack of one.
 """
 
 from __future__ import annotations
@@ -141,10 +143,11 @@ class RollingWindows:
         cls, parts: Iterable[RollingWindows], length: int
     ) -> tuple[RollingWindows, list[tuple[float, float]]]:
         """Every part's windows over the parts' ``length`` values laid end to
-        end as they are, so at (0.0, 1.0), and each part's (shift, scale).
-        Each part is copied in and dropped before the next is read.  The
-        starts are int32, as the float32 values they index would fill 8 GB
-        before an offset passed 2**31."""
+        end as they are, so at (0.0, 1.0), and each part's (shift, scale):
+        the one join of several series' windows, for the pooled net and for
+        each DF stack.  Each part is copied in and dropped before the next is
+        read.  The starts are int32, as the float32 values they index would
+        fill 8 GB before an offset passed 2**31."""
         values = np.empty(length, TRAIN_DTYPE)
         event_day = np.empty(length, bool)
         # a part has fewer windows than values, so ``length`` starts hold
@@ -357,8 +360,9 @@ def _backward(layers, activation, acts, dpred, grads, bufs=None):
 
 
 def _window_starts(series, config: RollingWindowConfig):
-    """Validate a (T,) series; return it as float64 and the starts i * stride
-    of every window that fits lookback + horizon steps."""
+    """Validate a (T,) series; return it as float64 and the int32 starts
+    i * stride of every window that fits lookback + horizon steps; a series
+    long enough to overflow int32 would fill 16 GB as float64."""
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValidationError("rolling windows need a single 1-D series")
@@ -368,7 +372,7 @@ def _window_starts(series, config: RollingWindowConfig):
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
-    return x, np.arange(0, len(x) - M - H + 1, config.stride)
+    return x, np.arange(0, len(x) - M - H + 1, config.stride, dtype=np.int32)
 
 
 def build_rolling_windows(
@@ -422,18 +426,19 @@ def _normalization(values: np.ndarray) -> tuple[float, float]:
 
 
 def _train_stack(
-    windows: Iterable[RollingWindows],
+    stack: RollingWindows,
+    norms: Sequence[tuple[float, float]],
     arch: ForecasterArch,
     loss_cfg: AdaptiveLossConfig,
     train_cfgs: Sequence[TrainConfig],
 ) -> list[TrainedForecaster]:
-    """Train one net per config in lock-step, net s on the s-th ``windows``.
+    """Train one net per config in lock-step, net s on the s-th of S equal
+    runs of ``stack``'s windows, and record ``norms[s]`` on its model.
 
-    Each net trains on its windows' own normalized float32 values: a stack
-    of one reads them as they are, and a stack of several joins its nets'
-    values end to end into one float32 array (``RollingWindows._joined``),
-    each net's windows becoming offsets into it.  No window is copied up
-    front.  Net s's model records the (shift, scale) of its windows.
+    Every net reads the stack's normalized float32 values as they are:
+    ``train`` passes one series' windows, and a caller with several nets
+    lays their series end to end first (``RollingWindows._joined``).  No
+    window is copied up front.
     The S nets share one pass of numpy calls per step: the parameters are an
     (S, P) array, each layer an (S, fi, fo) weight view and an (S, 1, fo)
     bias view of it, and each step gathers every net's batch of inputs and
@@ -448,10 +453,9 @@ def _train_stack(
     bits of training it alone.  Beside the values and flags, training holds
     the starts and one int32 order of them per net.
 
-    The nets must share the window count, lookback and horizon and every
-    ``TrainConfig`` field but ``seed``.  A non-finite loss stops the stack at
-    that step and raises for the lowest-index net whose loss it is, at the
-    epoch that net diverges alone.
+    The nets share every ``TrainConfig`` field but ``seed``.  A non-finite
+    loss stops the stack at that step and raises for the lowest-index net
+    whose loss it is, at the epoch that net diverges alone.
     """
     if not train_cfgs:
         raise ValidationError("a training stack needs at least one net")
@@ -463,22 +467,12 @@ def _train_stack(
                 f"{other} vs {cfg}"
             )
     S = len(train_cfgs)
-    parts = list(windows)
-    if len(parts) < S:
-        raise ValidationError(f"a training stack of {S} nets got {len(parts)} windows")
-    B, M, H = len(parts[0]), parts[0].lookback, parts[0].horizon
-    for s, w in enumerate(parts):
-        if s >= S or (len(w), w.lookback, w.horizon) != (B, M, H):
-            raise ValidationError(
-                f"net {s} of a training stack of {S} has windows ({len(w)}, {w.lookback}) -> "
-                f"({len(w)}, {w.horizon}), the stack holds ({B}, {M}) -> ({B}, {H})"
-            )
-    if S == 1:
-        [stack] = parts
-        norms = [(stack.shift, stack.scale)]
-    else:
-        stack, norms = RollingWindows._joined(parts, sum(len(w.values) for w in parts))
-    del parts
+    if len(norms) != S or len(stack) % S:
+        raise ValidationError(
+            f"a training stack of {S} nets needs one (shift, scale) pair per net and windows "
+            f"that split evenly among them, got {len(norms)} pairs and {len(stack)} windows"
+        )
+    B, M, H = len(stack) // S, stack.lookback, stack.horizon
     own_starts = stack.starts.reshape(S, B)  # window s * B + i is net s's window i
     inputs = sliding_window_view(stack.values, M)
     labels = sliding_window_view(stack.values[M:], H)
@@ -588,7 +582,7 @@ def train(
     seed give bit-identical parameters.  A non-finite loss aborts with the
     offending epoch (and net 0).  This is ``_train_stack`` of one net.
     """
-    return _train_stack([windows], arch, loss_cfg, [train_cfg])[0]
+    return _train_stack(windows, [(windows.shift, windows.scale)], arch, loss_cfg, [train_cfg])[0]
 
 
 def train_pooled(

@@ -185,9 +185,7 @@ def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
 def _available_cpus() -> int:
     """CPUs this process may run on: the cap on ``run_replications``'
     threads and the number of ``baselines.direct_forecast``'s training
-    groups.  Given ``alongside`` work, DF forks a child for every group and
-    the caller does that work, so up to one more process than this count is
-    busy at once (``evaluate_panel``'s pooled net beside its DF nets)."""
+    groups (the ``baselines`` docstring has its fork policy)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -200,8 +198,7 @@ def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:
     threads as there are CPUs available; results land in per-replication
     slots, so the report is bit-identical to a single-threaded run.
     """
-    if n_jobs < 1:
-        raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = check_size("n_jobs", n_jobs)
     workers = min(n_jobs, _available_cpus())
     R = config.replications
     d = config.window.d
@@ -316,12 +313,8 @@ def rate_check_phi(
     grid = list(n_grid)
     if len(grid) < 2:
         raise ValidationError("n_grid needs at least 2 entries")
-    if any(n < 50 for n in grid):
-        raise ValidationError("every n_grid entry must be >= 50")
-    if reps < 2:
-        raise ValidationError("reps must be >= 2")
-    if t0 < 1:
-        raise ValidationError(f"t0 must be >= 1, got {t0}")
+    grid = [check_size("every n_grid entry", n, minimum=50) for n in grid]
+    reps, t0 = check_size("reps", reps, minimum=2), check_size("t0", t0)
     entries: list[tuple[int, float]] = []
     for gi, n in enumerate(grid):
         phis = np.empty(reps, dtype=float)

@@ -257,10 +257,7 @@ def simulate_ar1_panel(
     seed : int
         64-bit seed for the PCG64 generator.
     """
-    if n_series < 1:
-        raise ValidationError(f"n_series must be >= 1, got {n_series}")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    n_series, horizon = check_size("n_series", n_series), check_size("horizon", horizon)
     rng = np.random.default_rng(seed)
     values = np.empty((horizon + 1, n_series), dtype=float)
     if spec.initial_mode == "stationary_draw":

@@ -62,6 +62,19 @@ class TestFitAR1:
         with pytest.raises(ValidationError):
             el.fit_ar1_ols(panel, t0=5)
 
+    @pytest.mark.parametrize("t0", [2.5, True, "3"], ids=["2.5", "True", "text"])
+    def test_t0_must_be_a_whole_number(self, t0):
+        panel = el.PanelSeries(np.ones((1, 5)))
+        with pytest.raises(ValidationError, match="t0 must be a whole number, got"):
+            el.fit_ar1_ols(panel, t0)
+
+    def test_t0_below_one_keeps_the_range_message(self):
+        panel = el.PanelSeries(np.ones((1, 5)))
+        for t0 in (0, -2):
+            with pytest.raises(ValidationError, match=rf"t0 must be in \[1, 4\], got {t0}"):
+                el.fit_ar1_ols(panel, t0)
+        assert el.fit_ar1_ols(panel, 2.0).n_pairs == el.fit_ar1_ols(panel, 2).n_pairs
+
     def test_degenerate_zero_data(self):
         panel = el.PanelSeries(np.zeros((2, 5)))
         with pytest.raises(ValidationError, match="denominator"):
@@ -286,6 +299,17 @@ class TestExplosiveFits:
 
 
 class TestEffectCovariance:
+    @pytest.mark.parametrize(
+        "n_series, message",
+        [(0, "n_series must be >= 1, got 0"), (2.5, "n_series must be a whole number, got 2.5"),
+         (True, "n_series must be a whole number, got True")],
+        ids=["zero", "2.5", "True"],
+    )
+    def test_n_series_must_be_a_size(self, n_series, message):
+        fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            el.effect_covariance(fit, el.EventWindow(t0=5, d=3), n_series)
+
     def test_finite_horizon_hand_values(self):
         fit = el.ARModelFit(phi_hat=0.5, sigma2_hat=1.0, n_pairs=100)
         cov = el.effect_covariance(fit, el.EventWindow(t0=5, d=3), n_series=1)

@@ -233,6 +233,30 @@ class TestDirectForecastBlock:
             el.direct_forecast(np.zeros((2, 2, 70)), self.window, self.cfg)
 
 
+def test_a_df_stack_holds_one_series_windows_beside_the_joined_set(monkeypatch):
+    """Traced peak of ``direct_forecast`` on one CPU over a 6 x 20,000-day
+    block, one stack of six nets, against the block's float64 bytes: under
+    2.25 times it.  The joined float32 set and the epoch's int32 order, with
+    one series' windows being built beside them, fit (1.65 times); every
+    series' windows held until the stack is joined (2.82 times) do not."""
+    import tracemalloc
+
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+    x = 100.0 + np.random.default_rng(4).normal(0.0, 5.0, size=(6, 20_000))
+    args = (
+        x, el.EventWindow(t0=19_990, d=3), el.RollingWindowConfig(lookback=10, horizon=5),
+        el.ForecasterArch(hidden_sizes=(2,)), el.TrainConfig(epochs=1, batch_size=8, seed=0),
+    )
+    el.direct_forecast(*args)  # imports and caches are not training's cost
+    tracemalloc.start()
+    try:
+        el.direct_forecast(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * x.nbytes, (peak, x.nbytes)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -328,7 +352,7 @@ class TestDirectForecastGroups:
         once with this process's own error, and leaves none of them."""
         parent = os.getpid()
 
-        def fail_here_sleep_there(windows, arch, loss_cfg, train_cfgs):
+        def fail_here_sleep_there(stack, norms, arch, loss_cfg, train_cfgs):
             if os.getpid() != parent:
                 time.sleep(600)
             raise TrainingDivergedError(2, math.nan, 0)
@@ -376,8 +400,9 @@ class TestDirectForecastGroups:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_the_work_alongside_raises_before_any_error_of_the_call(self, cpus, monkeypatch):
-        """Its error comes first, before a divergence in a group and before
-        a rejected input, as when it ran before the call."""
+        """Its error comes before a divergence in a group, as when it ran
+        before the call; an input the call rejects is rejected before the
+        work runs."""
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
 
         def fail():
@@ -389,13 +414,11 @@ class TestDirectForecastGroups:
             el.direct_forecast(x, self.window, self.cfg, self.arch,
                                self.setup.train_cfgs(3), alongside=fail)
         assert_no_child_left()
-        with pytest.raises(RuntimeError, match="alongside failed"):
-            el.direct_forecast(x, el.EventWindow(t0=5, d=3), self.cfg, alongside=fail)
         ran = []
         with pytest.raises(ValidationError, match="need t0 >= lookback"):
             el.direct_forecast(x, el.EventWindow(t0=5, d=3), self.cfg,
                                alongside=lambda: ran.append(1))
-        assert ran == [1]
+        assert ran == []
 
     def test_ar1_runs_the_work_alongside_first(self, forks):
         x = self.setup.block(2)

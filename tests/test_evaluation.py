@@ -196,6 +196,35 @@ class TestEvaluatePanel:
         with pytest.raises(ValidationError, match="series length 230 < 2 \\* max period = 400"):
             el.evaluate_panel(panel, calendar, **kwargs)
 
+    @pytest.mark.parametrize(
+        "lookback, horizon, message",
+        [
+            (10, 2, "event 'promo': window size d=3 exceeds forecast horizon H=2"),
+            (10, 160, "event 'promo': need t0 >= lookback + horizon = 170 for training, "
+                      "got t0=159"),
+            # the training year's days 60..62 lie before day 61, where the
+            # in-sample control starts
+            (61, 5, "event 'promo': the occurrence at t0=59 starts before day 61, the "
+                    "first day the in-sample control covers"),
+        ],
+        ids=["event_longer_than_horizon", "df_history_too_short", "control_starts_late"],
+    )
+    def test_window_the_methods_cannot_forecast_rejected_before_training(
+        self, monkeypatch, lookback, horizon, message
+    ):
+        from eventlift import baselines, forecaster
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net was trained")
+
+        monkeypatch.setattr(forecaster, "_train_stack", no_training)
+        monkeypatch.setattr(baselines, "_train_stack", no_training)
+        panel, calendar = tiny_setup()
+        kwargs = tiny_kwargs()
+        kwargs["fw_config"] = el.RollingWindowConfig(lookback=lookback, horizon=horizon)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            el.evaluate_panel(panel, calendar, **kwargs)
+
     def test_sd_column_is_the_decomposition_mape(self):
         panel, calendar = tiny_setup()
         report = el.evaluate_panel(panel, calendar, **tiny_kwargs())
@@ -204,7 +233,7 @@ class TestEvaluatePanel:
     def test_df_divergence_names_the_series(self, monkeypatch):
         from eventlift import baselines
 
-        def diverge(windows, arch, loss_cfg, train_cfgs):
+        def diverge(stack, norms, arch, loss_cfg, train_cfgs):
             raise TrainingDivergedError(4, float("nan"), 1)
 
         monkeypatch.setattr(baselines, "_train_stack", diverge)

@@ -858,9 +858,9 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
     seed, nets, length, lookback, horizon, event_t0, hidden, activation, distance,
     epochs, batching, pick,
 ):
-    """Net s of a lock-step stack gets the parameters and loss history of
-    ``train`` and of the allocating reference loop on its windows alone,
-    with its seed."""
+    """Net s of a lock-step stack, trained on the s-th series of the joined
+    windows, gets the parameters and loss history of ``train`` and of the
+    allocating reference loop on its windows alone, with its seed."""
     rng = np.random.default_rng(seed)
     cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon)
     calendar = el.EventCalendar({"e": [el.EventWindow(t0=event_t0, d=2)]})
@@ -885,7 +885,8 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
         )
         for s in range(nets)
     ]
-    stack = el.forecaster._train_stack(iter(windows), arch, loss_cfg, train_cfgs)
+    joined, norms = el.RollingWindows._joined(iter(windows), nets * length)
+    stack = el.forecaster._train_stack(joined, norms, arch, loss_cfg, train_cfgs)
     assert len(stack) == nets
     for x, w, train_cfg, model in zip(series, windows, train_cfgs, stack):
         alone = el.train(w, arch, loss_cfg, train_cfg)
@@ -914,9 +915,13 @@ class TestTrainStack:
         base = dict(epochs=30, batch_size=8, learning_rate=0.01)
         return [el.TrainConfig(**{**base, **fields}, seed=s) for s in range(n)]
 
-    def divergence(self, windows, train_cfgs):
+    def joined(self, parts):
+        """The parts' windows joined end to end and their (shift, scale)s."""
+        return el.RollingWindows._joined(parts, sum(len(w.values) for w in parts))
+
+    def divergence(self, parts, train_cfgs):
         with pytest.raises(TrainingDivergedError) as info, np.errstate(all="ignore"):
-            el.forecaster._train_stack(windows, self.arch, self.loss_cfg, train_cfgs)
+            el.forecaster._train_stack(*self.joined(parts), self.arch, self.loss_cfg, train_cfgs)
         return info.value
 
     def test_spikes_diverge_at_different_epochs_alone(self):
@@ -950,29 +955,29 @@ class TestTrainStack:
         cfgs[2] = replace(cfgs[2], **fields)
         with pytest.raises(ValidationError, match="net 2 of a training stack differs"):
             el.forecaster._train_stack(
-                [self.windows()] * 3, self.arch, self.loss_cfg, cfgs
+                *self.joined([self.windows()] * 3), self.arch, self.loss_cfg, cfgs
             )
 
     @pytest.mark.parametrize(
-        "stack, match",
+        "rows, pairs, got",
         [
-            (lambda w: [w, w[1:]], "net 1 of a training stack of 2 has windows"),
-            (lambda w: [w, w, w], "net 2 of a training stack of 2 has windows"),
-            (lambda w: [w], "a training stack of 2 nets got 1 windows"),
-            (lambda w: [w, el.build_rolling_windows(np.arange(60.0), el.RollingWindowConfig(8, 4))],
-             "net 1 of a training stack of 2 has windows"),
+            (slice(None), 1, "1 pairs and 100 windows"),
+            (slice(1, None), 2, "2 pairs and 99 windows"),
         ],
-        ids=["rows", "too-many", "too-few", "widths"],
+        ids=["pairs", "uneven"],
     )
-    def test_mismatched_windows_rejected(self, stack, match):
-        with pytest.raises(ValidationError, match=match):
+    def test_mismatched_windows_rejected(self, rows, pairs, got):
+        """Two nets need two (shift, scale) pairs and an even split of the
+        windows: 2 x 50 splits, 99 do not."""
+        stack, norms = self.joined([self.windows()] * 2)
+        with pytest.raises(ValidationError, match=rf"stack of 2 nets needs .*, got {got}"):
             el.forecaster._train_stack(
-                stack(self.windows()), self.arch, self.loss_cfg, self.train_cfgs(2)
+                stack[rows], norms[:pairs], self.arch, self.loss_cfg, self.train_cfgs(2)
             )
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValidationError, match="at least one net"):
-            el.forecaster._train_stack([], self.arch, self.loss_cfg, [])
+            el.forecaster._train_stack(self.windows(), [], self.arch, self.loss_cfg, [])
 
 
 def hand_stacked(series_list, cfg, calendar):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -250,6 +251,11 @@ class TestJobs:
         with pytest.raises(ValidationError, match="n_jobs"):
             el.run_replications(small_config(replications=2), n_jobs=n_jobs)
 
+    @pytest.mark.parametrize("n_jobs", [1.5, True, "2"], ids=["1.5", "True", "text"])
+    def test_job_count_must_be_a_whole_number(self, n_jobs):
+        with pytest.raises(ValidationError, match="n_jobs must be a whole number, got"):
+            el.run_replications(small_config(replications=2), n_jobs=n_jobs)
+
     @pytest.mark.parametrize(
         "cpus, n_jobs, expected", [(3, 8, [3]), (3, 2, [2]), (1, 4, []), (4, 1, [])]
     )
@@ -362,6 +368,24 @@ class TestRateCheck:
             el.rate_check_phi(spec, t0=20, n_grid=[10, 100], reps=5, master_seed=0)
         with pytest.raises(ValidationError):
             el.rate_check_phi(spec, t0=20, n_grid=[100, 400], reps=1, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reps", 2.5, "reps must be a whole number, got 2.5"),
+            ("reps", 1, "reps must be >= 2"),
+            ("t0", 10.5, "t0 must be a whole number, got 10.5"),
+            ("t0", 0, "t0 must be >= 1, got 0"),
+            ("n_grid", (50.5, 200), "every n_grid entry must be a whole number, got 50.5"),
+            ("n_grid", (10, 200), "every n_grid entry must be >= 50"),
+            ("n_grid", (True, 200), "every n_grid entry must be a whole number, got True"),
+        ],
+    )
+    def test_sizes_checked(self, field, value, message):
+        spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
+        args = {"t0": 20, "n_grid": (50, 200), "reps": 2, field: value}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            el.rate_check_phi(spec, master_seed=0, **args)
 
     def test_expected_ratio_is_root_n(self):
         spec = el.ARProcessSpec(phi=0.5, sigma=1.0)

@@ -219,6 +219,17 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             el.simulate_ar1_panel(spec, n_series=1, horizon=0, seed=0)
 
+    @pytest.mark.parametrize("field", ["n_series", "horizon"])
+    @pytest.mark.parametrize("value, message", [
+        (0, "must be >= 1, got 0"), (2.5, "must be a whole number, got 2.5"),
+        (True, "must be a whole number, got True"),
+    ], ids=["zero", "2.5", "True"])
+    def test_sizes_checked(self, field, value, message):
+        spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
+        sizes = {"n_series": 2, "horizon": 10, field: value}
+        with pytest.raises(ValidationError, match=f"{field} {message}"):
+            el.simulate_ar1_panel(spec, seed=1, **sizes)
+
     def test_output_is_row_major(self):
         spec = el.ARProcessSpec(phi=0.5, sigma=1.0)
         panel = el.simulate_ar1_panel(spec, n_series=5, horizon=7, seed=1)
