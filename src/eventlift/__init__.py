@@ -1,135 +1,30 @@
 """Treatment-effect estimation for recurring rare events in panel time
-series where no untreated control is ever observed during the event."""
+series where no untreated control is ever observed during the event.
 
-from .ar import (
-    ARModelFit,
-    ar1_error_covariance,
-    confidence_intervals,
-    effect_covariance,
-    estimate_effect,
-    fit_ar1_ols,
-    forecast_counterfactual,
-    recursive_control,
-)
-from .baselines import (
-    DecompositionResult,
-    centered_moving_average,
-    direct_forecast,
-    seasonal_decompose,
-)
-from .dataio import (
-    CalendarEntry,
-    bind_calendar,
-    load_calendar,
-    load_panel_csv,
-    write_calendar_csv,
-    write_panel_csv,
-)
-from .errors import TrainingDivergedError, ValidationError
-from .evaluation import EvaluationReport, SeriesEventResult, evaluate_panel
-from .forecaster import (
-    AdaptiveLossConfig,
-    ForecasterArch,
-    RollingWindowConfig,
-    RollingWindows,
-    TrainConfig,
-    TrainedForecaster,
-    build_rolling_windows,
-    extract_effect,
-    gradient_check,
-    insample_forecast,
-    load_model,
-    parameter_count,
-    save_model,
-    train,
-    train_pooled,
-)
-from .impact import (
-    evaluate_mape,
-    model_from_estimates,
-    predict_effect,
-    year_scale,
-)
-from .montecarlo import (
-    ComponentStats,
-    MCConfig,
-    MonteCarloReport,
-    RatePair,
-    RateReport,
-    mix_seed,
-    rate_check_phi,
-    run_replications,
-)
-from .panel import (
-    ARProcessSpec,
-    EventCalendar,
-    EventWindow,
-    PanelSeries,
-    as_effect_vector,
-    inject_treatment,
-    simulate_ar1_panel,
-    stationary_variance,
-)
+The top-level names are the library modules' ``__all__``, joined in the
+order imported below; each name is declared once, in its own module.
+"""
+
+from . import ar, baselines, dataio, errors, evaluation, forecaster, impact, montecarlo, panel
+from .ar import *
+from .baselines import *
+from .dataio import *
+from .errors import *
+from .evaluation import *
+from .forecaster import *
+from .impact import *
+from .montecarlo import *
+from .panel import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ARModelFit",
-    "ARProcessSpec",
-    "AdaptiveLossConfig",
-    "CalendarEntry",
-    "ComponentStats",
-    "DecompositionResult",
-    "EvaluationReport",
-    "EventCalendar",
-    "EventWindow",
-    "ForecasterArch",
-    "MCConfig",
-    "MonteCarloReport",
-    "PanelSeries",
-    "RatePair",
-    "RateReport",
-    "RollingWindowConfig",
-    "RollingWindows",
-    "SeriesEventResult",
-    "TrainConfig",
-    "TrainedForecaster",
-    "TrainingDivergedError",
-    "ValidationError",
-    "ar1_error_covariance",
-    "as_effect_vector",
-    "bind_calendar",
-    "build_rolling_windows",
-    "centered_moving_average",
-    "confidence_intervals",
-    "direct_forecast",
-    "effect_covariance",
-    "estimate_effect",
-    "evaluate_mape",
-    "evaluate_panel",
-    "extract_effect",
-    "fit_ar1_ols",
-    "forecast_counterfactual",
-    "gradient_check",
-    "inject_treatment",
-    "insample_forecast",
-    "load_calendar",
-    "load_model",
-    "load_panel_csv",
-    "mix_seed",
-    "model_from_estimates",
-    "parameter_count",
-    "predict_effect",
-    "rate_check_phi",
-    "recursive_control",
-    "run_replications",
-    "save_model",
-    "seasonal_decompose",
-    "simulate_ar1_panel",
-    "stationary_variance",
-    "train",
-    "train_pooled",
-    "write_calendar_csv",
-    "write_panel_csv",
-    "year_scale",
-]
+__all__ = []
+__all__ += ar.__all__
+__all__ += baselines.__all__
+__all__ += dataio.__all__
+__all__ += errors.__all__
+__all__ += evaluation.__all__
+__all__ += forecaster.__all__
+__all__ += impact.__all__
+__all__ += montecarlo.__all__
+__all__ += panel.__all__

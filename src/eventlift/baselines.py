@@ -42,7 +42,7 @@ import numpy as np
 
 from . import montecarlo
 from .ar import recursive_control
-from .errors import TrainingDivergedError, ValidationError, check_size
+from .errors import TrainingDivergedError, ValidationError, check_finite, check_size
 from .forecaster import (
     AdaptiveLossConfig,
     ForecasterArch,
@@ -357,9 +357,7 @@ def seasonal_decompose(
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValidationError("seasonal_decompose expects a single 1-D series")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
+    check_finite(x)
     ordered = _ordered_periods(periods, len(x))
     window.check_fits(len(x) - 1)
 

@@ -401,14 +401,11 @@ def bind_calendar(entries: list[CalendarEntry], panel: PanelSeries) -> EventCale
     positions = {label: t for t, label in enumerate(panel.time_index)}
     events: dict[str, list[EventWindow]] = {}
     for entry in entries:
-        if entry.start not in positions:
-            raise ValidationError(
-                f"event {entry.event!r}: start {entry.start} is outside the panel range"
-            )
-        if entry.end not in positions:
-            raise ValidationError(
-                f"event {entry.event!r}: end {entry.end} is outside the panel range"
-            )
+        for side, day in (("start", entry.start), ("end", entry.end)):
+            if day not in positions:
+                raise ValidationError(
+                    f"event {entry.event!r}: {side} {day} is outside the panel range"
+                )
         start_idx = positions[entry.start]
         d = (entry.end - entry.start).days + 1
         if start_idx < 2:

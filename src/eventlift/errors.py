@@ -1,11 +1,15 @@
-"""Exception types, and the check of a size argument, shared across the
-package.
+"""Exception types, and the checks of a size argument and of a series'
+values, shared across the package.
 
 The CLI maps ValidationError to exit code 2 (bad inputs or parameters)
 and every other exception to exit code 1 (runtime failure).
 """
 
 import numbers
+
+import numpy as np
+
+__all__ = ["ValidationError", "TrainingDivergedError"]
 
 
 class ValidationError(ValueError):
@@ -24,6 +28,15 @@ def check_size(name: str, value, minimum: int = 1) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_finite(series, first: int = 0) -> None:
+    """Reject a (T,) series with a value that is not finite, naming the
+    first such value and its index, counted from ``first``."""
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(f"series value at index {first + k} is not finite ({series[k]})")
 
 
 class TrainingDivergedError(RuntimeError):

@@ -63,12 +63,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import TrainingDivergedError, ValidationError, check_size
+from .errors import TrainingDivergedError, ValidationError, check_finite, check_size
 from .panel import EventCalendar, EventWindow
 
 __all__ = [
@@ -86,6 +87,7 @@ __all__ = [
     "gradient_check",
     "save_model",
     "load_model",
+    "parameter_count",
 ]
 
 MODEL_FORMAT_VERSION = 2
@@ -146,22 +148,29 @@ class RollingWindows:
         end as they are, so at (0.0, 1.0), and each part's (shift, scale):
         the one join of several series' windows, for the pooled net and for
         each DF stack.  Each part is copied in and dropped before the next is
-        read.  The starts are int32, as the float32 values they index would
+        read; a first part that fills ``length`` is the join itself, not a
+        copy.  The starts are int32, as the float32 values they index would
         fill 8 GB before an offset passed 2**31."""
+        parts = iter(parts)
+        part = next(parts)  # before the join is allocated
+        M, H = part.lookback, part.horizon
+        if len(part.values) == length:
+            pair = (part.shift, part.scale)
+            return cls(part.values, part.event_day, part.starts, M, H, 0.0, 1.0), [pair]
         values = np.empty(length, TRAIN_DTYPE)
         event_day = np.empty(length, bool)
         # a part has fewer windows than values, so ``length`` starts hold
         # them all; the pages of the unused tail are never touched
         starts = np.empty(length, np.int32)
         pairs, first, n = [], 0, 0
-        for part in parts:
+        for part in chain([part], parts):
             last = first + len(part.values)
             values[first:last] = part.values
             event_day[first:last] = part.event_day
             np.add(part.starts, first, out=starts[n : n + len(part)])
             n += len(part)
             pairs.append((part.shift, part.scale))
-            first, M, H = last, part.lookback, part.horizon
+            first = last
             del part  # before the next part is read
         return cls(values, event_day, starts[:n], M, H, 0.0, 1.0), pairs
 
@@ -369,9 +378,7 @@ def _window_starts(series, config: RollingWindowConfig):
     M, H = config.lookback, config.horizon
     if len(x) < M + H:
         raise ValidationError(f"series length {len(x)} < lookback + horizon = {M + H}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValidationError(f"series value at index {bad[0]} is not finite ({x[bad[0]]})")
+    check_finite(x)
     return x, np.arange(0, len(x) - M - H + 1, config.stride, dtype=np.int32)
 
 
@@ -695,9 +702,10 @@ def extract_effect(
     """Observed minus the (T,) control on the event window, one series.
 
     Returns the (d,) per-day effect; a window day where the control is NaN
-    (no forecast lands there) is rejected.  There is no covariance: the net
-    has no closed-form sampling variance.  Cross-series pooling is done by
-    averaging the per-series effects.
+    (no forecast lands there), or where the series is not finite, is
+    rejected.  There is no covariance: the net has no closed-form sampling
+    variance.  Cross-series pooling is done by averaging the per-series
+    effects.
     """
     x = np.asarray(series, dtype=float)
     control = np.asarray(control, dtype=float)
@@ -709,6 +717,7 @@ def extract_effect(
     if gaps.any():
         missing = [t for t, gap in zip(window.indices, gaps) if gap]
         raise ValidationError(f"synthetic control does not cover window indices {missing}")
+    check_finite(x[days], first=days.start)
     return x[days] - control[days]
 
 

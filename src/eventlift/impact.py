@@ -10,6 +10,7 @@ A year's effect is the series minus a (T,) control from either estimator.
 from __future__ import annotations
 
 import datetime
+import math
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 
@@ -48,15 +49,15 @@ def model_from_estimates(effects, scales) -> np.ndarray:
                 f"year {year}: effect shape {effect.shape}; every year needs a vector "
                 f"as long as year 0's ({effects[0].size})"
             )
-        if scale <= 0:
-            raise ValidationError(f"year {year}: scale must be > 0, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValidationError(f"year {year}: scale must be finite and > 0, got {scale}")
     return np.stack(effects) / np.asarray(scales, dtype=float)[:, None]
 
 
 def predict_effect(ratios: np.ndarray, target_scale: float) -> np.ndarray:
     """Cross-year mean ratio rescaled by the target year's pre-event level."""
-    if target_scale <= 0:
-        raise ValidationError(f"target_scale must be > 0, got {target_scale}")
+    if not (math.isfinite(target_scale) and target_scale > 0):
+        raise ValidationError(f"target_scale must be finite and > 0, got {target_scale}")
     return np.mean(ratios, axis=0) * target_scale
 
 
@@ -112,7 +113,7 @@ def year_scale(
             f"mode must be 'pre_event_month' or 'calendar_month', got {mode!r}"
         )
     scale = float(days.mean())
-    if scale <= 0:
+    if not (math.isfinite(scale) and scale > 0):
         raise ValidationError(
             f"{mode} scale of the occurrence at t0={window.t0} is {scale}, the mean of "
             f"{days.size} days in {first}..{last}; impact ratios need a positive level"
@@ -160,8 +161,9 @@ def impact_for_series(event: str, series, occurrences, control, scales):
 def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray, days=None) -> float:
     """Mean absolute percentage error, in percent.
 
-    A zero observation leaves it undefined: the error names the first one by
-    its index, or by its label in ``days`` when given.
+    A zero observation, or a value that is not finite, leaves it undefined:
+    the error names the first one by its index, or by its label in ``days``
+    when given.
     """
     p = np.asarray(predicted_total, dtype=float)
     o = np.asarray(observed, dtype=float)
@@ -169,9 +171,16 @@ def evaluate_mape(predicted_total: np.ndarray, observed: np.ndarray, days=None) 
         raise ValidationError(
             f"predicted and observed must be equal-length vectors, got {p.shape}, {o.shape}"
         )
+
+    def where(k):
+        return f"at index {k}" if days is None else f"on day {days[k]}"
+
+    for name, values in (("predicted", p), ("observed", o)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(f"{name} value is {values[k]} {where(k)}; MAPE undefined")
     zeros = np.flatnonzero(o == 0)
     if zeros.size:
-        k = int(zeros[0])
-        where = f"at index {k}" if days is None else f"on day {days[k]}"
-        raise ValidationError(f"observed value is zero {where}; MAPE undefined")
+        raise ValidationError(f"observed value is zero {where(zeros[0])}; MAPE undefined")
     return float(100.0 * np.mean(np.abs(o - p) / np.abs(o)))

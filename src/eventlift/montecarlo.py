@@ -64,6 +64,7 @@ __all__ = [
     "MCConfig",
     "ComponentStats",
     "MonteCarloReport",
+    "RatePair",
     "RateReport",
     "run_replications",
     "rate_check_phi",

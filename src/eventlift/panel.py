@@ -102,7 +102,10 @@ class PanelSeries:
         if n < 1 or cols < 2:
             raise ValidationError(f"panel needs N >= 1 and T >= 1, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
-            raise ValidationError("panel values must all be finite")
+            i, t = np.argwhere(~np.isfinite(vals))[0]
+            raise ValidationError(
+                f"panel values must all be finite: series {i} at index {t} is {vals[i, t]}"
+            )
         if not self.time_index:
             self.time_index = tuple(range(cols))
         else:

@@ -198,6 +198,12 @@ class TestRecursiveControl:
         with pytest.raises(ValidationError, match=r"t0 must be in \[1, 9\], got 10"):
             el.recursive_control(np.arange(1.0, 11.0), [el.EventWindow(t0=10, d=1)])
 
+    def test_a_non_finite_history_value_names_its_index(self):
+        x = np.arange(1.0, 31.0)
+        x[7] = np.nan
+        with pytest.raises(ValidationError, match=r"series 0 at index 7 is nan"):
+            el.recursive_control(x, [el.EventWindow(t0=20, d=2)])
+
     def test_needs_one_series(self):
         with pytest.raises(ValidationError, match="1-D"):
             el.recursive_control(np.ones((2, 10)), [el.EventWindow(t0=5, d=1)])

@@ -233,28 +233,57 @@ class TestDirectForecastBlock:
             el.direct_forecast(np.zeros((2, 2, 70)), self.window, self.cfg)
 
 
+def traced_peak(run):
+    """tracemalloc's peak over ``run()``, after one untraced call has paid
+    for imports and caches."""
+    import tracemalloc
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_df_stack_holds_one_series_windows_beside_the_joined_set(monkeypatch):
     """Traced peak of ``direct_forecast`` on one CPU over a 6 x 20,000-day
     block, one stack of six nets, against the block's float64 bytes: under
     2.25 times it.  The joined float32 set and the epoch's int32 order, with
     one series' windows being built beside them, fit (1.65 times); every
     series' windows held until the stack is joined (2.82 times) do not."""
-    import tracemalloc
-
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
     x = 100.0 + np.random.default_rng(4).normal(0.0, 5.0, size=(6, 20_000))
     args = (
         x, el.EventWindow(t0=19_990, d=3), el.RollingWindowConfig(lookback=10, horizon=5),
         el.ForecasterArch(hidden_sizes=(2,)), el.TrainConfig(epochs=1, batch_size=8, seed=0),
     )
-    el.direct_forecast(*args)  # imports and caches are not training's cost
-    tracemalloc.start()
-    try:
-        el.direct_forecast(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: el.direct_forecast(*args))
     assert peak < 2.25 * x.nbytes, (peak, x.nbytes)
+
+
+class TestAJoinOfOneIsItsWindows:
+    """One series' windows are the whole join, not copied into it: the
+    traced peak over a 20,000-day row stays under 2.0 times its float64
+    bytes (1.72 times), where a copy beside ``build_rolling_windows``'
+    temporaries reads 2.8 times."""
+
+    x = 100.0 + np.random.default_rng(4).normal(0.0, 5.0, size=20_000)
+    config = el.RollingWindowConfig(lookback=10, horizon=5)
+    arch = el.ForecasterArch(hidden_sizes=(2,))
+    train_cfg = el.TrainConfig(epochs=1, batch_size=8, seed=0)
+
+    def test_a_one_row_df_stack(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+        args = (self.x, el.EventWindow(t0=19_990, d=3), self.config, self.arch, self.train_cfg)
+        peak = traced_peak(lambda: el.direct_forecast(*args))
+        assert peak < 2.0 * self.x.nbytes, (peak, self.x.nbytes)
+
+    def test_a_pool_of_one(self):
+        args = ([self.x], self.config, None, self.arch, el.AdaptiveLossConfig(), self.train_cfg)
+        peak = traced_peak(lambda: el.train_pooled(*args))
+        assert peak < 2.0 * self.x.nbytes, (peak, self.x.nbytes)
 
 
 def assert_no_child_left():

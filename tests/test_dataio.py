@@ -695,6 +695,11 @@ class TestBindCalendar:
         ]
         with pytest.raises(ValidationError, match="outside the panel"):
             el.bind_calendar(entries, panel)
+        late_end = CalendarEntry(
+            event="x", start=datetime.date(2013, 12, 30), end=datetime.date(2014, 1, 1)
+        )
+        with pytest.raises(ValidationError, match="'x': end 2014-01-01 is outside the panel"):
+            el.bind_calendar([late_end], panel)
 
     def test_start_needs_two_prior_observations(self):
         panel = self.panel_december()

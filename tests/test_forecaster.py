@@ -1320,6 +1320,12 @@ class TestExtractEffect:
         est = el.extract_effect(x.copy(), x, el.EventWindow(t0=3, d=2))
         assert est.tolist() == [0.0, 0.0]
 
+    def test_a_non_finite_observed_day_names_its_index(self):
+        x = np.zeros(8)
+        x[5] = np.nan
+        with pytest.raises(ValidationError, match=r"series value at index 5 is not finite \(nan\)"):
+            el.extract_effect(np.ones(8), x, el.EventWindow(t0=3, d=3))
+
     def test_uncovered_window_lists_missing_indices(self):
         ctrl = np.full(8, np.nan)
         ctrl[4] = 1.0

@@ -23,6 +23,12 @@ class TestImpactRatio:
         with pytest.raises(ValidationError):
             el.model_from_estimates([np.ones(2)], [-3.0])
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_scale_names_the_year(self, scale):
+        message = f"year 1: scale must be finite and > 0, got {scale}"
+        with pytest.raises(ValidationError, match=message):
+            el.model_from_estimates([np.ones(2), np.ones(2)], [10.0, scale])
+
 
 finite_effects = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(
     lambda v: v == 0.0 or abs(v) > 1e-200
@@ -100,6 +106,13 @@ class TestPredictEffect:
         with pytest.raises(ValidationError):
             el.predict_effect(ratios, 0.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_non_finite_target_scale_rejected(self, scale):
+        ratios = el.model_from_estimates([np.array([1.0])], [10.0])
+        message = f"target_scale must be finite and > 0, got {scale}"
+        with pytest.raises(ValidationError, match=message):
+            el.predict_effect(ratios, scale)
+
     def test_scale_consistency_round_trip(self):
         delta = np.array([3.7, -1.2, 0.05])
         scale = 87.3
@@ -121,13 +134,24 @@ class TestImpactForSeries:
 
         scales = [el.year_scale(series, w) for w in windows]
         assert scales == [10.0, 20.0]
-        ratios, predicted = el.impact.impact_for_series("x", series, windows, control, scales)
+        ratios, predicted = el.impact_for_series("x", series, windows, control, scales)
         assert ratios.tolist() == [[0.2, 0.1]]
         np.testing.assert_allclose(predicted, [4.0, 2.0])
 
+    @pytest.mark.parametrize("year", [0, 1])
+    def test_a_nan_scale_names_its_year(self, year):
+        series = np.full(120, 10.0)
+        windows = [el.EventWindow(t0=50, d=2), el.EventWindow(t0=110, d=2)]
+        control = np.full(120, 8.0)
+        scales = [10.0, 20.0]
+        scales[year] = np.nan
+        match = "year 0: scale" if year == 0 else "target_scale"
+        with pytest.raises(ValidationError, match=match):
+            el.impact_for_series("x", series, windows, control, scales)
+
     def test_needs_two_occurrences(self):
         with pytest.raises(ValidationError, match="'x' needs >= 2 occurrences"):
-            el.impact.impact_for_series(
+            el.impact_for_series(
                 "x", np.ones(120), [el.EventWindow(t0=50, d=2)], np.full(120, np.nan), [1.0]
             )
 
@@ -219,6 +243,21 @@ class TestYearScale:
         ):
             el.year_scale(np.full(400, -5.0), window, mode="calendar_month", time_index=dates)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_day_names_mode_t0_and_days(self, value):
+        dates = [datetime.date(2013, 1, 1) + datetime.timedelta(days=i) for i in range(400)]
+        window = el.EventWindow(t0=357, d=3)
+        x = np.full(400, 5.0)
+        x[340] = value
+        with pytest.raises(
+            ValidationError, match=rf"pre_event_month scale .* is {value}, .* 30 days in 321\.\.350"
+        ):
+            el.year_scale(x, window)
+        with pytest.raises(
+            ValidationError, match=rf"calendar_month scale .* is {value}, .* 28 days in 334\.\.364"
+        ):
+            el.year_scale(x, window, mode="calendar_month", time_index=dates)
+
 
 class TestEvaluateMape:
     def test_perfect_prediction(self):
@@ -231,6 +270,12 @@ class TestEvaluateMape:
     def test_zero_observed_names_index(self):
         with pytest.raises(ValidationError, match="index 1"):
             el.evaluate_mape(np.array([1.0, 1.0]), np.array([2.0, 0.0]))
+
+    def test_non_finite_values_name_index_or_day(self):
+        with pytest.raises(ValidationError, match="observed value is nan at index 1"):
+            el.evaluate_mape(np.array([1.0, 1.0]), np.array([2.0, np.nan]))
+        with pytest.raises(ValidationError, match="predicted value is inf on day b"):
+            el.evaluate_mape(np.array([1.0, np.inf]), np.array([2.0, 3.0]), days=["a", "b"])
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
