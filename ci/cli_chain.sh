@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The command chain both CI installs run: simulate a panel; estimate, validate,
 # fit, train, extract and run both baselines on it; evaluate a positive-level
-# panel.  Every file lands under <out dir>, so two installs' trees compare
+# panel; write and read a panel large enough to split, on every CPU and on
+# one.  Every file lands under <out dir>, so two installs' trees compare
 # with cmp.
 #
 #   ci/cli_chain.sh <eventlift command> <out dir>
@@ -16,6 +17,11 @@ out=$2
 cli() {
   # shellcheck disable=SC2086  # the command is split on spaces on purpose
   $eventlift "$@"
+}
+
+cli_1cpu() {
+  # shellcheck disable=SC2086
+  taskset -c 0 $eventlift "$@"
 }
 
 cli simulate --phi 0.5 --sigma 1.0 --n 200 --t0 100 --d 3 \
@@ -51,3 +57,13 @@ printf 'event,start_date,end_date\npromo,2013-02-15,2013-02-17\npromo,2013-03-27
 cli evaluate --panel "$out/level/panel.csv" --calendar "$out/level/promo.csv" \
     --lookback 10 --horizon 5 --hidden 8 --epochs 5 --periods 7 --seed 1 \
     --out "$out/eval-a"
+# 600 series x 366 days, 7.8 MB: simulate writes the panel and fit-ar reads
+# it in one part per CPU; pinned to one CPU, each does it in one part, and
+# every file is the same bytes
+split=(--phi 0.5 --sigma 1.0 --n 600 --t0 300 --d 3 --extra-days 62 --delta 2,-1,0.5 --seed 7)
+cli simulate "${split[@]}" --out "$out/split"
+cli fit-ar --panel "$out/split/panel.csv" --t0 300 --out "$out/split-fit"
+cli_1cpu simulate "${split[@]}" --out "$out/split-1cpu"
+cli_1cpu fit-ar --panel "$out/split-1cpu/panel.csv" --t0 300 --out "$out/split-1cpu-fit"
+cmp "$out/split/panel.csv" "$out/split-1cpu/panel.csv"
+cmp "$out/split-fit/ar_fit.csv" "$out/split-1cpu-fit/ar_fit.csv"

@@ -11,30 +11,21 @@ series (``RollingWindows._joined``): each series is held once, not a copy per
 window, and only one series' windows are built beside the joined set.
 
 The block's rows split into contiguous groups, one per CPU this process may
-run on (``montecarlo._available_cpus``, the cap ``run_replications`` uses).
-The calling process trains the first group and a forked child each other
-one, all of them stack by stack as a single group would; the children send
-their trained nets back over a pipe, and the caller forecasts every row.
-Given other work to do meanwhile (``alongside``), the caller does that
-instead of training a group, and every group trains in a child, a lone row
-too, so up to one more process than the CPU count is busy at once
-(``evaluate_panel``'s pooled net beside its DF nets).  Each net gets the
-bits of training it alone, so the controls are the same bytes on any number
-of CPUs.  Nothing forks, and the caller trains every row in one group (after
-any ``alongside`` work), on one CPU, where ``os.fork`` is missing or the
-platform is not Linux, and while another Python thread is alive, because a
-forked child would inherit any lock that thread holds, held; without
-``alongside`` work, one row does not fork either.
+run on, under the fork policy in the ``montecarlo`` docstring: the calling
+process trains the first group and a forked child each other one, all of
+them stack by stack as a single group would; the children send their
+trained nets back, and the caller forecasts every row.  Given other work to
+do meanwhile (``alongside``), the caller does that instead of training a
+group, and every group trains in a child, a lone row too, so up to one more
+process than the CPU count is busy at once (``evaluate_panel``'s pooled net
+beside its DF nets).  Each net gets the bits of training it alone, so the
+controls are the same bytes on any number of CPUs.  Where nothing forks,
+the caller trains every row in one group (after any ``alongside`` work);
+without ``alongside`` work, one row does not fork either.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import sys
-import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -152,7 +143,7 @@ def direct_forecast(
         return models
 
     groups = _row_groups(len(rows), alongside is not None)
-    models = [m for group in _forked_map(train_group, groups, alongside) for m in group]
+    models = [m for group in montecarlo._forked_map(train_group, groups, alongside) for m in group]
     control = np.full(rows.shape, np.nan)
     stop = min(t0 + 1 + H, rows.shape[1])
     for row, out, model in zip(rows, control, models):
@@ -185,89 +176,14 @@ def _check_window(
 
 
 def _row_groups(n_rows: int, alongside: bool = False) -> list[range]:
-    """Contiguous groups of ``n_rows`` rows, one per CPU this process may run
-    on, the earlier ones one row larger when they do not divide evenly; a
-    single group where the module docstring says no fork happens.  With
-    ``alongside``, wherever a fork can happen, an empty group leads: the
-    calling process, which runs the first group, then trains no row, and
-    every row trains in a child, a lone row too."""
-    can_fork = (
-        n_rows > 0 and hasattr(os, "fork") and sys.platform.startswith("linux")
-        and threading.active_count() == 1
-    )
-    cpus = montecarlo._available_cpus() if can_fork else 1
-    n = max(1, min(cpus, n_rows))
-    bounds = [-(-n_rows * g // n) for g in range(n + 1)]
-    groups = [range(a, b) for a, b in zip(bounds, bounds[1:])]
-    return [range(0, 0), *groups] if alongside and cpus > 1 else groups
-
-
-def _forked_map(fn, groups: Sequence[range], alongside: Callable[[], object] | None = None) -> list:
-    """``[fn(group) for group in groups]``, the first group in this process
-    and each other in a forked child, whose result comes back pickled over a
-    pipe.  ``alongside()``, when given, runs in this process once the
-    children are forked and before the first group, so its error is raised
-    before any group's.  Then the first failing group in order raises, as a
-    serial loop would meet it: a child's exception is raised as it crossed
-    the pipe, and a child that leaves no result is a ``RuntimeError`` naming
-    its rows.  No child outlives the call: each is reaped on the way out,
-    and one whose result is still unread is killed first."""
-    workers = []  # (pid, the read end of its pipe), one per forked group
-    try:
-        for group in groups[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns that forking a process with threads
-                    # may deadlock; the only other threads here are OpenBLAS's
-                    # idle pool, which OpenBLAS itself shuts down for a fork
-                    warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
-                    pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the child, which never returns
-                os.close(read_fd)
-                _child_main(fn, group, write_fd)
-            os.close(write_fd)
-            workers.append((pid, open(read_fd, "rb")))
-        if alongside is not None:
-            alongside()
-        results = [fn(groups[0])]
-        for (_, pipe), group in zip(workers, groups[1:]):
-            with pipe:
-                payload = pipe.read()
-            if not payload:
-                rows = f"{group.start}..{group.stop - 1}"
-                raise RuntimeError(f"the worker training rows {rows} ended without a result")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe in workers:
-            if not pipe.closed:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _child_main(fn, group: range, write_fd: int):
-    """Run ``fn(group)`` in a forked child, write ``(True, result)`` or
-    ``(False, exception)`` to ``write_fd`` pickled, and leave by
-    ``os._exit``, which neither flushes inherited buffers nor runs the
-    parent's exit handlers."""
-    try:
-        try:
-            payload = pickle.dumps((True, fn(group)))
-        except Exception as exc:
-            payload = pickle.dumps((False, exc))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+    """Contiguous groups of ``n_rows`` rows, one per CPU a fork may use
+    (``montecarlo._fork_groups``).  With ``alongside``, wherever a fork can
+    happen, an empty group leads: the calling process, which runs the first
+    group, then trains no row, and every row trains in a child, a lone row
+    too."""
+    groups = montecarlo._fork_groups(n_rows)
+    forks = n_rows > 0 and montecarlo._fork_cpus() > 1
+    return [range(0, 0), *groups] if alongside and forks else groups
 
 
 def centered_moving_average(x: np.ndarray, period: int) -> np.ndarray:

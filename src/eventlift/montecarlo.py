@@ -35,15 +35,34 @@ computes them operation for operation as ``scipy.stats.skew`` and
 ``scipy.stats.kurtosis`` do, so the bits match, and gives NaN for a column
 too close to constant.  Unlike scipy it emits no "precision loss"
 ``RuntimeWarning`` for nearly identical values.
+
+The module also holds the package's one fork policy, which
+``baselines.direct_forecast`` and the panel-file reader and writer in
+``dataio`` follow.  Their work splits into contiguous groups, one per CPU
+this process may run on (``_available_cpus``, the cap on
+``run_replications``' threads), and ``_forked_map`` runs the first group in
+the calling process and each other one in a forked child.  A child's result
+comes back over a pipe, pickled with its arrays sent out of band and read
+straight into their buffers, so the caller never holds a second copy of
+them.  Nothing forks, and one group runs in the calling process, where
+``os.fork`` is missing or the platform is not Linux, and while another
+Python thread is alive, because a forked child would inherit any lock that
+thread holds, held.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import struct
+import sys
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -185,11 +204,130 @@ def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
 
 def _available_cpus() -> int:
     """CPUs this process may run on: the cap on ``run_replications``'
-    threads and the number of ``baselines.direct_forecast``'s training
-    groups (the ``baselines`` docstring has its fork policy)."""
+    threads and on the groups of a forked map (see the module docstring)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _fork_cpus() -> int:
+    """The CPUs a forked map may use: ``_available_cpus()`` where a fork is
+    safe, and 1 where the module docstring says nothing forks."""
+    if hasattr(os, "fork") and sys.platform.startswith("linux") and threading.active_count() == 1:
+        return _available_cpus()
+    return 1
+
+
+def _fork_groups(n_items: int, most: int | None = None) -> list[range]:
+    """``range(n_items)`` as contiguous groups, one per CPU a forked map may
+    use and at most ``most`` of them, the earlier ones one item larger when
+    they do not divide evenly; a single group where nothing forks."""
+    cpus = _fork_cpus() if n_items else 1
+    n = max(1, min(cpus, n_items, n_items if most is None else most))
+    bounds = [-(-n_items * g // n) for g in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _forked_map(
+    fn,
+    groups: Sequence[range],
+    alongside: Callable[[], object] | None = None,
+    unit: str = "rows",
+) -> list:
+    """``[fn(group) for group in groups]``, the first group in this process
+    and each other in a forked child, whose result comes back over a pipe
+    (``_child_main``).  ``alongside()``, when given, runs in this process
+    once the children are forked and before the first group, so its error
+    is raised before any group's.  Then the first failing group in order
+    raises, as a serial loop would meet it: a child's exception is raised as
+    it crossed the pipe, and a child that leaves no whole result is a
+    ``RuntimeError`` naming its group's ``unit``.  No child outlives the
+    call: each is reaped on the way out, and one whose result is still
+    unread is killed first."""
+    workers = []  # (pid, the read end of its pipe), one per forked group
+    try:
+        for group in groups[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that forking a process with threads
+                    # may deadlock; the only other threads here are OpenBLAS's
+                    # idle pool, which OpenBLAS itself shuts down for a fork
+                    warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child, which never returns
+                os.close(read_fd)
+                _child_main(fn, group, write_fd)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        if alongside is not None:
+            alongside()
+        results = [fn(groups[0])]
+        for (_, pipe), group in zip(workers, groups[1:]):
+            with pipe:
+                try:
+                    ok, value = _receive(pipe)
+                except EOFError:
+                    where = f"{unit} {group.start}..{group.stop - 1}"
+                    raise RuntimeError(f"the worker for {where} ended without a result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            if not pipe.closed:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child_main(fn, group: range, write_fd: int):
+    """Run ``fn(group)`` in a forked child, send ``(True, result)`` or
+    ``(False, exception)`` to ``write_fd``, and leave by ``os._exit``, which
+    neither flushes inherited buffers nor runs the parent's exit handlers.
+
+    What is sent: the pickle's length, the number of out-of-band buffers
+    and each one's length (unsigned 64-bit little-endian), then the pickle
+    (protocol 5) and the buffers' bytes, so ``_receive`` reads each array's
+    data into a buffer of its own."""
+    try:
+        buffers: list[pickle.PickleBuffer] = []
+        try:
+            head = pickle.dumps((True, fn(group)), protocol=5, buffer_callback=buffers.append)
+        except Exception as exc:
+            buffers = []
+            head = pickle.dumps((False, exc), protocol=5)
+        raws = [buffer.raw() for buffer in buffers]
+        sizes = [len(head), len(raws), *(raw.nbytes for raw in raws)]
+        with open(write_fd, "wb") as pipe:
+            pipe.write(struct.pack(f"<{len(sizes)}Q", *sizes))
+            pipe.write(head)
+            for raw in raws:
+                pipe.write(raw)
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe):
+    """What ``_child_main`` sent over ``pipe``; EOFError if it is not whole."""
+    head_size, n_buffers = struct.unpack("<2Q", _read_exact(pipe, 16))
+    sizes = struct.unpack(f"<{n_buffers}Q", _read_exact(pipe, 8 * n_buffers))
+    head = _read_exact(pipe, head_size)
+    return pickle.loads(head, buffers=[_read_exact(pipe, size) for size in sizes])
+
+
+def _read_exact(pipe, size: int) -> bytearray:
+    """The next ``size`` bytes of the buffered ``pipe``, read into one new
+    buffer (``readinto`` reads until the buffer is full or the pipe ends)."""
+    buf = bytearray(size)
+    if pipe.readinto(buf) != size:
+        raise EOFError
+    return buf
 
 
 def run_replications(config: MCConfig, n_jobs: int = 1) -> MonteCarloReport:

@@ -2,6 +2,9 @@ import csv
 import datetime
 import io
 import math
+import os
+import re
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -9,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import ValidationError, dataio
+from eventlift import ValidationError, dataio, montecarlo
 from eventlift.dataio import CalendarEntry
 
 
@@ -186,15 +189,35 @@ class TestPanelRoundTrip:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("text", ["\r", "a\rb", "\r\n", "a\nb", "a,b", 'q"x'])
+def test_written_ids_and_event_names_load_back(tmp_path, text):
+    """Whatever an id or an event name holds, the files the package writes
+    load back; a bare carriage return would end the line it is on."""
+    dates = tuple(datetime.date(2014, 3, 1) + datetime.timedelta(days=i) for i in range(4))
+    panel = el.PanelSeries(np.arange(8.0).reshape(2, 4), dates, tuple(sorted([text, "plain"])))
+    el.write_panel_csv(tmp_path / "p.csv", panel)
+    assert el.load_panel_csv(tmp_path / "p.csv") == panel
+    entries = [CalendarEntry(text, dates[1], dates[2]), CalendarEntry("plain", dates[0], dates[3])]
+    el.write_calendar_csv(tmp_path / "c.csv", entries)
+    assert el.load_calendar(tmp_path / "c.csv") == sorted(entries, key=lambda e: e.event)
+
+
 def reference_write_panel_csv(path, panel):
-    """The row-at-a-time writer that ``write_panel_csv`` replaced."""
+    """The row-at-a-time writer that ``write_panel_csv`` replaced, quoting a
+    field that holds a carriage return as csv.writer does under a CRLF line
+    end (under LF it leaves it bare, and csv.reader reads it as a line end)."""
+
+    def line(row):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        return buf.getvalue().removesuffix("\r\n") + "\n"
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series_id", "date", "value"])
+        fh.write(line(["series_id", "date", "value"]))
         for i, sid in enumerate(panel.series_ids):
             row = panel.values[i]
             for t, label in enumerate(panel.time_index):
-                writer.writerow([sid, str(label), repr(float(row[t]))])
+                fh.write(line([sid, str(label), repr(float(row[t]))]))
 
 
 def reference_load_panel_csv(path):
@@ -527,6 +550,166 @@ def test_line_longer_than_a_block_under_the_field_limit_takes_the_bulk_path(tmp_
     assert np.frombuffer(ours[0])[at] == float(digits)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def small_parts(monkeypatch):
+    """Parts of any size fork: the size floor is one byte."""
+    monkeypatch.setattr(dataio, "_PART_FLOOR_BYTES", 1)
+
+
+def split_outcomes(path, forks, monkeypatch, call=lambda path: outcome(el.load_panel_csv, path)):
+    """``call(path)`` on 1, 2 and 3 CPUs: each CPU but the first forks a
+    child, and none is left."""
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
+        forks.clear()
+        results.append(call(path))
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+    return results
+
+
+def series_runs(ids, n_days=60):
+    """Bulk-path data lines: each id's run of ``n_days`` days in turn."""
+    day = datetime.date(2013, 1, 1)
+    return [f"{sid},{day + datetime.timedelta(days=t)},{t}.5" for sid in ids for t in range(n_days)]
+
+
+def with_last_line(lines, new):
+    return lines[:-1] + [new(lines[-1])]
+
+
+# each id's first line starts a later part on some CPU count, its run cut
+# by a part boundary on another; the first-seen order is not the sorted one
+SPLIT_IDS = ["zz", "a", "mmm"]
+N_LINES = 3 * 60
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="files split only on Linux")
+@pytest.mark.parametrize(
+    "edit, bulk, expected",
+    [
+        (lambda lines: lines, True, None),
+        # the duplicate is in the last part, its first row in the first
+        (lambda lines: lines + [lines[3]], True,
+         rf":{N_LINES + 2}: duplicate entry for series 'zz' on 2013-01-04$"),
+        (lambda lines: lines + ["a,2013-03-02,1.0"], True,
+         r"ranges differ: 'a' covers 2013-01-01\.\.2013-03-02, another series covers"),
+        (lambda lines: with_last_line(lines, lambda line: line + "x"), False,
+         rf":{N_LINES + 1}: non-numeric value '59\.5x'$"),
+        (lambda lines: with_last_line(lines, lambda line: line + "\r"), False, None),
+        (lambda lines: with_last_line(lines, lambda line: line.replace("mmm", "m\xe9m")), False,
+         rf":{N_LINES + 1}: not UTF-8 text"),
+    ],
+    ids=["plain", "duplicate", "range", "bad-value", "crlf", "not-utf8"],
+)
+def test_split_load_matches_one_cpu(tmp_path, small_parts, forks, monkeypatch, edit, bulk, expected):
+    lines = edit(series_runs(SPLIT_IDS))
+    path = tmp_path / "p.csv"
+    # Latin-1 leaves every line but the edited one as UTF-8 writes it
+    path.write_bytes(("series_id,date,value\n" + "\n".join(lines) + "\n").encode("latin-1"))
+    one, *split = split_outcomes(path, forks, monkeypatch)
+    assert split == [one, one]
+    # each part takes the lines that start in it: a plain file stays on the bulk path
+    assert split_outcomes(path, forks, monkeypatch, takes_bulk_path) == [bulk] * 3
+    if expected is None:
+        assert one[2] == ("a", "mmm", "zz") and len(one[0]) == 8 * N_LINES
+    else:
+        assert one[0] == "error" and re.search(expected, one[1]), one
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="files split only on Linux")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ids=st.lists(st.sampled_from(BULK_IDS), min_size=1, max_size=4, unique=True),
+    start=first_day,
+    n_days=st.integers(min_value=2, max_value=30),
+    fault=st.none() | st.sampled_from(FAULTS),
+    data=st.data(),
+)
+def test_split_load_of_any_panel_matches_one_cpu(
+    small_parts, forks, monkeypatch, ids, start, n_days, fault, data
+):
+    rows = [
+        [sid, (start + datetime.timedelta(days=t)).isoformat(), repr(data.draw(finite))]
+        for sid in ids
+        for t in range(n_days)
+    ]
+    if data.draw(st.booleans()):
+        rows = data.draw(st.permutations(rows))
+    if fault is not None:
+        inject(fault, rows, start, n_days, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([dataio.PANEL_HEADER, *rows])
+        if fault == "empty":  # a header alone has no byte to split
+            monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+            assert outcome(el.load_panel_csv, path) == outcome(reference_load_panel_csv, path)
+            return
+        one, *split = split_outcomes(path, forks, monkeypatch)
+        assert split == [one, one]
+        assert one == outcome(reference_load_panel_csv, path)
+        if fault in (None, "gap", "range"):
+            assert split_outcomes(path, forks, monkeypatch, takes_bulk_path) == [True] * 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="files split only on Linux")
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ids=st.lists(id_text, min_size=3, max_size=5, unique=True),
+    start=first_day,
+    n_days=st.integers(min_value=2, max_value=6),
+    data=st.data(),
+)
+def test_split_write_matches_one_cpu_bytes(small_parts, forks, monkeypatch, ids, start, n_days, data):
+    values = data.draw(st.lists(finite, min_size=len(ids) * n_days, max_size=len(ids) * n_days))
+    dates = tuple(start + datetime.timedelta(days=i) for i in range(n_days))
+    panel = el.PanelSeries(np.reshape(values, (len(ids), n_days)), dates, tuple(ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+
+        def write(path):
+            el.write_panel_csv(path, panel)
+            assert os.listdir(tmp) == ["p.csv"]
+            return path.read_bytes()
+
+        one, *split = split_outcomes(path, forks, monkeypatch, write)
+        assert split == [one, one]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="files split only on Linux")
+def test_a_write_child_that_raises_raises_here_and_leaves_no_child_nor_file(
+    tmp_path, small_parts, forks, monkeypatch
+):
+    """Both children raise; the first one's error is raised, as a serial
+    write would meet it, and only the destination is left in its directory."""
+    parent = os.getpid()
+    row_prefix = dataio._row_prefix
+
+    def fail_in_a_child(sid):
+        if os.getpid() != parent:
+            raise ValueError(f"cannot format {sid!r}")
+        return row_prefix(sid)
+
+    monkeypatch.setattr(dataio, "_row_prefix", fail_in_a_child)
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+    dates = tuple(datetime.date(2013, 1, 1) + datetime.timedelta(days=i) for i in range(5))
+    panel = el.PanelSeries(np.ones((3, 5)), dates, ("s0", "s1", "s2"))
+    with pytest.raises(ValueError, match="cannot format 's1'"):
+        el.write_panel_csv(tmp_path / "p.csv", panel)
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["p.csv"]
+
+
 def year_panel_file(tmp_path, n_series=500, n_days=366):
     """A simulated panel of ``n_series`` dated series, and its CSV file."""
     rng = np.random.default_rng(5)
@@ -539,9 +722,12 @@ def year_panel_file(tmp_path, n_series=500, n_days=366):
     return path, panel
 
 
-def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
+def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path, forks, monkeypatch):
+    """On two CPUs, the bulk path reads the file in two parts."""
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     path, panel = year_panel_file(tmp_path)
     assert takes_bulk_path(path)
+    forks.clear()
     peaks = []
     for load in (el.load_panel_csv, row_reader_load):
         assert load(path) == panel  # imports and caches are not the loader's cost
@@ -551,6 +737,7 @@ def test_bulk_path_peak_memory_is_no_higher_than_the_row_reader(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert len(forks) == 2  # one per bulk load
     bulk, rows = peaks
     # both peak in the shared pivot; CPython's free lists keep a few hundred bytes
     # of the bulk path's freed dicts and lists traced, a whole-file read megabytes
@@ -572,19 +759,24 @@ def test_ingest_peak_stays_under_four_and_a_half_grids(tmp_path):
     assert peak < 4.5 * panel.values.nbytes, (peak, panel.values.nbytes)
 
 
-def test_ingest_hands_its_grid_to_the_panel(tmp_path):
+def test_ingest_hands_its_grid_to_the_panel(tmp_path, forks, monkeypatch):
     """The loaded panel holds the grid the pivot filled, not a copy of it,
     and the pivot's cell indices are int32: the traced peak on a 500 x 366
-    panel reads 3.63 grids (the row accumulators, the cells and the grid),
-    where a second grid or int64 cells made it 4.21."""
+    panel read in two parts on two CPUs reads 2.72 grids (the values, the
+    cells and the grid).  It read 3.63 while the pivot kept every row's
+    series and day to its end, where a second grid or int64 cells made it
+    4.21."""
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     path, panel = year_panel_file(tmp_path)
     el.load_panel_csv(path)  # imports and caches are not the loader's cost
+    forks.clear()
     tracemalloc.start()
     try:
         loaded = el.load_panel_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(forks) == 1
     assert loaded.values.flags.owndata and not loaded.values.flags.writeable
     assert peak < 3.75 * panel.values.nbytes, (peak, panel.values.nbytes)
 
