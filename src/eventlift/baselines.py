@@ -10,18 +10,14 @@ joins its series' days up to the window start as the pooled net joins its
 series (``RollingWindows._joined``): each series is held once, not a copy per
 window, and only one series' windows are built beside the joined set.
 
-The block's rows split into contiguous groups, one per CPU this process may
-run on, under the fork policy in the ``montecarlo`` docstring: the calling
-process trains the first group and a forked child each other one, all of
-them stack by stack as a single group would; the children send their
-trained nets back, and the caller forecasts every row.  Given other work to
-do meanwhile (``alongside``), the caller does that instead of training a
-group, and every group trains in a child, a lone row too, so up to one more
-process than the CPU count is busy at once (``evaluate_panel``'s pooled net
-beside its DF nets).  Each net gets the bits of training it alone, so the
-controls are the same bytes on any number of CPUs.  Where nothing forks,
-the caller trains every row in one group (after any ``alongside`` work);
-without ``alongside`` work, one row does not fork either.
+The nets differ only by seed: one ``TrainConfig`` serves them all, and each
+row has its own seed.  The block's rows split into contiguous groups, one
+per CPU this process may run on, and ``montecarlo._forked_map`` trains them,
+each stack by stack as a single group would, under the fork policy and the
+overlap with work ``alongside`` that it states; the children send their
+trained nets back, and the caller forecasts every row.  Each net gets the
+bits of training it alone, so the controls are the same bytes on any number
+of CPUs.
 """
 
 from __future__ import annotations
@@ -63,9 +59,10 @@ def direct_forecast(
     window: EventWindow,
     config: RollingWindowConfig,
     arch: ForecasterArch | None = None,
-    train_cfg: TrainConfig | Sequence[TrainConfig] | None = None,
+    train_cfg: TrainConfig | None = None,
     predictor: str = "mlp",
     *,
+    seeds: Sequence[int] | None = None,
     alongside: Callable[[], object] | None = None,
 ) -> np.ndarray:
     """Train on data up to the window start only, then forecast into it.
@@ -77,27 +74,24 @@ def direct_forecast(
     same control ``impact --method ar`` uses.
 
     ``series`` is one (T,) series or an (S, T) block of them, each with its
-    own net: ``train_cfg`` is one config for every row or a sequence of one
-    per row.  The rows split into one contiguous group per available CPU
-    (see the module docstring): this process trains the first group, a
-    forked child each other one.  ``alongside``, a callable taking no
-    argument, is work for this process while the children train: when it is
-    given, every group (a lone row too) trains in a forked child, and this
-    process calls ``alongside()`` and then collects the groups in row order.
-    Where nothing can fork, and for ``"ar1"``, ``alongside()`` runs first and
-    then the rows in this process.  It runs only once this call's inputs
-    pass; its result is dropped, and its error is raised before any error of
-    the training, the children then being killed.  Each group trains in
+    own net.  Every net trains under ``train_cfg``, and row i's net draws
+    from ``seeds[i]`` (without ``seeds``, from ``train_cfg.seed``).
+    The rows split into one contiguous group per available CPU, trained by
+    ``montecarlo._forked_map``: ``alongside``, a callable taking no argument,
+    is its work for this process while the children train (for ``"ar1"``,
+    it runs first and then the rows).  It runs only once this call's inputs
+    pass; its result is dropped, and its error is raised before any error
+    of the training, the children then being killed.  Each group trains in
     lock-step stacks of at most ``_STACK_NETS`` (``forecaster._train_stack``).
     A stack joins its series' days up to t0 as the pooled net joins its
     series (``RollingWindows._joined``), building one series' windows at a
     time, so a process holds one joined stack and its buffers at a time, and
-    row i gets the bits of the 1-D call on it with config i, on any number
-    of CPUs.  A net that diverges is named by its row in the block; when
-    nets of several groups diverge, the first group's error in row order is
-    raised, as a serial loop would meet it.  A child that ends without
-    sending its nets is a ``RuntimeError`` naming its rows.  No child
-    outlives the call.
+    row i gets the bits of the 1-D call on it with seed ``seeds[i]``, on any
+    number of CPUs.  A net that diverges is named by its row in the block;
+    when nets of several groups diverge, the first group's error in row
+    order is raised, as a serial loop would meet it.  A child that ends
+    without sending its nets is a ``RuntimeError`` naming its rows.  No
+    child outlives the call.
 
     Returns the (T,) or (S, T) control: the forecasts on indices t0+1 ..
     min(t0+H, end of series), NaN everywhere else.  A window DF cannot
@@ -118,12 +112,10 @@ def direct_forecast(
             alongside()
         windows = [EventWindow(t0, H)]
         return np.stack([recursive_control(row, windows) for row in rows]).reshape(x.shape)
-    if train_cfg is None or isinstance(train_cfg, TrainConfig):
-        cfgs = [train_cfg or TrainConfig()] * len(rows)
-    else:
-        cfgs = list(train_cfg)
-        if len(cfgs) != len(rows):
-            raise ValidationError(f"{len(cfgs)} training configs for {len(rows)} series")
+    train_cfg = train_cfg or TrainConfig()
+    seeds = [train_cfg.seed] * len(rows) if seeds is None else list(seeds)
+    if len(seeds) != len(rows):
+        raise ValidationError(f"{len(seeds)} seeds for {len(rows)} series")
     arch = arch or ForecasterArch()
     uniform = AdaptiveLossConfig(rare_weight=1.0, nonrare_weight=1.0)
 
@@ -136,13 +128,13 @@ def direct_forecast(
                 (last - first) * (t0 + 1),
             )
             try:
-                models += _train_stack(stack, norms, arch, uniform, cfgs[first:last])
+                models += _train_stack(stack, norms, arch, uniform, train_cfg, seeds[first:last])
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(exc.epoch, exc.loss, first + exc.net) from exc
             del stack  # before the next stack is joined
         return models
 
-    groups = _row_groups(len(rows), alongside is not None)
+    groups = montecarlo._fork_groups(len(rows))
     models = [m for group in montecarlo._forked_map(train_group, groups, alongside) for m in group]
     control = np.full(rows.shape, np.nan)
     stop = min(t0 + 1 + H, rows.shape[1])
@@ -173,17 +165,6 @@ def _check_window(
         raise ValidationError(
             f"need t0 >= lookback + horizon = {M + H} for training, got t0={t0}"
         )
-
-
-def _row_groups(n_rows: int, alongside: bool = False) -> list[range]:
-    """Contiguous groups of ``n_rows`` rows, one per CPU a fork may use
-    (``montecarlo._fork_groups``).  With ``alongside``, wherever a fork can
-    happen, an empty group leads: the calling process, which runs the first
-    group, then trains no row, and every row trains in a child, a lone row
-    too."""
-    groups = montecarlo._fork_groups(n_rows)
-    forks = n_rows > 0 and montecarlo._fork_cpus() > 1
-    return [range(0, 0), *groups] if alongside and forks else groups
 
 
 def centered_moving_average(x: np.ndarray, period: int) -> np.ndarray:

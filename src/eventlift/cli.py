@@ -67,7 +67,10 @@ def _plot_start(window: EventWindow) -> int:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"--out {out} is not a directory ({exc.strerror})") from exc
     return out
 
 

@@ -127,14 +127,17 @@ def load_panel_csv(path) -> PanelSeries:
 def _open_text(path, kind: str):
     """Open an input CSV as UTF-8 text (a byte-order mark is skipped).
 
-    A missing file, and text that does not decode, raise a ValidationError
-    naming the file; the second names its first line that does not decode
-    (a UTF-8 sequence never holds a newline byte, so lines decode alone).
+    A missing file, a directory, and text that does not decode, raise a
+    ValidationError naming the file; the last names its first line that
+    does not decode (a UTF-8 sequence never holds a newline byte, so lines
+    decode alone).
     """
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError as exc:
         raise ValidationError(f"{kind} file not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ValidationError(f"{kind} file is a directory: {path}") from exc
     with fh:
         try:
             yield fh
@@ -164,7 +167,7 @@ def _read_blocks(path):
             if fh.readline().removeprefix(codecs.BOM_UTF8) != _PANEL_HEADER_LINE:
                 return None
             lo, size = fh.tell(), os.fstat(fh.fileno()).st_size
-    except FileNotFoundError:
+    except (FileNotFoundError, IsADirectoryError):
         return None
     groups = montecarlo._fork_groups(size - lo, (size - lo) // _PART_FLOOR_BYTES)
     spans = [range(lo + g.start, lo + g.stop) for g in groups]

@@ -19,18 +19,17 @@ is the prediction target and all earlier ones are training years:
 * DF: per series, train a uniform-weight forecaster on data up to the
   target window only and use its out-of-sample forecast as the predicted
   total.  One ``direct_forecast`` call per event covers every series: their
-  nets train in lock-step stacks, each with its own derived seed and the
-  bits of training it alone; a net that diverges is named by its series.
+  nets train in lock-step stacks under one config, each with its own seed
+  derived from ``train_cfg.seed`` and the bits of training it alone; a net
+  that diverges is named by its series.
 * SD: decompose the series (weekly + annual by default); the fitted values
   including the annual component are the predicted total.
 
 The pooled net trains in this process as the first event's
-``direct_forecast`` ``alongside`` work: where DF can fork (Linux, more than
-one CPU, no other Python thread), each of its row groups, a lone series'
-too, trains in a forked child meanwhile, so no CPU idles while "ours"
-trains; elsewhere the pooled net trains first and then DF, in this process.
-The report is the same bytes either way, and a pooled-net divergence is
-raised before any DF error, as when the pooled net trained first.  With no
+``direct_forecast`` ``alongside`` work, which overlaps DF's training as
+``montecarlo._forked_map`` states.  The report is the same bytes on any
+number of CPUs, and a pooled-net divergence is raised before any DF error,
+as when the pooled net trained first.  With no
 event to evaluate, nothing trains.
 
 Before anything trains, every event's occurrences, its target window
@@ -46,7 +45,7 @@ observed window) is then built in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,9 +112,10 @@ def evaluate_panel(
     a target window DF can forecast, no occurrence before day ``lookback``,
     and every series a positive ``year_scale`` at each of them and no zero
     in the target window; all of these, and the periods, are checked before
-    any training.  The pooled net trains with ``train_cfg.seed`` and each
-    series' DF net with a seed derived from it, so runs are reproducible end
-    to end.
+    any training.  The pooled net trains with ``train_cfg.seed``, and
+    series i's DF net under ``train_cfg`` with the seed
+    ``mix_seed(train_cfg.seed, 7919 + i) % 2**32``, so runs are reproducible
+    end to end.
     """
     fw_config = fw_config or RollingWindowConfig()
     arch = arch or ForecasterArch()
@@ -158,15 +158,12 @@ def evaluate_panel(
     def train_ours():
         models.extend(train_pooled(all_series, fw_config, calendar, arch, loss_cfg, train_cfg))
 
-    df_cfgs = [
-        replace(train_cfg, seed=mix_seed(train_cfg.seed, 7919 + i) % (2**32))
-        for i in range(panel.n_series)
-    ]
+    df_seeds = [mix_seed(train_cfg.seed, 7919 + i) % (2**32) for i in range(panel.n_series)]
     df_controls = {}
     for name, target in targets.items():
         try:
             df_controls[name] = direct_forecast(
-                panel.values, target, fw_config, arch, df_cfgs,
+                panel.values, target, fw_config, arch, train_cfg, seeds=df_seeds,
                 alongside=None if models else train_ours,
             )
         except TrainingDivergedError as exc:

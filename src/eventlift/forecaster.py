@@ -16,10 +16,11 @@ so its memory grows with the series' total length, O(S * T) for S series
 of T days; nothing builds a row per window.  In-sample forecasting keeps
 to the same bound: ``insample_forecast`` predicts ``_PREDICT_ROWS``
 windows at a time and adds each block's forecasts into per-day running
-sums (or the median's by-offset table) before it reads the next, so its
-memory is O(T + block), not a copy of every window and every activation
-of the net.  ``gradient_check`` alone takes rows as arrays, a few at a
-time.
+sums (or the median's (T, horizon) float64 table of forecasts by offset)
+before it reads the next, so its memory is O(T + block) for the mean and
+O(T * horizon + block) for the median, not a copy of every window and
+every activation of the net.  ``gradient_check`` alone takes rows as
+arrays, a few at a time.
 
 The forecaster itself is a small fully connected net implemented directly on
 numpy arrays: parameters live in one flat vector, gradients come from manual
@@ -51,8 +52,8 @@ panel of S series costs one training instead of S.
 Nets that must stay separate (the per-series direct-forecast baseline)
 train in lock-step instead (``_train_stack``): their series are joined as
 the pool's are (``RollingWindows._joined``), net s trains on the s-th of S
-equal runs of the joined windows, and the S nets, with the same configs but
-their own seeds, run each step as one pass of 3-D numpy calls over a
+equal runs of the joined windows, and the S nets, under one config and each
+with its own seed, run each step as one pass of 3-D numpy calls over a
 leading net axis, which amortizes the per-call cost of the small matrix
 products; each net gets the bits of training it alone.  It is the only
 training loop: ``train`` is the stack of one.
@@ -437,10 +438,12 @@ def _train_stack(
     norms: Sequence[tuple[float, float]],
     arch: ForecasterArch,
     loss_cfg: AdaptiveLossConfig,
-    train_cfgs: Sequence[TrainConfig],
+    train_cfg: TrainConfig,
+    seeds: Sequence[int],
 ) -> list[TrainedForecaster]:
-    """Train one net per config in lock-step, net s on the s-th of S equal
-    runs of ``stack``'s windows, and record ``norms[s]`` on its model.
+    """Train one net per seed under ``train_cfg`` in lock-step, net s on the
+    s-th of S equal runs of ``stack``'s windows, drawing from ``seeds[s]``,
+    and record ``norms[s]`` on its model.
 
     Every net reads the stack's normalized float32 values as they are:
     ``train`` passes one series' windows, and a caller with several nets
@@ -460,20 +463,14 @@ def _train_stack(
     bits of training it alone.  Beside the values and flags, training holds
     the starts and one int32 order of them per net.
 
-    The nets share every ``TrainConfig`` field but ``seed``.  A non-finite
-    loss stops the stack at that step and raises for the lowest-index net
-    whose loss it is, at the epoch that net diverges alone.
+    ``train_cfg.seed`` is not read: net s alone is what ``train`` gives
+    with ``replace(train_cfg, seed=seeds[s])``.  A non-finite loss stops the
+    stack at that step and raises for the lowest-index net whose loss it is,
+    at the epoch that net diverges alone.
     """
-    if not train_cfgs:
+    if not seeds:
         raise ValidationError("a training stack needs at least one net")
-    cfg = train_cfgs[0]
-    for s, other in enumerate(train_cfgs):
-        if replace(other, seed=cfg.seed) != cfg:
-            raise ValidationError(
-                f"net {s} of a training stack differs from net 0 in more than its seed: "
-                f"{other} vs {cfg}"
-            )
-    S = len(train_cfgs)
+    S = len(seeds)
     if len(norms) != S or len(stack) % S:
         raise ValidationError(
             f"a training stack of {S} nets needs one (shift, scale) pair per net and windows "
@@ -491,7 +488,7 @@ def _train_stack(
         label_events = sliding_window_view(stack.event_day[M:], H)
     layer_sizes = (M, *arch.hidden_sizes, H)
 
-    rngs = [np.random.default_rng(c.seed) for c in train_cfgs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     theta = np.empty((S, parameter_count(layer_sizes)), TRAIN_DTYPE)
     for row, rng in zip(theta, rngs):
         draws = []
@@ -501,7 +498,7 @@ def _train_stack(
             draws.append(rng.uniform(-bound, bound, size=fo))
         row[:] = np.concatenate(draws)
 
-    bs = cfg.batch_size
+    bs = train_cfg.batch_size
     full = min(bs, B)
     layers = _unpack(theta, layer_sizes)
     grad = np.empty_like(theta)
@@ -521,11 +518,11 @@ def _train_stack(
     # shuffling a copy of the net's own starts in place puts them in that
     # order, so each epoch's order holds the starts a batch reads, in int32
     order = np.empty((S, B), np.int32)
-    lr0 = cfg.learning_rate
-    lr1 = cfg.final_learning_rate if cfg.final_learning_rate is not None else lr0
+    lr0 = train_cfg.learning_rate
+    lr1 = train_cfg.final_learning_rate if train_cfg.final_learning_rate is not None else lr0
     history = []
-    for epoch in range(cfg.epochs):
-        frac = epoch / max(cfg.epochs - 1, 1)
+    for epoch in range(train_cfg.epochs):
+        frac = epoch / max(train_cfg.epochs - 1, 1)
         lr = lr0 + (lr1 - lr0) * frac
         for row, net_starts, rng in zip(order, own_starts, rngs):
             row[:] = net_starts
@@ -589,7 +586,8 @@ def train(
     seed give bit-identical parameters.  A non-finite loss aborts with the
     offending epoch (and net 0).  This is ``_train_stack`` of one net.
     """
-    return _train_stack(windows, [(windows.shift, windows.scale)], arch, loss_cfg, [train_cfg])[0]
+    norms = [(windows.shift, windows.scale)]
+    return _train_stack(windows, norms, arch, loss_cfg, train_cfg, [train_cfg.seed])[0]
 
 
 def train_pooled(
@@ -642,9 +640,10 @@ def insample_forecast(
 
     The windows are predicted in blocks of ``_PREDICT_ROWS``, and only one
     block's inputs, activations and forecasts are alive at a time, beside
-    the (T,) sums and counts (or the (T, horizon) table of forecasts by
-    offset the median reads, ``_MEDIAN_DAYS`` rows at a time), so memory is
-    O(T + block) rather than O(windows * lookback).  ``np.add.at`` adds a
+    the (T,) sums and counts (or the (T, horizon) float64 table of
+    forecasts by offset the median reads, ``_MEDIAN_DAYS`` rows at a time),
+    so memory is O(T + block) for the mean and O(T * horizon + block) for
+    the median rather than O(windows * lookback).  ``np.add.at`` adds a
     block's forecasts into the sums row by row, continuing the earlier
     blocks' sums, which is the order ``np.bincount`` adds all rows in at
     once: the sums, and so the control, have the bits of one full-batch
@@ -822,6 +821,8 @@ def load_model(path) -> TrainedForecaster:
             payload = json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"model file not found: {path}") from exc
+    except IsADirectoryError as exc:
+        raise ValidationError(f"model file is a directory: {path}") from exc
     except ValueError as exc:
         raise ValidationError(f"{path}: not a model JSON file ({exc})") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None

@@ -41,7 +41,8 @@ The module also holds the package's one fork policy, which
 ``dataio`` follow.  Their work splits into contiguous groups, one per CPU
 this process may run on (``_available_cpus``, the cap on
 ``run_replications``' threads), and ``_forked_map`` runs the first group in
-the calling process and each other one in a forked child.  A child's result
+the calling process and each other one in a forked child (every group, when
+the calling process has other work to do meanwhile).  A child's result
 comes back over a pipe, pickled with its arrays sent out of band and read
 straight into their buffers, so the caller never holds a second copy of
 them.  Nothing forks, and one group runs in the calling process, where
@@ -238,15 +239,20 @@ def _forked_map(
     and each other in a forked child, whose result comes back over a pipe
     (``_child_main``).  ``alongside()``, when given, runs in this process
     once the children are forked and before the first group, so its error
-    is raised before any group's.  Then the first failing group in order
-    raises, as a serial loop would meet it: a child's exception is raised as
-    it crossed the pipe, and a child that leaves no whole result is a
-    ``RuntimeError`` naming its group's ``unit``.  No child outlives the
-    call: each is reaped on the way out, and one whose result is still
-    unread is killed first."""
+    is raised before any group's.  Given ``alongside``, wherever a fork can
+    happen (``_fork_cpus() > 1``) and the first group is not empty, every
+    group forks, the first too, and this process runs ``alongside()`` alone:
+    up to one more process than the CPU count is then busy at once.  Then
+    the first failing group in order raises, as a serial loop would meet
+    it: a child's exception is raised as it crossed the pipe, and a child
+    that leaves no whole result is a ``RuntimeError`` naming its group's
+    ``unit``.  No child outlives the call: each is reaped on the way out,
+    and one whose result is still unread is killed first."""
+    fork_all = alongside is not None and len(groups[0]) > 0 and _fork_cpus() > 1
+    forked = groups if fork_all else groups[1:]
     workers = []  # (pid, the read end of its pipe), one per forked group
     try:
-        for group in groups[1:]:
+        for group in forked:
             read_fd, write_fd = os.pipe()
             try:
                 with warnings.catch_warnings():
@@ -266,8 +272,8 @@ def _forked_map(
             workers.append((pid, open(read_fd, "rb")))
         if alongside is not None:
             alongside()
-        results = [fn(groups[0])]
-        for (_, pipe), group in zip(workers, groups[1:]):
+        results = [] if fork_all else [fn(groups[0])]
+        for (_, pipe), group in zip(workers, forked):
             with pipe:
                 try:
                     ok, value = _receive(pipe)

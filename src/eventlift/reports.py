@@ -35,11 +35,12 @@ CSV schemas (k is the 1-based window day, t a 0-based time index):
 
 from __future__ import annotations
 
-import csv
 import math
 from xml.sax.saxutils import escape
 
 import numpy as np
+
+from .dataio import _csv_line
 
 __all__ = [
     "write_rows",
@@ -58,12 +59,13 @@ def write_rows(path, header, rows) -> None:
     """Write one CSV table: UTF-8, "\\n" line ends, the header row first.
 
     Float cells are written as ``repr(float(x))``, the shortest exact
-    round-trip; other cells as given.
+    round-trip; other cells as given.  Each row is one ``dataio._csv_line``,
+    the rule of the panel and calendar files: a cell holding a carriage
+    return is quoted, so an id or event name loads back whatever it holds.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        fh.write(_csv_line(header))
+        fh.writelines(_csv_line([_cell(v) for v in row]) for row in rows)
 
 
 def write_effect_csv(path, delta_hat, cis=None) -> None:

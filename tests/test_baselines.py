@@ -181,26 +181,32 @@ class TestDirectForecastBlock:
         level = rng.uniform(5, 50, size=(rows, 1))
         return level * (1 + 0.1 * np.sin(t / 3.0)) + rng.normal(0, 0.5, size=(rows, len(t)))
 
-    def train_cfgs(self, rows):
-        return [el.TrainConfig(epochs=6, batch_size=9, learning_rate=0.02, seed=40 + i)
-                for i in range(rows)]
+    train_cfg = el.TrainConfig(epochs=6, batch_size=9, learning_rate=0.02)
+
+    def seeds(self, rows):
+        return [40 + i for i in range(rows)]
 
     @pytest.mark.parametrize("rows", [1, 3, 8])  # 8 rows: two stacks
     def test_row_i_is_the_1d_call_with_config_i(self, rows):
+        """Row i's control is the 1-D call's under the block's config with
+        seed i in it."""
         x = self.block(rows)
-        cfgs = self.train_cfgs(rows)
-        block = el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs)
+        seeds = self.seeds(rows)
+        block = el.direct_forecast(x, self.window, self.cfg, self.arch, self.train_cfg,
+                                   seeds=seeds)
         assert block.shape == x.shape
-        for row, train_cfg, control in zip(x, cfgs, block):
+        for row, seed, control in zip(x, seeds, block):
+            train_cfg = replace(self.train_cfg, seed=seed)
             alone = el.direct_forecast(row, self.window, self.cfg, self.arch, train_cfg)
             assert control.tobytes() == alone.tobytes()
 
     def test_one_config_serves_every_row(self):
+        """Without seeds, every row draws from the config's seed."""
         x = self.block(2)
-        [train_cfg] = self.train_cfgs(1)
+        train_cfg = replace(self.train_cfg, seed=40)
         block = el.direct_forecast(x, self.window, self.cfg, self.arch, train_cfg)
         assert block.tobytes() == el.direct_forecast(
-            x, self.window, self.cfg, self.arch, [train_cfg] * 2
+            x, self.window, self.cfg, self.arch, train_cfg, seeds=[40, 40]
         ).tobytes()
 
     def test_ar1_rows_are_the_1d_calls(self):
@@ -211,20 +217,23 @@ class TestDirectForecastBlock:
             assert control.tobytes() == alone.tobytes()
 
     def test_config_count_must_match_rows(self):
-        with pytest.raises(ValidationError, match="2 training configs for 3 series"):
+        """The nets' configs differ only by seed, so the seeds count one per
+        row."""
+        with pytest.raises(ValidationError, match="2 seeds for 3 series"):
             el.direct_forecast(self.block(3), self.window, self.cfg, self.arch,
-                               self.train_cfgs(2))
+                               self.train_cfg, seeds=self.seeds(2))
 
     def test_divergence_names_the_row(self):
         """Row 7 sits in the second stack; the error names it by its row.  Its
         spike is finite in float64 but overflows the float32 training stack."""
         x = self.block(8)
         x[7, 30] = 1e300
-        cfgs = [replace(c, epochs=3) for c in self.train_cfgs(8)]
+        short = replace(self.train_cfg, epochs=3)
+        seeds = self.seeds(8)
         with pytest.raises(el.TrainingDivergedError) as info, np.errstate(all="ignore"):
-            el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs)
+            el.direct_forecast(x, self.window, self.cfg, self.arch, short, seeds=seeds)
         with pytest.raises(el.TrainingDivergedError) as alone, np.errstate(all="ignore"):
-            el.direct_forecast(x[7], self.window, self.cfg, self.arch, cfgs[7])
+            el.direct_forecast(x[7], self.window, self.cfg, self.arch, short, seeds=seeds[7:])
         assert (info.value.net, info.value.epoch) == (7, alone.value.epoch)
         assert alone.value.net == 0
 
@@ -299,9 +308,12 @@ class TestDirectForecastGroups:
     setup = TestDirectForecastBlock()
     cfg, window, arch = setup.cfg, setup.window, setup.arch
 
-    def run(self, x, cfgs=None):
-        cfgs = cfgs or self.setup.train_cfgs(len(x))
-        return el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs)
+    def run(self, x, train_cfg=None, **kwargs):
+        """DF on the block, one seed per row, under ``train_cfg`` or the
+        block tests' config."""
+        return el.direct_forecast(x, self.window, self.cfg, self.arch,
+                                  train_cfg or self.setup.train_cfg,
+                                  seeds=self.setup.seeds(len(x)), **kwargs)
 
     def test_control_bytes_do_not_depend_on_the_cpu_count(self, forks, monkeypatch):
         x = self.setup.block(5)
@@ -315,23 +327,19 @@ class TestDirectForecastGroups:
         assert len(set(controls.values())) == 1
 
     def test_row_groups_are_contiguous_and_balanced(self, monkeypatch):
+        """DF's rows split as ``montecarlo._fork_groups`` splits them; which
+        groups fork given work alongside, the fork-count tests check."""
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
-        assert baselines._row_groups(8) == [range(0, 3), range(3, 6), range(6, 8)]
-        assert baselines._row_groups(2) == [range(0, 1), range(1, 2)]
-        assert baselines._row_groups(1) == [range(0, 1)]
-        assert baselines._row_groups(0) == [range(0, 0)]
-        # with work alongside, the caller's group is empty and a lone row forks
-        assert baselines._row_groups(8, alongside=True) == [
-            range(0, 0), range(0, 3), range(3, 6), range(6, 8)
-        ]
-        assert baselines._row_groups(1, alongside=True) == [range(0, 0), range(0, 1)]
-        assert baselines._row_groups(0, alongside=True) == [range(0, 0)]
+        assert montecarlo._fork_groups(8) == [range(0, 3), range(3, 6), range(6, 8)]
+        assert montecarlo._fork_groups(2) == [range(0, 1), range(1, 2)]
+        assert montecarlo._fork_groups(1) == [range(0, 1)]
+        assert montecarlo._fork_groups(0) == [range(0, 0)]
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
-        assert baselines._row_groups(8, alongside=True) == [range(0, 8)]
+        assert montecarlo._fork_groups(8) == [range(0, 8)]
 
     def test_an_empty_block_trains_nothing_and_forks_nothing(self, forks, monkeypatch):
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
-        control = self.run(np.zeros((0, 70)), cfgs=[])
+        control = self.run(np.zeros((0, 70)))
         assert control.shape == (0, 70)
         assert forks == []
 
@@ -342,12 +350,13 @@ class TestDirectForecastGroups:
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
         x = self.setup.block(5)
         x[4, 30] = 1e300
-        cfgs = [replace(c, epochs=3) for c in self.setup.train_cfgs(5)]
+        short = replace(self.setup.train_cfg, epochs=3)
         with pytest.raises(el.TrainingDivergedError) as info, np.errstate(all="ignore"):
-            self.run(x, cfgs)
+            self.run(x, short)
         assert_no_child_left()
         with pytest.raises(el.TrainingDivergedError) as alone, np.errstate(all="ignore"):
-            el.direct_forecast(x[4], self.window, self.cfg, self.arch, cfgs[4])
+            el.direct_forecast(x[4], self.window, self.cfg, self.arch, short,
+                               seeds=self.setup.seeds(5)[4:])
         assert (info.value.net, info.value.epoch) == (4, alone.value.epoch)
 
     def test_the_first_failing_group_wins(self, monkeypatch):
@@ -381,7 +390,7 @@ class TestDirectForecastGroups:
         once with this process's own error, and leaves none of them."""
         parent = os.getpid()
 
-        def fail_here_sleep_there(stack, norms, arch, loss_cfg, train_cfgs):
+        def fail_here_sleep_there(stack, norms, arch, loss_cfg, train_cfg, seeds):
             if os.getpid() != parent:
                 time.sleep(600)
             raise TrainingDivergedError(2, math.nan, 0)
@@ -406,22 +415,20 @@ class TestDirectForecastGroups:
         monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
         assert result["control"].tobytes() == self.run(x).tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("rows", [0, 1, 3, 5])
     def test_every_group_forks_while_this_process_runs_the_work_alongside(
         self, rows, forks, monkeypatch
     ):
         """Given work alongside, every group trains in a child, a lone row
-        too, and the work runs here, once; on one CPU nothing forks.  The
-        controls are the bytes of the call without it."""
+        too, and the work runs here, once; on one CPU, and for no row,
+        nothing forks.  The controls are the bytes of the call without it."""
         x = self.setup.block(rows)
-        cfgs = self.setup.train_cfgs(rows)
-        expected = self.run(x, cfgs).tobytes()
+        expected = self.run(x).tobytes()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_available_cpus", lambda: cpus)
             forks.clear()
             ran = []
-            control = el.direct_forecast(x, self.window, self.cfg, self.arch, cfgs,
-                                         alongside=lambda: ran.append(os.getpid()))
+            control = self.run(x, alongside=lambda: ran.append(os.getpid()))
             assert control.tobytes() == expected
             assert ran == [os.getpid()]
             assert len(forks) == (0 if cpus == 1 else min(cpus, rows))
@@ -440,8 +447,7 @@ class TestDirectForecastGroups:
         x = self.setup.block(3)
         x[1, 30] = 1e300
         with pytest.raises(RuntimeError, match="alongside failed"), np.errstate(all="ignore"):
-            el.direct_forecast(x, self.window, self.cfg, self.arch,
-                               self.setup.train_cfgs(3), alongside=fail)
+            self.run(x, alongside=fail)
         assert_no_child_left()
         ran = []
         with pytest.raises(ValidationError, match="need t0 >= lookback"):

@@ -1,3 +1,4 @@
+import csv
 import datetime
 import inspect
 import json
@@ -87,6 +88,30 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--panel", "--calendar", "--model"])
+    def test_a_directory_given_as_an_input_file_returns_2(
+        self, flag, sim_dir, trained_dir, tmp_path, capsys
+    ):
+        argv = ["extract", "--panel", str(sim_dir / "panel.csv"),
+                "--calendar", str(sim_dir / "calendar.csv"), "--event", "event",
+                "--series", "s000", "--model", str(trained_dir / "model_s000.json")]
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv[argv.index(flag) + 1] = str(folder)
+        out = tmp_path / "out"
+        assert run_command([*argv, "--out", str(out)]) == 2
+        assert f"file is a directory: {folder}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_an_existing_file_given_as_out_returns_2(self, out, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        argv = ["simulate", "--phi", "0.5", "--sigma", "1", "--n", "5", "--t0", "10",
+                "--d", "2", "--delta", "1,1", "--seed", "1", "--out", str(tmp_path / out)]
+        assert run_command(argv) == 2
+        assert f"--out {tmp_path / out} is not a directory" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_oversized_csv_field_returns_2(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
@@ -925,6 +950,34 @@ class TestImpactAndEvaluate:
         for name in ("mape.csv", "impact.csv", "predictions.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         capsys.readouterr()
+
+    def test_evaluate_tables_load_back_whatever_the_ids_hold(self, tiny_files, tmp_path, capsys):
+        """Ids holding a carriage return, a line feed, a comma or a quote
+        read back intact from every table ``evaluate`` writes, and the rows
+        are those of plain ids, in the same order, once the id is replaced."""
+        odd = sorted(["\r", "a\rb", "\r\n", "a\nb", "a,b", 'q"x'])
+        plain = [f"p{i}" for i in range(len(odd))]
+        base = dataio.load_panel_csv(tiny_files / "panel.csv")
+        values = np.resize(base.values, (len(odd), base.values.shape[1]))
+        tables = {}
+        for name, ids in (("odd", odd), ("plain", plain)):
+            dataio.write_panel_csv(
+                tmp_path / f"{name}.csv", el.PanelSeries(values, base.time_index, tuple(ids))
+            )
+            argv = self.evaluate_args(tiny_files, tmp_path / name)
+            argv[argv.index("--panel") + 1] = str(tmp_path / f"{name}.csv")
+            assert run_command(argv) == 0
+            for table in ("mape.csv", "predictions.csv", "impact.csv"):
+                with open(tmp_path / name / table, encoding="utf-8", newline="") as fh:
+                    tables[name, table] = list(csv.reader(fh))
+        capsys.readouterr()
+        for table in ("mape.csv", "predictions.csv"):
+            ids = [row[0] for row in tables["odd", table][1:]]
+            assert set(ids) == set(odd)
+            renamed = [[plain[odd.index(row[0])], *row[1:]] for row in tables["odd", table][1:]]
+            assert renamed == tables["plain", table][1:]
+        labels = [f"{sid}/promo" for sid in odd]
+        assert {row[0] for row in tables["odd", "impact.csv"][1:]} == set(labels)
 
     def test_evaluate_unknown_event_filter(self, tiny_files, tmp_path, capsys):
         code = run_command(

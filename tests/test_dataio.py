@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eventlift as el
-from eventlift import ValidationError, dataio, montecarlo
+from eventlift import ValidationError, dataio, montecarlo, reports
 from eventlift.dataio import CalendarEntry
 
 
@@ -192,7 +192,8 @@ class TestPanelRoundTrip:
 @pytest.mark.parametrize("text", ["\r", "a\rb", "\r\n", "a\nb", "a,b", 'q"x'])
 def test_written_ids_and_event_names_load_back(tmp_path, text):
     """Whatever an id or an event name holds, the files the package writes
-    load back; a bare carriage return would end the line it is on."""
+    load back, the output tables too; a bare carriage return would end the
+    line it is on."""
     dates = tuple(datetime.date(2014, 3, 1) + datetime.timedelta(days=i) for i in range(4))
     panel = el.PanelSeries(np.arange(8.0).reshape(2, 4), dates, tuple(sorted([text, "plain"])))
     el.write_panel_csv(tmp_path / "p.csv", panel)
@@ -200,6 +201,10 @@ def test_written_ids_and_event_names_load_back(tmp_path, text):
     entries = [CalendarEntry(text, dates[1], dates[2]), CalendarEntry("plain", dates[0], dates[3])]
     el.write_calendar_csv(tmp_path / "c.csv", entries)
     assert el.load_calendar(tmp_path / "c.csv") == sorted(entries, key=lambda e: e.event)
+    table = [["department", "event", "SD"], [text, "promo", 1.5], ["plain", text, 0.1 + 0.2]]
+    reports.write_rows(tmp_path / "t.csv", table[0], table[1:])
+    with open(tmp_path / "t.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [[str(cell) for cell in row] for row in table]
 
 
 def reference_write_panel_csv(path, panel):

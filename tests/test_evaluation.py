@@ -233,7 +233,7 @@ class TestEvaluatePanel:
     def test_df_divergence_names_the_series(self, monkeypatch):
         from eventlift import baselines
 
-        def diverge(stack, norms, arch, loss_cfg, train_cfgs):
+        def diverge(stack, norms, arch, loss_cfg, train_cfg, seeds):
             raise TrainingDivergedError(4, float("nan"), 1)
 
         monkeypatch.setattr(baselines, "_train_stack", diverge)

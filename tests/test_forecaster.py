@@ -860,7 +860,8 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
 ):
     """Net s of a lock-step stack, trained on the s-th series of the joined
     windows, gets the parameters and loss history of ``train`` and of the
-    allocating reference loop on its windows alone, with its seed."""
+    allocating reference loop on its windows alone, with its seed in the
+    stack's config."""
     rng = np.random.default_rng(seed)
     cfg = el.RollingWindowConfig(lookback=lookback, horizon=horizon)
     calendar = el.EventCalendar({"e": [el.EventWindow(t0=event_t0, d=2)]})
@@ -878,17 +879,16 @@ def test_train_stack_matches_training_each_net_alone_bit_for_bit(
         return
     arch = el.ForecasterArch(hidden_sizes=tuple(hidden), activation=activation)
     loss_cfg = el.AdaptiveLossConfig(rare_weight=0.3, distance=distance)
-    train_cfgs = [
-        el.TrainConfig(
-            epochs=epochs, batch_size=sizes[pick % len(sizes)], learning_rate=0.05,
-            final_learning_rate=0.01, seed=seed + 17 * s,
-        )
-        for s in range(nets)
-    ]
+    stack_cfg = el.TrainConfig(
+        epochs=epochs, batch_size=sizes[pick % len(sizes)], learning_rate=0.05,
+        final_learning_rate=0.01, seed=seed,
+    )
+    seeds = [seed + 17 * s for s in range(nets)]
     joined, norms = el.RollingWindows._joined(iter(windows), nets * length)
-    stack = el.forecaster._train_stack(joined, norms, arch, loss_cfg, train_cfgs)
+    stack = el.forecaster._train_stack(joined, norms, arch, loss_cfg, stack_cfg, seeds)
     assert len(stack) == nets
-    for x, w, train_cfg, model in zip(series, windows, train_cfgs, stack):
+    for x, w, net_seed, model in zip(series, windows, seeds, stack):
+        train_cfg = replace(stack_cfg, seed=net_seed)
         alone = el.train(w, arch, loss_cfg, train_cfg)
         z, pair = normalized(x)
         theta, history = reference_train(
@@ -911,52 +911,38 @@ class TestTrainStack:
         x[30] += spike
         return el.build_rolling_windows(x, self.cfg)
 
-    def train_cfgs(self, n, **fields):
-        base = dict(epochs=30, batch_size=8, learning_rate=0.01)
-        return [el.TrainConfig(**{**base, **fields}, seed=s) for s in range(n)]
+    train_cfg = el.TrainConfig(epochs=30, batch_size=8, learning_rate=0.01, seed=0)
 
     def joined(self, parts):
         """The parts' windows joined end to end and their (shift, scale)s."""
         return el.RollingWindows._joined(parts, sum(len(w.values) for w in parts))
 
-    def divergence(self, parts, train_cfgs):
+    def divergence(self, parts, seeds):
         with pytest.raises(TrainingDivergedError) as info, np.errstate(all="ignore"):
-            el.forecaster._train_stack(*self.joined(parts), self.arch, self.loss_cfg, train_cfgs)
+            el.forecaster._train_stack(
+                *self.joined(parts), self.arch, self.loss_cfg, self.train_cfg, seeds
+            )
         return info.value
 
     def test_spikes_diverge_at_different_epochs_alone(self):
         """The data the divergence tests stack: a smooth series trains, a
         spike of 90 diverges at epoch 1 and one of 1e4 at epoch 0."""
-        [cfg] = self.train_cfgs(1)
-        el.train(self.windows(), self.arch, self.loss_cfg, cfg)
-        assert self.divergence([self.windows(90.0)], [cfg]).epoch == 1
-        assert self.divergence([self.windows(1e4)], [cfg]).epoch == 0
+        el.train(self.windows(), self.arch, self.loss_cfg, self.train_cfg)
+        assert self.divergence([self.windows(90.0)], [0]).epoch == 1
+        assert self.divergence([self.windows(1e4)], [0]).epoch == 0
 
     def test_divergence_names_the_lowest_net_at_the_first_bad_step(self):
-        cfgs = self.train_cfgs(4)
+        seeds = [0, 1, 2, 3]
         spikes = [0.0, 90.0, 0.0, 90.0]
-        err = self.divergence([self.windows(s) for s in spikes], cfgs)
-        alone = self.divergence([self.windows(90.0)], [cfgs[1]])
+        err = self.divergence([self.windows(s) for s in spikes], seeds)
+        alone = self.divergence([self.windows(90.0)], [seeds[1]])
         assert (err.net, err.epoch) == (1, alone.epoch)
         assert f"at epoch {alone.epoch} for net 1:" in str(err)
         # net 3 goes bad at an earlier step than net 1, so it is the one named
         spikes = [0.0, 90.0, 0.0, 1e4]
-        err = self.divergence([self.windows(s) for s in spikes], cfgs)
-        alone = self.divergence([self.windows(1e4)], [cfgs[3]])
+        err = self.divergence([self.windows(s) for s in spikes], seeds)
+        alone = self.divergence([self.windows(1e4)], [seeds[3]])
         assert (err.net, err.epoch) == (3, alone.epoch)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [dict(epochs=31), dict(batch_size=9), dict(learning_rate=0.02),
-         dict(final_learning_rate=0.001)],
-    )
-    def test_configs_may_differ_in_seed_only(self, fields):
-        cfgs = self.train_cfgs(3)
-        cfgs[2] = replace(cfgs[2], **fields)
-        with pytest.raises(ValidationError, match="net 2 of a training stack differs"):
-            el.forecaster._train_stack(
-                *self.joined([self.windows()] * 3), self.arch, self.loss_cfg, cfgs
-            )
 
     @pytest.mark.parametrize(
         "rows, pairs, got",
@@ -972,12 +958,14 @@ class TestTrainStack:
         stack, norms = self.joined([self.windows()] * 2)
         with pytest.raises(ValidationError, match=rf"stack of 2 nets needs .*, got {got}"):
             el.forecaster._train_stack(
-                stack[rows], norms[:pairs], self.arch, self.loss_cfg, self.train_cfgs(2)
+                stack[rows], norms[:pairs], self.arch, self.loss_cfg, self.train_cfg, [0, 1]
             )
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValidationError, match="at least one net"):
-            el.forecaster._train_stack(self.windows(), [], self.arch, self.loss_cfg, [])
+            el.forecaster._train_stack(
+                self.windows(), [], self.arch, self.loss_cfg, self.train_cfg, []
+            )
 
 
 def hand_stacked(series_list, cfg, calendar):
